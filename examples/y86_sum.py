@@ -35,7 +35,7 @@ assert expected.registers[0] == sum(CSAPP_QUADS)
 # -- model 2: the pipelined RTL CPU -------------------------------------
 sim = Simulator("y86_rtl", engine="kernel")
 cpu = sim.add(Y86PipelineCpu("cpu", prog.image))
-cycles = run_to_halt(sim, cpu, chunk=1)   # exact cycle count for CPI
+cycles = run_to_halt(sim, cpu)            # exact cycle count for CPI
 assert cpu.arch_state() == expected
 cpi = cycles / expected.instret
 print(f"RTL pipeline:  same state in {cycles} cycles "
@@ -45,11 +45,9 @@ print(f"RTL pipeline:  same state in {cycles} cycles "
 # -- model 3: the Anvil typed-channel core ------------------------------
 asim = Simulator("y86_anvil")
 core, server, host = attach_anvil_y86(asim, prog.image)
-start = asim.cycle
-while not core.regs["halted"]:
-    asim.run(1)
+acycles = asim.run(20_000, stop=lambda: core.regs["halted"])
 assert anvil_arch_state(core, server) == expected
-print(f"Anvil core:    same state in {asim.cycle - start} cycles "
+print(f"Anvil core:    same state in {acycles} cycles "
       f"(timing-safe channels, lifetime-checked registers)")
 
 print("\nthree models, one architectural contract -- the differential "

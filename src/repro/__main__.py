@@ -1,7 +1,7 @@
 """``python -m repro`` -- the command-line front end over :mod:`repro.api`.
 
 One option layer (``--engine/--backend/--parallel/--seed/--cycles/
---stim/--batch/--trace/--json``) shared by every subcommand, resolved
+--stim/--trace/--json``) shared by every subcommand, resolved
 into a single :class:`~repro.api.SimConfig` and handed to a
 :class:`~repro.api.Session`:
 
@@ -45,25 +45,22 @@ from .rtl.simulator import ENGINES
 #: only part of the config expose only that part, so the echoed
 #: ``--json`` config never claims knobs the run ignored
 ALL_FIELDS = ("engine", "backend", "parallel", "executor", "jobs", "seed",
-              "cycles", "stim", "batch", "trace", "checkpoint_every",
+              "cycles", "stim", "trace", "checkpoint_every",
               "max_wall_time")
 #: a single scenario run has no sweep to execute, so it neither takes
-#: nor echoes the executor knobs (nor the lock-step batch width)
+#: nor echoes the executor knobs
 RUN_FIELDS = tuple(f for f in ALL_FIELDS
-                   if f not in ("executor", "jobs", "parallel", "batch"))
-#: bench measures each (scenario, config) serially, never batches,
-#: never checkpoints and runs no watchdog -- lock-step timing would
-#: blend the instances it is trying to compare, a restored prefix (or a
-#: cancelled repeat) would corrupt the cycles/second it is trying to
-#: measure
+                   if f not in ("executor", "jobs", "parallel"))
+#: bench measures each (scenario, config) serially, never checkpoints
+#: and runs no watchdog -- a restored prefix (or a cancelled repeat)
+#: would corrupt the cycles/second it is trying to measure
 BENCH_FIELDS = tuple(f for f in ALL_FIELDS
-                     if f not in ("batch", "checkpoint_every",
-                                  "max_wall_time"))
+                     if f not in ("checkpoint_every", "max_wall_time"))
 #: a fault campaign forks tails on the configured executor but never
-#: renders waveforms, batches or feeds the checkpoint store (it keeps a
+#: renders waveforms or feeds the checkpoint store (it keeps a
 #: campaign-local one)
 INJECT_FIELDS = tuple(f for f in ALL_FIELDS
-                      if f not in ("batch", "trace", "checkpoint_every"))
+                      if f not in ("trace", "checkpoint_every"))
 #: what the harness drivers actually thread through (appendix-a keeps
 #: its own serial-by-design parallel knob, so it exposes only the
 #: engine/backend pair its simulated side consumes)
@@ -108,13 +105,6 @@ def _add_config_options(parser: argparse.ArgumentParser,
     if "stim" in fields:
         g.add_argument("--stim", type=int, default=None,
                        help="stimulus depth override")
-    if "batch" in fields:
-        g.add_argument("--batch", type=int, default=None, metavar="M",
-                       help="lock-step batch width for seed campaigns "
-                            "(sweep --seeds): up to M same-topology "
-                            "instances advance through one compiled "
-                            "kernel pass; $REPRO_BATCH overrides the "
-                            "default of 1")
     if "trace" in fields:
         g.add_argument("--trace", action="store_true", default=False,
                        help="render the ASCII waveform of each run")
@@ -143,8 +133,7 @@ def _add_config_options(parser: argparse.ArgumentParser,
 def _config_from(args: argparse.Namespace) -> SimConfig:
     overrides: Dict[str, object] = {}
     for field in ("engine", "backend", "executor", "jobs", "seed",
-                  "cycles", "stim", "batch", "checkpoint_every",
-                  "max_wall_time"):
+                  "cycles", "stim", "checkpoint_every", "max_wall_time"):
         value = getattr(args, field, None)
         if value is not None:
             overrides[field] = value
@@ -209,6 +198,7 @@ def cmd_run(args) -> int:
 
     from .api import _result_of
     from .errors import SimulationError
+    from .rtl.simulator import advance, wall_deadline
 
     config = args.sim_config
     if args.checkpoint_dir and not (config.checkpoint_every
@@ -233,8 +223,8 @@ def cmd_run(args) -> int:
             sim.restore(snap)
             resumed = sim.cycle
             t0 = time.perf_counter()
-            if config.cycles > sim.cycle:
-                sim.run(config.cycles - sim.cycle)
+            advance(sim, config.cycles - sim.cycle,
+                    deadline=wall_deadline(config.max_wall_time))
             elapsed = time.perf_counter() - t0
             result = _result_of(
                 args.scenario, config, sim, config.cycles, elapsed,
@@ -245,10 +235,10 @@ def cmd_run(args) -> int:
             # each checkpoint to --checkpoint-dir when asked so a fresh
             # process can resume it later
             from .rtl.snapshot import (
+                Checkpointer,
                 get_checkpoint_store,
                 prefix_key,
                 resume_longest_prefix,
-                run_with_checkpoints,
                 save_checkpoint,
             )
 
@@ -267,16 +257,17 @@ def cmd_run(args) -> int:
 
             t0 = time.perf_counter()
             resumed = resume_longest_prefix(sim, key, config.cycles, store)
-            stored = run_with_checkpoints(
-                sim, config.cycles, config.checkpoint_every, store=store,
-                key=key, scenario=args.scenario,
-                on_checkpoint=on_checkpoint)
+            recorder = Checkpointer(store, key, args.scenario,
+                                    on_checkpoint=on_checkpoint)
+            advance(sim, config.cycles - sim.cycle,
+                    deadline=wall_deadline(config.max_wall_time),
+                    every=config.checkpoint_every, on_boundary=recorder)
             elapsed = time.perf_counter() - t0
             result = _result_of(
                 args.scenario, config, sim, config.cycles, elapsed,
                 {"resumed_from": resumed,
                  "simulated_cycles": config.cycles - resumed,
-                 "checkpoints_stored": stored})
+                 "checkpoints_stored": recorder.stored})
         else:
             result = Session(config).run(args.scenario)
     except (OSError, SimulationError) as exc:
@@ -527,8 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tag", default=None)
     p.add_argument("--seeds", type=int, default=0, metavar="N",
                    help="run each scenario under N consecutive seeds "
-                        "(starting at --seed); combine with --batch M "
-                        "to advance same-topology instances lock-step")
+                        "(starting at --seed)")
     _add_config_options(p)
     p.set_defaults(fn=cmd_sweep)
 

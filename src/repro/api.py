@@ -47,14 +47,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .codegen.simfsm import BACKENDS
-from .rtl.batch import MAX_BATCH, BatchSimulator, _env_batch, run_batch
+from .rtl.batch import BatchSimulator, run_batch
 from .rtl.executors import EXECUTORS, JobSpec, ScenarioRun
-from .rtl.simulator import ENGINES, Simulator, run_guarded
+from .rtl.simulator import ENGINES, Simulator, advance, wall_deadline
 from .rtl.snapshot import (
+    Checkpointer,
     get_checkpoint_store,
     prefix_key,
     resume_longest_prefix,
-    run_with_checkpoints,
 )
 from .rtl.waveform import Waveform
 
@@ -134,14 +134,6 @@ class SimConfig:
         default cycle count for :meth:`Session.run`/:meth:`Session.sweep`;
     ``stim``
         stimulus depth override (``None`` -> each scenario's default);
-    ``batch``
-        lock-step batch width for same-topology sweep instances: a
-        :meth:`Session.sweep` over ``seeds`` groups up to this many
-        instances per scenario into one compiled batched cycle kernel
-        (:mod:`repro.rtl.kernel`).  ``None`` resolves to
-        ``$REPRO_BATCH`` when set, else ``1`` (scalar).  ``brute``-
-        engine runs always stay scalar -- brute is the semantic
-        reference batching is held to;
     ``trace``
         when true, :class:`RunResult` carries the rendered ASCII waveform;
     ``checkpoint_every``
@@ -157,9 +149,10 @@ class SimConfig:
         wall-clock watchdog budget in seconds: :meth:`Session.run`, the
         executor jobs and fault-injection tails cancel a run with
         :class:`~repro.errors.WatchdogTimeout` once it has simulated
-        past this budget (checked between chunks, so the overshoot is
-        bounded).  ``None`` resolves to ``$REPRO_MAX_WALL_TIME`` when
-        set and non-zero, else no watchdog.
+        past this budget (checked at every cycle boundary, see
+        :func:`~repro.rtl.simulator.advance`).  ``None`` resolves to
+        ``$REPRO_MAX_WALL_TIME`` when set and non-zero, else no
+        watchdog.
     """
 
     engine: Optional[str] = None
@@ -170,7 +163,6 @@ class SimConfig:
     seed: int = 0
     cycles: int = 1000
     stim: Optional[int] = None
-    batch: Optional[int] = None
     trace: bool = False
     checkpoint_every: Optional[int] = None
     max_wall_time: Optional[float] = None
@@ -228,15 +220,6 @@ class SimConfig:
             raise ValueError(
                 f"parallel must be a bool, an int worker count or None, "
                 f"got {self.parallel!r}"
-            )
-        if self.batch is None:
-            # _env_batch raises its own actionable error on junk values
-            object.__setattr__(self, "batch", _env_batch() or 1)
-        if not isinstance(self.batch, int) or isinstance(self.batch, bool) \
-                or not 1 <= self.batch <= MAX_BATCH:
-            raise ValueError(
-                f"batch must be an int width between 1 and {MAX_BATCH}, "
-                f"got {self.batch!r} (did REPRO_BATCH leak a typo?)"
             )
         if self.checkpoint_every is None:
             object.__setattr__(
@@ -669,6 +652,7 @@ class Session:
         cfg = resolve_config(self.config, cycles=cycles, **overrides)
         sim = self.registry.build(scenario, cfg)
         extra = None
+        on_boundary = None
         t0 = time.perf_counter()
         if cfg.checkpoint_every:
             # incremental re-simulation: restore the longest stored
@@ -677,17 +661,16 @@ class Session:
             store = get_checkpoint_store()
             key = prefix_key(scenario, cfg, sim)
             resumed = resume_longest_prefix(sim, key, cfg.cycles, store)
-            stored = run_with_checkpoints(
-                sim, cfg.cycles, cfg.checkpoint_every,
-                store=store, key=key, scenario=scenario,
-                max_wall_time=cfg.max_wall_time)
+            on_boundary = Checkpointer(store, key, scenario)
+        advance(sim, cfg.cycles - sim.cycle,
+                deadline=wall_deadline(cfg.max_wall_time),
+                every=cfg.checkpoint_every, on_boundary=on_boundary)
+        if on_boundary is not None:
             extra = {
                 "resumed_from": resumed,
                 "simulated_cycles": cfg.cycles - resumed,
-                "checkpoints_stored": stored,
+                "checkpoints_stored": on_boundary.stored,
             }
-        else:
-            run_guarded(sim, cfg.cycles, cfg.max_wall_time)
         elapsed = time.perf_counter() - t0
         return _result_of(scenario, cfg, sim, cfg.cycles, elapsed, extra)
 
@@ -728,15 +711,7 @@ class Session:
         unpicklable crosses the pool boundary).
 
         ``seeds`` turns the sweep into a stimulus campaign: every
-        scenario runs once per seed, keyed ``"name@s<seed>"``.  With
-        ``config.batch > 1`` (or ``REPRO_BATCH``), each scenario's
-        seeds are grouped into lock-step batches of up to ``batch``
-        instances advancing through one compiled batched kernel pass
-        per group (``run_scenario_batch`` jobs) -- M-way vectorization
-        inside each executor job, composing with P-way processes across
-        jobs.  Result keys and values are identical either way (batched
-        runs are pinned bit-equal to scalar ones); ``brute``-engine
-        campaigns always take the scalar path.
+        scenario runs once per seed, keyed ``"name@s<seed>"``.
 
         Returns results keyed in selection order; each result's
         ``seconds`` is the wall-clock of the whole sweep (the scenarios
@@ -752,40 +727,22 @@ class Session:
                         config=cfg)
                 for name in names
             ]
-            keys = {name: name for name in names}
         else:
             seeds = list(seeds)
-            specs = []
-            keys = {}            # result key -> (job name, index or None)
-            if cfg.batch > 1 and cfg.engine != "brute":
-                for name in names:
-                    for j in range(0, len(seeds), cfg.batch):
-                        group = seeds[j:j + cfg.batch]
-                        spec_name = f"{name}@g{j // cfg.batch}"
-                        specs.append(JobSpec(
-                            kind="run_scenario_batch", name=spec_name,
-                            scenario=name, config=cfg,
-                            params=(("seeds", tuple(group)),)))
-                        for pos, s in enumerate(group):
-                            keys[f"{name}@s{s}"] = (spec_name, pos)
-            else:
-                for name in names:
-                    for s in seeds:
-                        spec_name = f"{name}@s{s}"
-                        specs.append(JobSpec(
-                            kind="run_scenario", name=spec_name,
-                            scenario=name, config=cfg.replace(seed=s)))
-                        keys[spec_name] = spec_name
+            specs = [
+                JobSpec(kind="run_scenario", name=f"{name}@s{s}",
+                        scenario=name, config=cfg.replace(seed=s))
+                for name in names for s in seeds
+            ]
         t0 = time.perf_counter()
         runs = run_batch(specs, **pool_args(cfg))
         elapsed = time.perf_counter() - t0
-        diag = {"sweep_size": len(keys)}
-        out = {}
-        for key, where in keys.items():
-            run = runs[where] if isinstance(where, str) \
-                else runs[where[0]][where[1]]
-            out[key] = _result_from_scenario_run(cfg, run, elapsed, diag)
-        return out
+        diag = {"sweep_size": len(specs)}
+        return {
+            spec.name: _result_from_scenario_run(cfg, runs[spec.name],
+                                                 elapsed, diag)
+            for spec in specs
+        }
 
     # -- fault injection -----------------------------------------------
     def inject_campaign(self, scenario: str, faults: int = 25, *,

@@ -22,10 +22,11 @@ over randomized workloads of all six design families.
 Caching
 -------
 
-Generated source is a pure function of the plan, so the compile cache is
-keyed by the SHA-256 of the source itself (which also fingerprints the
-optimization flags -- a plan built with ``do_optimize=False`` generates
-different source).  Rebuilding a process from the same factory therefore
+Generated source is a pure function of the plan, so the compile cache
+(:class:`~repro.compile_cache.SourceCache`, shared with
+:mod:`repro.rtl.kernel`) is keyed by the SHA-256 of the source itself
+(which also fingerprints the optimization flags -- a plan built with
+``do_optimize=False`` generates different source).  Rebuilding a process from the same factory therefore
 hits the cache even though the :class:`~repro.lang.process.Process`
 object is new.  :func:`cache_stats` exposes hit/miss counters for the
 benchmark; :func:`clear_cache` resets the cache (tests).
@@ -33,10 +34,9 @@ benchmark; :func:`clear_cache` resets the cache (tests).
 
 from __future__ import annotations
 
-import hashlib
-import threading
 from typing import Dict, List, Tuple
 
+from ..compile_cache import SourceCache
 from ..core.events import EventKind, SyncDir
 from ..core.fsmplan import (
     CommitExpr,
@@ -439,9 +439,13 @@ class PyBackend:
         self.commit = commit
 
 
-_CACHE: Dict[str, PyBackend] = {}
-_LOCK = threading.Lock()
-_STATS = {"hits": 0, "misses": 0}
+_CACHE = SourceCache()
+
+#: compile-cache counters (``hits``/``misses``/``entries``; the
+#: benchmark's cache-stats hook) and their reset -- per-plan memos on
+#: already-built ProcessPlan objects are unaffected by the reset
+cache_stats = _CACHE.stats
+clear_cache = _CACHE.clear
 
 
 def backend_for(plan: ProcessPlan) -> PyBackend:
@@ -455,44 +459,14 @@ def backend_for(plan: ProcessPlan) -> PyBackend:
     the source-hash cache underneath it (distinct plans of identical
     designs share one compilation)."""
     memo = plan._backend
-    if memo is not None:
-        return memo
-    source = generate_source(plan)
-    key = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    with _LOCK:
-        hit = _CACHE.get(key)
-        if hit is not None:
-            _STATS["hits"] += 1
-            plan._backend = hit
-            return hit
-    code = compile(source, f"<pysim:{plan.name}>", "exec")
+    if memo is None:
+        memo = plan._backend = _CACHE.get(
+            generate_source(plan),
+            lambda source: _compile(source, plan.name))
+    return memo
+
+
+def _compile(source: str, name: str) -> PyBackend:
     ns: Dict[str, object] = {}
-    exec(code, ns)
-    backend = PyBackend(source, tuple(ns["_FIRE"]), tuple(ns["_COMMIT"]))
-    with _LOCK:
-        winner = _CACHE.setdefault(key, backend)
-        # a concurrent caller may have compiled the same source first;
-        # only the insertion counts as a miss, so hits + misses always
-        # equals calls and misses equals cache entries
-        if winner is backend:
-            _STATS["misses"] += 1
-        else:
-            _STATS["hits"] += 1
-    plan._backend = winner
-    return winner
-
-
-def cache_stats() -> Dict[str, int]:
-    """Compile-cache counters (the benchmark's cache-stats hook)."""
-    with _LOCK:
-        return {"hits": _STATS["hits"], "misses": _STATS["misses"],
-                "entries": len(_CACHE)}
-
-
-def clear_cache():
-    """Reset the source-hash cache and counters (per-plan memos on
-    already-built ProcessPlan objects are unaffected)."""
-    with _LOCK:
-        _CACHE.clear()
-        _STATS["hits"] = 0
-        _STATS["misses"] = 0
+    exec(compile(source, f"<pysim:{name}>", "exec"), ns)
+    return PyBackend(source, tuple(ns["_FIRE"]), tuple(ns["_COMMIT"]))

@@ -151,6 +151,7 @@ class Y86PipelineCpu(Module):
         return addr <= self.mem_size - 8
 
     def _rget(self, rid: int) -> int:
+        rid &= 0xF          # the register file's 4-bit read port
         return self.registers[rid] if rid != RNONE else 0
 
     def arch_state(self) -> ArchState:
@@ -178,10 +179,13 @@ class Y86PipelineCpu(Module):
             self.instret += 1
             return
         if W["stat"] == SAOK:
-            if W["dste"] != RNONE:
-                self.registers[W["dste"]] = W["vale"]
-            if W["dstm"] != RNONE:
-                self.registers[W["dstm"]] = W["valm"]   # popq %rsp: M wins
+            # the 4-bit write ports see only the id's low bits (an
+            # upset above them must not index past the register file)
+            dste, dstm = W["dste"] & 0xF, W["dstm"] & 0xF
+            if dste != RNONE:
+                self.registers[dste] = W["vale"]
+            if dstm != RNONE:
+                self.registers[dstm] = W["valm"]   # popq %rsp: M wins
             self.instret += 1
 
         # ---- memory stage
@@ -357,17 +361,14 @@ class Y86PipelineCpu(Module):
         return out
 
 
-def run_to_halt(sim, cpu: Y86PipelineCpu, max_cycles: int = 20_000,
-                chunk: int = 256) -> int:
-    """Run ``sim`` in kernel-friendly chunks until the CPU halts;
-    returns the cycle count.  Raises if the budget is exhausted."""
-    start = sim.cycle
-    while not cpu.halted:
-        if sim.cycle - start >= max_cycles:
-            raise RuntimeError(
-                f"{cpu.name} did not halt within {max_cycles} cycles")
-        sim.run(min(chunk, max_cycles - (sim.cycle - start)))
-    return sim.cycle - start
+def run_to_halt(sim, cpu: Y86PipelineCpu, max_cycles: int = 20_000) -> int:
+    """Run ``sim`` until the CPU halts; returns the exact cycle count.
+    Raises if the budget is exhausted."""
+    cycles = sim.run(max_cycles, stop=lambda: cpu.halted)
+    if not cpu.halted:
+        raise RuntimeError(
+            f"{cpu.name} did not halt within {max_cycles} cycles")
+    return cycles
 
 
 def attach_anvil_y86(sim, image: bytes, backend: str = "interp",

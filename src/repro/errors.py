@@ -84,7 +84,7 @@ class ContractViolationError(AnvilError):
 class WatchdogTimeout(SimulationError):
     """A run exceeded its wall-clock watchdog budget and was cancelled.
 
-    Raised by :func:`repro.rtl.simulator.run_guarded` (and everything
+    Raised by :func:`repro.rtl.simulator.advance` (and everything
     layered on it: ``Session.run``, the executor workers, the job
     queue) when ``SimConfig(max_wall_time=...)`` is set and the
     simulation does not finish in time.  The fault-injection campaign

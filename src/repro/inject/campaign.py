@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import AnvilError, SimulationError, WatchdogTimeout
 from ..rtl.executors import job_kind
-from ..rtl.simulator import run_guarded
+from ..rtl.simulator import advance, wall_deadline
 from ..rtl.snapshot import (
     CheckpointStore,
     capture,
@@ -44,10 +44,6 @@ from .faults import Fault, FaultInjector, enumerate_sites, sample_faults
 
 #: outcome taxonomy, in histogram order
 OUTCOMES = ("masked", "sdc", "detected", "hang")
-
-#: tail-run slice between halt checks; fixed so campaign cycle counts
-#: are reproducible across engines and executors
-_TAIL_CHUNK = 32
 
 
 def _halt_module(sim):
@@ -77,7 +73,7 @@ def _arch_digest(state) -> str:
 def _golden_pass(sim, cpu, cfg) -> Dict[str, object]:
     """Run the uninjected reference and fingerprint its final state."""
     if cpu is None:
-        run_guarded(sim, cfg.cycles, cfg.max_wall_time)
+        advance(sim, cfg.cycles, deadline=wall_deadline(cfg.max_wall_time))
         return {"cycles": cfg.cycles, "stat": None,
                 "digest": state_sig(sim)[:16]}
     sim.run_until(lambda: cpu.halted, limit=cfg.cycles)
@@ -87,27 +83,16 @@ def _golden_pass(sim, cpu, cfg) -> Dict[str, object]:
 
 def _run_tail(sim, cpu, golden: Dict[str, object], budget: int,
               max_wall_time: Optional[float]) -> None:
-    """Advance an injected fork to its classification point: halt or
-    the absolute cycle ``budget`` for CPU scenarios, the golden cycle
-    count for fixed-cycle ones -- under the optional wall-clock
-    watchdog."""
-    deadline = None
-    if max_wall_time:
-        deadline = time.monotonic() + max_wall_time
+    """Advance an injected fork to its classification point: the exact
+    halt cycle (or the absolute cycle ``budget``) for CPU scenarios,
+    the golden cycle count for fixed-cycle ones -- under the optional
+    wall-clock watchdog."""
+    deadline = wall_deadline(max_wall_time)
     if cpu is None:
-        end = int(golden["cycles"])
-        if end > sim.cycle:
-            run_guarded(sim, end - sim.cycle, deadline=deadline)
-        return
-    while not cpu.halted and sim.cycle < budget:
-        sim.run(min(_TAIL_CHUNK, budget - sim.cycle))
-        if deadline is not None and not cpu.halted \
-                and sim.cycle < budget and time.monotonic() > deadline:
-            raise WatchdogTimeout(
-                f"fault tail on {sim.name!r} exceeded its "
-                f"{max_wall_time:g}s wall-clock budget at cycle "
-                f"{sim.cycle} (cycle budget {budget})"
-            )
+        advance(sim, int(golden["cycles"]) - sim.cycle, deadline=deadline)
+    else:
+        advance(sim, budget - sim.cycle, stop=lambda: cpu.halted,
+                deadline=deadline)
 
 
 def _classify(sim, cpu, golden: Dict[str, object],
@@ -248,8 +233,8 @@ def run_campaign(scenario: str, config=None, *, n_faults: int = 25,
     cycles_needed = sorted({f.cycle for f in plan})
     store = CheckpointStore(capacity=len(cycles_needed))
     for cycle in cycles_needed:
-        if cycle > walker.cycle:
-            run_guarded(walker, cycle - walker.cycle, cfg.max_wall_time)
+        advance(walker, cycle - walker.cycle,
+                deadline=wall_deadline(cfg.max_wall_time))
         store.put(key, cycle, capture(walker, scenario=scenario, key=key))
 
     # injection pass: fork every fault from its warm prefix snapshot

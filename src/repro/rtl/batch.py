@@ -44,8 +44,7 @@ crossed a process boundary.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Sequence, Tuple, Union
 
 from .executors import JobSpec, get_executor
 from .simulator import Simulator
@@ -84,36 +83,6 @@ def _env_parallel() -> Union[int, None]:
             f"the default"
         )
     return forced
-
-
-#: hard cap on the lock-step batch width -- beyond this the generated
-#: slot-unrolled kernel source stops paying for itself (compile time,
-#: code-object size) long before any throughput win
-MAX_BATCH = 1024
-
-
-def _env_batch() -> Optional[int]:
-    """Parse ``REPRO_BATCH``: ``None`` when unset/empty/``auto`` (the
-    config default applies), a forced lock-step batch width for positive
-    integers up to :data:`MAX_BATCH`; any other value is a user error
-    and raises."""
-    env = os.environ.get("REPRO_BATCH")
-    if env is None:
-        return None
-    text = env.strip().lower()
-    if text in ("", "auto"):
-        return None
-    try:
-        width = int(text)
-    except ValueError:
-        width = 0
-    if width < 1 or width > MAX_BATCH:
-        raise ValueError(
-            f"invalid REPRO_BATCH value {env!r}: use a positive integer "
-            f"batch width up to {MAX_BATCH}, or auto/unset for the "
-            f"default"
-        )
-    return width
 
 
 def _pool_size(parallel: Union[bool, int, None], n_jobs: int) -> int:
@@ -328,284 +297,3 @@ class BatchSimulator:
 
     def __repr__(self):
         return f"BatchSimulator({list(self.sims)})"
-
-
-# ---------------------------------------------------------------------------
-# lock-step batched execution (columnar kernels)
-# ---------------------------------------------------------------------------
-class StopCondition:
-    """A per-instance early-exit condition the batched kernel compiles
-    inline: ``op`` from :data:`repro.rtl.kernel.STOP_OPS` applied to one
-    designated wire per simulator, checked after every cycle.
-
-    ``wires[k]`` is the watched wire of the k-th simulator handed to
-    :func:`run_lockstep`; for ``eq``/``ne``, ``values[k]`` is the
-    comparison value (runtime data, so slots with different targets
-    share one compiled kernel).
-    """
-
-    __slots__ = ("op", "wires", "values")
-
-    def __init__(self, op: str, wires: Sequence[object],
-                 values: Optional[Sequence[int]] = None):
-        from .kernel import STOP_OPS
-
-        if op not in STOP_OPS:
-            raise ValueError(
-                f"unknown stop op {op!r}: known ops are "
-                f"{', '.join(repr(o) for o in STOP_OPS)}"
-            )
-        wires = list(wires)
-        if op == "nonzero":
-            values = [None] * len(wires)
-        else:
-            if values is None or len(values) != len(wires):
-                raise ValueError(
-                    f"stop op {op!r} needs one comparison value per "
-                    f"wire ({len(wires)} wire(s), "
-                    f"{0 if values is None else len(values)} value(s))"
-                )
-            values = list(values)
-        self.op = op
-        self.wires = wires
-        self.values = values
-
-    def hit(self, k: int) -> bool:
-        """Does slot ``k``'s condition hold right now?"""
-        v = self.wires[k].value
-        if self.op == "nonzero":
-            return bool(v)
-        if self.op == "eq":
-            return v == self.values[k]
-        return v != self.values[k]
-
-
-@dataclass
-class LockstepResult:
-    """What :func:`run_lockstep` did, per simulator (list indices align
-    with the input order)."""
-
-    #: cycles actually advanced (== the request unless a stop fired)
-    cycles: List[int] = field(default_factory=list)
-    #: whether the stop condition fired within the budget
-    stopped: List[bool] = field(default_factory=list)
-    #: whether the instance ran in a lock-step batch (False: scalar path)
-    batched: List[bool] = field(default_factory=list)
-    #: number of distinct batched kernel groups used
-    groups: int = 0
-
-
-def run_stop_scalar(sim: Simulator, cycles: int,
-                    stop: Optional[StopCondition] = None,
-                    k: int = 0) -> Tuple[int, bool]:
-    """The scalar reference for stop-condition runs: advance ``sim`` one
-    cycle at a time, checking ``stop`` (slot ``k``) after each -- the
-    exact semantics the batched kernel compiles inline.  Returns
-    ``(cycles advanced, stop fired)``.
-    """
-    if stop is None:
-        sim.run(cycles)
-        return cycles, False
-    advanced = 0
-    while advanced < cycles:
-        sim.run(1)
-        advanced += 1
-        if stop.hit(k):
-            return advanced, True
-    return advanced, False
-
-
-def _stop_index(sim: Simulator, wire) -> Optional[int]:
-    """``wire``'s index in ``sim``'s scheduler table, or ``None`` when
-    the wire is not registered there (forces the scalar path)."""
-    sch = sim.scheduler
-    sch._ensure_built()
-    for i, w in enumerate(sch._wires):
-        if w is wire:
-            return i
-    return None
-
-
-def _lockstep_group(sims: List[Simulator], plan, cycles: int,
-                    stop: Optional[StopCondition],
-                    slot_of: List[int]) -> Tuple[List[int], List[bool]]:
-    """Advance one same-shape group lock-step through the batched
-    kernel; returns per-sim ``(advanced, stopped)`` aligned with
-    ``sims``.  ``slot_of`` maps group positions to ``stop`` slots.
-
-    Priming cycles (unprimed activity baselines, pending settle state)
-    and kernel bail-outs (monitors registered mid-run, mid-run ``add``)
-    run interpreted per instance -- the same fallback discipline as
-    :meth:`Simulator.run` -- so the result is bit-identical to scalar
-    runs by construction.
-    """
-    from .kernel import batch_kernel_for
-
-    m = len(sims)
-    advanced = [0] * m
-    stopped = [False] * m
-    stop_idx = None
-    stop_shape = None
-    if stop is not None:
-        stop_idx = _stop_index(sims[0], stop.wires[slot_of[0]])
-        stop_shape = (stop.op, stop_idx)
-    kern = batch_kernel_for(plan, m, stop_shape)
-    stops = ([stop.values[slot_of[k]] for k in range(m)]
-             if stop is not None else [None] * m)
-
-    def _sub_stop(k):
-        if stop is None:
-            return None
-        return StopCondition(stop.op, [stop.wires[slot_of[k]]],
-                             None if stop.op == "nonzero"
-                             else [stop.values[slot_of[k]]])
-
-    while True:
-        pend = [k for k in range(m)
-                if not stopped[k] and advanced[k] < cycles]
-        if not pend:
-            return advanced, stopped
-        # instances the kernel cannot take this round run one
-        # interpreted/scalar cycle (stop-checked) and retry
-        fallback = []
-        for k in pend:
-            sim = sims[k]
-            sch = sim.scheduler
-            sch._ensure_built()
-            if sim._monitors or sch._needs_prime or sch._changed:
-                fallback.append(k)
-        if fallback:
-            for k in fallback:
-                a, st = run_stop_scalar(sims[k], 1, _sub_stop(k), 0)
-                advanced[k] += a
-                stopped[k] = st
-            continue
-        # late watches: pad once so the kernel's per-cycle sample is a
-        # plain append (same contract as the scalar kernel entry)
-        for k in pend:
-            sim = sims[k]
-            for _label, _wire, series in sim.waveform._watched:
-                if len(series) < sim.cycle:
-                    series.extend([0] * (sim.cycle - len(series)))
-        n = min(cycles - advanced[k] for k in pend)
-        actives = [1 if k in pend else 0 for k in range(m)]
-        out = kern.fn(sims, [s.scheduler for s in sims], n, actives, stops)
-        progressed = False
-        for k in pend:
-            dn, st = out[k]
-            advanced[k] += dn
-            stopped[k] = bool(st)
-            progressed = progressed or dn
-        if not progressed:
-            # the guard tripped before a single cycle completed
-            # (monitor/stale raced in): force one interpreted cycle per
-            # pending instance so the loop always advances
-            for k in pend:
-                a, st = run_stop_scalar(sims[k], 1, _sub_stop(k), 0)
-                advanced[k] += a
-                stopped[k] = st
-
-
-def run_lockstep(sims: Sequence[Simulator], cycles: int,
-                 stop: Optional[StopCondition] = None,
-                 width: Optional[int] = None) -> LockstepResult:
-    """Advance independent simulators of the same topology *shape*
-    lock-step through one compiled batched kernel pass per group.
-
-    Simulators are grouped by :func:`repro.rtl.kernel.topology_shape`
-    digest and split into chunks of at most ``width`` (default: one
-    group per shape, capped at :data:`MAX_BATCH`); each chunk of two or
-    more advances through a slot-unrolled ``_BATCH_KERNEL``.  Instances
-    the batch cannot take -- ``engine="brute"`` (kept scalar as the
-    semantic reference), detached simulators, registered monitors,
-    unsupported plans, a stop wire outside the scheduler table or at a
-    different table index than its group -- run the plain scalar path
-    instead, so the call as a whole is always bit-identical to per-
-    instance runs.  ``stop`` peels instances out of their batch the
-    cycle the condition first holds.
-    """
-    sims = list(sims)
-    if stop is not None and len(stop.wires) != len(sims):
-        raise ValueError(
-            f"stop condition covers {len(stop.wires)} instance(s) but "
-            f"{len(sims)} simulator(s) were given"
-        )
-    from .kernel import topology_shape
-
-    width = MAX_BATCH if width is None else max(1, min(width, MAX_BATCH))
-    res = LockstepResult(cycles=[0] * len(sims),
-                         stopped=[False] * len(sims),
-                         batched=[False] * len(sims))
-
-    groups: Dict[Tuple[str, Optional[int]], List[int]] = {}
-    plans: Dict[Tuple[str, Optional[int]], object] = {}
-    scalar: List[int] = []
-    for i, sim in enumerate(sims):
-        if sim.detached or sim._monitors or sim.engine == "brute":
-            scalar.append(i)
-            continue
-        digest, plan = topology_shape(sim)
-        if digest is None:
-            scalar.append(i)
-            continue
-        sidx = None
-        if stop is not None:
-            sidx = _stop_index(sim, stop.wires[i])
-            if sidx is None:
-                scalar.append(i)
-                continue
-        key = (digest, sidx)
-        groups.setdefault(key, []).append(i)
-        plans[key] = plan
-
-    for key, members in groups.items():
-        if len(members) == 1:
-            scalar.extend(members)
-            continue
-        for at in range(0, len(members), width):
-            chunk = members[at:at + width]
-            if len(chunk) == 1:
-                scalar.extend(chunk)
-                continue
-            adv, stp = _lockstep_group([sims[i] for i in chunk],
-                                       plans[key], cycles, stop, chunk)
-            res.groups += 1
-            for pos, i in enumerate(chunk):
-                res.cycles[i] = adv[pos]
-                res.stopped[i] = stp[pos]
-                res.batched[i] = True
-
-    for i in scalar:
-        sub = None
-        if stop is not None:
-            sub = StopCondition(
-                stop.op, [stop.wires[i]],
-                None if stop.op == "nonzero" else [stop.values[i]])
-        a, st = run_stop_scalar(sims[i], cycles, sub, 0)
-        res.cycles[i] = a
-        res.stopped[i] = st
-    return res
-
-
-class BatchRunner:
-    """Groups simulators by topology shape and advances each group
-    lock-step -- the object form of :func:`run_lockstep` for callers
-    that carry a configured batch width around (Session, fuzzing,
-    benchmarks).
-
-    >>> runner = BatchRunner(width=16)
-    >>> result = runner.run(sims, 1000)
-    >>> result.groups          # how many compiled batch passes ran
-    """
-
-    def __init__(self, width: Optional[int] = None):
-        if width is not None and width < 1:
-            raise ValueError(f"batch width must be >= 1, got {width}")
-        self.width = width
-
-    def run(self, sims: Sequence[Simulator], cycles: int,
-            stop: Optional[StopCondition] = None) -> LockstepResult:
-        return run_lockstep(sims, cycles, stop=stop, width=self.width)
-
-    def __repr__(self):
-        return f"BatchRunner(width={self.width})"

@@ -222,13 +222,13 @@ def _run_scenario(spec: JobSpec) -> ScenarioRun:
     checkpoint store exactly as :meth:`~repro.api.Session.run` does.
     """
     from ..api import get_registry
-    from .simulator import run_guarded
+    from .simulator import advance, wall_deadline
     from .snapshot import (
+        Checkpointer,
         get_checkpoint_store,
         prefix_key,
         restore,
         resume_longest_prefix,
-        run_with_checkpoints,
     )
 
     cfg = spec.config
@@ -236,61 +236,25 @@ def _run_scenario(spec: JobSpec) -> ScenarioRun:
     cycles = spec.run_cycles
     snap = spec.param("resume_from")
     every = getattr(cfg, "checkpoint_every", None)
-    wall = getattr(cfg, "max_wall_time", None)
     resumed = 0
+    on_boundary = None
     t0 = time.perf_counter()
     if snap is not None:
         restore(sim, snap)
         resumed = sim.cycle
-        if cycles > sim.cycle:
-            run_guarded(sim, cycles - sim.cycle, wall)
     elif every:
         store = get_checkpoint_store()
         key = prefix_key(spec.scenario, cfg, sim)
         resumed = resume_longest_prefix(sim, key, cycles, store)
-        run_with_checkpoints(sim, cycles, every, store=store, key=key,
-                             scenario=spec.scenario, max_wall_time=wall)
-    else:
-        run_guarded(sim, cycles, wall)
+        on_boundary = Checkpointer(store, key, spec.scenario)
+    advance(sim, cycles - sim.cycle,
+            deadline=wall_deadline(getattr(cfg, "max_wall_time", None)),
+            every=every, on_boundary=on_boundary)
     elapsed = time.perf_counter() - t0
     trace = sim.waveform.render() if getattr(cfg, "trace", False) else None
     run = scenario_run_of(sim, spec.scenario, cycles, elapsed, trace)
     run.resumed_from = resumed
     return run
-
-
-@job_kind("run_scenario_batch")
-def _run_scenario_batch(spec: JobSpec) -> Tuple[ScenarioRun, ...]:
-    """Build one scenario once per seed and advance every instance
-    lock-step through the batched cycle kernel.
-
-    Params: ``seeds`` -- the per-instance stimulus seeds, in result
-    order.  Returns one :class:`ScenarioRun` per seed; the lock-step
-    pass is bit-identical to per-seed ``run_scenario`` jobs (the batch
-    layer peels anything the compiled kernel cannot take onto the
-    scalar path), so results are interchangeable with scalar sweeps.
-    The recorded ``seconds`` is the whole batch's wall-clock divided
-    evenly -- per-instance time is not separable inside one kernel pass.
-    """
-    from ..api import get_registry
-    from .batch import run_lockstep
-
-    cfg = spec.config
-    seeds = spec.param("seeds", ())
-    cycles = spec.run_cycles
-    registry = get_registry()
-    sims = [registry.build(spec.scenario, cfg.replace(seed=s))
-            for s in seeds]
-    t0 = time.perf_counter()
-    run_lockstep(sims, cycles, width=getattr(cfg, "batch", None))
-    elapsed = time.perf_counter() - t0
-    share = elapsed / max(len(sims), 1)
-    trace = getattr(cfg, "trace", False)
-    return tuple(
-        scenario_run_of(sim, spec.scenario, cycles, share,
-                        sim.waveform.render() if trace else None)
-        for sim in sims
-    )
 
 
 @job_kind("bench_scenario")
@@ -455,7 +419,7 @@ def _worker_init(warm: List[Tuple[str, object]]) -> None:
     each warm (scenario, config) pair at minimal stimulus depth, so the
     ``pycompiled`` source cache is hot before real jobs arrive.  Kernel-
     engine pairs additionally run two cycles: the cycle kernel compiles
-    on the first *batched* run after the activity baseline is primed,
+    on the first multi-cycle run after the activity baseline is primed,
     and its source depends only on the topology shape -- which stimulus
     depth does not change -- so the warm build's kernel is the real
     job's cache hit."""

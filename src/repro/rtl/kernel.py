@@ -38,23 +38,28 @@ activity counts and cycle counts.
 Fast-path contract (when the kernel *disengages*)
 -------------------------------------------------
 
-:meth:`~repro.rtl.simulator.Simulator.run` asks :func:`kernel_for` for
-a kernel and falls back to the levelized per-cycle path whenever the
-fast path cannot apply:
+:meth:`~repro.rtl.simulator.Simulator.run` is the one per-cycle loop.
+It asks :func:`kernel_for` for a kernel and falls back to one
+interpreted cycle whenever the fast path cannot apply:
 
 * a module with undeclared ``comb_outputs()`` (the scheduler must then
   scan every wire after every evaluation -- exactly the cost the kernel
   exists to remove), reported as an unsupported plan;
-* monitors registered (``on_cycle`` callbacks observe between settle
-  and tick; the kernel has no per-cycle callout), checked at entry and
-  per cycle;
+* monitors registered or a fault-injection hook armed (both observe
+  between settle and tick; the kernel has no per-cycle callout),
+  checked at entry and, for monitors, per cycle;
 * pending scheduler state from a standalone ``settle()`` call or an
   un-primed activity baseline (first cycle of a fresh simulator);
-* ``run_until`` predicates and single ``step()`` calls -- both use the
-  interpreted path, where per-cycle re-dispatch is the point;
 * detached simulators (``adopt_remote``) -- ``step()`` raises as usual;
 * mid-run ``Simulator.add`` -- the scheduler's invalidation flag is
   checked every kernel cycle and breaks out to a rebuild.
+
+A ``stop`` predicate does *not* disengage it: the generated loop syncs
+``sim.cycle`` after every completed cycle and calls ``stop()`` itself,
+so run-until-event callers (``run_until``, halt-driven fault-injection
+tails, the differential fuzzer) stay inside one kernel entry instead of
+re-entering it every cycle.  Only single ``step()`` calls are
+interpreted by definition.
 
 Like the levelized engine, the kernel assumes topology is stable while
 modules evaluate: a module that adopts new wires or registers watches
@@ -72,60 +77,25 @@ re-engages the fast path immediately, without an interpreted fallback
 cycle.  :func:`fast_path_ready` makes that entry check inspectable and
 the snapshot tests pin it.
 
-Batched (columnar) kernels
---------------------------
-
-:func:`generate_batch_source` emits the *multi-instance* variant:
-``_BATCH_KERNEL(sims, schs, n, actives, stops)`` advances up to M
-simulators of the **same topology shape** lock-step, one cycle for every
-live instance per loop iteration.  The columnar layout is realized at
-the binding layer: every per-instance quantity -- wire objects, value
-mirrors, toggle tables, eval/tick bounds, waveform appends -- becomes a
-column over the M instance slots, unpacked into slot-suffixed locals
-(``_w3_0`` is wire 3 of slot 0) so each slot's settle pass runs at
-full scalar-kernel speed with zero per-cycle indexing.  A per-slot
-change mask (``_on{k}``) peels instances out of the batch the moment
-their compiled stop condition fires (``nonzero``/``eq``/``ne`` against
-a designated wire, checked after each slot cycle) while the remaining
-slots keep advancing; entry ``actives`` masks let the wrapper re-enter
-with already-peeled slots.  Divergence the compiled code cannot express
-(monitors registered mid-run, a mid-run ``add`` tripping the stale
-flag, per-instance scheduler state pending) breaks the batch at a cycle
-boundary and the wrapper (:func:`repro.rtl.batch.run_lockstep`) peels
-those instances onto the interpreted/scalar path -- the same bail-out
-philosophy as the scalar kernel's.  SCC fixpoints need no peeling: each
-slot carries its own bounded fixpoint loop, so instances may iterate
-different counts per cycle and stay lock-step.
-
-A numpy tier was evaluated for the columns and deliberately left out:
-wire values live inside Python module objects (opaque ``eval_comb``
-bodies own them), so gathering them into ndarrays each cycle costs more
-than the vector ops save, and the slot-unrolled list layout is both
-faster and bit-identical by construction.  :data:`BATCH_LAYOUTS` and
-:data:`NUMPY_AVAILABLE` record the decision where tooling can see it.
-
 Caching
 -------
 
 Generated source is a pure function of the topology *shape* -- group
 structure, per-block output scan indices, intra-group reader edges,
-catch-all indices, tick overrides and the watched-signal count (plus,
-for batched kernels, the slot count and the stop-condition shape) -- so
-the compile cache is keyed by the SHA-256 of the source itself,
-mirroring :mod:`repro.codegen.pysim`.  Two simulators of the same
-scenario (a harness sweep rebuilding row after row, a process-pool
-worker warm-up) compile once.  Entries carry their layout (``scalar``
-vs ``batch``) so the two kernel families for one topology coexist and
-never evict each other; :func:`cache_stats` exposes hit/miss counters
-overall and per layout; :func:`clear_cache` resets them (tests).
+catch-all indices, tick overrides and the watched-signal count -- so
+the compile cache (:class:`~repro.compile_cache.SourceCache`, shared
+with :mod:`repro.codegen.pysim`) is keyed by the SHA-256 of the source
+itself.  Two simulators of the same scenario (a harness sweep
+rebuilding row after row, a process-pool worker warm-up) compile once;
+:func:`cache_stats` exposes the hit/miss counters and
+:func:`clear_cache` resets them (tests).
 """
 
 from __future__ import annotations
 
-import hashlib
-import threading
 from typing import Dict, List, Optional, Tuple
 
+from ..compile_cache import SourceCache, source_key
 from ..errors import SimulationError
 
 __all__ = [
@@ -133,33 +103,12 @@ __all__ = [
     "CycleKernel",
     "build_plan",
     "generate_source",
-    "generate_batch_source",
     "kernel_for",
-    "batch_kernel_for",
     "topology_shape",
     "fast_path_ready",
     "cache_stats",
     "clear_cache",
-    "STOP_OPS",
-    "BATCH_LAYOUTS",
-    "NUMPY_AVAILABLE",
 ]
-
-#: stop comparisons the batched emitter compiles inline (checked after
-#: each slot cycle against a designated wire)
-STOP_OPS = ("nonzero", "eq", "ne")
-
-#: implemented column layouts for the batched kernel.  ``slots`` is the
-#: slot-unrolled pure-Python layout; a numpy tier was evaluated and
-#: rejected (see the module docstring), so auto-detection records numpy
-#: availability but always selects ``slots``.
-BATCH_LAYOUTS = ("slots",)
-
-try:                                    # auto-detection only: see above
-    import numpy as _np                 # noqa: F401
-    NUMPY_AVAILABLE = True
-except ImportError:                     # pragma: no cover
-    NUMPY_AVAILABLE = False
 
 
 class KernelPlan:
@@ -299,8 +248,9 @@ def _fused_wires(plan: KernelPlan) -> set:
     return {wi for wi in single_out if writers[wi] == 1}
 
 
-def _emit_scan(em: _Emitter, wi: int, fused: set, dirty_targets=(),
-               s: str = ""):
+
+
+def _emit_scan(em: _Emitter, wi: int, fused: set, dirty_targets=()):
     """Inline output-change check for one scanned wire.
 
     Both shapes compare against a local mirror of the wire's last seen
@@ -311,29 +261,24 @@ def _emit_scan(em: _Emitter, wi: int, fused: set, dirty_targets=(),
     fold into the scheduler's value table and the changed list for the
     end-of-settle commit, and re-dirty ``dirty_targets`` (the writer's
     own flag, or SCC members).
-
-    ``s`` is the instance-slot suffix: empty for the scalar kernel,
-    ``_0``/``_1``/... for the batched kernel's unrolled slots (every
-    per-instance name -- wires, mirrors, tables -- is slot-local).
     """
-    em.line(f"if _w{wi}{s}.value != _p{wi}{s}:")
+    em.line(f"if _w{wi}.value != _p{wi}:")
     em.push()
-    em.line(f"_x = _w{wi}{s}.value")
+    em.line(f"_x = _w{wi}.value")
     if wi in fused:
-        em.line(f"toggles{s}[{wi}] += (_p{wi}{s} ^ _x).bit_count()")
-        em.line(f"_p{wi}{s} = _x")
+        em.line(f"toggles[{wi}] += (_p{wi} ^ _x).bit_count()")
+        em.line(f"_p{wi} = _x")
         em.pop()
         return
-    em.line(f"_p{wi}{s} = _x")
-    em.line(f"values{s}[{wi}] = _x")
-    em.line(f"chg_app{s}({wi})")
+    em.line(f"_p{wi} = _x")
+    em.line(f"values[{wi}] = _x")
+    em.line(f"chg_app({wi})")
     for target in dirty_targets:
         em.line(f"{target} = 1")
     em.pop()
 
 
-def _emit_pass(em: _Emitter, plan: KernelPlan, fused: set,
-               s: str = "") -> int:
+def _emit_pass(em: _Emitter, plan: KernelPlan, fused: set) -> int:
     """One full settle pass in level order; returns the number of
     unconditional (straight-line) evaluations, for the eval counter."""
     n_plain = 0
@@ -342,9 +287,9 @@ def _emit_pass(em: _Emitter, plan: KernelPlan, fused: set,
         if kind == "single":
             _kind, mi, scan = step
             n_plain += 1
-            em.line(f"_e{mi}{s}()")
+            em.line(f"_e{mi}()")
             for wi, _sd in scan:
-                _emit_scan(em, wi, fused, s=s)
+                _emit_scan(em, wi, fused)
         elif kind == "loop":
             _kind, mi, scan = step
             em.line(f"# block {mi} feeds itself: bounded local re-eval")
@@ -353,18 +298,18 @@ def _emit_pass(em: _Emitter, plan: KernelPlan, fused: set,
             em.line("while _d:")
             em.push()
             em.line("_i += 1")
-            em.line(f"if _i > _mx{s}:")
+            em.line("if _i > _mx:")
             em.push()
             # the diagnostic reads sim.cycle; sync it before raising
             # (the finally block only runs after the error is built)
-            em.line(f"sim{s}.cycle = cyc{s}")
-            em.line(f"raise _err{s}([{mi}])")
+            em.line("sim.cycle = cyc")
+            em.line(f"raise _err([{mi}])")
             em.pop()
             em.line("_d = 0")
-            em.line(f"_e{mi}{s}()")
-            em.line(f"_ev{s} += 1")
+            em.line(f"_e{mi}()")
+            em.line("_ev += 1")
             for wi, sd in scan:
-                _emit_scan(em, wi, fused, ("_d",) if sd else (), s=s)
+                _emit_scan(em, wi, fused, ("_d",) if sd else ())
             em.pop()
         else:   # scc
             _kind, members, body = step
@@ -374,7 +319,7 @@ def _emit_pass(em: _Emitter, plan: KernelPlan, fused: set,
             for mi in members:
                 em.line(f"_g{mi} = 1")
             anyd = " or ".join(f"_g{mi}" for mi in members)
-            em.line(f"for _i in range(_mx{s}):")
+            em.line("for _i in range(_mx):")
             em.push()
             em.line(f"if not ({anyd}):")
             em.push()
@@ -384,95 +329,95 @@ def _emit_pass(em: _Emitter, plan: KernelPlan, fused: set,
                 em.line(f"if _g{mi}:")
                 em.push()
                 em.line(f"_g{mi} = 0")
-                em.line(f"_e{mi}{s}()")
-                em.line(f"_ev{s} += 1")
+                em.line(f"_e{mi}()")
+                em.line("_ev += 1")
                 for wi, group_readers in body[mi]:
                     _emit_scan(em, wi, fused,
-                               tuple(f"_g{oi}" for oi in group_readers),
-                               s=s)
+                               tuple(f"_g{oi}" for oi in group_readers))
                 em.pop()
             em.pop()
             em.line("else:")
             em.push()
-            em.line(f"sim{s}.cycle = cyc{s}")
-            em.line(f"raise _err{s}([{mlist}])")
+            em.line("sim.cycle = cyc")
+            em.line(f"raise _err([{mlist}])")
             em.pop()
     return n_plain
 
 
 def _emit_cycle_body(em: _Emitter, plan: KernelPlan, fused: set,
-                     dynamic: bool, s: str = ""):
-    """One full simulated cycle for one instance: catch-all outer loop
-    (when needed) around the settle pass, the end-of-settle activity
-    commit, waveform sampling, the tick sweep, and the cycle counters.
-    Shared verbatim by the scalar kernel (``s == ""``) and every slot of
-    a batched kernel (``s == "_k"``)."""
+                     dynamic: bool):
+    """One full simulated cycle: catch-all outer loop (when needed)
+    around the settle pass, the end-of-settle activity commit, waveform
+    sampling, the tick sweep, and the cycle counters."""
     if plan.catch_all:
         # wires with no declared writer can change only between kernel
         # cycles (test-bench pokes before entry, undisciplined tick
         # writes): scan them before the pass, and re-run the pass while
         # the scan keeps hitting -- the levelized engine's outer
         # settle loop, specialized
-        em.line(f"for _p in range(_mx{s}):")
+        em.line("for _p in range(_mx):")
         em.push()
         em.line("_hit = 0")
         for wi in plan.catch_all:
-            em.line(f"_x = _w{wi}{s}.value")
-            em.line(f"if _x != values{s}[{wi}]:")
+            em.line(f"_x = _w{wi}.value")
+            em.line(f"if _x != values[{wi}]:")
             em.push()
-            em.line(f"values{s}[{wi}] = _x")
-            em.line(f"chg_app{s}({wi})")
+            em.line(f"values[{wi}] = _x")
+            em.line(f"chg_app({wi})")
             em.line("_hit = 1")
             em.pop()
         em.line("if _p and not _hit:")
         em.push()
         em.line("break")
         em.pop()
-        n_plain = _emit_pass(em, plan, fused, s=s)
+        n_plain = _emit_pass(em, plan, fused)
         if n_plain:
-            em.line(f"_ev{s} += {n_plain}")
+            em.line(f"_ev += {n_plain}")
         em.pop()
         em.line("else:")
         em.push()
         em.line("raise _SE(")
         em.push()
-        em.line(f"f\"combinational logic did not settle in {{_mx{s}}} \"")
-        em.line(f"f\"iterations at cycle {{cyc{s}}}\")")
+        em.line("f\"combinational logic did not settle in {_mx} \"")
+        em.line("f\"iterations at cycle {cyc}\")")
         em.pop()
         em.pop()
     else:
-        n_plain = _emit_pass(em, plan, fused, s=s)
+        n_plain = _emit_pass(em, plan, fused)
         if n_plain:
-            em.line(f"_ev{s} += {n_plain}")
+            em.line(f"_ev += {n_plain}")
     if dynamic:
         # end-of-settle commit: prev -> settled for the wires that may
         # change more than once per settle (fused sites already
         # accounted themselves at their single scan point)
-        em.line(f"for _k in chg{s}:")
+        em.line("for _k in chg:")
         em.push()
-        em.line(f"_x = values{s}[_k]")
-        em.line(f"_p = prev{s}[_k]")
+        em.line("_x = values[_k]")
+        em.line("_p = prev[_k]")
         em.line("if _p != _x:")
         em.push()
-        em.line(f"toggles{s}[_k] += (_p ^ _x).bit_count()")
-        em.line(f"prev{s}[_k] = _x")
+        em.line("toggles[_k] += (_p ^ _x).bit_count()")
+        em.line("prev[_k] = _x")
         em.pop()
         em.pop()
-        em.line(f"del chg{s}[:]")
+        em.line("del chg[:]")
     # columnar waveform sampling
     for i in range(plan.n_watched):
-        em.line(f"_a{i}{s}(_v{i}{s}.value)")
+        em.line(f"_a{i}(_v{i}.value)")
     # tick sweep (only modules that override tick)
     for mi in plan.tick_idx:
-        em.line(f"_t{mi}{s}()")
-    em.line(f"cyc{s} += 1")
-    em.line(f"done{s} += 1")
+        em.line(f"_t{mi}()")
+    em.line("cyc += 1")
+    em.line("done += 1")
 
 
-def _plan_layout(plan: KernelPlan):
-    """Shared shape analysis: evaluated module indices, the scanned wire
-    set, the fused subset, and whether any dynamic (changed-list) wires
-    remain."""
+def generate_source(plan: KernelPlan) -> str:
+    """Deterministically render ``plan`` as a Python module defining
+    ``_KERNEL(sim, sch, n, stop) -> (cycles completed, stop fired)``.
+
+    ``stop`` is ``None`` or a zero-argument predicate checked after
+    every completed cycle, with ``sim.cycle`` already synced to the
+    boundary it observes."""
     scanned_set = set(plan.catch_all)
     eval_idx = []
     for step in plan.steps:
@@ -485,46 +430,13 @@ def _plan_layout(plan: KernelPlan):
             scanned_set.update(wi for wi, _sd in step[2])
     fused = _fused_wires(plan)
     dynamic = bool(scanned_set - fused)
-    return eval_idx, scanned_set, fused, dynamic
-
-
-def _emit_slot_bindings(em: _Emitter, plan: KernelPlan, eval_idx,
-                        scanned_set, dynamic: bool, s: str = ""):
-    """Bind one instance's columns to slot-suffixed locals: wires, value
-    mirrors, eval/tick bounds, waveform appends, the changed list."""
-    for mi in sorted(eval_idx):
-        em.line(f"_e{mi}{s} = mods[{mi}].eval_comb")
-    for wi in sorted(scanned_set):
-        em.line(f"_w{wi}{s} = wires[{wi}]")
-    for wi in sorted(scanned_set - set(plan.catch_all)):
-        # local mirror of the wire's last seen value: the previous
-        # settled value for fused sites, the live value table for
-        # dynamic ones (values == prev at entry -- the wrapper bails on
-        # pending scheduler state; dynamic sites keep values[] in
-        # lockstep on their change path)
-        em.line(f"_p{wi}{s} = values{s}[{wi}]")
-    for mi in plan.tick_idx:
-        em.line(f"_t{mi}{s} = mods[{mi}].tick")
-    for i in range(plan.n_watched):
-        em.line(f"_a{i}{s} = watched[{i}][2].append")
-        em.line(f"_v{i}{s} = watched[{i}][1]")
-    if dynamic:
-        em.line(f"chg{s} = []")
-        em.line(f"chg_app{s} = chg{s}.append")
-
-
-def generate_source(plan: KernelPlan) -> str:
-    """Deterministically render ``plan`` as a Python module defining
-    ``_KERNEL(sim, sch, n) -> cycles completed``."""
-    eval_idx, scanned_set, fused, dynamic = _plan_layout(plan)
-    scanned = sorted(scanned_set)
 
     head = [
         f"# cycle kernel: {plan.n_modules} module(s), "
-        f"{len(scanned)} scanned wire(s) ({len(fused)} fused), "
+        f"{len(scanned_set)} scanned wire(s) ({len(fused)} fused), "
         f"{len(plan.catch_all)} catch-all wire(s), "
         f"{plan.n_watched} watched signal(s)",
-        "def _KERNEL(sim, sch, n):",
+        "def _KERNEL(sim, sch, n, stop):",
     ]
     em = _Emitter()
     em.line("mods = sim.modules")
@@ -536,9 +448,28 @@ def generate_source(plan: KernelPlan) -> str:
     em.line("mons = sim._monitors")
     em.line("_mx = sim.max_settle_iters")
     em.line("_err = sch._loop_error")
-    _emit_slot_bindings(em, plan, eval_idx, scanned_set, dynamic)
+    for mi in sorted(eval_idx):
+        em.line(f"_e{mi} = mods[{mi}].eval_comb")
+    for wi in sorted(scanned_set):
+        em.line(f"_w{wi} = wires[{wi}]")
+    for wi in sorted(scanned_set - set(plan.catch_all)):
+        # local mirror of the wire's last seen value: the previous
+        # settled value for fused sites, the live value table for
+        # dynamic ones (values == prev at entry -- the wrapper bails on
+        # pending scheduler state; dynamic sites keep values[] in
+        # lockstep on their change path)
+        em.line(f"_p{wi} = values[{wi}]")
+    for mi in plan.tick_idx:
+        em.line(f"_t{mi} = mods[{mi}].tick")
+    for i in range(plan.n_watched):
+        em.line(f"_a{i} = watched[{i}][2].append")
+        em.line(f"_v{i} = watched[{i}][1]")
+    if dynamic:
+        em.line("chg = []")
+        em.line("chg_app = chg.append")
     em.line("cyc = sim.cycle")
     em.line("done = 0")
+    em.line("stopped = False")
     em.line("_ev = 0")
     em.line("try:")
     em.push()
@@ -554,6 +485,15 @@ def generate_source(plan: KernelPlan) -> str:
     em.line("break")
     em.pop()
     _emit_cycle_body(em, plan, fused, dynamic)
+    em.line("if stop is not None:")
+    em.push()
+    em.line("sim.cycle = cyc")
+    em.line("if stop():")
+    em.push()
+    em.line("stopped = True")
+    em.line("break")
+    em.pop()
+    em.pop()
     em.pop()
     em.pop()
     em.line("finally:")
@@ -566,117 +506,7 @@ def generate_source(plan: KernelPlan) -> str:
         # queries and rebuild carry-over see the settled state
         em.line(f"values[{wi}] = prev[{wi}] = _p{wi}")
     em.pop()
-    em.line("return done")
-    return "\n".join(head + em.lines) + "\n"
-
-
-def generate_batch_source(plan: KernelPlan, m: int,
-                          stop: Optional[Tuple[str, int]] = None) -> str:
-    """Render ``plan`` as the batched (columnar) kernel for ``m``
-    lock-step instance slots::
-
-        _BATCH_KERNEL(sims, schs, n, actives, stops)
-            -> ((done_0, stopped_0), ..., (done_{m-1}, stopped_{m-1}))
-
-    ``sims``/``schs`` are the per-slot columns (all sharing this plan's
-    topology shape); ``actives`` masks slots already peeled by the
-    wrapper; ``stops`` carries per-slot comparison values when ``stop``
-    is an (op, wire-index) pair from :data:`STOP_OPS`.  Every slot's
-    cycle body is unrolled with slot-suffixed locals, so per-instance
-    cost matches the scalar kernel; a firing stop condition peels its
-    slot from the batch (mask off, cycle counter frozen) while the rest
-    keep advancing.
-    """
-    if m < 1:
-        raise ValueError(f"batch width must be >= 1, got {m}")
-    if stop is not None:
-        op, stop_wi = stop
-        if op not in STOP_OPS:
-            raise ValueError(
-                f"unknown stop op {op!r}: known ops are "
-                f"{', '.join(repr(o) for o in STOP_OPS)}"
-            )
-    eval_idx, scanned_set, fused, dynamic = _plan_layout(plan)
-    head = [
-        f"# batch cycle kernel: {m} slot(s), {plan.n_modules} module(s), "
-        f"{len(scanned_set)} scanned wire(s) ({len(fused)} fused), "
-        f"{len(plan.catch_all)} catch-all wire(s), "
-        f"{plan.n_watched} watched signal(s), "
-        + (f"stop={stop[0]}@w{stop[1]}" if stop else "no stop"),
-        "def _BATCH_KERNEL(sims, schs, n, actives, stops):",
-    ]
-    em = _Emitter()
-    slots = [f"_{k}" for k in range(m)]
-    for k, s in enumerate(slots):
-        em.line(f"sim{s} = sims[{k}]")
-        em.line(f"sch{s} = schs[{k}]")
-        em.line(f"mods = sim{s}.modules")
-        em.line(f"wires = sch{s}._wires")
-        em.line(f"values{s} = sch{s}._values")
-        em.line(f"prev{s} = sch{s}._prev_settled")
-        em.line(f"toggles{s} = sch{s}._toggles")
-        em.line(f"watched = sim{s}.waveform._watched")
-        em.line(f"mons{s} = sim{s}._monitors")
-        em.line(f"_mx{s} = sim{s}.max_settle_iters")
-        em.line(f"_err{s} = sch{s}._loop_error")
-        _emit_slot_bindings(em, plan, eval_idx, scanned_set, dynamic, s=s)
-        em.line(f"cyc{s} = sim{s}.cycle")
-        em.line(f"done{s} = 0")
-        em.line(f"_ev{s} = 0")
-        em.line(f"_on{s} = 1 if actives[{k}] else 0")
-        em.line(f"_st{s} = 0")
-        if stop is not None:
-            em.line(f"_q{s} = wires[{stop_wi}]")
-            if stop[0] != "nonzero":
-                em.line(f"_sv{s} = stops[{k}]")
-    em.line("_alive = " + " + ".join(f"_on{s}" for s in slots))
-    em.line("done = 0")
-    em.line("try:")
-    em.push()
-    em.line("while done < n and _alive:")
-    em.push()
-    # combined per-cycle guard over every slot: a mid-run add (stale
-    # flag) or a monitor registered from module code breaks the whole
-    # batch at a cycle boundary; the wrapper peels onto the
-    # interpreted path.  Amortized over m slots this is ~2 attribute
-    # loads per instance-cycle.
-    guard = " or ".join(f"sch{s}._stale or mons{s}" for s in slots)
-    em.line(f"if {guard}:")
-    em.push()
-    em.line("break")
-    em.pop()
-    for k, s in enumerate(slots):
-        em.line(f"if _on{s}:")
-        em.push()
-        _emit_cycle_body(em, plan, fused, dynamic, s=s)
-        if stop is not None:
-            if stop[0] == "nonzero":
-                em.line(f"if _q{s}.value:")
-            elif stop[0] == "eq":
-                em.line(f"if _q{s}.value == _sv{s}:")
-            else:
-                em.line(f"if _q{s}.value != _sv{s}:")
-            em.push()
-            em.line(f"_on{s} = 0")
-            em.line(f"_st{s} = 1")
-            em.line("_alive -= 1")
-            em.pop()
-        em.pop()
-    em.line("done += 1")
-    em.pop()
-    em.pop()
-    em.line("finally:")
-    em.push()
-    for s in slots:
-        em.line(f"sim{s}.cycle = cyc{s}")
-        em.line(f"sch{s}.eval_count += _ev{s}")
-        em.line(f"sch{s}.settle_count += done{s}")
-        for wi in sorted(fused):
-            em.line(f"values{s}[{wi}] = prev{s}[{wi}] = _p{wi}{s}")
-    em.pop()
-    em.line("return ("
-            + ", ".join(f"(done{s}, _st{s})" for s in slots)
-            + ("," if m == 1 else "") + ")")
+    em.line("return done, stopped")
     return "\n".join(head + em.lines) + "\n"
 
 
@@ -693,75 +523,37 @@ class CycleKernel:
         self.fn = fn
 
 
-# key -> (layout, kernel).  The SHA-256 key already separates scalar
-# from batched sources (different headers and entry points), so tagging
-# the layout costs nothing and lets cache_stats() report per-layout
-# entry counts: the two kernel families for one topology coexist and
-# never evict each other.
-_CACHE: Dict[str, Tuple[str, CycleKernel]] = {}
-_LOCK = threading.Lock()
-_STATS = {
-    "scalar": {"hits": 0, "misses": 0},
-    "batch": {"hits": 0, "misses": 0},
-}
-
-
-def _compiled(source: str, entry: str, layout: str) -> CycleKernel:
-    """Compile ``source`` at most once per distinct text (thread-safe;
-    harness sweeps build simulators from worker threads), counting the
-    hit/miss against ``layout``'s counters."""
-    key = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    with _LOCK:
-        hit = _CACHE.get(key)
-        if hit is not None:
-            _STATS[layout]["hits"] += 1
-            return hit[1]
-    code = compile(source, f"<cycle-kernel:{layout}>", "exec")
+def _compile(source: str) -> CycleKernel:
     ns: Dict[str, object] = {"_SE": SimulationError}
-    exec(code, ns)
-    kern = CycleKernel(source, ns[entry])
-    with _LOCK:
-        winner = _CACHE.setdefault(key, (layout, kern))[1]
-        # a concurrent caller may have compiled the same source first;
-        # only the insertion counts as a miss, so hits + misses always
-        # equals calls and misses equals cache entries
-        if winner is kern:
-            _STATS[layout]["misses"] += 1
-        else:
-            _STATS[layout]["hits"] += 1
-    return winner
+    exec(compile(source, "<cycle-kernel>", "exec"), ns)
+    return CycleKernel(source, ns["_KERNEL"])
+
+
+_CACHE = SourceCache()
+
+#: compile-cache counters (``hits``/``misses``/``entries``; the
+#: benchmark's cache-stats hook) and their reset (tests)
+cache_stats = _CACHE.stats
+clear_cache = _CACHE.clear
 
 
 def kernel_for(plan: KernelPlan) -> Optional[CycleKernel]:
-    """Return the compiled scalar kernel for ``plan`` (``None`` when the
-    plan is unsupported)."""
+    """Return the compiled kernel for ``plan`` (``None`` when the plan
+    is unsupported)."""
     if plan.unsupported:
         return None
-    return _compiled(generate_source(plan), "_KERNEL", "scalar")
-
-
-def batch_kernel_for(plan: KernelPlan, m: int,
-                     stop: Optional[Tuple[str, int]] = None,
-                     ) -> Optional[CycleKernel]:
-    """Return the compiled ``m``-slot batched kernel for ``plan``
-    (``None`` when the plan is unsupported), cached alongside -- never
-    instead of -- the scalar kernel for the same topology."""
-    if plan.unsupported:
-        return None
-    return _compiled(generate_batch_source(plan, m, stop),
-                     "_BATCH_KERNEL", "batch")
+    return _CACHE.get(generate_source(plan), _compile)
 
 
 def topology_shape(sim) -> Tuple[Optional[str], Optional[KernelPlan]]:
-    """``(digest, plan)`` identifying ``sim``'s topology *shape* for
-    batch grouping: simulators with equal digests generate identical
-    kernels and may run lock-step in one batch.  ``(None, None)`` when
-    the shape has no kernel (unsupported plan).
+    """``(digest, plan)`` identifying ``sim``'s topology *shape*:
+    simulators with equal digests generate identical kernels.
+    ``(None, None)`` when the shape has no kernel (unsupported plan).
 
-    The digest is the SHA-256 of the scalar kernel source (the same key
-    the compile cache uses), memoized per simulator against the
-    scheduler's rebuild token and the watched-signal count so repeated
-    grouping passes don't re-render the source.
+    The digest is the compile cache's key for the kernel source,
+    memoized per simulator against the scheduler's rebuild token and
+    the watched-signal count so repeated fingerprinting (checkpoint
+    prefix keys, server content keys) doesn't re-render the source.
     """
     sch = sim.scheduler
     sch._ensure_built()
@@ -774,8 +566,7 @@ def topology_shape(sim) -> Tuple[Optional[str], Optional[KernelPlan]]:
         digest = None
         plan_out = None
     else:
-        source = generate_source(plan)
-        digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
+        digest = source_key(generate_source(plan))
         plan_out = plan
     sim._shape_cache = (token, digest, plan_out)
     return digest, plan_out
@@ -804,37 +595,3 @@ def fast_path_ready(sim) -> bool:
         return False
     digest, _plan = topology_shape(sim)
     return digest is not None
-
-
-def cache_stats() -> Dict[str, object]:
-    """Compile-cache counters (the benchmark's cache-stats hook).
-
-    Top-level ``hits``/``misses``/``entries`` aggregate both layouts;
-    ``layouts`` breaks them down so scalar warm-up and batch warm-up are
-    separately visible in BENCH blobs.
-    """
-    with _LOCK:
-        per = {
-            layout: {
-                "hits": _STATS[layout]["hits"],
-                "misses": _STATS[layout]["misses"],
-                "entries": sum(1 for lay, _k in _CACHE.values()
-                               if lay == layout),
-            }
-            for layout in _STATS
-        }
-        return {
-            "hits": sum(p["hits"] for p in per.values()),
-            "misses": sum(p["misses"] for p in per.values()),
-            "entries": len(_CACHE),
-            "layouts": per,
-        }
-
-
-def clear_cache():
-    """Reset the source-hash cache and counters (tests)."""
-    with _LOCK:
-        _CACHE.clear()
-        for layout in _STATS:
-            _STATS[layout]["hits"] = 0
-            _STATS[layout]["misses"] = 0

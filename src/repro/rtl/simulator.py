@@ -18,9 +18,10 @@ Three settle engines are available:
   per-topology cycle kernel (:mod:`repro.rtl.kernel`): ``run(n)``
   executes N cycles in one generated loop with straight-line
   evaluation, fused activity accounting, columnar waveform sampling
-  and no per-cycle method dispatch.  Falls back to the levelized
+  and no per-cycle method dispatch -- ``run(n, stop=...)`` checks its
+  stop predicate inside that loop.  Falls back to the levelized
   per-cycle path automatically whenever the fast path cannot apply
-  (monitors, ``run_until``, ``step``, unhinted modules, mid-run
+  (monitors, an armed inject hook, ``step``, unhinted modules, mid-run
   ``add``, detached simulators) -- observables are bit-identical
   either way.
 * ``engine="brute"`` -- the original bounded fixpoint that re-evaluates
@@ -28,6 +29,11 @@ Three settle engines are available:
   semantic reference: the equivalence tests pin the other engines
   against it, and ``benchmarks/bench_simulator.py`` measures the
   speedups.
+
+:meth:`Simulator.run` is the one per-cycle loop, and :func:`advance`
+the one driver above it (wall-clock watchdog, checkpoint segments);
+everything that simulates -- sessions, executor jobs, the server,
+fault-injection campaigns, the fuzzer -- goes through the two.
 
 The simulator also exposes an *activity* counter per wire (toggle
 counts), which feeds the dynamic-power estimate of the synthesis cost
@@ -98,9 +104,9 @@ class Simulator:
         """Register a monitor callback invoked after each settle phase.
 
         While any monitor is registered the compiled cycle-kernel fast
-        path stands down (:meth:`_kernel_advance` needs whole-run
-        batches; monitors need every cycle) -- detach with
-        :meth:`remove_monitor` to re-arm it."""
+        path stands down (the kernel has no per-cycle callout; monitors
+        need every cycle) -- detach with :meth:`remove_monitor` to
+        re-arm it."""
         self._monitors.append(fn)
 
     def remove_monitor(self, fn: Callable[[int], None]) -> bool:
@@ -176,10 +182,10 @@ class Simulator:
         """Advance one full clock cycle.
 
         Always the interpreted path, even under ``engine="kernel"``:
-        single-cycle callers (``run_until`` predicates, test benches
-        poking wires between steps, monitor-driven runs) re-dispatch
-        every cycle, which is exactly the overhead the kernel exists to
-        amortize -- batched cycles go through :meth:`run` instead."""
+        a single-cycle caller (a test bench poking wires between
+        steps) re-dispatches every cycle, which is exactly the overhead
+        the kernel exists to amortize -- multi-cycle runs, including
+        run-until-event ones, go through :meth:`run` instead."""
         if self.detached:
             raise SimulationError(
                 f"simulator {self.name!r} adopted a remote run; its "
@@ -224,34 +230,53 @@ class Simulator:
             values[wi] = v
             prev_settled[wi] = v
 
-    def run(self, cycles: int):
-        if self.engine != "kernel":
-            for _ in range(cycles):
-                self.step()
-            return
-        remaining = cycles
-        while remaining > 0:
-            remaining -= self._kernel_advance(remaining)
-            if remaining > 0:
-                # the fast path disengaged (monitors, unsupported
-                # topology, pending scheduler state, mid-run add):
-                # one interpreted cycle, then try the kernel again
-                self.step()
-                remaining -= 1
+    def run(self, cycles: int,
+            stop: Optional[Callable[[], bool]] = None) -> int:
+        """Advance up to ``cycles`` cycles; returns the number advanced.
 
-    def _kernel_advance(self, cycles: int) -> int:
-        """Run up to ``cycles`` cycles through the compiled cycle
-        kernel; returns the number actually completed (0 when the fast
-        path cannot engage -- the caller falls back to :meth:`step`)."""
-        if self.detached or self._monitors or self._inject_hook is not None:
+        ``stop`` is a zero-argument predicate checked at every cycle
+        boundary -- once before the first cycle, then after each
+        completed one -- ending the run the first time it holds (so a
+        stop that is already true advances nothing).  On
+        ``engine="kernel"`` the compiled loop calls it in place, with
+        ``sim.cycle`` synced to the boundary; the interpreted engines
+        call it after each :meth:`step`."""
+        if stop is not None and stop():
             return 0
+        kernel = self.engine == "kernel"
+        done = 0
+        while done < cycles:
+            if kernel:
+                n, stopped = self._kernel_advance(cycles - done, stop)
+                done += n
+                if stopped or done >= cycles:
+                    break
+            # the interpreted cycle: every cycle of the interpreted
+            # engines, and one fallback cycle whenever the kernel's fast
+            # path disengages (monitors, unsupported topology, pending
+            # scheduler state, mid-run add) before it is tried again
+            self.step()
+            done += 1
+            if stop is not None and stop():
+                break
+        return done
+
+    def _kernel_advance(self, cycles: int,
+                        stop: Optional[Callable[[], bool]] = None
+                        ) -> Tuple[int, bool]:
+        """Run up to ``cycles`` cycles through the compiled cycle
+        kernel; returns ``(cycles completed, stop fired)`` -- ``(0,
+        False)`` when the fast path cannot engage and the caller falls
+        back to :meth:`step`."""
+        if self.detached or self._monitors or self._inject_hook is not None:
+            return 0, False
         sch = self.scheduler
         sch._ensure_built()
         if sch._needs_prime or sch._changed:
             # an unprimed activity baseline (first cycle after build)
             # or changed wires pending from a standalone settle() --
             # the interpreted commit owns those paths
-            return 0
+            return 0, False
         key = (sch._topo_key, len(self.waveform._watched))
         if self._kernel_key != key:
             from .kernel import build_plan, kernel_for
@@ -260,13 +285,13 @@ class Simulator:
             self._kernel_key = key
         kern = self._kernel
         if kern is None:
-            return 0
+            return 0, False
         # late watches: pad once here so the kernel's per-cycle sample
         # is a plain append
         for _label, _wire, series in self.waveform._watched:
             if len(series) < self.cycle:
                 series.extend([0] * (self.cycle - len(series)))
-        return kern.fn(self, sch, cycles)
+        return kern.fn(self, sch, cycles, stop)
 
     def snapshot(self):
         """Capture the complete cycle-boundary state (wire values,
@@ -292,16 +317,13 @@ class Simulator:
         restore(self, snap)
 
     def run_until(self, predicate: Callable[[], bool], limit: int = 10000):
-        """Step until ``predicate()`` or the cycle limit; returns cycles
-        elapsed."""
-        start = self.cycle
-        while not predicate():
-            if self.cycle - start >= limit:
-                raise SimulationError(
-                    f"run_until exceeded {limit} cycles"
-                )
-            self.step()
-        return self.cycle - start
+        """Run until ``predicate()`` holds or the cycle limit; returns
+        cycles elapsed.  Raises :class:`~repro.errors.SimulationError`
+        when the limit passes with the predicate still false."""
+        elapsed = self.run(limit, stop=predicate)
+        if elapsed >= limit and not predicate():
+            raise SimulationError(f"run_until exceeded {limit} cycles")
+        return elapsed
 
     @property
     def activity(self) -> Dict[Tuple[str, str], int]:
@@ -322,39 +344,64 @@ class Simulator:
         )
 
 
-def run_guarded(sim: Simulator, cycles: int,
-                max_wall_time: Optional[float] = None,
-                deadline: Optional[float] = None,
-                chunk: int = 512) -> None:
-    """Advance ``sim`` by ``cycles`` under a wall-clock watchdog.
+def wall_deadline(seconds: Optional[float]) -> Optional[float]:
+    """The absolute ``time.monotonic()`` deadline ``seconds`` from now,
+    or ``None`` for no budget (``None``/``0``) -- the ``deadline`` form
+    :func:`advance` takes."""
+    return time.monotonic() + seconds if seconds else None
 
-    With no budget this is exactly ``sim.run(cycles)``.  With one, the
-    run proceeds in ``chunk``-cycle slices and a ``time.monotonic()``
-    deadline is checked between slices; exceeding it raises
-    :class:`~repro.errors.WatchdogTimeout` instead of letting a hung or
-    pathological simulation wedge its worker thread / queue slot.  A
-    run that finishes its last slice late still succeeds -- the
-    watchdog cancels pending work, it never discards completed work.
 
-    Callers sharing one budget across several calls (the checkpointing
-    runner) pass an absolute ``deadline`` instead of ``max_wall_time``.
-    The slicing itself never changes observables: each slice goes
-    through the normal ``run`` path, so kernel-engine runs stay on the
-    fast path within every slice.
+def advance(sim: Simulator, cycles: int, *,
+            stop: Optional[Callable[[], bool]] = None,
+            deadline: Optional[float] = None,
+            every: Optional[int] = None,
+            on_boundary: Optional[Callable[[Simulator], None]] = None
+            ) -> int:
+    """Advance ``sim`` by up to ``cycles`` cycles through
+    :meth:`Simulator.run`; returns the number advanced.
+
+    The one driver above ``run``:
+
+    * ``stop`` ends the run early, exactly as in :meth:`Simulator.run`;
+    * ``deadline`` (an absolute ``time.monotonic()`` value, see
+      :func:`wall_deadline`) is a wall-clock watchdog, checked as one
+      more stop predicate at every cycle boundary: when it expires with
+      cycles left, :class:`~repro.errors.WatchdogTimeout` cancels the
+      pending work instead of letting a hung or pathological simulation
+      wedge its worker.  A run whose last cycle completes late still
+      succeeds -- the watchdog never discards completed work;
+    * ``every``/``on_boundary`` cut the run into checkpoint segments:
+      ``on_boundary(sim)`` runs at every absolute multiple of ``every``
+      cycles and where the run ends (once per boundary, and not where
+      the watchdog cancels), so boundaries stored before a timeout
+      survive.
     """
-    if deadline is None:
-        if not max_wall_time:
-            sim.run(cycles)
-            return
-        deadline = time.monotonic() + max_wall_time
+    expired = False
+
+    def watchdog() -> bool:
+        nonlocal expired
+        if stop is not None and stop():
+            expired = False
+            return True
+        expired = time.monotonic() > deadline
+        return expired
+
+    pred = stop if deadline is None else watchdog
     done = 0
     while done < cycles:
-        n = min(chunk, cycles - done)
-        sim.run(n)
-        done += n
-        if done < cycles and time.monotonic() > deadline:
+        n = cycles - done
+        if every:
+            n = min(n, every - sim.cycle % every)
+        ran = sim.run(n, stop=pred)
+        done += ran
+        if ran < n and expired:
             raise WatchdogTimeout(
                 f"wall-clock watchdog cancelled {sim.name!r} at cycle "
                 f"{sim.cycle}: {cycles - done} of {cycles} requested "
                 f"cycles unsimulated when the budget expired"
             )
+        if ran and on_boundary is not None:
+            on_boundary(sim)
+        if ran < n:
+            break
+    return done

@@ -43,7 +43,6 @@ import json
 import os
 import pickle
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -520,38 +519,25 @@ def resume_longest_prefix(sim, key: str, cycles: int,
     return cycle
 
 
-def run_with_checkpoints(
-    sim, cycles: int, every: Optional[int],
-    store: Optional[CheckpointStore] = None, key: str = "",
-    scenario: str = "",
-    on_checkpoint: Optional[Callable[[int, Snapshot], None]] = None,
-    max_wall_time: Optional[float] = None,
-) -> int:
-    """Advance ``sim`` to absolute cycle ``cycles``, snapshotting at
-    every ``every``-cycle boundary (and at the final cycle); returns
-    the number of checkpoints newly stored.  With ``every`` falsy this
-    is a plain run of the remaining tail.  ``max_wall_time`` is one
-    watchdog budget shared across all segments (see
-    :func:`~repro.rtl.simulator.run_guarded`); checkpoints stored
-    before the deadline trips survive, so a timed-out run can still be
-    resumed from its last boundary."""
-    from .simulator import run_guarded
+class Checkpointer:
+    """An :func:`~repro.rtl.simulator.advance` ``on_boundary`` callback
+    that captures each boundary into ``store`` under the prefix ``key``
+    (and hands every snapshot to ``on_checkpoint(cycle, snap)`` when
+    given); ``stored`` counts the checkpoints newly stored."""
 
-    deadline = None
-    if max_wall_time:
-        deadline = time.monotonic() + max_wall_time
-    if not every:
-        if cycles > sim.cycle:
-            run_guarded(sim, cycles - sim.cycle, deadline=deadline)
-        return 0
-    stored = 0
-    while sim.cycle < cycles:
-        nxt = min(cycles, ((sim.cycle // every) + 1) * every)
-        run_guarded(sim, nxt - sim.cycle, deadline=deadline)
-        if store is not None or on_checkpoint is not None:
-            snap = capture(sim, scenario=scenario, key=key)
-            if store is not None and store.put(key, sim.cycle, snap):
-                stored += 1
-            if on_checkpoint is not None:
-                on_checkpoint(sim.cycle, snap)
-    return stored
+    def __init__(self, store: CheckpointStore, key: str,
+                 scenario: str = "",
+                 on_checkpoint: Optional[
+                     Callable[[int, Snapshot], None]] = None):
+        self.store = store
+        self.key = key
+        self.scenario = scenario
+        self.on_checkpoint = on_checkpoint
+        self.stored = 0
+
+    def __call__(self, sim) -> None:
+        snap = capture(sim, scenario=self.scenario, key=self.key)
+        if self.store.put(self.key, sim.cycle, snap):
+            self.stored += 1
+        if self.on_checkpoint is not None:
+            self.on_checkpoint(sim.cycle, snap)

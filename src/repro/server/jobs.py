@@ -71,12 +71,12 @@ from ..api import (
 )
 from ..codegen import pysim
 from ..rtl import kernel
-from ..rtl.simulator import run_guarded
+from ..rtl.simulator import advance, wall_deadline
 from ..rtl.snapshot import (
+    Checkpointer,
     get_checkpoint_store,
     prefix_key,
     resume_longest_prefix,
-    run_with_checkpoints,
     stimulus_key,
     topology_key,
 )
@@ -611,13 +611,12 @@ class JobQueue:
             tap = TraceTap(sim, job.hub)
             sim.on_cycle(tap)
         t0 = time.perf_counter()
+        on_boundary = None
         if every:
-            run_with_checkpoints(sim, cfg.cycles, every,
-                                 store=self.checkpoints, key=key,
-                                 scenario=job.scenario,
-                                 max_wall_time=cfg.max_wall_time)
-        elif cfg.cycles > sim.cycle:
-            run_guarded(sim, cfg.cycles - sim.cycle, cfg.max_wall_time)
+            on_boundary = Checkpointer(self.checkpoints, key, job.scenario)
+        advance(sim, cfg.cycles - sim.cycle,
+                deadline=wall_deadline(cfg.max_wall_time), every=every,
+                on_boundary=on_boundary)
         elapsed = time.perf_counter() - t0
         if tap is not None:
             sim.remove_monitor(tap)

@@ -115,16 +115,14 @@ class TestEnvKnobGarbage:
     ValueError naming the variable and echoing the offending value --
     a typo'd override must never silently run the default path."""
 
-    KNOBS = ("REPRO_BATCH", "REPRO_ENGINE", "REPRO_EXECUTOR",
-             "REPRO_PARALLEL")
+    KNOBS = ("REPRO_ENGINE", "REPRO_EXECUTOR", "REPRO_PARALLEL")
 
     @pytest.fixture(autouse=True)
     def _clean_env(self, monkeypatch):
         for var in self.KNOBS:
             monkeypatch.delenv(var, raising=False)
 
-    @pytest.mark.parametrize("var", ["REPRO_BATCH", "REPRO_ENGINE",
-                                     "REPRO_EXECUTOR"])
+    @pytest.mark.parametrize("var", ["REPRO_ENGINE", "REPRO_EXECUTOR"])
     def test_config_construction_rejects_garbage(self, var, monkeypatch):
         monkeypatch.setenv(var, "garbage?!")
         with pytest.raises(ValueError, match=var) as exc:
@@ -139,8 +137,8 @@ class TestEnvKnobGarbage:
             session.sweep(["streams"])
         assert "garbage?!" in str(exc.value)
 
-    @pytest.mark.parametrize("var", ["REPRO_BATCH", "REPRO_ENGINE",
-                                     "REPRO_EXECUTOR", "REPRO_PARALLEL"])
+    @pytest.mark.parametrize("var", ["REPRO_ENGINE", "REPRO_EXECUTOR",
+                                     "REPRO_PARALLEL"])
     def test_cli_reports_garbage_and_exits_two(self, var, monkeypatch,
                                                capsys):
         monkeypatch.setenv(var, "garbage?!")

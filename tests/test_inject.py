@@ -9,7 +9,7 @@ import socket
 import pytest
 
 from repro.api import Session, SimConfig, get_registry
-from repro.designs.y86 import SAOK
+from repro.designs.y86 import RNONE, SAOK
 from repro.errors import SimulationError, WatchdogTimeout
 from repro.inject import Fault, FaultInjector, run_campaign
 from repro.inject.campaign import (
@@ -27,7 +27,7 @@ from repro.rtl.executors import (
     ProcessExecutor,
     job_kind,
 )
-from repro.rtl.simulator import ENGINES, run_guarded
+from repro.rtl.simulator import ENGINES, advance, wall_deadline
 from repro.server.jobs import BadSubmission, JobQueue
 
 BACKENDS = ("interp", "pycompiled")
@@ -199,6 +199,27 @@ def test_stuck_at_refires_across_its_window():
     assert record["outcome"] == "masked"
 
 
+def test_register_id_upset_above_the_port_width_is_classified():
+    # register ids are sampled as 64-bit state sites, but the register
+    # file's 4-bit ports only ever see the low bits: a flip above bit 3
+    # must not index past the 16 entries and abort the whole campaign
+    cycle = _probe_cycle(SimConfig(), lambda cpu: (
+        cpu.W["stat"] == SAOK and cpu.W["dste"] != RNONE))
+    _result, record = _campaign_with(Fault(
+        kind="transient_bitflip", module="y86_sum_cpu",
+        target="W[dste]", cycle=cycle, bit=5))
+    assert record["fired"] == 1
+    assert record["outcome"] == "masked"
+    assert "error" not in record
+
+
+def test_campaign_with_register_id_upsets_completes():
+    # inject seed 2 samples register-id flips above the port width
+    result = run_campaign("y86_sum", SimConfig(), n_faults=25,
+                          inject_seed=2)
+    assert sum(result["histogram"].values()) == 25
+
+
 def test_enumerate_sites_is_deterministic():
     cfg = SimConfig()
     a = enumerate_sites(get_registry().build("y86_sum", cfg))
@@ -214,9 +235,34 @@ def test_enumerate_sites_is_deterministic():
 # ---------------------------------------------------------------------------
 def test_wall_clock_watchdog_fires():
     sim = get_registry().build("streams", SimConfig())
-    with pytest.raises(WatchdogTimeout):
-        run_guarded(sim, 50_000_000, max_wall_time=0.05)
+    with pytest.raises(WatchdogTimeout, match="unsimulated"):
+        advance(sim, 50_000_000, deadline=wall_deadline(0.05))
     assert 0 < sim.cycle < 50_000_000
+
+
+def test_watchdog_spares_a_run_whose_last_cycle_lands_late(monkeypatch):
+    # the budget is one more stop predicate, checked at every boundary:
+    # a fake clock reading the cycle number makes the expiry exact
+    from types import SimpleNamespace
+
+    from repro.rtl import simulator
+
+    clock = SimpleNamespace(now=0.0)
+    monkeypatch.setattr(simulator, "time",
+                        SimpleNamespace(monotonic=lambda: clock.now))
+    sim = get_registry().build("streams", SimConfig(engine="kernel"))
+
+    def tick_clock():
+        clock.now = float(sim.cycle)
+
+    # expires at the boundary after the last cycle: completed work stands
+    assert advance(sim, 30, stop=tick_clock, deadline=29.5) == 30
+    # expires mid-run: the pending cycles are cancelled
+    with pytest.raises(WatchdogTimeout, match="at cycle 36: 4 of 10"):
+        advance(sim, 10, stop=tick_clock, deadline=35.5)
+    # already expired on entry: nothing runs
+    with pytest.raises(WatchdogTimeout, match="at cycle 36: 5 of 5"):
+        advance(sim, 5, stop=tick_clock, deadline=35.5)
 
 
 def test_session_run_respects_max_wall_time():

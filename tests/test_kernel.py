@@ -1,9 +1,10 @@
 """The compiled cycle-kernel engine (``engine="kernel"``): bit-identical
 observables against the brute and levelized references across every
-registry scenario, backend and executor; explicit coverage of the
-bail-out paths (monitors, mid-run ``add``, ``run_until``, detached and
-unhinted simulators); the compile cache; and this PR's satellite fixes
-(waveform render/watch, order-sensitive topology fingerprint)."""
+registry scenario, backend and executor; the in-kernel stop predicate
+of ``run(n, stop=...)`` pinned to a ``step()``-by-step reference;
+explicit coverage of the bail-out paths (monitors, mid-run ``add``,
+detached and unhinted simulators); the compile cache; and the waveform
+render/watch and order-sensitive topology fingerprint fixes."""
 
 import pytest
 
@@ -152,13 +153,17 @@ class TestBailouts:
         # after the rebuild the kernel re-engaged on the new topology
         assert ker._kernel is not None
 
-    def test_run_until_uses_the_interpreted_path(self):
+    def test_run_until_takes_the_kernel_path(self):
         results = {}
         for engine in ("levelized", "kernel"):
             sim = _build("memory", seed=6, stim=120, engine=engine)
             elapsed = sim.run_until(lambda: sim.cycle >= 17, limit=100)
             results[engine] = (elapsed, _state(sim))
         assert results["kernel"] == results["levelized"]
+        # the predicate ran inside the compiled loop, not per step()
+        assert sim._kernel is not None
+        with pytest.raises(SimulationError, match="exceeded 5 cycles"):
+            sim.run_until(lambda: False, limit=5)
 
     def test_detached_simulator_refuses_to_run(self):
         sim = Simulator("remote", engine="kernel")
@@ -303,6 +308,147 @@ class TestBailouts:
 
 
 # ---------------------------------------------------------------------------
+# run(n, stop=...): the stop predicate checked inside the one run loop
+# ---------------------------------------------------------------------------
+def _stepped(sim, stop, budget):
+    """The semantic reference for ``run(budget, stop=stop)``: one
+    ``step()`` at a time, the predicate checked at every boundary."""
+    advanced = 0
+    while advanced < budget and not stop():
+        sim.step()
+        advanced += 1
+    return advanced
+
+
+def _stop_matches_stepping(name, engine, **config):
+    """``run(80, stop=...)`` on ``engine`` against the stepped ``brute``
+    reference, with a data-dependent predicate: total toggles crossing
+    the level a 40-cycle run reaches."""
+    probe = _build(name, **config)
+    probe.run(40)
+    level = probe.total_activity()
+    ref = _build(name, engine="brute", **config)
+    ref_n = _stepped(ref, lambda: ref.total_activity() >= level, 80)
+    sim = _build(name, engine=engine, **config)
+    n = sim.run(80, stop=lambda: sim.total_activity() >= level)
+    assert (n, _state(sim)) == (ref_n, _state(ref))
+    assert 0 < n <= 40
+
+
+class TestStopPredicate:
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("name", ALL_SCENARIOS)
+    def test_all_scenarios_stop_where_stepping_stops(self, name, engine):
+        _stop_matches_stepping(name, engine, seed=3, stim=160)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("name", get_registry().names("anvil"))
+    def test_pycompiled_anvil_scenarios_stop_where_stepping_stops(
+            self, name, engine):
+        _stop_matches_stepping(name, engine, seed=3, stim=160,
+                               backend="pycompiled")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_stop_true_on_entry_advances_zero_cycles(self, engine):
+        sim = _build("streams", seed=1, stim=120, engine=engine)
+        assert sim.run(30, stop=lambda: True) == 0
+        sim.run(10)
+        before = _state(sim)
+        assert sim.run(30, stop=lambda: True) == 0
+        assert _state(sim) == before
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_never_firing_stop_runs_the_full_budget(self, engine):
+        sim = _build("memory", seed=4, stim=160, engine=engine)
+        assert sim.run(20, stop=lambda: False) == 20
+        for _ in range(7):
+            sim.step()
+        assert sim.run(23, stop=lambda: False) == 23
+        assert _state(sim) == _run_state("memory", cycles=50, seed=4,
+                                         stim=160, engine="levelized")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_predicate_sees_the_boundary_cycle(self, engine):
+        sim = _build("pipeline", seed=2, stim=120, engine=engine)
+        sim.run(5)
+        seen = []
+        assert sim.run(10, stop=lambda: seen.append(sim.cycle)) == 10
+        # once before the first cycle, then after each completed one
+        assert seen == list(range(5, 16))
+
+    def test_monitor_attached_matches_stepping(self):
+        seen = []
+        sim = _build("mmu", seed=1, stim=120, engine="kernel")
+        sim.on_cycle(seen.append)
+        n = sim.run(40, stop=lambda: sim.cycle == 25)
+        assert n == 25 and seen == list(range(25))
+        assert sim._kernel is None          # the monitor kept it down
+        ref = _build("mmu", seed=1, stim=120, engine="levelized")
+        assert _stepped(ref, lambda: ref.cycle == 25, 40) == 25
+        assert _state(sim) == _state(ref)
+
+    def test_armed_inject_hook_matches_stepping(self):
+        from repro.inject import Fault, FaultInjector
+
+        fault = Fault(kind="stuck_at_1", module="y86_sum_cpu",
+                      target="w_icode", cycle=30, bit=0, duration=4)
+        outcomes = {}
+        for engine in ENGINES:
+            sim = _build("y86_sum", engine=engine)
+            cpu = next(m for m in sim.modules if hasattr(m, "halted"))
+            sim.run(30)
+            injector = FaultInjector(fault).arm(sim)
+            n = sim.run(400, stop=lambda: cpu.halted)
+            injector.disarm()
+            outcomes[engine] = (n, injector.fired, cpu.arch_state(),
+                                _state(sim))
+        assert outcomes["kernel"] == outcomes["levelized"] \
+            == outcomes["brute"]
+        assert outcomes["kernel"][1] == 4
+
+    def test_detached_simulator_raises_like_a_plain_run(self):
+        sim = Simulator("remote", engine="kernel")
+        sim.adopt_remote(10, {("m", "w"): 3}, {"sig": [1] * 10})
+        with pytest.raises(SimulationError, match="adopted a remote run"):
+            sim.run(5, stop=lambda: False)
+        assert sim.run(5, stop=lambda: True) == 0
+
+    def test_fast_path_stays_ready_after_a_stopped_kernel_run(self):
+        sim = _build("streams", seed=1, stim=200, engine="kernel")
+        sim.run(5)
+        entries = []
+        enter = sim._kernel_advance
+        sim._kernel_advance = lambda n, stop=None: (
+            entries.append(n), enter(n, stop))[1]
+        assert sim.run(100, stop=lambda: sim.cycle == 40) == 35
+        # one kernel entry for the whole stopped run, still ready after
+        assert entries == [100]
+        assert kernel.fast_path_ready(sim)
+
+    def test_fuzzer_reports_exact_halt_cycles(self):
+        from repro.designs.y86 import Y86PipelineCpu, attach_anvil_y86
+        from repro.isa.assembler import assemble
+        from repro.isa.fuzz import differential_check, generate_program
+
+        for seed in (3, 8):
+            source = generate_program(seed)
+            result = differential_check(
+                source, seed=seed, anvil_backends=("interp", "pycompiled"))
+            image = assemble(source).image
+            ref = Simulator(engine="brute")
+            cpu = ref.add(Y86PipelineCpu("cpu", image))
+            halt = ref.run_until(lambda: cpu.halted, limit=20_000)
+            for engine in ENGINES:
+                assert result.cycles[f"rtl/{engine}"] == halt
+            for backend in ("interp", "pycompiled"):
+                sim = Simulator(engine="brute")
+                core, _server, _host = attach_anvil_y86(
+                    sim, image, backend=backend)
+                assert result.cycles[f"anvil/{backend}"] == sim.run_until(
+                    lambda: core.regs["halted"], limit=20_000)
+
+
+# ---------------------------------------------------------------------------
 # the compile cache
 # ---------------------------------------------------------------------------
 class TestKernelCache:
@@ -312,13 +458,7 @@ class TestKernelCache:
             sim = _build("mmu", seed=1, stim=120, engine="kernel")
             sim.run(10)
         stats = kernel.cache_stats()
-        assert (stats["hits"], stats["misses"], stats["entries"]) \
-            == (2, 1, 1)
-        # layout breakdown: all scalar, the batch side untouched
-        assert stats["layouts"]["scalar"] == \
-            {"hits": 2, "misses": 1, "entries": 1}
-        assert stats["layouts"]["batch"] == \
-            {"hits": 0, "misses": 0, "entries": 0}
+        assert stats == {"hits": 2, "misses": 1, "entries": 1}
 
     def test_distinct_topologies_get_distinct_kernels(self):
         kernel.clear_cache()

@@ -223,7 +223,7 @@ class TestCacheInvalidation:
         assert sch.eval_count == len(sim.modules) * sch.settle_count
 
 
-class TestBatchRunner:
+class TestRunBatch:
     def test_run_batch_preserves_order_and_results(self):
         jobs = [(f"j{i}", (lambda i=i: i * i)) for i in range(8)]
         out = run_batch(jobs, parallel=4)

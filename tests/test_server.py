@@ -476,7 +476,7 @@ def test_job_queue_backpressure_without_server():
 # ---------------------------------------------------------------------------
 def test_simconfig_json_round_trip():
     cfg = SimConfig(engine="kernel", backend="pycompiled", cycles=123,
-                    seed=7, stim=55, batch=4, trace=True)
+                    seed=7, stim=55, trace=True)
     assert SimConfig.from_json(cfg.to_json()) == cfg
     # canonical: key order cannot wobble the text (cache key material)
     assert cfg.to_json() == SimConfig.from_json(cfg.to_json()).to_json()

@@ -19,15 +19,15 @@ from repro.rtl import snapshot as snap_mod
 from repro.rtl.batch import BatchSimulator
 from repro.rtl.executors import JobSpec, get_executor
 from repro.rtl.kernel import fast_path_ready
-from repro.rtl.simulator import ENGINES
+from repro.rtl.simulator import ENGINES, advance
 from repro.rtl.snapshot import (
+    Checkpointer,
     CheckpointStore,
     capture,
     load_checkpoint,
     prefix_key,
     reset_checkpoint_store,
     restore,
-    run_with_checkpoints,
     save_checkpoint,
 )
 
@@ -328,20 +328,27 @@ class TestWarmPrefix:
         assert extended.waveform.samples == cold.waveform.samples
         assert extended.total_activity == cold.total_activity
 
-    def test_run_with_checkpoints_stores_every_boundary(self):
+    def test_advance_checkpoints_every_boundary(self):
         sim = _build("streams", cycles=100, stim=300)
         store = CheckpointStore()
-        stored = run_with_checkpoints(sim, 100, 30, store=store, key="k")
-        assert stored == 4                      # cycles 30, 60, 90, 100
+        recorder = Checkpointer(store, "k")
+        assert advance(sim, 100, every=30, on_boundary=recorder) == 100
+        assert recorder.stored == 4             # cycles 30, 60, 90, 100
         assert store.cycles("k") == [30, 60, 90, 100]
         assert sim.cycle == 100
 
     def test_checkpoint_callback_sees_every_boundary(self):
         sim = _build("streams", cycles=60, stim=200)
+        sim.run(10)
         seen = []
-        run_with_checkpoints(sim, 60, 25,
-                             on_checkpoint=lambda c, s: seen.append(c))
+        # boundaries are absolute multiples of ``every``, plus the end
+        advance(sim, 50, every=25,
+                on_boundary=lambda s: seen.append(s.cycle))
         assert seen == [25, 50, 60]
+        stop_seen = []
+        advance(sim, 50, every=25, stop=lambda: sim.cycle == 70,
+                on_boundary=lambda s: stop_seen.append(s.cycle))
+        assert stop_seen == [70]                # the run ends at the stop
 
 
 # ---------------------------------------------------------------------------

@@ -16,20 +16,7 @@ got slower than the committed floors allow:
    target, 0.9 noise fraction) on full runs, and the relaxed absolute
    ``--kernel-quick-floor`` (1.2x) on ``--quick`` blobs, whose
    single-repeat measurements are noisier still;
-4. the batched lock-step kernels must stay honest: every batch-axis
-   row bit-identical to its scalar fleet, geomean ``parity`` (batched
-   vs M sequential scalar runs at plain fixed-cycle work) above an
-   absolute floor near 1x (the slot-unrolled body is the same compiled
-   code, so batching must not tax plain sweeps), and geomean
-   ``campaign_speedup`` (compiled in-kernel stop checks vs the
-   interpreted per-cycle stop loop) above its absolute floor.  The
-   floors are absolute, not baseline-relative -- blobs committed
-   before the batch axis carry no reference column -- and they encode
-   what a single shared CI core actually measured in the committed
-   ``BENCH_PR7.json`` (full-run geomeans: parity 0.85x, campaign
-   1.13x; module-eval bodies dominate each cycle, so batching buys
-   loop/stop overhead, not eval time);
-5. the process executor must beat serial by the multicore floor
+4. the process executor must beat serial by the multicore floor
    (2x by default), but only for *full* benchmark runs on machines
    that actually have cores to parallelize over (``--min-cores``,
    default 4).  ``--quick`` blobs carry too little work per job for
@@ -145,71 +132,6 @@ def check_kernel_floor(blob, target, tolerance, quick_floor, failures):
         )
 
 
-def check_batch_floor(
-    blob,
-    parity_floor,
-    campaign_floor,
-    quick_parity_floor,
-    quick_campaign_floor,
-    failures,
-):
-    """The columnar lock-step kernels must hold their committed
-    geomeans across the twelve families: ``parity`` close to 1x
-    (batching must not tax plain fixed-cycle sweeps) and
-    ``campaign_speedup`` above 1x-ish (the compiled in-kernel stop
-    must beat the interpreted per-cycle stop loop).  Floors are
-    absolute: pre-batch blobs carry no reference column, and the
-    committed numbers (0.85x / 1.13x full-run geomean on one shared
-    core) already say "overhead parity", not "M-fold speedup" -- the
-    per-cycle module evaluations dominate and are identical on both
-    sides.  Every row must also be bit-identical to its scalar fleet.
-    """
-    axis = blob.get("batch_axis")
-    if not axis or not axis.get("rows"):
-        failures.append(
-            "current blob has no batch_axis section -- the blob "
-            "predates the batched kernels; rerun the benchmark"
-        )
-        return
-    rows = axis["rows"]
-    for row in rows:
-        if row.get("equivalent") is not True:
-            failures.append(
-                "batch_axis row {!r} is not bit-identical to its "
-                "scalar fleet (equivalent={!r})".format(
-                    row.get("name"), row.get("equivalent")
-                )
-            )
-    quick = blob.get("config", {}).get("quick", False)
-    if quick:
-        parity_gate = quick_parity_floor
-        campaign_gate = quick_campaign_floor
-        detail = "quick run, absolute floor"
-    else:
-        parity_gate = parity_floor
-        campaign_gate = campaign_floor
-        detail = "absolute floor"
-    parity_geo = geomean(r.get("parity", 0.0) for r in rows)
-    campaign_geo = geomean(r.get("campaign_speedup", 0.0) for r in rows)
-    checks = (
-        ("parity", parity_geo, parity_gate),
-        ("campaign", campaign_geo, campaign_gate),
-    )
-    for label, value, floor in checks:
-        status = "ok" if value >= floor else "REGRESSED"
-        print(
-            "batch-axis {:9s} geomean {:.2f}x (m={})  floor "
-            "{:.2f}x ({})  {}".format(
-                label, value, axis.get("m"), floor, detail, status
-            )
-        )
-        if value < floor:
-            failures.append(
-                "batch-axis {} geomean {:.2f}x fell below the "
-                "{:.2f}x floor".format(label, value, floor)
-            )
-
-
 def check_executor_floor(blob, min_cores, multicore_floor, failures):
     axis = blob.get("executor_axis")
     if not axis:
@@ -303,36 +225,6 @@ def main(argv=None):
         "blobs (single-repeat rows are noisier still)",
     )
     parser.add_argument(
-        "--parity-floor",
-        type=float,
-        default=0.6,
-        help="absolute geomean floor for batched-vs-scalar parity on "
-        "full runs (committed full-run geomean: 0.85x on one shared "
-        "core)",
-    )
-    parser.add_argument(
-        "--campaign-floor",
-        type=float,
-        default=0.85,
-        help="absolute geomean floor for the stop-campaign speedup on "
-        "full runs (committed full-run geomean: 1.13x)",
-    )
-    parser.add_argument(
-        "--quick-parity-floor",
-        type=float,
-        default=0.45,
-        help="relaxed absolute parity floor for --quick blobs "
-        "(single-repeat, ~100-cycle measurements)",
-    )
-    parser.add_argument(
-        "--quick-campaign-floor",
-        type=float,
-        default=0.6,
-        help="relaxed absolute stop-campaign floor for --quick blobs "
-        "(single-repeat per-row numbers swing 0.3x-2.4x; only the "
-        "12-family geomean is signal)",
-    )
-    parser.add_argument(
         "--tolerance",
         type=float,
         default=0.4,
@@ -362,14 +254,6 @@ def main(argv=None):
     # say which floors come from where: the CI step name references
     # these blobs and must not drift from what the gate actually loads
     print("relative axis floors:  baseline blob {}".format(args.baseline))
-    print(
-        "absolute batch floors: CLI defaults committed from "
-        "BENCH_PR7.json full-run geomeans (parity {:.2f}x / campaign "
-        "{:.2f}x; quick {:.2f}x / {:.2f}x)".format(
-            args.parity_floor, args.campaign_floor,
-            args.quick_parity_floor, args.quick_campaign_floor
-        )
-    )
     for axis in ("engine_axis", "backend_axis"):
         if axis not in blob or axis not in baseline:
             print(
@@ -384,14 +268,6 @@ def main(argv=None):
     check_kernel_floor(
         blob, args.kernel_floor, args.kernel_tolerance,
         args.kernel_quick_floor, failures
-    )
-    check_batch_floor(
-        blob,
-        args.parity_floor,
-        args.campaign_floor,
-        args.quick_parity_floor,
-        args.quick_campaign_floor,
-        failures,
     )
     check_executor_floor(
         blob, args.min_cores, args.multicore_floor, failures
