@@ -198,7 +198,7 @@ def cmd_run(args) -> int:
 
     from .api import _result_of
     from .errors import SimulationError
-    from .rtl.simulator import advance, wall_deadline
+    from .rtl.simulator import advance
 
     config = args.sim_config
     if args.checkpoint_dir and not (config.checkpoint_every
@@ -224,7 +224,7 @@ def cmd_run(args) -> int:
             resumed = sim.cycle
             t0 = time.perf_counter()
             advance(sim, config.cycles - sim.cycle,
-                    deadline=wall_deadline(config.max_wall_time))
+                    max_wall_time=config.max_wall_time)
             elapsed = time.perf_counter() - t0
             result = _result_of(
                 args.scenario, config, sim, config.cycles, elapsed,
@@ -260,7 +260,7 @@ def cmd_run(args) -> int:
             recorder = Checkpointer(store, key, args.scenario,
                                     on_checkpoint=on_checkpoint)
             advance(sim, config.cycles - sim.cycle,
-                    deadline=wall_deadline(config.max_wall_time),
+                    max_wall_time=config.max_wall_time,
                     every=config.checkpoint_every, on_boundary=recorder)
             elapsed = time.perf_counter() - t0
             result = _result_of(

@@ -49,7 +49,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 from .codegen.simfsm import BACKENDS
 from .rtl.batch import BatchSimulator, run_batch
 from .rtl.executors import EXECUTORS, JobSpec, ScenarioRun
-from .rtl.simulator import ENGINES, Simulator, advance, wall_deadline
+from .rtl.simulator import ENGINES, Simulator, advance
 from .rtl.snapshot import (
     Checkpointer,
     get_checkpoint_store,
@@ -663,7 +663,7 @@ class Session:
             resumed = resume_longest_prefix(sim, key, cfg.cycles, store)
             on_boundary = Checkpointer(store, key, scenario)
         advance(sim, cfg.cycles - sim.cycle,
-                deadline=wall_deadline(cfg.max_wall_time),
+                max_wall_time=cfg.max_wall_time,
                 every=cfg.checkpoint_every, on_boundary=on_boundary)
         if on_boundary is not None:
             extra = {

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import AnvilError, SimulationError, WatchdogTimeout
 from ..rtl.executors import job_kind
-from ..rtl.simulator import advance, wall_deadline
+from ..rtl.simulator import advance
 from ..rtl.snapshot import (
     CheckpointStore,
     capture,
@@ -73,7 +73,7 @@ def _arch_digest(state) -> str:
 def _golden_pass(sim, cpu, cfg) -> Dict[str, object]:
     """Run the uninjected reference and fingerprint its final state."""
     if cpu is None:
-        advance(sim, cfg.cycles, deadline=wall_deadline(cfg.max_wall_time))
+        advance(sim, cfg.cycles, max_wall_time=cfg.max_wall_time)
         return {"cycles": cfg.cycles, "stat": None,
                 "digest": state_sig(sim)[:16]}
     sim.run_until(lambda: cpu.halted, limit=cfg.cycles)
@@ -87,12 +87,12 @@ def _run_tail(sim, cpu, golden: Dict[str, object], budget: int,
     halt cycle (or the absolute cycle ``budget``) for CPU scenarios,
     the golden cycle count for fixed-cycle ones -- under the optional
     wall-clock watchdog."""
-    deadline = wall_deadline(max_wall_time)
     if cpu is None:
-        advance(sim, int(golden["cycles"]) - sim.cycle, deadline=deadline)
+        advance(sim, int(golden["cycles"]) - sim.cycle,
+                max_wall_time=max_wall_time)
     else:
         advance(sim, budget - sim.cycle, stop=lambda: cpu.halted,
-                deadline=deadline)
+                max_wall_time=max_wall_time)
 
 
 def _classify(sim, cpu, golden: Dict[str, object],
@@ -234,7 +234,7 @@ def run_campaign(scenario: str, config=None, *, n_faults: int = 25,
     store = CheckpointStore(capacity=len(cycles_needed))
     for cycle in cycles_needed:
         advance(walker, cycle - walker.cycle,
-                deadline=wall_deadline(cfg.max_wall_time))
+                max_wall_time=cfg.max_wall_time)
         store.put(key, cycle, capture(walker, scenario=scenario, key=key))
 
     # injection pass: fork every fault from its warm prefix snapshot

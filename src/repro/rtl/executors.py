@@ -222,7 +222,7 @@ def _run_scenario(spec: JobSpec) -> ScenarioRun:
     checkpoint store exactly as :meth:`~repro.api.Session.run` does.
     """
     from ..api import get_registry
-    from .simulator import advance, wall_deadline
+    from .simulator import advance
     from .snapshot import (
         Checkpointer,
         get_checkpoint_store,
@@ -248,7 +248,7 @@ def _run_scenario(spec: JobSpec) -> ScenarioRun:
         resumed = resume_longest_prefix(sim, key, cycles, store)
         on_boundary = Checkpointer(store, key, spec.scenario)
     advance(sim, cycles - sim.cycle,
-            deadline=wall_deadline(getattr(cfg, "max_wall_time", None)),
+            max_wall_time=getattr(cfg, "max_wall_time", None),
             every=every, on_boundary=on_boundary)
     elapsed = time.perf_counter() - t0
     trace = sim.waveform.render() if getattr(cfg, "trace", False) else None

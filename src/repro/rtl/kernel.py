@@ -248,8 +248,6 @@ def _fused_wires(plan: KernelPlan) -> set:
     return {wi for wi in single_out if writers[wi] == 1}
 
 
-
-
 def _emit_scan(em: _Emitter, wi: int, fused: set, dirty_targets=()):
     """Inline output-change check for one scanned wire.
 
@@ -545,10 +543,10 @@ def kernel_for(plan: KernelPlan) -> Optional[CycleKernel]:
     return _CACHE.get(generate_source(plan), _compile)
 
 
-def topology_shape(sim) -> Tuple[Optional[str], Optional[KernelPlan]]:
-    """``(digest, plan)`` identifying ``sim``'s topology *shape*:
-    simulators with equal digests generate identical kernels.
-    ``(None, None)`` when the shape has no kernel (unsupported plan).
+def topology_shape(sim) -> Optional[str]:
+    """The digest identifying ``sim``'s topology *shape*: simulators
+    with equal digests generate identical kernels.  ``None`` when the
+    shape has no kernel (unsupported plan).
 
     The digest is the compile cache's key for the kernel source,
     memoized per simulator against the scheduler's rebuild token and
@@ -560,16 +558,11 @@ def topology_shape(sim) -> Tuple[Optional[str], Optional[KernelPlan]]:
     token = (sch._topo_key, len(sim.waveform._watched))
     cached = getattr(sim, "_shape_cache", None)
     if cached is not None and cached[0] == token:
-        return cached[1], cached[2]
+        return cached[1]
     plan = build_plan(sim)
-    if plan.unsupported:
-        digest = None
-        plan_out = None
-    else:
-        digest = source_key(generate_source(plan))
-        plan_out = plan
-    sim._shape_cache = (token, digest, plan_out)
-    return digest, plan_out
+    digest = None if plan.unsupported else source_key(generate_source(plan))
+    sim._shape_cache = (token, digest)
+    return digest
 
 
 def fast_path_ready(sim) -> bool:
@@ -593,5 +586,4 @@ def fast_path_ready(sim) -> bool:
     sch._ensure_built()
     if sch._needs_prime or sch._changed:
         return False
-    digest, _plan = topology_shape(sim)
-    return digest is not None
+    return topology_shape(sim) is not None

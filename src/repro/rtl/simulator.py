@@ -344,16 +344,9 @@ class Simulator:
         )
 
 
-def wall_deadline(seconds: Optional[float]) -> Optional[float]:
-    """The absolute ``time.monotonic()`` deadline ``seconds`` from now,
-    or ``None`` for no budget (``None``/``0``) -- the ``deadline`` form
-    :func:`advance` takes."""
-    return time.monotonic() + seconds if seconds else None
-
-
 def advance(sim: Simulator, cycles: int, *,
             stop: Optional[Callable[[], bool]] = None,
-            deadline: Optional[float] = None,
+            max_wall_time: Optional[float] = None,
             every: Optional[int] = None,
             on_boundary: Optional[Callable[[Simulator], None]] = None
             ) -> int:
@@ -363,12 +356,12 @@ def advance(sim: Simulator, cycles: int, *,
     The one driver above ``run``:
 
     * ``stop`` ends the run early, exactly as in :meth:`Simulator.run`;
-    * ``deadline`` (an absolute ``time.monotonic()`` value, see
-      :func:`wall_deadline`) is a wall-clock watchdog, checked as one
-      more stop predicate at every cycle boundary: when it expires with
-      cycles left, :class:`~repro.errors.WatchdogTimeout` cancels the
-      pending work instead of letting a hung or pathological simulation
-      wedge its worker.  A run whose last cycle completes late still
+    * ``max_wall_time`` (seconds from entry; ``None``/``0`` for no
+      budget) is a wall-clock watchdog, checked as one more stop
+      predicate at every cycle boundary: when it expires with cycles
+      left, :class:`~repro.errors.WatchdogTimeout` cancels the pending
+      work instead of letting a hung or pathological simulation wedge
+      its worker.  A run whose last cycle completes late still
       succeeds -- the watchdog never discards completed work;
     * ``every``/``on_boundary`` cut the run into checkpoint segments:
       ``on_boundary(sim)`` runs at every absolute multiple of ``every``
@@ -376,6 +369,7 @@ def advance(sim: Simulator, cycles: int, *,
       the watchdog cancels), so boundaries stored before a timeout
       survive.
     """
+    deadline = time.monotonic() + max_wall_time if max_wall_time else None
     expired = False
 
     def watchdog() -> bool:

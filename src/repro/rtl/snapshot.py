@@ -349,7 +349,7 @@ def topology_key(scenario: str, config, sim=None) -> str:
     if sim is not None:
         from .kernel import topology_shape
 
-        digest, _plan = topology_shape(sim)
+        digest = topology_shape(sim)
     if digest is None:
         digest = f"builder:{scenario}:{config.engine}:{config.backend}"
     return digest

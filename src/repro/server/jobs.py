@@ -71,7 +71,7 @@ from ..api import (
 )
 from ..codegen import pysim
 from ..rtl import kernel
-from ..rtl.simulator import advance, wall_deadline
+from ..rtl.simulator import advance
 from ..rtl.snapshot import (
     Checkpointer,
     get_checkpoint_store,
@@ -615,7 +615,7 @@ class JobQueue:
         if every:
             on_boundary = Checkpointer(self.checkpoints, key, job.scenario)
         advance(sim, cfg.cycles - sim.cycle,
-                deadline=wall_deadline(cfg.max_wall_time), every=every,
+                max_wall_time=cfg.max_wall_time, every=every,
                 on_boundary=on_boundary)
         elapsed = time.perf_counter() - t0
         if tap is not None:

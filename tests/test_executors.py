@@ -105,6 +105,31 @@ class TestExecutorEquivalence:
                 assert swept[name].waveform.samples \
                     == reference[name].waveform.samples, (executor, name)
 
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_seed_sweep_matches_solo_runs(self, executor):
+        """``seeds=`` runs every scenario once per seed, keyed
+        ``name@s<seed>``; each keyed result must equal a solo run of
+        that scenario under that seed, on every executor."""
+        session = Session(SimConfig(seed=0, stim=120, engine="kernel",
+                                    backend="pycompiled"))
+        names = ["streams", "anvil_mmu"]
+        seeds = [2, 3, 4]
+        swept = session.sweep(names, cycles=50, seeds=seeds,
+                              executor=executor, **POOL)
+        assert set(swept) == {f"{n}@s{s}" for n in names for s in seeds}
+        for name in names:
+            for s in seeds:
+                solo = session.run(name, cycles=50, seed=s)
+                got = swept[f"{name}@s{s}"]
+                assert got.activity == solo.activity, (name, s)
+                assert got.waveform.samples == solo.waveform.samples, \
+                    (name, s)
+        # each seed really reaches the stimulus
+        for name in names:
+            totals = {sum(swept[f"{name}@s{s}"].activity.values())
+                      for s in seeds}
+            assert len(totals) == len(seeds), name
+
     def test_y86_cpu_sweep_survives_the_pickle_boundary(self):
         """the y86 scenarios rebuild a whole CPU-plus-memory system in
         the worker from the JobSpec alone; the observables must land

@@ -27,7 +27,7 @@ from repro.rtl.executors import (
     ProcessExecutor,
     job_kind,
 )
-from repro.rtl.simulator import ENGINES, advance, wall_deadline
+from repro.rtl.simulator import ENGINES, advance
 from repro.server.jobs import BadSubmission, JobQueue
 
 BACKENDS = ("interp", "pycompiled")
@@ -236,7 +236,7 @@ def test_enumerate_sites_is_deterministic():
 def test_wall_clock_watchdog_fires():
     sim = get_registry().build("streams", SimConfig())
     with pytest.raises(WatchdogTimeout, match="unsimulated"):
-        advance(sim, 50_000_000, deadline=wall_deadline(0.05))
+        advance(sim, 50_000_000, max_wall_time=0.05)
     assert 0 < sim.cycle < 50_000_000
 
 
@@ -252,17 +252,18 @@ def test_watchdog_spares_a_run_whose_last_cycle_lands_late(monkeypatch):
                         SimpleNamespace(monotonic=lambda: clock.now))
     sim = get_registry().build("streams", SimConfig(engine="kernel"))
 
-    def tick_clock():
-        clock.now = float(sim.cycle)
+    def tick_clock(jump=0.0):
+        clock.now = float(sim.cycle) + jump
 
     # expires at the boundary after the last cycle: completed work stands
-    assert advance(sim, 30, stop=tick_clock, deadline=29.5) == 30
+    assert advance(sim, 30, stop=tick_clock, max_wall_time=29.5) == 30
     # expires mid-run: the pending cycles are cancelled
     with pytest.raises(WatchdogTimeout, match="at cycle 36: 4 of 10"):
-        advance(sim, 10, stop=tick_clock, deadline=35.5)
-    # already expired on entry: nothing runs
+        advance(sim, 10, stop=tick_clock, max_wall_time=5.5)
+    # expired at the first boundary check: nothing runs
     with pytest.raises(WatchdogTimeout, match="at cycle 36: 5 of 5"):
-        advance(sim, 5, stop=tick_clock, deadline=35.5)
+        advance(sim, 5, stop=lambda: tick_clock(jump=1.0),
+                max_wall_time=0.5)
 
 
 def test_session_run_respects_max_wall_time():

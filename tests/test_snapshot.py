@@ -340,11 +340,18 @@ class TestWarmPrefix:
     def test_checkpoint_callback_sees_every_boundary(self):
         sim = _build("streams", cycles=60, stim=200)
         sim.run(10)
-        seen = []
+        store = CheckpointStore()
+        handed = []
+        recorder = Checkpointer(
+            store, "k", "streams",
+            on_checkpoint=lambda c, snap: handed.append((c, snap)))
         # boundaries are absolute multiples of ``every``, plus the end
-        advance(sim, 50, every=25,
-                on_boundary=lambda s: seen.append(s.cycle))
-        assert seen == [25, 50, 60]
+        advance(sim, 50, every=25, on_boundary=recorder)
+        assert [c for c, _snap in handed] == [25, 50, 60]
+        for c, snap in handed:
+            assert (snap.cycle, snap.key, snap.scenario) == (c, "k",
+                                                             "streams")
+            assert store.best("k", c) == (c, snap)
         stop_seen = []
         advance(sim, 50, every=25, stop=lambda: sim.cycle == 70,
                 on_boundary=lambda s: stop_seen.append(s.cycle))
