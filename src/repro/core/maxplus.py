@@ -115,9 +115,9 @@ class MpTerm:
 class MaxExpr:
     """Maximum over a set of :class:`MpTerm`, or ``+infinity``.
 
-    ``MaxExpr.INF`` models the timestamp of an event that is never reached
-    in the branch case under consideration (Definition C.9 assigns such
-    events timestamp infinity).
+    ``MaxExpr.inf()`` builds the timestamp of an event that is never
+    reached in the branch case under consideration (Definition C.9 assigns
+    such events timestamp infinity).
     """
 
     __slots__ = ("terms", "infinite")

@@ -9,7 +9,10 @@ the event graph.  The oracle realizes that quantification:
   *relevant* to the events being compared (those labelling their ancestors),
   which keeps the enumeration small;
 * within one case, each event's time is an exact max-plus expression, and
-  comparisons hold only if they hold in every case.
+  comparisons hold only if they hold in every case;
+* an event's time depends only on the conditions in its own cone, so it is
+  memoized on the case restricted to that cone and shared by every case
+  and every query that agrees there.
 
 Dynamic event patterns ``e |> pi.m`` ("first occurrence of pi.m after e")
 are resolved against the graph structurally.  We compute two bounds:
@@ -29,13 +32,33 @@ sound approximations of ``<=G`` and ``<G``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .events import EventGraph, EventKind
 from .maxplus import MaxExpr, MinExpr
 from .patterns import EndSet, EventPattern
 
 Case = Tuple[Tuple[int, bool], ...]
+#: A case as bitmasks over condition ids: ``(assigned, values)``, where bit
+#: ``c`` of ``assigned`` marks condition ``c`` as fixed and the same bit of
+#: ``values`` gives its value.  Unassigned conditions take both arms.
+MaskCase = Tuple[int, int]
+
+
+def _mask_case(case: Case) -> MaskCase:
+    assigned = values = 0
+    for cond, value in case:
+        bit = 1 << cond
+        assigned |= bit
+        values = (values | bit) if value else (values & ~bit)
+    return assigned, values
+
+
+def _case_tuple(assigned: int, values: int) -> Case:
+    return tuple(
+        (c, bool(values >> c & 1))
+        for c in range(assigned.bit_length()) if assigned >> c & 1
+    )
 
 
 class OracleLimitError(Exception):
@@ -48,17 +71,17 @@ class TimingOracle:
     def __init__(self, graph: EventGraph, max_cases: int = 4096):
         self.graph = graph
         self.max_cases = max_cases
-        self._ts_cache: Dict[Tuple[Case, int], MaxExpr] = {}
+        self._ts_cache: Dict[Tuple[int, int, int], MaxExpr] = {}
         self._candidates_cache: Dict[Tuple[int, str, str, bool], Tuple[int, ...]] = {}
-        self._relevant_conds: Optional[frozenset] = None
-        self._cond_cones_cache = None
+        self._relevant_mask: Optional[int] = None
+        self._cone_masks: Optional[List[int]] = None
         self._verdict_cache: Dict[tuple, bool] = {}
 
     # ------------------------------------------------------------------
     # branch-condition relevance
     # ------------------------------------------------------------------
-    def _timing_relevant_conditions(self) -> frozenset:
-        """Conditions that can influence *when* some event occurs.
+    def _timing_relevant_conditions(self) -> int:
+        """Mask of the conditions that can influence *when* some event occurs.
 
         A condition whose two arms contain only zero-time events (``#0``
         delays, joins, zero-slack syncs) never shifts any timestamp, so it
@@ -66,8 +89,8 @@ class TimingOracle:
         gate reachability of ``e``: branch arms add their condition, an
         any-join intersects (either arm reaches it), everything else
         unions over its predecessors."""
-        if self._relevant_conds is not None:
-            return self._relevant_conds
+        if self._relevant_mask is not None:
+            return self._relevant_mask
         g = self.graph
         # gated sets hold (cond_id, polarity) pairs: the join of the two
         # arms of one condition intersects to nothing, i.e. becomes
@@ -98,7 +121,7 @@ class TimingOracle:
         # a candidate is only truly relevant if flipping it shifts the
         # timestamp of some event *outside* its arms (balanced branches,
         # e.g. a one-cycle register write on both sides, do not)
-        relevant = set()
+        relevant = 0
         for cond in candidates:
             memo_t: Dict[int, MaxExpr] = {}
             memo_f: Dict[int, MaxExpr] = {}
@@ -108,10 +131,10 @@ class TimingOracle:
                 t_true = self._ts_approx(ev.eid, cond, True, memo_t)
                 t_false = self._ts_approx(ev.eid, cond, False, memo_f)
                 if t_true != t_false:
-                    relevant.add(cond)
+                    relevant |= 1 << cond
                     break
-        self._relevant_conds = frozenset(relevant)
-        return self._relevant_conds
+        self._relevant_mask = relevant
+        return relevant
 
     def _ts_approx(self, eid: int, cond: int, value: bool,
                    memo: Dict[int, MaxExpr]) -> MaxExpr:
@@ -162,24 +185,30 @@ class TimingOracle:
     def ts(self, eid: int, case: Case) -> MaxExpr:
         """Max-plus timestamp of event ``eid`` under branch case ``case``.
 
-        ``case`` must assign every branch condition occurring among the
-        ancestors of ``eid`` (guaranteed when callers build cases with
-        :meth:`_relevant_conditions`).
+        A case is a tuple of ``(condition, value)`` pairs.  A condition it
+        leaves out takes both arms, so ``case`` should assign every
+        timing-relevant condition in the cone of ``eid`` (the cases
+        :meth:`_cases` yields do).  Timestamps are memoized per event on
+        the case restricted to that event's condition cone.
         """
-        key = (case, eid)
+        return self._ts(eid, _mask_case(case))
+
+    def _ts(self, eid: int, case: MaskCase) -> MaxExpr:
+        assigned, values = case
+        cone = self._cond_cones()[eid]
+        key = (assigned & cone, values & cone, eid)
         cached = self._ts_cache.get(key)
         if cached is not None:
             return cached
         ev = self.graph[eid]
-        assignment = dict(case)
         if ev.kind is EventKind.ROOT:
             out = MaxExpr.zero()
         elif ev.kind is EventKind.DELAY:
             out = MaxExpr.maximum(
-                self.ts(p, case) for p in ev.preds
+                self._ts(p, case) for p in ev.preds
             ).shifted(ev.delay)
         elif ev.kind is EventKind.SYNC:
-            parts = [self.ts(p, case) for p in ev.preds]
+            parts = [self._ts(p, case) for p in ev.preds]
             # Successive synchronizations of one message share a single
             # handshake resource and are serialized in program order; a
             # later sync can therefore never complete before an earlier
@@ -187,7 +216,7 @@ class TimingOracle:
             if not any(p.infinite for p in parts):
                 for other in self.graph.sync_events(ev.endpoint, ev.message):
                     if other.eid < ev.eid:
-                        t = self.ts(other.eid, case)
+                        t = self._ts(other.eid, case)
                         if not t.infinite:
                             parts.append(t)
             base = MaxExpr.maximum(parts)
@@ -196,13 +225,15 @@ class TimingOracle:
             else:
                 out = base.with_var(ev.eid)
         elif ev.kind is EventKind.BRANCH:
-            taken = assignment.get(ev.cond_id, ev.polarity) == ev.polarity
-            if not taken:
+            bit = 1 << ev.cond_id
+            if assigned & bit and bool(values & bit) != ev.polarity:
                 out = MaxExpr.inf()
             else:
-                out = MaxExpr.maximum(self.ts(p, case) for p in ev.preds)
+                out = MaxExpr.maximum(
+                    self._ts(p, case) for p in ev.preds
+                )
         elif ev.kind is EventKind.JOIN_ANY:
-            alts = [self.ts(p, case) for p in ev.preds]
+            alts = [self._ts(p, case) for p in ev.preds]
             reachable = [a for a in alts if not a.infinite]
             if not reachable:
                 out = MaxExpr.inf()
@@ -220,10 +251,13 @@ class TimingOracle:
                 else:
                     raise OracleLimitError(
                         f"join e{eid} has multiple reachable branches under "
-                        f"case {case}; condition set was incomplete"
+                        f"case {_case_tuple(assigned, values)}; condition "
+                        f"set was incomplete"
                     )
         elif ev.kind is EventKind.JOIN_ALL:
-            out = MaxExpr.maximum(self.ts(p, case) for p in ev.preds)
+            out = MaxExpr.maximum(
+                self._ts(p, case) for p in ev.preds
+            )
         else:  # pragma: no cover - exhaustive
             raise AssertionError(ev.kind)
         self._ts_cache[key] = out
@@ -253,10 +287,10 @@ class TimingOracle:
         return result
 
     def _pattern_alts(
-        self, pattern: EventPattern, case: Case, upper: bool
+        self, pattern: EventPattern, case: MaskCase, upper: bool
     ) -> List[MaxExpr]:
         """Alternatives (min-candidates) for an event pattern under a case."""
-        base_ts = self.ts(pattern.base, case)
+        base_ts = self._ts(pattern.base, case)
         if base_ts.infinite:
             return []  # pattern base never reached: treated as vacuous
         dur = pattern.duration
@@ -265,16 +299,17 @@ class TimingOracle:
         cands = self._candidates(pattern.base, dur.endpoint, dur.message, upper)
         alts = []
         for c in cands:
-            t = self.ts(c, case)
+            t = self._ts(c, case)
             if not t.infinite:
                 alts.append(t)
         return alts
 
-    def _endset_expr(self, end: EndSet, case: Case, upper: bool) -> MinExpr:
+    def _endset_expr(self, end: EndSet, case: MaskCase, upper: bool
+                     ) -> MinExpr:
         """MinExpr bound for an :class:`EndSet` (infinite when eternal)."""
         return self._endset_state(end, case, upper)[0]
 
-    def _endset_state(self, end: EndSet, case: Case, upper: bool
+    def _endset_state(self, end: EndSet, case: MaskCase, upper: bool
                       ) -> Tuple[MinExpr, bool]:
         """Bound plus reachability: the second component is False when every
         pattern base is unreachable in this case (the interval -- and hence
@@ -284,7 +319,7 @@ class TimingOracle:
         alts: List[MaxExpr] = []
         reachable = False
         for p in end.patterns:
-            if not self.ts(p.base, case).infinite:
+            if not self._ts(p.base, case).infinite:
                 reachable = True
             alts.extend(self._pattern_alts(p, case, upper))
         if not alts:
@@ -307,53 +342,51 @@ class TimingOracle:
                     )
         return involved
 
-    def _cond_cones(self):
-        """Per-event set of branch conditions that can influence its
+    def _cond_cones(self) -> List[int]:
+        """Per-event mask of the branch conditions that can influence its
         timestamp: conditions of its ancestor cone, closed over the
         serialized earlier same-message syncs (they feed the sync's
         timestamp).  Computed once, in topological order."""
-        if self._cond_cones_cache is not None:
-            return self._cond_cones_cache
+        if self._cone_masks is not None:
+            return self._cone_masks
         g = self.graph
-        cones = []
+        cones: List[int] = []
         for ev in g.events:
-            acc = set()
+            acc = 0
             for p in ev.preds:
                 acc |= cones[p]
             if ev.kind is EventKind.BRANCH:
-                acc.add(ev.cond_id)
+                acc |= 1 << ev.cond_id
             elif ev.kind is EventKind.SYNC:
                 for other in g.sync_events(ev.endpoint, ev.message):
                     if other.eid < ev.eid:
                         acc |= cones[other.eid]
-            cones.append(frozenset(acc))
-        self._cond_cones_cache = cones
+            cones.append(acc)
+        self._cone_masks = cones
         return cones
 
-    def _cases(self, eids: Iterable[int], ends: Iterable[EndSet] = (),
-               all_conds: bool = False):
-        """Enumerate branch cases.  By default only *timing-relevant*
-        conditions are expanded (others cannot shift any timestamp);
-        ``all_conds`` forces full expansion over the events' own gating
-        conditions, which reachability questions (mutual exclusion) need."""
-        involved = self._involved_events(eids, ends)
+    def _cases(self, eids: Iterable[int], ends: Iterable[EndSet] = ()
+               ) -> Iterator[MaskCase]:
+        """Enumerate branch cases over the *timing-relevant* conditions in
+        the cones of the involved events (others cannot shift any
+        timestamp).  Cases come in increasing order of their value mask,
+        the lowest condition id varying fastest."""
         cones = self._cond_cones()
-        conds_set = set()
-        for eid in involved:
-            conds_set |= cones[eid]
-        if not all_conds:
-            relevant = self._timing_relevant_conditions()
-            conds_set &= relevant
-        conds = sorted(conds_set)
-        n = len(conds)
+        conds = 0
+        for eid in self._involved_events(eids, ends):
+            conds |= cones[eid]
+        conds &= self._timing_relevant_conditions()
+        n = conds.bit_count()
         if 2**n > self.max_cases:
             raise OracleLimitError(
                 f"{n} relevant branch conditions exceed the case limit"
             )
-        for mask in range(2**n):
-            yield tuple(
-                (cond, bool(mask >> i & 1)) for i, cond in enumerate(conds)
-            )
+        values = 0
+        while True:
+            yield conds, values
+            if values == conds:
+                return
+            values = (values - conds) & conds
 
     # ------------------------------------------------------------------
     # public comparisons
@@ -371,10 +404,10 @@ class TimingOracle:
 
     def _event_le(self, a: int, b: int) -> bool:
         for case in self._cases((a, b)):
-            ta = self.ts(a, case)
+            ta = self._ts(a, case)
             if ta.infinite:
                 continue  # vacuous in this case
-            if not ta.le(self.ts(b, case)):
+            if not ta.le(self._ts(b, case)):
                 return False
         return True
 
@@ -389,10 +422,10 @@ class TimingOracle:
 
     def _event_lt(self, a: int, b: int) -> bool:
         for case in self._cases((a, b)):
-            ta = self.ts(a, case)
+            ta = self._ts(a, case)
             if ta.infinite:
                 continue
-            if not ta.lt(self.ts(b, case)):
+            if not ta.lt(self._ts(b, case)):
                 return False
         return True
 
@@ -411,7 +444,7 @@ class TimingOracle:
 
     def _event_le_end(self, a: int, end: EndSet, shift: int = 0) -> bool:
         for case in self._cases((a,), (end,)):
-            ta = self.ts(a, case)
+            ta = self._ts(a, case)
             if ta.infinite:
                 continue
             bound = self._endset_expr(end, case, upper=False)
@@ -435,7 +468,7 @@ class TimingOracle:
 
     def _end_le_event(self, end: EndSet, a: int, shift: int = 0) -> bool:
         for case in self._cases((a,), (end,)):
-            ta = self.ts(a, case)
+            ta = self._ts(a, case)
             if ta.infinite:
                 continue
             bound, reachable = self._endset_state(end, case, upper=True)

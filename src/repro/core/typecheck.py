@@ -122,15 +122,19 @@ def _check_thread(process, thread, result: BuildResult, oracle: TimingOracle,
     # 2. Valid Register Mutation ------------------------------------------
     for mut in result.mutations:
         for loan in loans.get(mut.register, []):
-            if oracle.event_lt(mut.at, loan.start):
-                continue  # mutation completes before the loan begins
-            if oracle.end_le_event(loan.end, mut.at, shift=1):
-                continue  # the loan is over by the time the new value lands
+            try:
+                if oracle.event_lt(mut.at, loan.start):
+                    continue  # mutation completes before the loan begins
+                if oracle.end_le_event(loan.end, mut.at, shift=1):
+                    continue  # the loan is over by the time the new value lands
+                why = ""
+            except OracleLimitError as exc:
+                why = f": {exc}"  # safety unproven: reject
             report.errors.append(
                 LoanedRegisterMutationError(
                     f"register {mut.register!r} mutated at e{mut.at} "
                     f"({mut.context}) during loan [e{loan.start}, {loan.end}) "
-                    f"({loan.context})",
+                    f"({loan.context}){why}",
                     process=process.name,
                 )
             )
@@ -149,15 +153,20 @@ def _check_thread(process, thread, result: BuildResult, oracle: TimingOracle,
                 s1, s2 = sends[i], sends[j]
                 if not result.graph.is_ancestor(s1.sync, s2.sync):
                     continue  # only check ordered pairs once (s1 before s2)
-                if oracle.end_le_event(s1.required_end, s2.start):
-                    continue
+                try:
+                    if oracle.end_le_event(s1.required_end, s2.start):
+                        continue
+                    why = ""
+                except OracleLimitError as exc:
+                    why = f": {exc}"
                 if _mutually_exclusive(oracle, s1.sync, s2.sync):
                     continue
                 report.errors.append(
                     MessageSendError(
                         f"two sends of {key[0]}.{key[1]} have overlapping "
                         f"required lifetimes: [e{s1.sync}, {s1.required_end}) "
-                        f"({s1.context}) vs [e{s2.start}, ...) ({s2.context})",
+                        f"({s1.context}) vs [e{s2.start}, ...) ({s2.context})"
+                        f"{why}",
                         process=process.name,
                     )
                 )
@@ -175,13 +184,17 @@ def _check_thread(process, thread, result: BuildResult, oracle: TimingOracle,
                     continue
                 # structurally unordered but possibly temporally disjoint
                 # (e.g. statically timed pipeline stages)
-                if oracle.end_le_event(s1.required_end, s2.start) or \
-                        oracle.end_le_event(s2.required_end, s1.start):
-                    continue
+                try:
+                    if oracle.end_le_event(s1.required_end, s2.start) or \
+                            oracle.end_le_event(s2.required_end, s1.start):
+                        continue
+                    why = ""
+                except OracleLimitError as exc:
+                    why = f": {exc}"
                 report.errors.append(
                     MessageSendError(
                         f"two unordered sends of {key[0]}.{key[1]} "
-                        f"({s1.context} / {s2.context}) may overlap",
+                        f"({s1.context} / {s2.context}) may overlap{why}",
                         process=process.name,
                     )
                 )

@@ -1,10 +1,36 @@
 """Tests for the event graph and the ``<=G`` timing oracle."""
 
+import random
+
 import pytest
 
+from repro.anvil_designs.aes import aes_core
+from repro.anvil_designs.axi import axi_demux, axi_mux
+from repro.anvil_designs.memory import (
+    cached_memory_process,
+    cached_memory_static_process,
+    memory_process,
+)
+from repro.anvil_designs.mmu import ptw_process, tlb_process
+from repro.anvil_designs.pipeline import pipelined_alu, systolic_array
+from repro.anvil_designs.streams import (
+    fifo_buffer,
+    passthrough_stream_fifo,
+    spill_register,
+)
+from repro.anvil_designs.y86 import y86_core
 from repro.core.events import EventGraph, EventKind, SyncDir
+from repro.core.graph_builder import GraphBuilder
 from repro.core.oracle import TimingOracle
 from repro.core.patterns import Duration, EndSet
+from repro.semantics import concrete_times
+
+DESIGN_FACTORIES = (
+    fifo_buffer, spill_register, passthrough_stream_fifo, memory_process,
+    cached_memory_process, cached_memory_static_process, tlb_process,
+    ptw_process, aes_core, axi_demux, axi_mux, pipelined_alu,
+    systolic_array, y86_core,
+)
 
 
 def linear_graph():
@@ -195,3 +221,80 @@ class TestOraclePatterns:
         outer = EndSet.single(d2.eid, Duration.static(4))
         assert o.lifetime_within(d2.eid, inner, r.eid, outer)
         assert not o.lifetime_within(r.eid, outer, d2.eid, inner)
+
+
+class TestOracleMatchesSemantics:
+    """Symbolic timestamps, evaluated at concrete handshake slacks, equal
+    the fire cycles of the execution semantics.  One oracle per graph
+    serves every case, the way the type checker shares it across
+    queries."""
+
+    CASES_PER_GRAPH = 8
+
+    @pytest.mark.parametrize("factory", DESIGN_FACTORIES,
+                             ids=lambda f: f.__name__)
+    def test_ts_matches_concrete_times(self, factory):
+        rng = random.Random(20)
+        process = factory()
+        for thread in process.threads:
+            built = GraphBuilder(process, thread).build(1)
+            g = built.graph
+            oracle = TimingOracle(g)
+            dynamic = [e.eid for e in g.events
+                       if e.kind is EventKind.SYNC and e.static_slack is None]
+            for _ in range(self.CASES_PER_GRAPH):
+                branches = {c: rng.random() < 0.5 for c in g.conditions()}
+                slacks = {eid: rng.randrange(4) for eid in dynamic}
+                case = tuple(sorted(branches.items()))
+                times = concrete_times(built, slacks, branches)
+                for ev in g.events:
+                    # infinity (unreached) evaluates to None, like the
+                    # semantics' unreached events
+                    assert oracle.ts(ev.eid, case).evaluate(slacks) == \
+                        times[ev.eid], (g.name, ev, case, slacks)
+
+
+class TestOracleMemo:
+    def test_timestamps_shared_across_cases(self):
+        """A query enumerating two independent conditions computes an
+        event under the first branch once per value of that condition,
+        not once per case of the query."""
+        g = EventGraph()
+        r = g.root()
+        arms = []
+        for cond, (t_delay, f_delay) in enumerate(((1, 2), (3, 5))):
+            bt = g.add(EventKind.BRANCH, (r.eid,), cond_id=cond, polarity=True)
+            bf = g.add(EventKind.BRANCH, (r.eid,), cond_id=cond,
+                       polarity=False)
+            dt = g.add(EventKind.DELAY, (bt.eid,), delay=t_delay)
+            df = g.add(EventKind.DELAY, (bf.eid,), delay=f_delay)
+            arms.append((dt, g.add(EventKind.JOIN_ANY, (dt.eid, df.eid))))
+        (d0, j0), (_d1, j1) = arms
+        o = TimingOracle(g)
+        # j0 in {1, 2} never exceeds j1 in {3, 5}: all four cases run
+        assert o.event_le(j0.eid, j1.eid)
+
+        def computed(eid):
+            return sum(1 for key in o._ts_cache if key[-1] == eid)
+
+        assert computed(j1.eid) == 2
+        assert computed(j0.eid) == 2
+        assert computed(d0.eid) == 2
+        assert computed(r.eid) == 1
+
+    def test_sync_memo_covers_earlier_same_message_syncs(self):
+        """A sync waits for earlier syncs of its message, so the branch
+        guarding an earlier one moves it even though that branch is not
+        among its ancestors: the memo must tell the two cases apart."""
+        g = EventGraph()
+        r = g.root()
+        bt = g.add(EventKind.BRANCH, (r.eid,), cond_id=0, polarity=True)
+        d3 = g.add(EventKind.DELAY, (bt.eid,), delay=3)
+        g.add(EventKind.SYNC, (d3.eid,), endpoint="x", message="m",
+              direction=SyncDir.SEND, static_slack=0)
+        d1 = g.add(EventKind.DELAY, (r.eid,), delay=1)
+        s2 = g.add(EventKind.SYNC, (d1.eid,), endpoint="x", message="m",
+                   direction=SyncDir.SEND, static_slack=0)
+        o = TimingOracle(g)
+        assert o.ts(s2.eid, ((0, True),)).evaluate({}) == 3
+        assert o.ts(s2.eid, ((0, False),)).evaluate({}) == 1

@@ -18,6 +18,10 @@ from repro import (
     assert_safe,
     check_process,
 )
+from repro.anvil_designs.aes import aes_core
+from repro.anvil_designs.axi import axi_demux, axi_mux
+from repro.anvil_designs.memory import cached_memory_process
+from repro.anvil_designs.mmu import ptw_process, tlb_process
 from repro.lang.terms import (
     cycle,
     if_,
@@ -251,3 +255,19 @@ class TestBasics:
         p.loop(let("x", recv("mem", "req"), unit()))
         with pytest.raises(ElaborationError):
             check_process(p)
+
+
+class TestCaseLimit:
+    @pytest.mark.parametrize("factory", [
+        tlb_process, cached_memory_process, ptw_process, axi_demux, axi_mux,
+        aes_core,
+    ], ids=lambda f: f.__name__)
+    def test_query_over_the_limit_rejects(self, factory):
+        """A check whose oracle query exceeds the case limit cannot prove
+        safety: every one of the three checks reports it as its own
+        error, carrying the limit message, instead of raising."""
+        report = check_process(factory(), max_cases=2)
+        assert not report.ok
+        assert {type(e) for e in report.errors} == {
+            ValueNotLiveError, LoanedRegisterMutationError, MessageSendError}
+        assert all("exceed the case limit" in str(e) for e in report.errors)

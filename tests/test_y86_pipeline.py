@@ -4,11 +4,14 @@ squashes, ret bubbles), the ``y86_*`` scenarios bit-identical across
 every engine and both Anvil backends, the lifetime-typechecked core,
 and the ``--tag cpu`` CLI view."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.__main__ import main as cli_main
 from repro.api import SimConfig, get_registry
-from repro.core.typecheck import check_process
 from repro.designs.y86 import Y86PipelineCpu, run_to_halt
 from repro.isa.assembler import assemble
 from repro.isa.encoding import SHLT, U64
@@ -175,11 +178,35 @@ class TestScenarioPins:
 # ---------------------------------------------------------------------------
 # the Anvil core under the lifetime oracle
 # ---------------------------------------------------------------------------
+#: bound on the verdict's peak resident set, interpreter included (it
+#: reads about 150 MB)
+Y86_VERDICT_MAX_RSS_MB = 300
+
+_Y86_VERDICT = """
+import resource, sys
+from repro.anvil_designs.y86 import y86_core
+from repro.core.typecheck import check_process
+report = check_process(y86_core())
+# ru_maxrss is in KiB on Linux and in bytes on macOS
+kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(report.ok, kib // 1024 if sys.platform == "darwin" else kib)
+"""
+
+
 @pytest.mark.slow
 def test_anvil_core_typechecks():
-    from repro.anvil_designs.y86 import y86_core
-    report = check_process(y86_core())
-    assert report.ok, report
+    """The core is well typed, and its verdict, in a fresh interpreter,
+    stays under a fixed peak memory."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _Y86_VERDICT], capture_output=True,
+        text=True, timeout=600, cwd=root,
+        env={**os.environ, "PYTHONPATH": os.path.join(root, "src")})
+    assert proc.returncode == 0, proc.stderr
+    ok, max_rss_kib = proc.stdout.split()
+    assert ok == "True"
+    assert int(max_rss_kib) < Y86_VERDICT_MAX_RSS_MB * 1024, \
+        f"Y86 verdict peaked at {int(max_rss_kib) / 1024:.0f} MB"
 
 
 # ---------------------------------------------------------------------------
