@@ -30,14 +30,14 @@ engine axis floors were committed against.
 
 **Executor axis** (``Session.sweep(executor=...)``): the declarative
 JobSpec sweep of all twelve scenario families (six mixed + six
-Anvil-only) under the ``serial``, ``thread`` and ``process`` executors
-of :mod:`repro.rtl.executors`.  Each job builds *and* runs its scenario
+Anvil-only) under the ``serial`` and ``process`` executors of
+:mod:`repro.rtl.executors`.  Each job builds *and* runs its scenario
 inside the executor -- the harness-sweep shape -- so the ``process``
-row shows what real cores buy once jobs can cross the pickling
-boundary (the thread row documents the GIL tax instead).  The blob
-records ``cpu_count``: on a single-core box the process row can only
-demonstrate correctness, not speedup, and ``tools/check_bench.py``
-gates the multi-core floor conditionally on it.
+row shows what real cores buy once jobs cross the pickling boundary.
+The blob records ``cpu_count``: on a single-core box the process row
+can only demonstrate correctness, not speedup, and
+``tools/check_bench.py`` gates the multi-core floor conditionally on
+it.
 
 Every measurement cross-checks equivalence on both axes: the two
 variants must produce identical waveforms (the scenarios watch every

@@ -104,7 +104,7 @@ from .codegen.sysverilog import emit_system
 from .lang.parser import parse, parse_process
 from .rtl.simulator import Simulator
 from .rtl.scheduler import CombScheduler   # kept importable, not in __all__
-from .rtl.batch import BatchSimulator, run_batch
+from .rtl.executors import run_batch
 from .rtl.module import Module
 from .rtl.signal import Wire               # kept importable, not in __all__
 from .api import (
@@ -137,7 +137,7 @@ __all__ = [
     "AnvilProcessModule", "build_simulation",
     "compile_process", "to_systemverilog", "emit_system",
     "parse", "parse_process",
-    "Simulator", "BatchSimulator", "run_batch", "Module",
+    "Simulator", "run_batch", "Module",
     # the unified run-time API (repro.api)
     "SimConfig", "Session", "RunResult",
     "Scenario", "ScenarioRegistry", "UnknownScenarioError",

@@ -1,6 +1,6 @@
 """``python -m repro`` -- the command-line front end over :mod:`repro.api`.
 
-One option layer (``--engine/--backend/--parallel/--seed/--cycles/
+One option layer (``--engine/--backend/--executor/--seed/--cycles/
 --stim/--trace/--json``) shared by every subcommand, resolved
 into a single :class:`~repro.api.SimConfig` and handed to a
 :class:`~repro.api.Session`:
@@ -8,7 +8,7 @@ into a single :class:`~repro.api.SimConfig` and handed to a
 ================  ===========================================================
 ``list-scenarios``  enumerate the scenario registry (names, tags)
 ``run``             build + run one registered scenario
-``sweep``           run many scenarios as one batch sweep
+``sweep``           run many scenarios as one executor sweep
 ``bench``           cycles/second of the configured engine x backend vs the
                     reference pair, with equivalence checks
 ``inject``          seeded fault-injection campaign with AVF-style readout
@@ -23,8 +23,8 @@ into a single :class:`~repro.api.SimConfig` and handed to a
 of any subcommand's result; every blob embeds the resolved config so
 records are self-describing.  A subcommand exposes (and echoes) only
 the config fields its run actually consumes -- the harness drivers take
-``--engine``/``--backend``/``--parallel``, ``appendix-a`` just
-``--engine``/``--backend`` (its BMC sides are serial by design).
+``--engine``/``--backend``/``--executor``/``--jobs``, ``appendix-a``
+just ``--engine``/``--backend`` (its BMC sides are serial by design).
 """
 
 from __future__ import annotations
@@ -44,13 +44,12 @@ from .rtl.simulator import ENGINES
 #: every field of the shared option layer; subcommands that consume
 #: only part of the config expose only that part, so the echoed
 #: ``--json`` config never claims knobs the run ignored
-ALL_FIELDS = ("engine", "backend", "parallel", "executor", "jobs", "seed",
-              "cycles", "stim", "trace", "checkpoint_every",
-              "max_wall_time")
+ALL_FIELDS = ("engine", "backend", "executor", "jobs", "seed", "cycles",
+              "stim", "trace", "checkpoint_every", "max_wall_time")
 #: a single scenario run has no sweep to execute, so it neither takes
 #: nor echoes the executor knobs
 RUN_FIELDS = tuple(f for f in ALL_FIELDS
-                   if f not in ("executor", "jobs", "parallel"))
+                   if f not in ("executor", "jobs"))
 #: bench measures each (scenario, config) serially, never checkpoints
 #: and runs no watchdog -- a restored prefix (or a cancelled repeat)
 #: would corrupt the cycles/second it is trying to measure
@@ -62,9 +61,9 @@ BENCH_FIELDS = tuple(f for f in ALL_FIELDS
 INJECT_FIELDS = tuple(f for f in ALL_FIELDS
                       if f not in ("trace", "checkpoint_every"))
 #: what the harness drivers actually thread through (appendix-a keeps
-#: its own serial-by-design parallel knob, so it exposes only the
+#: its own serial-by-design executor knob, so it exposes only the
 #: engine/backend pair its simulated side consumes)
-HARNESS_FIELDS = ("engine", "backend", "parallel", "executor", "jobs")
+HARNESS_FIELDS = ("engine", "backend", "executor", "jobs")
 
 
 # ---------------------------------------------------------------------------
@@ -83,18 +82,15 @@ def _add_config_options(parser: argparse.ArgumentParser,
         g.add_argument("--backend", choices=BACKENDS, default=None,
                        help="compiled-FSM execution backend "
                             "(default: interp)")
-    if "parallel" in fields:
-        g.add_argument("--parallel", type=int, default=None, metavar="N",
-                       help="batch pool size; 0 forces serial "
-                            "(default: auto)")
     if "executor" in fields:
         g.add_argument("--executor", choices=EXECUTORS, default=None,
-                       help="sweep execution strategy: serial, thread "
+                       help="sweep execution strategy: serial "
                             "(default) or process (multi-core pool of "
-                            "picklable JobSpecs)")
+                            "picklable JobSpecs); $REPRO_EXECUTOR "
+                            "overrides the default")
     if "jobs" in fields:
         g.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="forced executor worker count "
+                       help="process-pool worker count "
                             "(default: auto)")
     if "seed" in fields:
         g.add_argument("--seed", type=int, default=None,
@@ -139,9 +135,6 @@ def _config_from(args: argparse.Namespace) -> SimConfig:
             overrides[field] = value
     if getattr(args, "trace", False):
         overrides["trace"] = True
-    parallel = getattr(args, "parallel", None)
-    if parallel is not None:
-        overrides["parallel"] = False if parallel == 0 else parallel
     return SimConfig(**overrides)
 
 
@@ -511,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_options(p, fields=RUN_FIELDS)
     p.set_defaults(fn=cmd_run)
 
-    p = sub.add_parser("sweep", help="run scenarios as one batch sweep")
+    p = sub.add_parser("sweep", help="run scenarios as one executor sweep")
     p.add_argument("scenarios", nargs="*",
                    help="registry names (default: every non-sweep "
                         "scenario, or those matching --tag)")
@@ -623,9 +616,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, OSError):
         pass                     # non-main thread or exotic platform
     try:
-        # surface environment-variable garbage before any work starts
-        from .rtl.batch import _env_parallel
-        _env_parallel()
+        # building the config surfaces environment-variable garbage
+        # before any work starts
         args.sim_config = _config_from(args)
     except ValueError as exc:
         # SimConfig/environment validation errors are user-input errors

@@ -1,10 +1,9 @@
 """The unified run-time surface: ``SimConfig`` -> ``Session`` -> results.
 
-PR 1 (the levelized engine) and PR 2 (the generated-Python FSM backend)
-each threaded a new knob -- ``engine``, ``backend``, ``parallel``,
-``seed`` -- positionally through the scenario builders, the batch
-runner, the four harness drivers and the benchmark.  This module
-consolidates that surface behind three pieces:
+Every run-time knob -- settle engine, FSM backend, executor, seed --
+lives in one config that the scenario builders, the sweeps, the four
+harness drivers and the benchmark all take.  The surface has three
+pieces:
 
 * :class:`SimConfig` -- one frozen, validated configuration record for
   every axis the simulation stack exposes.  Invalid values fail at
@@ -16,14 +15,13 @@ consolidates that surface behind three pieces:
   canonical instance is populated by :mod:`repro.harness.scenarios`;
   use :func:`get_registry` to obtain it fully populated.
 * :class:`Session` -- owns a ``SimConfig``, builds simulators from the
-  registry, runs single scenarios or sweeps (delegating to
-  :class:`~repro.rtl.batch.BatchSimulator`), measures benchmark pairs,
+  registry, runs single scenarios or JobSpec sweeps (through
+  :func:`~repro.rtl.executors.run_batch`), measures benchmark pairs,
   and drives the four paper harnesses.  Every run returns a structured
   :class:`RunResult`.
 
 ``python -m repro`` (:mod:`repro.__main__`) is a thin CLI over a
-``Session``; the legacy keyword/positional entry points survive as
-deprecation shims that forward here.
+``Session``.
 
 Quickstart::
 
@@ -47,8 +45,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .codegen.simfsm import BACKENDS
-from .rtl.batch import BatchSimulator, run_batch
-from .rtl.executors import EXECUTORS, JobSpec, ScenarioRun
+from .rtl.executors import EXECUTORS, JobSpec, ScenarioRun, run_batch
 from .rtl.simulator import ENGINES, Simulator, advance
 from .rtl.snapshot import (
     Checkpointer,
@@ -57,8 +54,6 @@ from .rtl.snapshot import (
     resume_longest_prefix,
 )
 from .rtl.waveform import Waveform
-
-Parallel = Union[bool, int, None]
 
 
 def _choices(known: Sequence[str]) -> str:
@@ -116,18 +111,14 @@ class SimConfig:
         when set, else ``levelized``;
     ``backend``
         compiled-Anvil FSM execution (:data:`repro.codegen.simfsm.BACKENDS`);
-    ``parallel``
-        batch-runner pool size: ``None`` auto, ``False`` serial, an int
-        forces a worker count (see :mod:`repro.rtl.batch`);
     ``executor``
         sweep execution strategy (:data:`repro.rtl.executors.EXECUTORS`):
-        ``serial``, ``thread`` (the compatibility reference and default)
-        or ``process`` (picklable JobSpecs on a multi-core process
-        pool).  ``None`` resolves to ``$REPRO_EXECUTOR`` when set, else
-        ``thread``;
+        ``serial`` (in-process, the default) or ``process`` (picklable
+        JobSpecs on a multi-core process pool).  ``None`` resolves to
+        ``$REPRO_EXECUTOR`` when set, else ``serial``;
     ``jobs``
-        forced executor worker count (``None`` -> auto; the modern
-        spelling of an integer ``parallel``);
+        process-pool worker count (``None`` -> ``min(jobs in the
+        sweep, os.cpu_count())``);
     ``seed``
         stimulus RNG seed -- builders are deterministic in it;
     ``cycles``
@@ -157,7 +148,6 @@ class SimConfig:
 
     engine: Optional[str] = None
     backend: str = "interp"
-    parallel: Parallel = None
     executor: Optional[str] = None
     jobs: Optional[int] = None
     seed: int = 0
@@ -171,14 +161,14 @@ class SimConfig:
         if self.engine is None:
             env = os.environ.get("REPRO_ENGINE")
             object.__setattr__(self, "engine", env or "levelized")
-            if self.engine not in ENGINES:
-                raise ValueError(
-                    f"unknown engine {self.engine!r}: known engines are "
-                    f"{_choices(ENGINES)} (did REPRO_ENGINE leak a typo?)"
-                )
+        if self.engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {self.engine!r}: known engines are "
+                f"{_choices(ENGINES)} (did REPRO_ENGINE leak a typo?)"
+            )
         if self.executor is None:
             env = os.environ.get("REPRO_EXECUTOR")
-            object.__setattr__(self, "executor", env or "thread")
+            object.__setattr__(self, "executor", env or "serial")
         if self.executor not in EXECUTORS:
             raise ValueError(
                 f"unknown executor {self.executor!r}: known executors "
@@ -191,11 +181,6 @@ class SimConfig:
             raise ValueError(
                 f"jobs must be a positive int worker count or None, "
                 f"got {self.jobs!r}"
-            )
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}: known engines are "
-                f"{_choices(ENGINES)}"
             )
         if self.backend not in BACKENDS:
             raise ValueError(
@@ -214,12 +199,6 @@ class SimConfig:
                 or self.stim < 1):
             raise ValueError(
                 f"stim must be a positive int or None, got {self.stim!r}"
-            )
-        if self.parallel is not None and not isinstance(
-                self.parallel, (bool, int)):
-            raise ValueError(
-                f"parallel must be a bool, an int worker count or None, "
-                f"got {self.parallel!r}"
             )
         if self.checkpoint_every is None:
             object.__setattr__(
@@ -308,14 +287,6 @@ def resolve_config(config: Union["SimConfig", "Session", None] = None,
     return cfg.replace(**overrides) if overrides else cfg
 
 
-def pool_args(cfg: SimConfig) -> Dict[str, object]:
-    """The ``run_batch`` keyword arguments one config implies: ``jobs``
-    (the forced worker count) wins over the legacy ``parallel`` knob,
-    and the executor rides along."""
-    parallel = cfg.jobs if cfg.jobs is not None else cfg.parallel
-    return {"parallel": parallel, "executor": cfg.executor}
-
-
 # ---------------------------------------------------------------------------
 # the scenario registry
 # ---------------------------------------------------------------------------
@@ -346,7 +317,7 @@ class UnknownScenarioError(KeyError):
 
 class ScenarioRegistry:
     """Named, tagged, enumerable scenarios -- defined once, consumed by
-    the batch runner, the benchmark sweep, the equivalence tests and the
+    the executor sweeps, the benchmark, the equivalence tests and the
     CLI alike.
 
     >>> registry = ScenarioRegistry()
@@ -676,7 +647,7 @@ class Session:
 
     def _select(self, scenarios: Optional[Sequence[str]],
                 tag: Optional[str]) -> List[str]:
-        """Scenario selection shared by batch/sweep/bench: an explicit
+        """Scenario selection shared by sweep/bench: an explicit
         name list, else every scenario carrying ``tag``, else every
         non-sweep scenario (the all-in-one sweeps would duplicate the
         individual families' work)."""
@@ -684,18 +655,6 @@ class Session:
             return list(scenarios)
         return self.registry.names(
             tag, exclude=None if tag == "sweep" else "sweep")
-
-    def batch(self, scenarios: Optional[Sequence[str]] = None,
-              tag: Optional[str] = None, **overrides) -> BatchSimulator:
-        """A :class:`~repro.rtl.batch.BatchSimulator` holding the named
-        (or tag-selected) scenarios, ready to step as one sweep."""
-        cfg = resolve_config(self.config, **overrides)
-        batch = BatchSimulator(
-            parallel=cfg.jobs if cfg.jobs is not None else cfg.parallel,
-            executor=cfg.executor)
-        for name in self._select(scenarios, tag):
-            batch.add_scenario(name, cfg)
-        return batch
 
     def sweep(self, scenarios: Optional[Sequence[str]] = None,
               tag: Optional[str] = None, cycles: Optional[int] = None,
@@ -705,7 +664,7 @@ class Session:
 
         Every selected scenario becomes one declarative
         :class:`~repro.rtl.executors.JobSpec` (``run_scenario``), and
-        the whole list runs on the configured executor -- ``thread`` by
+        the whole list runs on the configured executor -- ``serial`` by
         default, ``process`` for real multi-core sweeps (workers build
         and run each scenario from its registry description, so nothing
         unpicklable crosses the pool boundary).
@@ -714,10 +673,10 @@ class Session:
         scenario runs once per seed, keyed ``"name@s<seed>"``.
 
         Returns results keyed in selection order; each result's
-        ``seconds`` is the wall-clock of the whole sweep (the scenarios
-        run concurrently, so per-scenario wall-clock is not separable
-        -- ``diagnostics["job_seconds"]`` has each job's own run-phase
-        timing).
+        ``seconds`` is the wall-clock of the whole sweep (on the process
+        pool the scenarios run concurrently, so per-scenario wall-clock
+        is not separable -- ``diagnostics["job_seconds"]`` has each
+        job's own run-phase timing).
         """
         cfg = resolve_config(self.config, cycles=cycles, **overrides)
         names = self._select(scenarios, tag)
@@ -735,7 +694,7 @@ class Session:
                 for name in names for s in seeds
             ]
         t0 = time.perf_counter()
-        runs = run_batch(specs, **pool_args(cfg))
+        runs = run_batch(specs, cfg.executor, cfg.jobs)
         elapsed = time.perf_counter() - t0
         diag = {"sweep_size": len(specs)}
         return {
@@ -807,7 +766,7 @@ class Session:
                     ("tail_budget", budget),
                 )))
             offsets.append(i)
-        runs = run_batch(specs, **pool_args(cfg))
+        runs = run_batch(specs, cfg.executor, cfg.jobs)
         outcomes = []
         for spec, offset in zip(specs, offsets):
             shard = runs[spec.name]
@@ -839,12 +798,10 @@ class Session:
         :class:`~repro.rtl.executors.JobSpec`; each runs one untimed
         warm-up iteration first so compile costs (pycompiled sources,
         cycle kernels) never pollute the timed repeats.  The measurement
-        executor
-        defaults to ``serial`` regardless of the session config --
-        timing jobs interleaved under the GIL would corrupt each other's
+        executor defaults to ``serial`` regardless of the session config
+        -- timing jobs that share cores would corrupt each other's
         cycles/second -- and must be requested explicitly (``process``
-        isolates measurements in their own workers and is the sensible
-        concurrent choice).
+        isolates measurements in their own workers).
         """
         cfg = resolve_config(self.config, cycles=cycles)
         base = baseline or cfg.replace(engine="brute", backend="interp")
@@ -856,10 +813,8 @@ class Session:
             for name in names
             for label, variant in (("baseline", base), ("configured", cfg))
         ]
-        pool = jobs if jobs is not None else cfg.jobs
-        runs = run_batch(specs, parallel=pool if pool is not None
-                         else cfg.parallel,
-                         executor=executor or "serial")
+        runs = run_batch(specs, executor or "serial",
+                         jobs if jobs is not None else cfg.jobs)
         rows = []
         for name in names:
             b, c = runs[f"{name}:baseline"], runs[f"{name}:configured"]
@@ -905,7 +860,7 @@ class Session:
 
     # -- the paper harnesses -------------------------------------------
     def table1(self, fast: bool = False):
-        """Table 1 rows under this session's backend/parallel config."""
+        """Table 1 rows under this session's backend/executor config."""
         from .harness.table1 import generate_table1
         return generate_table1(fast=fast, config=self.config)
 

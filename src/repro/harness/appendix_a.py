@@ -30,7 +30,7 @@ from ..lang.terms import (
     var,
 )
 from ..lang.types import Logic
-from ..rtl.executors import JobSpec, job_kind
+from ..rtl.executors import JobSpec, job_kind, run_batch
 from ..verif import Assertion, BoundedModelChecker, TransitionSystem
 
 
@@ -194,8 +194,7 @@ def _appendix_bmc_job(spec: JobSpec) -> Dict[str, object]:
     return verification_side(**dict(spec.param("budgets")))
 
 
-def appendix_a(parallel: bool = False, backend: str = None,
-               config=None, fast: bool = False,
+def appendix_a(backend: str = None, config=None, fast: bool = False,
                executor: str = None) -> Dict[str, object]:
     """The full comparison.
 
@@ -204,23 +203,20 @@ def appendix_a(parallel: bool = False, backend: str = None,
     the simulated Anvil side; the ``backend`` keyword survives as a
     compatibility shim and wins when given.
 
-    ``parallel``/``executor`` are this driver's own knobs (never taken
-    from the config) and default to a *serial* run, the only in-process
-    setting whose output is meaningful: the BMC sides run against
-    *wall-clock* time budgets, so GIL contention under the thread
-    executor starves them of explored states per second and can flip
-    the budget-bounded verdicts themselves (e.g. the reduced-width case
-    failing to reach its violation on a slow runner), not just skew the
-    reported seconds.  ``executor="process"`` is the one concurrent
-    setting that preserves the verdicts -- each side owns a whole
-    worker process, so nothing shares its GIL (budgets still assume the
-    workers get real cores).
+    ``executor`` is this driver's own knob (never taken from the config)
+    and defaults to ``serial``: the BMC sides run against *wall-clock*
+    time budgets, so anything that shares a core with them starves them
+    of explored states per second and can flip the budget-bounded
+    verdicts themselves (e.g. the reduced-width case failing to reach
+    its violation on a slow runner), not just skew the reported
+    seconds.  ``executor="process"`` runs each side in its own worker
+    process, which preserves the verdicts as long as the workers get
+    real cores.
 
     ``fast=True`` shrinks the BMC budgets for CI/CLI smoke runs while
     preserving the qualitative outcome (full width exhausts its budget
     without the violation; reduced width reaches it)."""
     from ..api import resolve_config
-    from ..rtl.batch import run_batch
 
     cfg = resolve_config(config, backend=backend)
     full_kw = dict(counter_bits=32)
@@ -240,10 +236,4 @@ def appendix_a(parallel: bool = False, backend: str = None,
         JobSpec(kind="appendix_bmc", name="bmc_reduced_width",
                 params=(("budgets", tuple(reduced_kw.items())),)),
     ]
-    if executor is None:
-        executor = "thread" if parallel else "serial"
-    # an explicit process request overrides the serial-by-default
-    # parallel knob -- worker processes do not contend on the GIL
-    return run_batch(jobs,
-                     parallel=None if executor == "process" else parallel,
-                     executor=executor)
+    return run_batch(jobs, executor or "serial")

@@ -25,7 +25,7 @@ from ..lang.terms import (
     var,
 )
 from ..lang.types import Logic
-from ..rtl.executors import JobSpec, job_kind
+from ..rtl.executors import JobSpec, job_kind, run_batch
 from ..rtl.simulator import Simulator
 
 
@@ -369,27 +369,25 @@ def _figure_job(spec: JobSpec) -> Dict[str, object]:
     return FIGURES[name]()
 
 
-def generate_figures(parallel=None, backend: str = None,
+def generate_figures(backend: str = None,
                      config=None) -> Dict[str, object]:
     """Every figure harness as one sweep of declarative ``figure``
     :class:`~repro.rtl.executors.JobSpec` jobs (each figure builds its
     own simulators/processes, so the jobs are independent; the
-    ``process`` executor runs them on real cores, ``thread`` remains the
-    GIL-bound compatibility reference).  ``config`` (a
+    ``process`` executor runs them on real cores).  ``config`` (a
     :class:`~repro.api.SimConfig` or :class:`~repro.api.Session`)
     supplies the FSM execution backend wherever a figure simulates a
     compiled process (figure 4), the executor and the pool size; the
-    ``parallel``/``backend`` keywords survive as a compatibility shim
-    and win over the config when given."""
-    from ..api import pool_args, resolve_config
-    from ..rtl.batch import run_batch
+    ``backend`` keyword survives as a compatibility shim and wins over
+    the config when given."""
+    from ..api import resolve_config
 
-    cfg = resolve_config(config, parallel=parallel, backend=backend)
+    cfg = resolve_config(config, backend=backend)
     return run_batch(
         [JobSpec(kind="figure", name=name, config=cfg,
                  params=(("figure", name),))
          for name in [*FIGURES, "figure8"]],
-        **pool_args(cfg),
+        cfg.executor, cfg.jobs,
     )
 
 

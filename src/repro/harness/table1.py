@@ -21,7 +21,7 @@ from ..anvil_designs import streams as anv_streams
 from ..anvil_designs.aes import aes_core
 from ..codegen.simfsm import build_simulation, compile_process
 from ..lang.process import System
-from ..rtl.executors import JobSpec, job_kind
+from ..rtl.executors import JobSpec, job_kind, run_batch
 from ..synth import baselines, estimate_compiled
 from ..synth.cost import CostReport
 
@@ -205,32 +205,31 @@ def _table1_row_job(spec: JobSpec) -> Table1Row:
                 spec.config.backend, spec.config.engine)
 
 
-def generate_table1(fast: bool = False, parallel=None,
-                    backend: str = None, config=None) -> List[Table1Row]:
+def generate_table1(fast: bool = False, backend: str = None,
+                    config=None) -> List[Table1Row]:
     """Compute every row of Table 1.
 
     Rows are independent (each builds its own processes and simulators),
     so each becomes one declarative ``table1_row``
     :class:`~repro.rtl.executors.JobSpec` -- an index into the row spec
     table plus the resolved config -- and the list runs as one sweep on
-    the configured executor (``process`` buys real multi-core speedup;
-    ``thread`` remains the GIL-bound compatibility reference).
-    ``config`` (a :class:`~repro.api.SimConfig` or
-    :class:`~repro.api.Session`) supplies the FSM execution backend of
-    the activity simulations, the executor and the pool size; the
-    ``parallel``/``backend`` keywords survive as a compatibility shim
-    and win over the config when given.  Results are backend- and
-    executor-independent, only the wall-clock changes."""
-    from ..api import pool_args, resolve_config
-    from ..rtl.batch import run_batch
+    the configured executor (``serial`` by default; ``process`` buys
+    real multi-core speedup).  ``config`` (a
+    :class:`~repro.api.SimConfig` or :class:`~repro.api.Session`)
+    supplies the FSM execution backend of the activity simulations, the
+    executor and the pool size; the ``backend`` keyword survives as a
+    compatibility shim and wins over the config when given.  Results
+    are backend- and executor-independent, only the wall-clock
+    changes."""
+    from ..api import resolve_config
 
-    cfg = resolve_config(config, parallel=parallel, backend=backend)
+    cfg = resolve_config(config, backend=backend)
     specs = _spec_rows()
     results = run_batch(
         [JobSpec(kind="table1_row", name=spec["name"], config=cfg,
                  params=(("index", i), ("fast", fast)))
          for i, spec in enumerate(specs)],
-        **pool_args(cfg),
+        cfg.executor, cfg.jobs,
     )
     return [results[spec["name"]] for spec in specs]
 

@@ -24,7 +24,7 @@ from ..lang.terms import (
     var,
 )
 from ..lang.types import Logic
-from ..rtl.executors import JobSpec, job_kind
+from ..rtl.executors import JobSpec, job_kind, run_batch
 
 
 def _req_res(name="ch", until=True):
@@ -212,7 +212,7 @@ def _table2_case_job(spec: JobSpec) -> Dict[str, object]:
     return CASES[case]()
 
 
-def generate_table2(parallel=None, backend: str = None,
+def generate_table2(backend: str = None,
                     config=None) -> Dict[str, Dict[str, object]]:
     """All five case studies plus the Section 7.2 stream-FIFO dynamic
     comparison; independent, so each runs as one declarative
@@ -220,17 +220,16 @@ def generate_table2(parallel=None, backend: str = None,
     configured executor.  ``config`` (a :class:`~repro.api.SimConfig`
     or :class:`~repro.api.Session`) supplies the FSM execution backend
     of the dynamic case, the executor and the pool size; the
-    ``parallel``/``backend`` keywords survive as a compatibility shim
-    and win over the config when given."""
-    from ..api import pool_args, resolve_config
-    from ..rtl.batch import run_batch
+    ``backend`` keyword survives as a compatibility shim and wins over
+    the config when given."""
+    from ..api import resolve_config
 
-    cfg = resolve_config(config, parallel=parallel, backend=backend)
+    cfg = resolve_config(config, backend=backend)
     return run_batch(
         [JobSpec(kind="table2_case", name=name, config=cfg,
                  params=(("case", name),))
          for name in [*CASES, "stream_fifo"]],
-        **pool_args(cfg),
+        cfg.executor, cfg.jobs,
     )
 
 

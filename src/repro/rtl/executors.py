@@ -1,27 +1,23 @@
-"""Declarative sweep jobs (:class:`JobSpec`) and the executors that run
-them: ``serial``, ``thread`` and ``process``.
+"""Declarative sweep jobs (:class:`JobSpec`), the executors that run
+them -- ``serial`` and ``process`` -- and :func:`run_batch`, the one
+entry point the sweeps go through.
 
-The harness tables, figures and benchmark sweeps are lists of
-*independent* jobs.  Before this module they were ``(name, thunk)``
-pairs -- closures over simulators, RNGs and design factories -- which
-confined execution to a thread pool: CPython's GIL serializes the
-CPU-bound thunks, and closures cannot cross a process boundary (they do
-not pickle).  A :class:`JobSpec` removes both limits by *describing* a
-job instead of capturing it: a registered job ``kind``, the scenario
-registry name it targets, a frozen :class:`~repro.api.SimConfig`, and a
-tuple of picklable parameters.  Workers rebuild the work from the
-description, so the same spec list runs identically on any executor:
+The harness tables and figures, the benchmark sweeps and the sharded
+fault-injection campaigns are lists of *independent* jobs.  A
+:class:`JobSpec` *describes* a job instead of capturing it in a
+closure: a registered job ``kind``, the scenario registry name it
+targets, a frozen :class:`~repro.api.SimConfig`, and a tuple of
+picklable parameters.  Workers rebuild the work from the description,
+so the same spec list runs identically on either executor:
 
-* ``serial``  -- in-process, submission order; the profiling/debugging
-  reference and the timing-fidelity choice for benchmark measurement;
-* ``thread``  -- the historical :class:`~concurrent.futures.ThreadPoolExecutor`
-  path, kept as the compatibility reference (isolation and uniform sweep
-  structure; no wall-clock speedup for GIL-bound jobs);
+* ``serial``  -- in-process, submission order; the default, the
+  profiling/debugging reference and the timing-fidelity choice for
+  benchmark measurement and wall-clock-budgeted (BMC) jobs;
 * ``process`` -- a :class:`~concurrent.futures.ProcessPoolExecutor` with
   chunked sharding, per-worker warm-up that pre-populates the
   ``pycompiled`` compile cache, and real multi-core speedup.
 
-Guarantees shared by all three executors:
+Guarantees shared by both executors:
 
 * **Determinism** -- results are keyed by job name in submission order;
   the output never depends on completion order, and every job owns its
@@ -44,13 +40,13 @@ import os
 import pickle
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: the available execution strategies, validated by the config layer
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 #: how many chunks each process worker should receive on average; >1 so
 #: uneven job costs still balance across the pool
@@ -119,7 +115,7 @@ class ScenarioRun:
     of a finished :class:`~repro.rtl.simulator.Simulator`'s state.
 
     ``sim`` carries the live simulator only when the job ran in-process
-    (serial/thread executors); it is dropped at the process boundary.
+    (the serial executor); it is dropped at the process boundary.
     """
 
     scenario: str
@@ -213,13 +209,9 @@ def execute_job(spec: JobSpec):
 def _run_scenario(spec: JobSpec) -> ScenarioRun:
     """Build a registered scenario under the spec's config and run it.
 
-    Params: optional ``resume_from`` -- a picklable
-    :class:`~repro.rtl.snapshot.Snapshot` restored into the fresh
-    build before running, so the job simulates only the tail from the
-    snapshot's cycle (snapshots are plain data and cross the process
-    pool like any other param).  With ``config.checkpoint_every`` set
-    instead, the job consults and feeds the worker's process-wide
-    checkpoint store exactly as :meth:`~repro.api.Session.run` does.
+    With ``config.checkpoint_every`` set, the job consults and feeds the
+    worker's process-wide checkpoint store exactly as
+    :meth:`~repro.api.Session.run` does.
     """
     from ..api import get_registry
     from .simulator import advance
@@ -227,22 +219,17 @@ def _run_scenario(spec: JobSpec) -> ScenarioRun:
         Checkpointer,
         get_checkpoint_store,
         prefix_key,
-        restore,
         resume_longest_prefix,
     )
 
     cfg = spec.config
     sim = get_registry().build(spec.scenario, cfg)
     cycles = spec.run_cycles
-    snap = spec.param("resume_from")
     every = getattr(cfg, "checkpoint_every", None)
     resumed = 0
     on_boundary = None
     t0 = time.perf_counter()
-    if snap is not None:
-        restore(sim, snap)
-        resumed = sim.cycle
-    elif every:
+    if every:
         store = get_checkpoint_store()
         key = prefix_key(spec.scenario, cfg, sim)
         resumed = resume_longest_prefix(sim, key, cycles, store)
@@ -334,59 +321,13 @@ def _raise_outcome(name: str, error) -> None:
 # ---------------------------------------------------------------------------
 # the executors
 # ---------------------------------------------------------------------------
-def _job_parts(job):
-    """Normalize a job -- a JobSpec or a legacy ``(name, thunk)`` pair --
-    into ``(name, callable)``."""
-    if isinstance(job, JobSpec):
-        return job.name, (lambda spec=job: execute_job(spec))
-    name, thunk = job
-    return name, thunk
-
-
 class SerialExecutor:
     """Submission-order in-process execution (the reference)."""
 
     name = "serial"
 
-    def __init__(self, workers: int = 1):
-        self.workers = 1
-
-    def run(self, jobs: Sequence) -> Dict[str, object]:
-        results = {}
-        for job in jobs:
-            name, thunk = _job_parts(job)
-            results[name] = thunk()
-        return results
-
-
-class ThreadExecutor:
-    """The historical thread-pool path (compatibility reference): jobs
-    interleave under the GIL; expect isolation, not speedup."""
-
-    name = "thread"
-
-    def __init__(self, workers: int):
-        self.workers = max(1, workers)
-
-    def run(self, jobs: Sequence) -> Dict[str, object]:
-        jobs = list(jobs)
-        if self.workers <= 1 or len(jobs) <= 1:
-            return SerialExecutor().run(jobs)
-        pool = ThreadPoolExecutor(max_workers=self.workers)
-        try:
-            futures = [(name, pool.submit(thunk))
-                       for name, thunk in map(_job_parts, jobs)]
-            results = {name: fut.result() for name, fut in futures}
-        except KeyboardInterrupt:
-            # a deliberate stop: abandon queued work instead of letting
-            # pool teardown block on it (the CLI reports and exits 130)
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        except BaseException:
-            pool.shutdown(wait=True, cancel_futures=True)
-            raise
-        pool.shutdown()
-        return results
+    def run(self, specs: Sequence[JobSpec]) -> Dict[str, object]:
+        return {s.name: execute_job(s) for s in specs}
 
 
 def _chunked(items: List, size: int) -> List[List]:
@@ -466,10 +407,9 @@ class ProcessExecutor:
     execution of :class:`JobSpec` lists -- the only executor that buys
     wall-clock speedup for GIL-bound sweeps (given >1 core).
 
-    Jobs must be JobSpecs (closures do not pickle).  Chunks keep IPC
-    amortized; results come back keyed in submission order; the first
-    failing job in submission order re-raises with its worker traceback
-    (see :class:`ExecutorError`).
+    Chunks keep IPC amortized; results come back keyed in submission
+    order; the first failing job in submission order re-raises with its
+    worker traceback (see :class:`ExecutorError`).
 
     A worker that dies *abnormally* (killed by a signal, OOM) poisons
     the whole pool: every unfinished future reports
@@ -500,16 +440,8 @@ class ProcessExecutor:
         slots = self.workers * _CHUNKS_PER_WORKER
         return max(1, -(-n_jobs // slots))
 
-    def run(self, jobs: Sequence) -> Dict[str, object]:
+    def run(self, jobs: Sequence[JobSpec]) -> Dict[str, object]:
         jobs = list(jobs)
-        bad = [j for j in jobs if not isinstance(j, JobSpec)]
-        if bad:
-            raise TypeError(
-                f"the process executor needs picklable JobSpecs; got "
-                f"{len(bad)} thunk job(s) (first: {_job_parts(bad[0])[0]!r})."
-                f"  Describe the work as JobSpecs or use the serial/"
-                f"thread executors."
-            )
         if not jobs:
             return {}
         ctx = self.mp_context or _mp_context()
@@ -597,14 +529,41 @@ class ProcessExecutor:
 
 
 def get_executor(name: str, workers: int = 1, **kwargs):
-    """Instantiate the named executor (``serial``/``thread``/``process``)."""
+    """Instantiate the named executor (``serial``/``process``)."""
     if name == "serial":
         return SerialExecutor()
-    if name == "thread":
-        return ThreadExecutor(workers)
     if name == "process":
         return ProcessExecutor(workers, **kwargs)
     choices = ", ".join(repr(e) for e in EXECUTORS)
     raise ValueError(
         f"unknown executor {name!r}: known executors are {choices}"
     )
+
+
+def run_batch(specs: Sequence[JobSpec], executor: str = "serial",
+              workers: Optional[int] = None) -> Dict[str, object]:
+    """Run a JobSpec list on the named executor, returning ``{name:
+    result}`` in submission order.
+
+    ``workers`` is the process pool size; it defaults to
+    ``min(len(specs), os.cpu_count())``.  The executor name alone picks
+    the path: a one-worker ``process`` run still crosses the pickling
+    boundary.
+    """
+    specs = list(specs)
+    for spec in specs:
+        if not isinstance(spec, JobSpec):
+            raise TypeError(
+                f"run_batch takes JobSpecs only; got {spec!r} "
+                f"({type(spec).__name__})"
+            )
+    names = [s.name for s in specs]
+    if len(set(names)) != len(names):
+        dupes = sorted({n for n in names if names.count(n) > 1})
+        raise ValueError(
+            f"duplicate job name(s) {dupes!r}: results are keyed by "
+            f"name, so every job in a batch needs a distinct one"
+        )
+    if workers is None:
+        workers = max(1, min(len(specs), os.cpu_count() or 1))
+    return get_executor(executor, workers).run(specs)

@@ -50,7 +50,6 @@ interpreted cycle whenever the fast path cannot apply:
   checked at entry and, for monitors, per cycle;
 * pending scheduler state from a standalone ``settle()`` call or an
   un-primed activity baseline (first cycle of a fresh simulator);
-* detached simulators (``adopt_remote``) -- ``step()`` raises as usual;
 * mid-run ``Simulator.add`` -- the scheduler's invalidation flag is
   checked every kernel cycle and breaks out to a rebuild.
 
@@ -571,7 +570,7 @@ def fast_path_ready(sim) -> bool:
 
     This is the entry check of
     :meth:`~repro.rtl.simulator.Simulator._kernel_advance` made
-    inspectable: no monitors, not detached, scheduler built with no
+    inspectable: no monitors, scheduler built with no
     pending prime or dirty set, and a supported topology.  The
     checkpoint layer (:mod:`repro.rtl.snapshot`) restores the scheduler
     columns the generated code rebinds its flat locals from at every
@@ -580,7 +579,7 @@ def fast_path_ready(sim) -> bool:
     invariant so restores never silently degrade ``engine="kernel"``
     runs to the per-cycle interpreter.
     """
-    if sim.detached or sim._monitors:
+    if sim._monitors:
         return False
     sch = sim.scheduler
     sch._ensure_built()

@@ -22,8 +22,7 @@ Three settle engines are available:
   stop predicate inside that loop.  Falls back to the levelized
   per-cycle path automatically whenever the fast path cannot apply
   (monitors, an armed inject hook, ``step``, unhinted modules, mid-run
-  ``add``, detached simulators) -- observables are bit-identical
-  either way.
+  ``add``) -- observables are bit-identical either way.
 * ``engine="brute"`` -- the original bounded fixpoint that re-evaluates
   every module and snapshots every wire per iteration.  Kept as the
   semantic reference: the equivalence tests pin the other engines
@@ -82,7 +81,6 @@ class Simulator:
         # hook needs every cycle); it re-arms when the hook disarms.
         self._inject_hook: Optional[Callable[["Simulator"], None]] = None
         self._prev_values: Dict[int, int] = {}   # brute engine only
-        self._adopted_activity: Dict[Tuple[str, str], int] = None
         # kernel engine only: the compiled cycle kernel for the current
         # (topology, watch count) pair.  None means no usable kernel --
         # either never compiled or the topology is unsupported; the
@@ -144,40 +142,6 @@ class Simulator:
             f"{self.max_settle_iters} iterations at cycle {self.cycle}"
         )
 
-    def adopt_remote(self, cycle: int,
-                     activity: Dict[Tuple[str, str], int],
-                     samples: Dict[str, List[int]],
-                     resumed_from: int = 0) -> None:
-        """Adopt the observable state of a run that happened in another
-        process (the batch runner's ``process`` executor): cycle count,
-        per-wire toggle counts, waveform samples.
-
-        An already-advanced simulator may adopt only a remote run that
-        *resumed from its own snapshot* (``resumed_from`` equals the
-        local cycle): the remote observables then cover the local
-        prefix bit-for-bit, so adoption loses nothing.
-
-        The local module registers were never advanced (or are now
-        behind the adopted run), so the simulator becomes *detached*:
-        further ``run``/``step`` calls raise instead of silently mixing
-        fresh local state into the adopted results.
-        """
-        if self.cycle != 0 and self.cycle != resumed_from:
-            raise SimulationError(
-                f"cannot adopt a remote run into {self.name!r}: the "
-                f"local simulator advanced to cycle {self.cycle}, but "
-                f"the remote run resumed from cycle {resumed_from} -- "
-                f"its observables would not cover the local prefix"
-            )
-        self.cycle = cycle
-        self._adopted_activity = dict(activity)
-        self.waveform.samples = {k: list(v) for k, v in samples.items()}
-
-    @property
-    def detached(self) -> bool:
-        """True once :meth:`adopt_remote` replaced local execution."""
-        return self._adopted_activity is not None
-
     def step(self):
         """Advance one full clock cycle.
 
@@ -186,12 +150,6 @@ class Simulator:
         steps) re-dispatches every cycle, which is exactly the overhead
         the kernel exists to amortize -- multi-cycle runs, including
         run-until-event ones, go through :meth:`run` instead."""
-        if self.detached:
-            raise SimulationError(
-                f"simulator {self.name!r} adopted a remote run; its "
-                f"local registers never advanced, so it cannot step "
-                f"further (rebuild the scenario to keep simulating)"
-            )
         self.settle()
         hook = self._inject_hook
         if hook is not None:
@@ -268,7 +226,7 @@ class Simulator:
         kernel; returns ``(cycles completed, stop fired)`` -- ``(0,
         False)`` when the fast path cannot engage and the caller falls
         back to :meth:`step`."""
-        if self.detached or self._monitors or self._inject_hook is not None:
+        if self._monitors or self._inject_hook is not None:
             return 0, False
         sch = self.scheduler
         sch._ensure_built()
@@ -328,13 +286,9 @@ class Simulator:
     @property
     def activity(self) -> Dict[Tuple[str, str], int]:
         """Per-wire toggle counts keyed by ``(module name, wire name)``."""
-        if self._adopted_activity is not None:
-            return dict(self._adopted_activity)
         return self.scheduler.activity()
 
     def total_activity(self) -> int:
-        if self._adopted_activity is not None:
-            return sum(self._adopted_activity.values())
         return self.scheduler.total_activity()
 
     def __repr__(self):

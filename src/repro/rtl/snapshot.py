@@ -209,11 +209,6 @@ class Snapshot:
 
 def capture(sim, scenario: str = "", key: str = "") -> Snapshot:
     """Snapshot ``sim`` at its current cycle boundary."""
-    if sim.detached:
-        raise SimulationError(
-            f"cannot snapshot {sim.name!r}: it adopted a remote run, so "
-            f"local module state never advanced"
-        )
     sch = sim.scheduler
     sch._ensure_built()
     return Snapshot(
@@ -252,10 +247,6 @@ def restore(sim, snap: Snapshot) -> None:
     if snap.version != SNAPSHOT_VERSION:
         raise SimulationError(
             f"snapshot version {snap.version} != {SNAPSHOT_VERSION}"
-        )
-    if sim.detached:
-        raise SimulationError(
-            f"cannot restore into {sim.name!r}: it adopted a remote run"
         )
     sch = sim.scheduler
     sch._ensure_built()

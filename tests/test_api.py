@@ -40,8 +40,7 @@ class TestSimConfig:
         cfg = SimConfig()
         assert cfg.engine == "levelized"
         assert cfg.backend == "interp"
-        assert cfg.parallel is None
-        assert cfg.executor == "thread"
+        assert cfg.executor == "serial"
         assert cfg.jobs is None
         assert cfg.seed == 0
         assert cfg.stim is None
@@ -67,7 +66,7 @@ class TestSimConfig:
     @pytest.mark.parametrize("bad", [
         dict(cycles=0), dict(cycles=-5), dict(cycles="many"),
         dict(stim=0), dict(stim="lots"),
-        dict(seed="abc"), dict(parallel="yes"),
+        dict(seed="abc"), dict(executor="thread"),
         dict(executor="warp"), dict(jobs=0), dict(jobs="four"),
         dict(jobs=True),
     ])
@@ -94,6 +93,9 @@ class TestSimConfig:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="turbo"):
             SimConfig.from_dict({"turbo": True})
+        # the retired pool knob is just another unknown field
+        with pytest.raises(ValueError, match="known fields are"):
+            SimConfig.from_dict({"parallel": 2})
 
     def test_resolve_config_layers(self):
         base = SimConfig(seed=5)
@@ -115,7 +117,7 @@ class TestEnvKnobGarbage:
     ValueError naming the variable and echoing the offending value --
     a typo'd override must never silently run the default path."""
 
-    KNOBS = ("REPRO_ENGINE", "REPRO_EXECUTOR", "REPRO_PARALLEL")
+    KNOBS = ("REPRO_ENGINE", "REPRO_EXECUTOR")
 
     @pytest.fixture(autouse=True)
     def _clean_env(self, monkeypatch):
@@ -129,16 +131,12 @@ class TestEnvKnobGarbage:
             SimConfig()
         assert "garbage?!" in str(exc.value)
 
-    def test_sweep_rejects_garbage_parallel(self, monkeypatch):
-        # REPRO_PARALLEL is read at pool-sizing time, not construction
-        monkeypatch.setenv("REPRO_PARALLEL", "garbage?!")
-        session = Session(SimConfig(**FAST))
-        with pytest.raises(ValueError, match="REPRO_PARALLEL") as exc:
-            session.sweep(["streams"])
-        assert "garbage?!" in str(exc.value)
+    def test_retired_thread_executor_names_the_choices(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
+        with pytest.raises(ValueError, match="'serial', 'process'"):
+            SimConfig()
 
-    @pytest.mark.parametrize("var", ["REPRO_ENGINE", "REPRO_EXECUTOR",
-                                     "REPRO_PARALLEL"])
+    @pytest.mark.parametrize("var", ["REPRO_ENGINE", "REPRO_EXECUTOR"])
     def test_cli_reports_garbage_and_exits_two(self, var, monkeypatch,
                                                capsys):
         monkeypatch.setenv(var, "garbage?!")
@@ -272,80 +270,17 @@ class TestSession:
 
 
 # ---------------------------------------------------------------------------
-# deprecation shims: old kwargs path pinned bit-identical to the new one
+# compatibility keywords: the drivers' ``backend=`` pinned to the config
 # ---------------------------------------------------------------------------
 class TestDeprecationShims:
-    def _state(self, sim, cycles):
-        sim.run(cycles)
-        return sim.activity, sim.waveform.samples
-
-    @pytest.mark.parametrize("name", ["memory", "anvil_pipeline"])
-    def test_build_scenario_shims_match_session(self, name):
-        from repro.harness.scenarios import (
-            build_anvil_scenario,
-            build_scenario,
-        )
-
-        cfg = SimConfig(seed=3, stim=150, backend="pycompiled")
-        new = self._state(get_registry().build(name, cfg), 60)
-        with pytest.warns(DeprecationWarning):
-            if name.startswith("anvil_"):
-                old_sim = build_anvil_scenario(
-                    name.removeprefix("anvil_"), seed=3, stim=150,
-                    backend="pycompiled")
-            else:
-                old_sim = build_scenario(name, seed=3, stim=150,
-                                         backend="pycompiled")
-        assert self._state(old_sim, 60) == new
-
-    def test_sweep_shims_match_registered_sweeps(self):
-        from repro.harness.scenarios import build_anvil_sweep, build_sweep
-
-        session = Session(SimConfig(seed=2, stim=80))
-        for shim, name in ((build_sweep, "sweep"),
-                           (build_anvil_sweep, "anvil_sweep")):
-            new = self._state(session.build(name), 30)
-            with pytest.warns(DeprecationWarning):
-                old_sim = shim(seed=2, stim=80)
-            assert self._state(old_sim, 30) == new
-
-    def test_add_scenario_legacy_kwargs_match_config_path(self):
-        from repro import BatchSimulator
-
-        batch = BatchSimulator(parallel=False)
-        batch.add_scenario("memory", SimConfig(seed=1, stim=120),
-                           as_name="via_config")
-        batch.add_scenario("memory", seed=1, stim=120,
-                           as_name="via_kwargs")
-        # the old positional-engine call shape still resolves
-        batch.add_scenario("memory", "levelized", seed=1, stim=120,
-                           as_name="via_positional")
-        batch.run(50)
-        acts = batch.total_activity()
-        assert acts["via_config"] == acts["via_kwargs"] \
-            == acts["via_positional"] > 0
-
-    def test_add_scenario_anvil_flag_maps_to_registry_name(self):
-        from repro import BatchSimulator
-
-        batch = BatchSimulator(parallel=False)
-        sim = batch.add_scenario("aes", stim=64, anvil=True)
-        assert sim.name == "anvil_aes"
-
     def test_harness_driver_kwargs_match_config(self):
         from repro.harness import generate_table1, generate_table2
 
-        cfg = SimConfig(backend="pycompiled", parallel=False)
-        assert generate_table1(fast=True, parallel=False) \
+        cfg = SimConfig(backend="pycompiled")
+        assert generate_table1(fast=True, backend="pycompiled") \
             == generate_table1(fast=True, config=cfg)
-        assert generate_table2(parallel=False, backend="pycompiled") \
+        assert generate_table2(backend="pycompiled") \
             == generate_table2(config=cfg)
-
-    def test_legacy_scenario_dicts_still_enumerate(self):
-        from repro.harness.scenarios import ANVIL_SCENARIOS, SCENARIOS
-
-        assert set(SCENARIOS) == set(ANVIL_SCENARIOS) \
-            == {"streams", "memory", "aes", "axi", "mmu", "pipeline"}
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +338,20 @@ class TestCli:
 
     def test_harness_json_echoes_only_consumed_config(self, capsys):
         payload = _cli_json(capsys, ["table1", "--fast"])
-        assert set(payload["config"]) == {"engine", "backend", "parallel",
-                                          "executor", "jobs"}
+        assert set(payload["config"]) == {"engine", "backend", "executor",
+                                          "jobs"}
         payload = _cli_json(capsys, ["appendix-a", "--fast"])
         assert set(payload["config"]) == {"engine", "backend"}
+
+    @pytest.mark.parametrize("flags", [["--executor", "thread"],
+                                       ["--parallel", "2"]],
+                             ids=["executor-thread", "parallel"])
+    def test_sweep_rejects_retired_pool_flags(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sweep", "streams", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flags[0] in err
 
     def test_sweep_json(self, capsys):
         payload = _cli_json(capsys, [
@@ -433,7 +378,7 @@ class TestCli:
         assert {"design", "area_overhead"} <= set(rows[0])
 
     def test_table2_json(self, capsys):
-        payload = _cli_json(capsys, ["table2", "--parallel", "0"])
+        payload = _cli_json(capsys, ["table2", "--executor", "serial"])
         assert payload["result"]["opentitan"]["unsafe_rejected"]
         assert not payload["result"]["stream_fifo"]["anvil_data_lost"]
 
@@ -445,7 +390,7 @@ class TestCli:
         assert not result["bmc_full_width"]["found_violation"]
 
     def test_figures_smoke(self, capsys):
-        assert cli_main(["figures", "--parallel", "0"]) == 0
+        assert cli_main(["figures", "--executor", "serial"]) == 0
         out = capsys.readouterr().out
         for fig in ("figure1", "figure2_bsv", "figure4", "figure8"):
             assert fig in out

@@ -1,15 +1,14 @@
-"""The executor subsystem (`repro.rtl.executors` + `repro.rtl.batch`):
-JobSpec declarativeness and picklability, serial/thread/process
-equivalence pinned bit-identical across engines x backends, clean
-failure propagation with worker tracebacks, deterministic
-submission-order results, and the REPRO_PARALLEL parsing contract."""
+"""The executor subsystem (`repro.rtl.executors`): JobSpec
+declarativeness and picklability, serial/process equivalence pinned
+bit-identical across engines x backends, clean failure propagation with
+worker tracebacks, deterministic submission-order results, and
+``run_batch``'s input validation."""
 
 import pickle
 
 import pytest
 
 from repro.api import Session, SimConfig, UnknownScenarioError
-from repro.rtl.batch import BatchSimulator, _env_parallel, _pool_size, run_batch
 from repro.rtl.executors import (
     EXECUTORS,
     ExecutorError,
@@ -19,6 +18,7 @@ from repro.rtl.executors import (
     _warm_specs,
     execute_job,
     get_executor,
+    run_batch,
 )
 
 #: small workloads throughout -- these tests pin behaviour, not perf
@@ -91,13 +91,13 @@ class TestExecutorEquivalence:
         ("brute", "pycompiled"),
     ])
     def test_sweep_bit_identical_across_executors(self, engine, backend):
-        """serial, thread and process sweeps must agree on waveforms
-        and per-wire activity for every engine x backend pair."""
+        """serial and process sweeps must agree on waveforms and
+        per-wire activity for every engine x backend pair."""
         session = Session(SimConfig(**FAST, engine=engine,
                                     backend=backend))
         names = ["memory", "anvil_streams"]
         reference = session.sweep(names, executor="serial")
-        for executor in ("thread", "process"):
+        for executor in [e for e in EXECUTORS if e != "serial"]:
             swept = session.sweep(names, executor=executor, **POOL)
             for name in names:
                 assert swept[name].activity \
@@ -105,7 +105,7 @@ class TestExecutorEquivalence:
                 assert swept[name].waveform.samples \
                     == reference[name].waveform.samples, (executor, name)
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_seed_sweep_matches_solo_runs(self, executor):
         """``seeds=`` runs every scenario once per seed, keyed
         ``name@s<seed>``; each keyed result must equal a solo run of
@@ -154,30 +154,11 @@ class TestExecutorEquivalence:
         # remote runs carry data, not simulators
         assert swept["streams"].sim is None
 
-    def test_batch_simulator_adopts_remote_runs(self):
-        cfg = SimConfig(stim=100)
-        reference = BatchSimulator(parallel=False)
-        reference.add_scenario("memory", cfg)
-        reference.add_scenario("streams", cfg)
-        reference.run(40)
-
-        batch = BatchSimulator()
-        batch.add_scenario("memory", cfg)
-        batch.add_scenario("streams", cfg)
-        batch.run(40, executor="process", parallel=2)
-        assert batch.total_activity() == reference.total_activity()
-        assert batch.cycles() == {"memory": 40, "streams": 40}
-        assert batch["memory"].waveform.samples \
-            == reference["memory"].waveform.samples
-        assert batch["memory"].detached
-
-    def test_adopted_simulators_refuse_to_advance(self):
-        batch = BatchSimulator()
-        batch.add_scenario("memory", SimConfig(stim=60))
-        batch.run(20, executor="process", parallel=2)
-        from repro.errors import SimulationError
-        with pytest.raises(SimulationError, match="remote"):
-            batch["memory"].run(1)
+    def test_one_worker_process_run_crosses_the_pickle_boundary(self):
+        # the executor name alone picks the path: a one-worker pool is
+        # still a process pool, not a serial run in disguise
+        results = run_batch([_spec("memory")], "process", workers=1)
+        assert results["memory"].sim is None
 
 
 # ---------------------------------------------------------------------------
@@ -202,48 +183,7 @@ class TestFailurePropagation:
                  _spec("bad_b", scenario="nonesuch_b")]
         for executor in EXECUTORS:
             with pytest.raises(KeyError, match="nonesuch_a"):
-                run_batch(specs, parallel=2, executor=executor)
-
-    def test_thread_thunk_failures_still_propagate(self):
-        def boom():
-            raise ValueError("thunk exploded")
-        with pytest.raises(ValueError, match="thunk exploded"):
-            run_batch([("ok", lambda: 1), ("boom", boom)], parallel=2)
-
-    def test_process_rejects_unpicklable_thunk_jobs(self):
-        with pytest.raises(TypeError, match="JobSpec"):
-            run_batch([("thunk", lambda: 1)], parallel=2,
-                      executor="process")
-
-    def test_batch_simulator_demands_provenance_for_process(self):
-        from repro.api import get_registry
-        batch = BatchSimulator()
-        batch.add(get_registry().build("memory", SimConfig(stim=60)))
-        with pytest.raises(ValueError, match="provenance"):
-            batch.run(10, executor="process", parallel=2)
-
-    def test_batch_simulator_process_resumes_advanced_sims(self):
-        # the historical "one-shot only" restriction is gone: an
-        # already-advanced sim ships a snapshot with its JobSpec and
-        # the worker resumes it bit-identically...
-        batch = BatchSimulator()
-        batch.add_scenario("memory", SimConfig(stim=60))
-        batch.run(10, parallel=False)          # advance locally first
-        batch.run(10, executor="process", parallel=2)
-        reference = BatchSimulator()
-        reference.add_scenario("memory", SimConfig(stim=60))
-        reference.run(20, parallel=False)
-        assert batch["memory"].cycle == 20
-        assert batch["memory"].activity == reference["memory"].activity
-
-    def test_batch_simulator_detached_sims_stay_one_shot(self):
-        # ...but a sim that already adopted a remote run holds no local
-        # state to snapshot and still refuses
-        batch = BatchSimulator()
-        batch.add_scenario("memory", SimConfig(stim=60))
-        batch.run(10, executor="process", parallel=2)
-        with pytest.raises(ValueError, match="adopted a remote run"):
-            batch.run(10, executor="process", parallel=2)
+                run_batch(specs, executor, workers=2)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +194,7 @@ class TestDeterminism:
         names = ["pipeline", "aes", "memory", "streams"]
         specs = [_spec(n) for n in names]
         for executor in EXECUTORS:
-            results = run_batch(specs, parallel=2, executor=executor)
+            results = run_batch(specs, executor, workers=2)
             assert list(results) == names, executor
 
     def test_chunked_sharding_covers_every_job(self):
@@ -302,66 +242,20 @@ class TestWarmup:
 
 
 # ---------------------------------------------------------------------------
-# the REPRO_PARALLEL contract
-# ---------------------------------------------------------------------------
-class TestPoolSizeEnv:
-    @pytest.mark.parametrize("value", ["0", "false", "no", "off", " OFF "])
-    def test_falsy_values_force_serial(self, value, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", value)
-        assert _pool_size(None, 8) == 1
-
-    def test_positive_integer_forces_worker_count(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "3")
-        assert _pool_size(None, 8) == 3
-        # the environment wins over the call-site knob
-        assert _pool_size(False, 8) == 3
-
-    @pytest.mark.parametrize("value", ["auto", "true", "yes", "on", ""])
-    def test_auto_values_fall_through(self, value, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", value)
-        assert _env_parallel() is None
-        assert _pool_size(False, 8) == 1
-        assert _pool_size(4, 8) == 4
-
-    @pytest.mark.parametrize("value", ["junk", "-2", "1.5", "none"])
-    def test_garbage_is_a_clear_error(self, value, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", value)
-        with pytest.raises(ValueError, match="REPRO_PARALLEL"):
-            _pool_size(None, 8)
-
-    def test_unset_resolves_from_the_call_site(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-        assert _pool_size(False, 8) == 1
-        assert _pool_size(6, 8) == 6
-        assert _pool_size(None, 8) >= 1
-
-    def test_repro_parallel_zero_forces_serial_even_for_process(
-            self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "0")
-        # degrades to in-process serial execution of the same JobSpecs
-        results = run_batch([_spec("memory")], executor="process")
-        assert results["memory"].sim is not None
-
-    def test_repro_parallel_one_keeps_the_process_pool(self, monkeypatch):
-        # a forced worker count of 1 is NOT the serial escape hatch: a
-        # one-process pool still crosses the pickling boundary, which
-        # is exactly what a debugging run wants to exercise
-        monkeypatch.setenv("REPRO_PARALLEL", "1")
-        results = run_batch([_spec("memory")], executor="process")
-        assert results["memory"].sim is None
-
-
-# ---------------------------------------------------------------------------
 # batch-level input validation
 # ---------------------------------------------------------------------------
 class TestRunBatchValidation:
     def test_duplicate_job_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate job name"):
-            run_batch([_spec("memory"), _spec("memory")],
-                      parallel=False)
-        with pytest.raises(ValueError, match="duplicate job name"):
-            run_batch([("x", lambda: 1), ("x", lambda: 2)],
-                      parallel=False)
+            run_batch([_spec("memory"), _spec("memory")])
+
+    def test_run_batch_rejects_non_jobspecs(self):
+        # closures do not pickle, so no executor takes them; the error
+        # names the first offending argument
+        for executor in EXECUTORS:
+            with pytest.raises(TypeError, match=r"JobSpecs only.*'thunk'"):
+                run_batch([_spec("memory"), ("thunk", lambda: 1)],
+                          executor)
 
     def test_sweep_rejects_duplicate_scenarios(self):
         with pytest.raises(ValueError, match="duplicate job name"):

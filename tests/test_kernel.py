@@ -3,7 +3,7 @@ observables against the brute and levelized references across every
 registry scenario, backend and executor; the in-kernel stop predicate
 of ``run(n, stop=...)`` pinned to a ``step()``-by-step reference;
 explicit coverage of the bail-out paths (monitors, mid-run ``add``,
-detached and unhinted simulators); the compile cache; and the waveform
+unhinted simulators); the compile cache; and the waveform
 render/watch and order-sensitive topology fingerprint fixes."""
 
 import pytest
@@ -17,6 +17,7 @@ from repro import (
     get_registry,
 )
 from repro.rtl import kernel
+from repro.rtl.executors import EXECUTORS
 from repro.rtl.simulator import ENGINES
 from repro.rtl.testing import PortSink, PortSource, make_port
 from repro.rtl.waveform import Waveform
@@ -70,7 +71,7 @@ class TestEngineEquivalence:
         assert sim._kernel is not None
         assert "_KERNEL" in sim._kernel.source
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_executors_bit_identical_under_kernel(self, executor):
         names = ["streams", "anvil_mmu"]
         reference = Session(SimConfig(
@@ -164,12 +165,6 @@ class TestBailouts:
         assert sim._kernel is not None
         with pytest.raises(SimulationError, match="exceeded 5 cycles"):
             sim.run_until(lambda: False, limit=5)
-
-    def test_detached_simulator_refuses_to_run(self):
-        sim = Simulator("remote", engine="kernel")
-        sim.adopt_remote(10, {("m", "w"): 3}, {"sig": [1] * 10})
-        with pytest.raises(SimulationError, match="adopted a remote run"):
-            sim.run(1)
 
     def test_unhinted_modules_fall_back_silently(self):
         from repro.designs.memory import RawMemory
@@ -405,13 +400,6 @@ class TestStopPredicate:
         assert outcomes["kernel"] == outcomes["levelized"] \
             == outcomes["brute"]
         assert outcomes["kernel"][1] == 4
-
-    def test_detached_simulator_raises_like_a_plain_run(self):
-        sim = Simulator("remote", engine="kernel")
-        sim.adopt_remote(10, {("m", "w"): 3}, {"sig": [1] * 10})
-        with pytest.raises(SimulationError, match="adopted a remote run"):
-            sim.run(5, stop=lambda: False)
-        assert sim.run(5, stop=lambda: True) == 0
 
     def test_fast_path_stays_ready_after_a_stopped_kernel_run(self):
         sim = _build("streams", seed=1, stim=200, engine="kernel")

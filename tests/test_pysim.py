@@ -285,15 +285,3 @@ class TestCompileCache:
         b = pysim.generate_source(
             build_process_plan(cached_memory_process()))
         assert a == b
-
-    def test_batch_add_scenario_backend_wiring(self):
-        from repro import BatchSimulator
-
-        batch = BatchSimulator(parallel=False)
-        for backend in BACKENDS:
-            batch.add_scenario("memory", anvil=True, stim=200,
-                               backend=backend,
-                               as_name=f"memory/{backend}")
-        batch.run(100)
-        acts = batch.total_activity()
-        assert acts["memory/interp"] == acts["memory/pycompiled"] > 0

@@ -1,17 +1,16 @@
 """The levelized, dirty-set scheduler: loop diagnostics, equivalence
 against the brute-force reference engine, incremental activity
-accounting, cache invalidation, and the batch runner."""
+accounting, cache invalidation, and the harness sweep on both
+executors."""
 
 import pytest
 
 from repro import (
-    BatchSimulator,
     Module,
     SimConfig,
     SimulationError,
     Simulator,
     get_registry,
-    run_batch,
 )
 from repro.rtl.testing import PortSink, PortSource, make_port
 
@@ -223,45 +222,12 @@ class TestCacheInvalidation:
         assert sch.eval_count == len(sim.modules) * sch.settle_count
 
 
-class TestRunBatch:
-    def test_run_batch_preserves_order_and_results(self):
-        jobs = [(f"j{i}", (lambda i=i: i * i)) for i in range(8)]
-        out = run_batch(jobs, parallel=4)
-        assert list(out) == [f"j{i}" for i in range(8)]
-        assert out["j5"] == 25
-
-    def test_run_batch_serial_fallback(self):
-        out = run_batch([("a", lambda: 1), ("b", lambda: 2)],
-                        parallel=False)
-        assert out == {"a": 1, "b": 2}
-
-    def test_run_batch_propagates_errors(self):
-        with pytest.raises(ValueError):
-            run_batch([("ok", lambda: 1),
-                       ("boom", lambda: (_ for _ in ()).throw(
-                           ValueError("x")))], parallel=2)
-
-    def test_batch_simulator_sweep(self):
-        batch = BatchSimulator(parallel=2)
-        for name in ("streams", "pipeline"):
-            batch.add(_build(name, seed=1, stim=300))
-        batch.run(150)
-        assert batch.cycles() == {"streams": 150, "pipeline": 150}
-        acts = batch.total_activity()
-        assert all(v > 0 for v in acts.values())
-
-    def test_batch_simulator_rejects_duplicate_names(self):
-        batch = BatchSimulator()
-        batch.add(Simulator("x"))
-        with pytest.raises(ValueError):
-            batch.add(Simulator("x"))
-
-
 class TestHarnessParallelPaths:
     def test_generate_table2_parallel_matches_serial(self):
         from repro.harness import generate_table2
 
-        serial = generate_table2(parallel=False)
-        concurrent = generate_table2(parallel=True)
-        assert serial == concurrent
+        serial = generate_table2(config=SimConfig(executor="serial"))
+        pooled = generate_table2(
+            config=SimConfig(executor="process", jobs=2))
+        assert serial == pooled
         assert serial["opentitan"]["unsafe_rejected"]

@@ -1,5 +1,5 @@
 """The checkpoint layer: snapshot/restore bit-identity, the prefix
-cache, cross-process resumption, and the error surface.
+cache, snapshot transport (pickles and files), and the error surface.
 
 The correctness bar for everything here is *bit-identity*: a simulator
 restored at cycle k and run to N must be indistinguishable -- waveform
@@ -16,8 +16,6 @@ import pytest
 from repro import Session, SimConfig, get_registry
 from repro.errors import SimulationError
 from repro.rtl import snapshot as snap_mod
-from repro.rtl.batch import BatchSimulator
-from repro.rtl.executors import JobSpec, get_executor
 from repro.rtl.kernel import fast_path_ready
 from repro.rtl.simulator import ENGINES, advance
 from repro.rtl.snapshot import (
@@ -145,7 +143,7 @@ class TestRestoreBitIdentity:
 
 
 # ---------------------------------------------------------------------------
-# snapshots travel: pickling, disk files, the process pool
+# snapshots travel: pickling and disk files
 # ---------------------------------------------------------------------------
 class TestSnapshotTransport:
     def test_snapshot_pickle_round_trip(self):
@@ -177,57 +175,6 @@ class TestSnapshotTransport:
         path.write_bytes(pickle.dumps({"not": "a snapshot"}))
         with pytest.raises(SimulationError, match="not a repro checkpoint"):
             load_checkpoint(path)
-
-    def test_process_pool_worker_resumes_a_shipped_snapshot(self):
-        cfg = SimConfig(cycles=90, stim=200)
-        prefix = get_registry().build("streams", cfg)
-        prefix.run(30)
-        spec = JobSpec(
-            kind="run_scenario", name="resumed", scenario="streams",
-            config=cfg, cycles=90,
-            params=(("resume_from", capture(prefix, scenario="streams")),),
-        )
-        results = get_executor("process", 1).run([spec])
-        run = results["resumed"]
-        assert run.resumed_from == 30
-        assert run.cycles == 90
-        reference = get_registry().build("streams", cfg)
-        reference.run(90)
-        assert run.activity == reference.activity
-        assert run.samples == reference.waveform.samples
-
-    def test_advanced_batch_resumes_on_the_process_executor(self):
-        cfg = SimConfig(cycles=200, stim=500)
-        batch = BatchSimulator()
-        for name in ("streams", "memory"):
-            batch.add_scenario(name, cfg)
-        batch.run(120)      # local, so the sims hold cycle-120 state
-        # ships cycle-120 snapshots to the pool; workers rebuild,
-        # restore, and simulate only the 80-cycle tail
-        batch.run(80, executor="process", parallel=2)
-        for name in ("streams", "memory"):
-            reference = get_registry().build(name, cfg)
-            reference.run(200)
-            assert batch[name].cycle == 200
-            assert batch[name].activity == reference.activity
-            samples = batch[name].waveform.samples
-            assert samples == reference.waveform.samples, name
-
-    def test_batch_snapshot_restore_round_trip(self):
-        cfg = SimConfig(cycles=100, stim=300)
-        batch = BatchSimulator()
-        batch.add_scenario("streams", cfg)
-        batch.add_scenario("memory", cfg)
-        batch.run(50)
-        snaps = batch.snapshot()
-        fresh = BatchSimulator()
-        fresh.add_scenario("streams", cfg)
-        fresh.add_scenario("memory", cfg)
-        fresh.restore(snaps)
-        fresh.run(50)
-        batch.run(50)
-        for name in ("streams", "memory"):
-            assert _state(fresh[name]) == _state(batch[name])
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +316,6 @@ class TestSnapshotErrors:
         with pytest.raises(SimulationError, match="structure"):
             other.restore(donor.snapshot())
 
-    def test_capture_rejects_detached_simulators(self):
-        sim = _build("streams", cycles=50, stim=200)
-        sim.adopt_remote(50, {}, {})
-        with pytest.raises(SimulationError, match="adopted a remote run"):
-            capture(sim)
-
     def test_restore_rejects_unknown_versions(self):
         sim = _build("streams", cycles=50, stim=200)
         sim.run(10)
@@ -383,9 +324,3 @@ class TestSnapshotErrors:
         fresh = _build("streams", cycles=50, stim=200)
         with pytest.raises(SimulationError, match="version"):
             fresh.restore(snap)
-
-    def test_stale_adoption_still_raises_without_a_resume(self):
-        sim = _build("streams", cycles=50, stim=200)
-        sim.run(10)
-        with pytest.raises(SimulationError, match="resumed from cycle 0"):
-            sim.adopt_remote(50, {}, {}, resumed_from=0)
