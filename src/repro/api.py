@@ -224,8 +224,21 @@ class SimConfig:
                 f"REPRO_MAX_WALL_TIME leak a typo?)"
             )
 
+    @classmethod
+    def _unknown_fields(cls, names) -> Optional[str]:
+        """The error text for any of ``names`` that is not a field."""
+        known = {f.name for f in dataclasses.fields(cls)}
+        unknown = sorted(set(names) - known)
+        if not unknown:
+            return None
+        return (f"unknown SimConfig field(s) {_choices(unknown)}: known "
+                f"fields are {_choices(sorted(known))}")
+
     def replace(self, **overrides) -> "SimConfig":
         """A copy with ``overrides`` applied (re-validated)."""
+        problem = self._unknown_fields(overrides)
+        if problem:
+            raise TypeError(problem)
         return dataclasses.replace(self, **overrides)
 
     def to_dict(self) -> Dict[str, object]:
@@ -235,13 +248,9 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SimConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown SimConfig field(s) {_choices(unknown)}: known "
-                f"fields are {_choices(sorted(known))}"
-            )
+        problem = cls._unknown_fields(data)
+        if problem:
+            raise ValueError(problem)
         return cls(**data)
 
     def to_json(self) -> str:

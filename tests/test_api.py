@@ -1,6 +1,7 @@
 """The unified run-time surface (`repro.api`) and the `python -m repro`
-CLI: SimConfig validation, the scenario registry, Session runs/sweeps,
-the deprecation shims (pinned bit-identical to the new path), and a
+CLI: SimConfig validation, the scenario registry, Session runs/sweeps
+and the executor each entry point routes to, the harness drivers'
+compatibility keywords (pinned bit-identical to the config path), and a
 smoke pass over every CLI subcommand."""
 
 import json
@@ -55,6 +56,23 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="REPRO_EXECUTOR"):
             SimConfig()
 
+    @pytest.mark.parametrize("env,explicit,expected", [
+        (None, None, "serial"),
+        ("", None, "serial"),
+        ("serial", None, "serial"),
+        ("process", "serial", "serial"),
+        ("serial", "process", "process"),
+        (None, "process", "process"),
+    ])
+    def test_executor_resolution_order(self, env, explicit, expected,
+                                       monkeypatch):
+        # explicit value, then $REPRO_EXECUTOR, then serial
+        if env is None:
+            monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_EXECUTOR", env)
+        assert SimConfig(executor=explicit).executor == expected
+
     def test_unknown_engine_names_the_choices(self):
         with pytest.raises(ValueError, match="'levelized'"):
             SimConfig(engine="warp")
@@ -96,6 +114,13 @@ class TestSimConfig:
         # the retired pool knob is just another unknown field
         with pytest.raises(ValueError, match="known fields are"):
             SimConfig.from_dict({"parallel": 2})
+
+    def test_replace_rejects_unknown_fields_naming_the_known_ones(self):
+        # the server applies job-config overrides through replace()
+        with pytest.raises(TypeError, match="'parallel'") as exc:
+            SimConfig().replace(parallel=2, seed=1)
+        assert "known fields are" in str(exc.value)
+        assert "'executor'" in str(exc.value)
 
     def test_resolve_config_layers(self):
         base = SimConfig(seed=5)
@@ -282,6 +307,107 @@ class TestDeprecationShims:
         assert generate_table2(backend="pycompiled") \
             == generate_table2(config=cfg)
 
+    @pytest.mark.parametrize("driver", ["generate_table1",
+                                        "generate_table2",
+                                        "generate_figures", "appendix_a"])
+    def test_harness_drivers_take_no_parallel_keyword(self, driver):
+        # the pool is configured once, through SimConfig.executor/jobs
+        import repro.harness
+
+        with pytest.raises(TypeError, match="parallel"):
+            getattr(repro.harness, driver)(parallel=False)
+
+    def test_harness_exports_no_scenario_shims(self):
+        import repro.harness
+
+        for name in ("SCENARIOS", "ANVIL_SCENARIOS", "build_scenario",
+                     "build_sweep", "build_anvil_scenario",
+                     "build_anvil_sweep"):
+            assert not hasattr(repro.harness, name), name
+            assert name not in repro.harness.__all__, name
+
+    def test_get_registry_registers_bundled_scenarios_itself(self):
+        # a fresh interpreter that never names the harness still sees
+        # the bundled scenarios: get_registry() imports their module
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH")
+            else "")
+        code = ("from repro import get_registry; "
+                "print(' '.join(get_registry().names()))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        names = proc.stdout.split()
+        for family in ("streams", "memory", "aes", "axi", "mmu",
+                       "pipeline", "sweep"):
+            assert family in names and f"anvil_{family}" in names
+
+
+# ---------------------------------------------------------------------------
+# routing: every sweep entry point hands its JobSpecs to run_batch
+# ---------------------------------------------------------------------------
+class TestSweepRouting:
+    @pytest.fixture
+    def routed(self, monkeypatch):
+        """Record each run_batch call's (executor, workers), then run
+        the batch serially so results stay real and cheap."""
+        import importlib
+
+        import repro.api
+        from repro.rtl import executors
+
+        calls = []
+
+        def spy(specs, executor="serial", workers=None):
+            calls.append((executor, workers))
+            return executors.run_batch(specs, "serial")
+
+        monkeypatch.setattr(repro.api, "run_batch", spy)
+        # the package re-exports the driver function under the
+        # module's own name, so reach the module itself
+        monkeypatch.setattr(
+            importlib.import_module("repro.harness.appendix_a"),
+            "run_batch", spy)
+        return calls
+
+    @pytest.mark.parametrize("entry", ["sweep", "inject_campaign",
+                                       "bench"])
+    def test_entry_points_forward_executor_and_jobs(self, entry, routed):
+        session = Session(SimConfig(stim=100, cycles=40,
+                                    executor="process", jobs=3))
+        if entry == "sweep":
+            session.sweep(["streams"])
+        elif entry == "inject_campaign":
+            session.inject_campaign("streams", faults=4)
+        else:
+            session.bench(["streams"], cycles=20, warmup=1,
+                          executor="process")
+        assert routed == [("process", 3)]
+
+    def test_bench_measures_serially_unless_asked(self, routed):
+        rows = Session(SimConfig(stim=100, executor="process",
+                                 jobs=3)).bench(["streams"], cycles=20,
+                                                warmup=1)
+        assert rows[0]["equivalent"]
+        assert routed == [("serial", 3)]
+
+    def test_appendix_a_runs_serially_by_default(self, routed):
+        from repro.harness import appendix_a
+
+        appendix_a(config=SimConfig(executor="process"), fast=True)
+        assert [executor for executor, _ in routed] == ["serial"]
+
+    def test_run_batch_is_the_executors_entry_point(self):
+        import repro
+        from repro.rtl import executors
+
+        assert repro.run_batch is executors.run_batch
+        assert "BatchSimulator" not in repro.__all__
+        with pytest.raises(ModuleNotFoundError):
+            __import__("repro.rtl.batch")
+
 
 # ---------------------------------------------------------------------------
 # the CLI
@@ -343,15 +469,22 @@ class TestCli:
         payload = _cli_json(capsys, ["appendix-a", "--fast"])
         assert set(payload["config"]) == {"engine", "backend"}
 
+    @pytest.mark.parametrize("command", [
+        ["sweep", "streams"], ["bench", "streams"], ["inject", "streams"],
+        ["table1"], ["table2"], ["figures"], ["serve"],
+    ], ids=lambda argv: argv[0])
     @pytest.mark.parametrize("flags", [["--executor", "thread"],
                                        ["--parallel", "2"]],
                              ids=["executor-thread", "parallel"])
-    def test_sweep_rejects_retired_pool_flags(self, flags, capsys):
+    def test_pool_commands_reject_retired_flags(self, command, flags,
+                                                capsys):
         with pytest.raises(SystemExit) as exc:
-            cli_main(["sweep", "streams", *flags])
+            cli_main([*command, *flags])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert flags[0] in err
+        if flags[1] == "thread":
+            assert "'serial', 'process'" in err
 
     def test_sweep_json(self, capsys):
         payload = _cli_json(capsys, [

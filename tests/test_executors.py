@@ -2,7 +2,7 @@
 declarativeness and picklability, serial/process equivalence pinned
 bit-identical across engines x backends, clean failure propagation with
 worker tracebacks, deterministic submission-order results, and
-``run_batch``'s input validation."""
+``run_batch``'s input validation and pool sizing."""
 
 import pickle
 
@@ -244,19 +244,100 @@ class TestWarmup:
 # ---------------------------------------------------------------------------
 # batch-level input validation
 # ---------------------------------------------------------------------------
+def _never_run(*_args, **_kwargs):
+    raise AssertionError("a rejected batch must not run any job")
+
+
 class TestRunBatchValidation:
     def test_duplicate_job_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate job name"):
             run_batch([_spec("memory"), _spec("memory")])
 
-    def test_run_batch_rejects_non_jobspecs(self):
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_duplicates_rejected_before_any_job_runs(self, executor):
+        # both specs would fail if run; the batch-level check wins
+        specs = [_spec("x", scenario="nonesuch"),
+                 _spec("x", scenario="nonesuch")]
+        with pytest.raises(ValueError, match=r"duplicate job name.*'x'"):
+            run_batch(specs, executor, workers=2)
+
+    @pytest.mark.parametrize("bad", [
+        ("thunk", lambda: 1),
+        lambda: 1,
+        "memory",
+        {"kind": "run_scenario", "name": "memory"},
+        None,
+    ], ids=["thunk-tuple", "callable", "scenario-name", "dict", "none"])
+    def test_run_batch_rejects_non_jobspecs(self, bad, monkeypatch):
         # closures do not pickle, so no executor takes them; the error
-        # names the first offending argument
+        # names the first offending argument and nothing runs
+        import repro.rtl.executors as executors
+
+        monkeypatch.setattr(executors, "execute_job", _never_run)
         for executor in EXECUTORS:
-            with pytest.raises(TypeError, match=r"JobSpecs only.*'thunk'"):
-                run_batch([_spec("memory"), ("thunk", lambda: 1)],
+            with pytest.raises(TypeError, match="JobSpecs only") as exc:
+                run_batch([_spec("memory"), bad, ("second", None)],
                           executor)
+            assert repr(bad) in str(exc.value)
+            assert type(bad).__name__ in str(exc.value)
+            assert "'second'" not in str(exc.value)
+
+    @pytest.mark.parametrize("name", ["thread", "threads", "Serial", ""])
+    def test_run_batch_rejects_unknown_executor_names(self, name,
+                                                      monkeypatch):
+        import repro.rtl.executors as executors
+
+        monkeypatch.setattr(executors, "execute_job", _never_run)
+        with pytest.raises(ValueError, match="'serial', 'process'"):
+            run_batch([_spec("memory")], name)
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_empty_batch_is_an_empty_result(self, executor):
+        assert run_batch([], executor) == {}
 
     def test_sweep_rejects_duplicate_scenarios(self):
         with pytest.raises(ValueError, match="duplicate job name"):
             Session(SimConfig(**FAST)).sweep(["streams", "streams"])
+
+
+# ---------------------------------------------------------------------------
+# pool sizing: one knob (``workers``/``jobs``), no environment override
+# ---------------------------------------------------------------------------
+class TestPoolSizing:
+    @pytest.mark.parametrize("n_specs,cpus,workers,expected", [
+        (1, 8, None, 1),        # never more workers than jobs
+        (3, 2, None, 2),        # never more workers than cores
+        (4, 8, None, 4),
+        (2, None, None, 1),     # an unknown core count means one
+        (2, 1, 3, 3),           # an explicit size is taken as given
+    ])
+    def test_default_workers_are_min_of_jobs_and_cpus(
+            self, n_specs, cpus, workers, expected, monkeypatch):
+        import repro.rtl.executors as executors
+
+        seen = []
+
+        class _Recorder:
+            def run(self, specs):
+                return {s.name: None for s in specs}
+
+        def spy(name, n):
+            seen.append((name, n))
+            return _Recorder()
+
+        monkeypatch.setattr(executors.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(executors, "get_executor", spy)
+        specs = [_spec(f"memory#{i}", scenario="memory")
+                 for i in range(n_specs)]
+        assert list(run_batch(specs, "process", workers)) \
+            == [s.name for s in specs]
+        assert seen == [("process", expected)]
+
+    @pytest.mark.parametrize("value", ["0", "garbage?!"])
+    def test_retired_pool_env_is_not_read(self, value, monkeypatch):
+        # a stale REPRO_PARALLEL neither turns the process pool into a
+        # serial run nor fails the sweep
+        monkeypatch.setenv("REPRO_PARALLEL", value)
+        swept = Session(SimConfig(**FAST)).sweep(
+            ["memory"], executor="process", **POOL)
+        assert swept["memory"].sim is None

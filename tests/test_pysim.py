@@ -8,7 +8,15 @@ import random
 
 import pytest
 
-from repro import Process, Side, SimConfig, System, build_simulation, get_registry
+from repro import (
+    Process,
+    Side,
+    SimConfig,
+    System,
+    build_simulation,
+    get_registry,
+    run_batch,
+)
 from repro.codegen import pysim
 from repro.codegen import rexpr as rx
 from repro.codegen.simfsm import compile_process
@@ -17,6 +25,7 @@ from repro.errors import ContractViolationError
 from repro.lang.channels import ChannelDef, LifetimeSpec, MessageDef
 from repro.lang.terms import let, read, recv, send, set_reg, var
 from repro.lang.types import Logic
+from repro.rtl.executors import EXECUTORS, JobSpec
 
 BACKENDS = ("interp", "pycompiled")
 
@@ -285,3 +294,17 @@ class TestCompileCache:
         b = pysim.generate_source(
             build_process_plan(cached_memory_process()))
         assert a == b
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_run_batch_backend_wiring(self, executor):
+        # each job's config picks its FSM backend, in one mixed batch
+        specs = [JobSpec(kind="run_scenario", name=f"memory/{backend}",
+                         scenario="anvil_memory", config=SimConfig(
+                             backend=backend, stim=200, cycles=100))
+                 for backend in BACKENDS]
+        out = run_batch(specs, executor, workers=2)
+        assert out["memory/interp"].activity \
+            == out["memory/pycompiled"].activity
+        assert out["memory/interp"].total_activity > 0
+        assert out["memory/interp"].samples \
+            == out["memory/pycompiled"].samples

@@ -1,7 +1,7 @@
 """The levelized, dirty-set scheduler: loop diagnostics, equivalence
 against the brute-force reference engine, incremental activity
-accounting, cache invalidation, and the harness sweep on both
-executors."""
+accounting, cache invalidation, the batch runner, and the harness
+sweep on both executors."""
 
 import pytest
 
@@ -11,13 +11,22 @@ from repro import (
     SimulationError,
     Simulator,
     get_registry,
+    run_batch,
 )
+from repro.rtl.executors import EXECUTORS, JobSpec
 from repro.rtl.testing import PortSink, PortSource, make_port
 
 
 def _build(name, **config):
     """Registry-backed scenario elaboration (the canonical code path)."""
     return get_registry().build(name, SimConfig(**config))
+
+
+def _job(name, scenario, cycles=40, **config):
+    """A ``run_scenario`` job over the same registry path as _build."""
+    config.setdefault("stim", 100)
+    return JobSpec(kind="run_scenario", name=name, scenario=scenario,
+                   config=SimConfig(cycles=cycles, **config))
 
 
 class Inverter(Module):
@@ -220,6 +229,43 @@ class TestCacheInvalidation:
         sch = sim.scheduler
         # every module exactly once per cycle: the levelized floor
         assert sch.eval_count == len(sim.modules) * sch.settle_count
+
+
+class TestRunBatch:
+    def test_run_batch_preserves_order_and_results(self):
+        specs = [_job(f"j{i}", "streams", seed=i) for i in range(8)]
+        out = run_batch(specs, "process", workers=2)
+        assert list(out) == [f"j{i}" for i in range(8)]
+        solo = _build("streams", seed=5, stim=100)
+        solo.run(40)
+        assert out["j5"].activity == solo.activity
+        assert out["j5"].samples == solo.waveform.samples
+
+    def test_run_batch_serial_fallback(self):
+        # with no executor named the batch runs serially in this
+        # process, so the live simulators come back with the results
+        out = run_batch([_job("a", "streams"), _job("b", "memory")])
+        assert list(out) == ["a", "b"]
+        assert [r.sim.cycle for r in out.values()] == [40, 40]
+
+    def test_run_batch_propagates_errors(self):
+        specs = [_job("ok", "streams"),
+                 JobSpec(kind="no_such_kind", name="boom")]
+        for executor in EXECUTORS:
+            with pytest.raises(ValueError, match="unknown job kind"):
+                run_batch(specs, executor, workers=2)
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_run_batch_sweep_matches_solo_runs(self, executor):
+        names = ("streams", "pipeline")
+        out = run_batch([_job(n, n, cycles=150, seed=1, stim=300)
+                         for n in names], executor, workers=2)
+        for name in names:
+            solo = _build(name, seed=1, stim=300)
+            solo.run(150)
+            assert out[name].final_cycle == 150
+            assert out[name].total_activity > 0
+            assert out[name].activity == solo.activity, name
 
 
 class TestHarnessParallelPaths:

@@ -454,6 +454,22 @@ def test_job_queue_rejects_invalid_shapes_before_queueing():
             q.submit(payload if isinstance(payload, dict) else payload)
 
 
+@pytest.mark.parametrize("override,named", [
+    ({"parallel": 2}, "known fields are"),
+    ({"executor": "thread"}, "'serial', 'process'"),
+], ids=["parallel", "executor-thread"])
+def test_job_queue_rejects_retired_pool_config(override, named):
+    # a client still sending the old pool knobs gets a 400-class error
+    # that says what to send instead, before anything is queued
+    from repro.server.jobs import BadSubmission
+    q = JobQueue(depth=2, workers=1)
+    with pytest.raises(BadSubmission, match="bad config override") as exc:
+        q.submit({"kind": "sweep", "scenarios": ["streams"],
+                  "config": override})
+    assert named in str(exc.value)
+    assert sum(q.stats()["states"].values()) == 0
+
+
 def test_job_queue_backpressure_without_server():
     q = JobQueue(depth=1, workers=1).start()
     try:
