@@ -187,84 +187,34 @@ def cmd_list_scenarios(args) -> int:
 
 def cmd_run(args) -> int:
     import os
-    import time
 
-    from .api import _result_of
+    from .api import run_scenario
     from .errors import SimulationError
-    from .rtl.simulator import advance
+    from .rtl.snapshot import load_checkpoint, save_checkpoint
 
     config = args.sim_config
-    if args.checkpoint_dir and not (config.checkpoint_every
-                                    or args.resume_from):
+    if args.checkpoint_dir and not config.checkpoint_every:
         print("error: --checkpoint-dir needs --checkpoint-every (or "
               "$REPRO_CHECKPOINT_EVERY) to produce checkpoints",
               file=sys.stderr)
         return 2
+
+    def write_checkpoint(cycle, snap):
+        # each checkpoint also goes to disk, so a fresh process can
+        # --resume-from it later
+        path = os.path.join(args.checkpoint_dir,
+                            f"{args.scenario}-c{cycle}-{snap.key[:12]}.ckpt")
+        save_checkpoint(path, snap)
+        print(f"checkpoint: {path}", file=sys.stderr)
+
     try:
-        if args.resume_from:
-            # resume a run from an on-disk checkpoint file: rebuild the
-            # scenario deterministically, restore, simulate the tail
-            from .rtl.snapshot import load_checkpoint
-
-            snap = load_checkpoint(args.resume_from)
-            if snap.scenario and snap.scenario != args.scenario:
-                print(f"error: {args.resume_from} was checkpointed from "
-                      f"scenario {snap.scenario!r}, not "
-                      f"{args.scenario!r}", file=sys.stderr)
-                return 2
-            sim = get_registry().build(args.scenario, config)
-            sim.restore(snap)
-            resumed = sim.cycle
-            t0 = time.perf_counter()
-            advance(sim, config.cycles - sim.cycle,
-                    max_wall_time=config.max_wall_time)
-            elapsed = time.perf_counter() - t0
-            result = _result_of(
-                args.scenario, config, sim, config.cycles, elapsed,
-                {"resumed_from": resumed,
-                 "simulated_cycles": config.cycles - resumed})
-        elif config.checkpoint_every:
-            # checkpointed run: feed the process-wide store, and write
-            # each checkpoint to --checkpoint-dir when asked so a fresh
-            # process can resume it later
-            from .rtl.snapshot import (
-                Checkpointer,
-                get_checkpoint_store,
-                prefix_key,
-                resume_longest_prefix,
-                save_checkpoint,
-            )
-
-            sim = get_registry().build(args.scenario, config)
-            store = get_checkpoint_store()
-            key = prefix_key(args.scenario, config, sim)
-
-            def on_checkpoint(cycle, snap):
-                if not args.checkpoint_dir:
-                    return
-                path = os.path.join(
-                    args.checkpoint_dir,
-                    f"{args.scenario}-c{cycle}-{key[:12]}.ckpt")
-                save_checkpoint(path, snap)
-                print(f"checkpoint: {path}", file=sys.stderr)
-
-            t0 = time.perf_counter()
-            resumed = resume_longest_prefix(sim, key, config.cycles, store)
-            recorder = Checkpointer(store, key, args.scenario,
-                                    on_checkpoint=on_checkpoint)
-            advance(sim, config.cycles - sim.cycle,
-                    max_wall_time=config.max_wall_time,
-                    every=config.checkpoint_every, on_boundary=recorder)
-            elapsed = time.perf_counter() - t0
-            result = _result_of(
-                args.scenario, config, sim, config.cycles, elapsed,
-                {"resumed_from": resumed,
-                 "simulated_cycles": config.cycles - resumed,
-                 "checkpoints_stored": recorder.stored})
-        else:
-            result = Session(config).run(args.scenario)
+        result = run_scenario(
+            args.scenario, config,
+            resume=(load_checkpoint(args.resume_from)
+                    if args.resume_from else None),
+            on_checkpoint=write_checkpoint if args.checkpoint_dir else None)
     except (OSError, SimulationError) as exc:
-        # unreadable/mismatched checkpoint files are user-input errors
+        # unreadable or refused checkpoint files are user-input errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
@@ -500,7 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="resume_from",
                    help="restore a .ckpt checkpoint file into a fresh "
                         "deterministic rebuild and simulate only the "
-                        "remaining cycles up to --cycles")
+                        "remaining cycles up to --cycles (refused when "
+                        "it was taken from another scenario, seed or "
+                        "stim, or at or past --cycles)")
     _add_config_options(p, fields=RUN_FIELDS)
     p.set_defaults(fn=cmd_run)
 

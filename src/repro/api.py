@@ -45,10 +45,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .codegen.simfsm import BACKENDS
-from .rtl.executors import EXECUTORS, JobSpec, ScenarioRun, run_batch
+from .errors import SimulationError
+from .rtl.executors import EXECUTORS, JobSpec, job_kind, run_batch
 from .rtl.simulator import ENGINES, Simulator, advance
 from .rtl.snapshot import (
     Checkpointer,
+    Snapshot,
     get_checkpoint_store,
     prefix_key,
     resume_longest_prefix,
@@ -427,15 +429,38 @@ def list_scenarios(tag: Optional[str] = None) -> List[str]:
 # ---------------------------------------------------------------------------
 # results
 # ---------------------------------------------------------------------------
+def _sampled(samples: Dict[str, List[int]]) -> Waveform:
+    """A waveform that carries sampled data only (no watched wires)."""
+    waveform = Waveform()
+    waveform.samples = {label: list(series)
+                        for label, series in samples.items()}
+    return waveform
+
+
 @dataclass(frozen=True)
 class RunResult:
-    """What one scenario run produced.
+    """What one scenario run produced: the one result type of every run
+    surface (see :func:`run_scenario`).
 
-    ``cycles`` is the cycle count this run advanced; ``activity`` is the
-    per-wire toggle map keyed by ``(module, wire)``; ``waveform`` is the
-    live waveform handle (``trace`` its rendered form when the config
-    asked for it); ``seconds`` the wall-clock of the run phase only
-    (elaboration excluded).
+    ``config`` is the config this run used (a seeded sweep's run
+    carries its own seed); ``cycles`` the run's cycle count;
+    ``activity`` the per-wire toggle map keyed by ``(module, wire)``;
+    ``waveform`` the live waveform handle (``trace`` its rendered form
+    when the config asked for it); ``seconds`` the wall-clock of
+    restoring a prefix plus simulating (elaboration excluded); ``sim``
+    the live simulator, which pickling drops (the samples cross).
+
+    ``diagnostics`` is one contract on every surface:
+
+    * ``engine``, ``modules``, ``watched_signals`` and ``final_cycle``
+      are always present;
+    * ``resumed_from`` (0 when nothing was restored) and
+      ``simulated_cycles`` whenever the run could resume: a checkpoint
+      interval, a ``from_cycle`` or a checkpoint file;
+    * ``checkpoints_stored`` whenever the run checkpoints;
+    * a sweep adds ``job_seconds`` (the job's own ``seconds``; the
+      result's is the whole sweep's) and ``sweep_size``;
+    * a server cache hit adds ``result_cache`` and ``computed_by``.
     """
 
     scenario: str
@@ -448,6 +473,12 @@ class RunResult:
     trace: Optional[str] = None
     diagnostics: Dict[str, object] = field(default_factory=dict)
     sim: Simulator = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self):
+        # simulators (and the wires a live waveform watches) stay in
+        # their process; the sampled data crosses
+        return {**self.__dict__, "sim": None,
+                "waveform": _sampled(self.waveform.samples)}
 
     @property
     def cycles_per_second(self) -> float:
@@ -506,11 +537,6 @@ class RunResult:
         for key, count in (data.get("activity") or {}).items():
             module, _, wire = key.partition("/")
             activity[(module, wire)] = count
-        waveform = Waveform()
-        waveform.samples = {
-            label: list(series)
-            for label, series in (data.get("samples") or {}).items()
-        }
         config = data.get("config")
         return cls(
             scenario=data["scenario"],
@@ -519,7 +545,7 @@ class RunResult:
             cycles=data["cycles"],
             total_activity=data["total_activity"],
             activity=activity,
-            waveform=waveform,
+            waveform=_sampled(data.get("samples") or {}),
             seconds=data.get("seconds", 0.0),
             trace=data.get("trace"),
             diagnostics=dict(data.get("diagnostics") or {}),
@@ -556,42 +582,117 @@ def _result_of(name: str, config: SimConfig, sim: Simulator,
     )
 
 
-def _result_from_scenario_run(config: SimConfig, run: ScenarioRun,
-                              seconds: float,
-                              extra_diagnostics: Optional[Dict[str, object]]
-                              = None) -> RunResult:
-    """Lift an executor job's :class:`~repro.rtl.executors.ScenarioRun`
-    into a :class:`RunResult`.  When the job ran in-process the live
-    simulator and its waveform come along; a run shipped back from a
-    worker process carries the sampled waveform data only."""
-    if run.sim is not None:
-        waveform = run.sim.waveform
-    else:
-        waveform = Waveform()
-        waveform.samples = {k: list(v) for k, v in run.samples.items()}
-    diagnostics = {
-        "engine": run.engine,
-        "modules": run.modules,
-        "watched_signals": run.watched,
-        "final_cycle": run.final_cycle,
-        "job_seconds": run.seconds,
-    }
-    if run.resumed_from:
-        diagnostics["resumed_from"] = run.resumed_from
-        diagnostics["simulated_cycles"] = run.cycles - run.resumed_from
-    diagnostics.update(extra_diagnostics or {})
-    return RunResult(
-        scenario=run.scenario,
-        config=config,
-        cycles=run.cycles,
-        total_activity=run.total_activity,
-        activity=dict(run.activity),
-        waveform=waveform,
-        seconds=seconds,
-        trace=run.trace,
-        diagnostics=diagnostics,
-        sim=run.sim,
-    )
+def _check_resumable(scenario: str, config: SimConfig, key: str,
+                     snap: Snapshot) -> None:
+    """Refuse a checkpoint file this run cannot continue."""
+    if snap.scenario and snap.scenario != scenario:
+        raise SimulationError(
+            f"the checkpoint was taken from scenario {snap.scenario!r}, "
+            f"not {scenario!r}")
+    if snap.key and snap.key != key:
+        raise SimulationError(
+            f"the checkpoint's prefix key {snap.key[:12]} differs from "
+            f"this run's {key[:12]}: it was taken under another seed, "
+            f"stim or build of {scenario!r}")
+    if snap.cycle >= config.cycles:
+        raise SimulationError(
+            f"the checkpoint is at cycle {snap.cycle}, at or past the "
+            f"run's last cycle {config.cycles}: nothing would be "
+            f"simulated")
+
+
+def run_scenario(scenario: str, config: SimConfig, *,
+                 sim: Optional[Simulator] = None,
+                 resume: Union[int, Snapshot, None] = None,
+                 on_cycle: Optional[Callable[[int], None]] = None,
+                 on_checkpoint: Optional[
+                     Callable[[int, Snapshot], None]] = None
+                 ) -> RunResult:
+    """Run one registered scenario to ``config.cycles``: the one run
+    path behind :meth:`Session.run`, the ``run_scenario`` sweep jobs,
+    the server's run jobs and ``python -m repro run``.
+
+    ``sim`` is the scenario already built under ``config``.  ``resume``
+    is a cycle (restore the deepest prefix stored at or below it) or a
+    checkpoint-file :class:`~repro.rtl.snapshot.Snapshot` (refused with
+    :class:`~repro.errors.SimulationError` when its scenario or prefix
+    key differ from this run's, or it is at or past ``config.cycles``);
+    without one, ``config.checkpoint_every`` restores the deepest prefix
+    stored up to ``config.cycles``.  ``checkpoint_every`` also stores a
+    checkpoint every N cycles and at the end, each handed to
+    ``on_checkpoint(cycle, snap)``.  ``on_cycle`` is a monitor attached
+    after the restore, so it sees absolute cycle numbers.
+    """
+    if sim is None:
+        sim = get_registry().build(scenario, config)
+    every = config.checkpoint_every
+    store = get_checkpoint_store()
+    extra: Dict[str, object] = {}
+    t0 = time.perf_counter()
+    if resume is not None or every:
+        key = prefix_key(scenario, config, sim)
+        if isinstance(resume, Snapshot):
+            _check_resumable(scenario, config, key, resume)
+            sim.restore(resume)
+        else:
+            resume_longest_prefix(
+                sim, key, config.cycles if resume is None else resume, store)
+        extra = {"resumed_from": sim.cycle,
+                 "simulated_cycles": config.cycles - sim.cycle}
+    checkpointer = (Checkpointer(store, key, scenario, on_checkpoint)
+                    if every else None)
+    if on_cycle is not None:
+        sim.on_cycle(on_cycle)
+    try:
+        advance(sim, config.cycles - sim.cycle,
+                max_wall_time=config.max_wall_time, every=every,
+                on_boundary=checkpointer)
+    finally:
+        if on_cycle is not None:
+            sim.remove_monitor(on_cycle)
+    if checkpointer is not None:
+        extra["checkpoints_stored"] = checkpointer.stored
+    return _result_of(scenario, config, sim, config.cycles,
+                      time.perf_counter() - t0, extra)
+
+
+# ---------------------------------------------------------------------------
+# the scenario job kinds (run by repro.rtl.executors on either executor)
+# ---------------------------------------------------------------------------
+@job_kind("run_scenario")
+def _run_scenario_job(spec: JobSpec) -> RunResult:
+    """Run a registered scenario under the spec's config."""
+    config = spec.config
+    if spec.cycles is not None:
+        config = config.replace(cycles=spec.cycles)
+    return run_scenario(spec.scenario, config)
+
+
+@job_kind("bench_scenario")
+def _bench_scenario_job(spec: JobSpec) -> RunResult:
+    """Best-of-N cycles/second measurement of one scenario x config.
+
+    Params: ``warmup`` (cycles run before timing starts) and ``repeats``
+    (the run is rebuilt from scratch each repeat; the best rate wins).
+    One untimed warm-up iteration runs first so one-time compile costs
+    (pycompiled sources, cycle kernels) land outside every timed
+    repeat -- without it, first-repeat compile time showed up as
+    inflated variance on small-cycle scenarios.
+    """
+    cfg = spec.config
+    warmup = spec.param("warmup", 20)
+    repeats = max(spec.param("repeats", 1), 1)
+    cycles = spec.run_cycles
+    sim = get_registry().build(spec.scenario, cfg)
+    sim.run(warmup + cycles)                 # untimed: compile caches warm
+    best_elapsed, sim = float("inf"), None
+    for _ in range(repeats):
+        sim = get_registry().build(spec.scenario, cfg)
+        sim.run(warmup)
+        t0 = time.perf_counter()
+        sim.run(cycles)
+        best_elapsed = min(best_elapsed, time.perf_counter() - t0)
+    return _result_of(spec.scenario, cfg, sim, cycles, best_elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -628,31 +729,9 @@ class Session:
 
     def run(self, scenario: str, cycles: Optional[int] = None,
             **overrides) -> RunResult:
-        """Build and run one scenario; returns a :class:`RunResult`."""
-        cfg = resolve_config(self.config, cycles=cycles, **overrides)
-        sim = self.registry.build(scenario, cfg)
-        extra = None
-        on_boundary = None
-        t0 = time.perf_counter()
-        if cfg.checkpoint_every:
-            # incremental re-simulation: restore the longest stored
-            # prefix for this (topology, stimulus), run only the tail,
-            # and leave checkpoints behind for the next caller
-            store = get_checkpoint_store()
-            key = prefix_key(scenario, cfg, sim)
-            resumed = resume_longest_prefix(sim, key, cfg.cycles, store)
-            on_boundary = Checkpointer(store, key, scenario)
-        advance(sim, cfg.cycles - sim.cycle,
-                max_wall_time=cfg.max_wall_time,
-                every=cfg.checkpoint_every, on_boundary=on_boundary)
-        if on_boundary is not None:
-            extra = {
-                "resumed_from": resumed,
-                "simulated_cycles": cfg.cycles - resumed,
-                "checkpoints_stored": on_boundary.stored,
-            }
-        elapsed = time.perf_counter() - t0
-        return _result_of(scenario, cfg, sim, cfg.cycles, elapsed, extra)
+        """Build and run one scenario (see :func:`run_scenario`)."""
+        return run_scenario(
+            scenario, resolve_config(self.config, cycles=cycles, **overrides))
 
     def _select(self, scenarios: Optional[Sequence[str]],
                 tag: Optional[str]) -> List[str]:
@@ -685,7 +764,7 @@ class Session:
         ``seconds`` is the wall-clock of the whole sweep (on the process
         pool the scenarios run concurrently, so per-scenario wall-clock
         is not separable -- ``diagnostics["job_seconds"]`` has each
-        job's own run-phase timing).
+        job's own run-phase timing), and its config is its own job's.
         """
         cfg = resolve_config(self.config, cycles=cycles, **overrides)
         names = self._select(scenarios, tag)
@@ -705,11 +784,11 @@ class Session:
         t0 = time.perf_counter()
         runs = run_batch(specs, cfg.executor, cfg.jobs)
         elapsed = time.perf_counter() - t0
-        diag = {"sweep_size": len(specs)}
         return {
-            spec.name: _result_from_scenario_run(cfg, runs[spec.name],
-                                                 elapsed, diag)
-            for spec in specs
+            name: dataclasses.replace(run, seconds=elapsed, diagnostics={
+                **run.diagnostics, "job_seconds": run.seconds,
+                "sweep_size": len(specs)})
+            for name, run in runs.items()
         }
 
     # -- fault injection -----------------------------------------------
@@ -830,7 +909,7 @@ class Session:
             equivalent = True
             if check:
                 equivalent = (b.activity == c.activity
-                              and b.samples == c.samples)
+                              and b.waveform.samples == c.waveform.samples)
             rows.append({
                 "scenario": name,
                 "baseline": {"config": base.to_dict(),

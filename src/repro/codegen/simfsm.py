@@ -160,7 +160,9 @@ class AnvilProcessModule(Module):
     reference interpreter; ``"pycompiled"`` calls the generated-Python
     functions from :mod:`repro.codegen.pysim`.  Everything else --
     activation bookkeeping, spawning, deduplication, retirement -- is
-    shared, so the two backends are observationally identical.
+    shared, so the two backends are observationally identical.  The
+    choice lives only in the installed dispatch, never in module state,
+    so snapshots, prefix keys and campaign digests do not depend on it.
     """
 
     MAX_ACTIVATIONS = 64
@@ -176,7 +178,6 @@ class AnvilProcessModule(Module):
         self.compiled = compiled
         self.plan: ProcessPlan = compiled.plan
         self.process = compiled.process
-        self.backend = backend
         self.regs: Dict[str, int] = {
             r.name: r.init for r in self.process.registers.values()
         }

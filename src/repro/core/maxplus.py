@@ -280,20 +280,6 @@ class MinExpr:
             return True
         return all(other.le(a) for a in self.alts)
 
-    def gt_expr(self, other: MaxExpr) -> bool:
-        """Sound check ``other < min(self)``."""
-        if self.infinite:
-            return not other.infinite
-        return all(other.lt(a) for a in self.alts)
-
-    def lt_expr(self, other: MaxExpr) -> bool:
-        """Sound check ``min(self) < other``."""
-        if other.infinite:
-            return not self.infinite
-        if self.infinite:
-            return False
-        return any(a.lt(other) for a in self.alts)
-
     def evaluate(self, assignment) -> Optional[int]:
         if self.infinite:
             return None

@@ -504,13 +504,6 @@ class TimingOracle:
                 return False
         return True
 
-    def pattern_end_le_event_start(
-        self, end: EndSet, start: int
-    ) -> bool:
-        """Disjointness helper for the Valid Message Send overlap check:
-        the first window must end no later than the second begins."""
-        return self.end_le_event(end, start)
-
     def lifetime_within(
         self,
         inner_start: int,

@@ -46,13 +46,6 @@ class Duration:
     def is_static(self) -> bool:
         return self.cycles is not None
 
-    def rebased(self, endpoint: str) -> "Duration":
-        """Return this duration with its endpoint name replaced (used when a
-        channel-level contract is instantiated at a concrete endpoint)."""
-        if self.is_static:
-            return self
-        return Duration.dynamic(endpoint, self.message)
-
     def __eq__(self, other):
         return (
             isinstance(other, Duration)

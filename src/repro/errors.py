@@ -91,19 +91,3 @@ class WatchdogTimeout(SimulationError):
     layer classifies it as a ``hang`` outcome.  The message is plain
     text so the exception survives pickling across process-pool
     workers."""
-
-
-class VerificationError(AnvilError):
-    """Raised by the bounded model checker on assertion failure."""
-
-    def __init__(self, message: str, trace=None):
-        self.trace = trace or []
-        super().__init__(message)
-
-
-class BudgetExceeded(AnvilError):
-    """The bounded model checker ran out of its state/step budget."""
-
-    def __init__(self, message: str, states_explored: int = 0):
-        self.states_explored = states_explored
-        super().__init__(message)

@@ -28,9 +28,11 @@ Guarantees shared by both executors:
   traceback attached via an :class:`ExecutorError` cause, so remote
   failures debug like local ones.
 
-Job kinds are registered with :func:`job_kind`; kinds owned by heavier
-modules (the harness drivers) are resolved lazily through
-``_KIND_HOMES`` so workers only import what their jobs need.
+This module runs generic JobSpecs only: job kinds are registered with
+:func:`job_kind` by the modules that own them (the scenario runs in
+:mod:`repro.api`, the harness drivers, fault injection), resolved
+lazily through ``_KIND_HOMES`` so workers only import what their jobs
+need.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: the available execution strategies, validated by the config layer
@@ -109,59 +111,6 @@ class JobSpec:
         return getattr(self.config, "cycles", None)
 
 
-@dataclass
-class ScenarioRun:
-    """What one scenario-targeting job produced -- the picklable subset
-    of a finished :class:`~repro.rtl.simulator.Simulator`'s state.
-
-    ``sim`` carries the live simulator only when the job ran in-process
-    (the serial executor); it is dropped at the process boundary.
-    """
-
-    scenario: str
-    cycles: int
-    seconds: float
-    total_activity: int
-    activity: Dict[Tuple[str, str], int]
-    samples: Dict[str, List[int]]
-    engine: str
-    modules: int
-    watched: int
-    final_cycle: int
-    trace: Optional[str] = None
-    resumed_from: int = 0        # checkpoint cycle the run restored, if any
-    sim: object = field(default=None, compare=False, repr=False)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["sim"] = None          # simulators do not cross processes
-        return state
-
-    @property
-    def cycles_per_second(self) -> float:
-        return self.cycles / self.seconds if self.seconds > 0 else 0.0
-
-
-def scenario_run_of(sim, scenario: str, cycles: int,
-                    seconds: float, trace: Optional[str] = None
-                    ) -> ScenarioRun:
-    """Snapshot a finished simulator into a picklable :class:`ScenarioRun`."""
-    return ScenarioRun(
-        scenario=scenario,
-        cycles=cycles,
-        seconds=seconds,
-        total_activity=sim.total_activity(),
-        activity=dict(sim.activity),
-        samples={k: list(v) for k, v in sim.waveform.samples.items()},
-        engine=sim.engine,
-        modules=len(sim.modules),
-        watched=len(sim.waveform.samples),
-        final_cycle=sim.cycle,
-        trace=trace,
-        sim=sim,
-    )
-
-
 # ---------------------------------------------------------------------------
 # job kinds
 # ---------------------------------------------------------------------------
@@ -172,6 +121,8 @@ JOB_KINDS: Dict[str, Callable[[JobSpec], object]] = {}
 #: kinds implemented by modules this one must not import eagerly -- the
 #: module registers the kind at import time; workers import on demand
 _KIND_HOMES = {
+    "run_scenario": "repro.api",
+    "bench_scenario": "repro.api",
     "table1_row": "repro.harness.table1",
     "table2_case": "repro.harness.table2",
     "figure": "repro.harness.figures",
@@ -203,74 +154,6 @@ def execute_job(spec: JobSpec):
             f"unknown job kind {spec.kind!r}: known kinds are {known}"
         )
     return handler(spec)
-
-
-@job_kind("run_scenario")
-def _run_scenario(spec: JobSpec) -> ScenarioRun:
-    """Build a registered scenario under the spec's config and run it.
-
-    With ``config.checkpoint_every`` set, the job consults and feeds the
-    worker's process-wide checkpoint store exactly as
-    :meth:`~repro.api.Session.run` does.
-    """
-    from ..api import get_registry
-    from .simulator import advance
-    from .snapshot import (
-        Checkpointer,
-        get_checkpoint_store,
-        prefix_key,
-        resume_longest_prefix,
-    )
-
-    cfg = spec.config
-    sim = get_registry().build(spec.scenario, cfg)
-    cycles = spec.run_cycles
-    every = getattr(cfg, "checkpoint_every", None)
-    resumed = 0
-    on_boundary = None
-    t0 = time.perf_counter()
-    if every:
-        store = get_checkpoint_store()
-        key = prefix_key(spec.scenario, cfg, sim)
-        resumed = resume_longest_prefix(sim, key, cycles, store)
-        on_boundary = Checkpointer(store, key, spec.scenario)
-    advance(sim, cycles - sim.cycle,
-            max_wall_time=getattr(cfg, "max_wall_time", None),
-            every=every, on_boundary=on_boundary)
-    elapsed = time.perf_counter() - t0
-    trace = sim.waveform.render() if getattr(cfg, "trace", False) else None
-    run = scenario_run_of(sim, spec.scenario, cycles, elapsed, trace)
-    run.resumed_from = resumed
-    return run
-
-
-@job_kind("bench_scenario")
-def _bench_scenario(spec: JobSpec) -> ScenarioRun:
-    """Best-of-N cycles/second measurement of one scenario x config.
-
-    Params: ``warmup`` (cycles run before timing starts) and ``repeats``
-    (the run is rebuilt from scratch each repeat; the best rate wins).
-    One untimed warm-up iteration runs first so one-time compile costs
-    (pycompiled sources, cycle kernels) land outside every timed
-    repeat -- without it, first-repeat compile time showed up as
-    inflated variance on small-cycle scenarios.
-    """
-    from ..api import get_registry
-
-    cfg = spec.config
-    warmup = spec.param("warmup", 20)
-    repeats = max(spec.param("repeats", 1), 1)
-    cycles = spec.run_cycles
-    sim = get_registry().build(spec.scenario, cfg)
-    sim.run(warmup + cycles)                 # untimed: compile caches warm
-    best_elapsed, sim = float("inf"), None
-    for _ in range(repeats):
-        sim = get_registry().build(spec.scenario, cfg)
-        sim.run(warmup)
-        t0 = time.perf_counter()
-        sim.run(cycles)
-        best_elapsed = min(best_elapsed, time.perf_counter() - t0)
-    return scenario_run_of(sim, spec.scenario, cycles, best_elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +307,11 @@ class ProcessExecutor:
     name = "process"
 
     def __init__(self, workers: int, chunk_size: Optional[int] = None,
-                 warmup: bool = True, mp_context=None,
-                 max_retries: int = 1, retry_backoff: float = 0.25):
+                 warmup: bool = True, max_retries: int = 1,
+                 retry_backoff: float = 0.25):
         self.workers = max(1, workers)
         self.chunk_size = chunk_size
         self.warmup = warmup
-        self.mp_context = mp_context
         self.max_retries = max(0, max_retries)
         self.retry_backoff = max(0.0, retry_backoff)
         self.retries = 0
@@ -444,7 +326,7 @@ class ProcessExecutor:
         jobs = list(jobs)
         if not jobs:
             return {}
-        ctx = self.mp_context or _mp_context()
+        ctx = _mp_context()
         # fork children inherit the parent's populated registry and
         # pycompiled source cache, and lazy compilation in a worker
         # touches only that worker's chunk -- pre-building every

@@ -39,7 +39,8 @@ simulation.  This is the first slice of the ROADMAP's incremental-
 resimulation item: repeated requests are O(1) cache hits.
 
 Underneath the result cache sits the snapshot tier
-(:mod:`repro.rtl.snapshot`): the queue shares the process-wide
+(:mod:`repro.rtl.snapshot`): run jobs go through
+:func:`repro.api.run_scenario`, so the queue shares the process-wide
 :class:`~repro.rtl.snapshot.CheckpointStore` with direct
 ``Session.run``/``sweep`` callers, the prefix keys reuse the same
 topology-fingerprint + stimulus-hash derivation as the content keys
@@ -66,20 +67,12 @@ from ..api import (
     RunResult,
     Session,
     SimConfig,
-    _result_of,
     get_registry,
+    run_scenario,
 )
 from ..codegen import pysim
 from ..rtl import kernel
-from ..rtl.simulator import advance
-from ..rtl.snapshot import (
-    Checkpointer,
-    get_checkpoint_store,
-    prefix_key,
-    resume_longest_prefix,
-    stimulus_key,
-    topology_key,
-)
+from ..rtl.snapshot import get_checkpoint_store, stimulus_key, topology_key
 from .trace import TraceHub, TraceTap
 
 #: job lifecycle states, in order
@@ -157,10 +150,6 @@ class Job:
             "params": self.params,
         }, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-    @property
-    def finished_state(self) -> bool:
-        return self.state in ("done", "failed", "cancelled")
 
     def record(self, include_result: bool = False) -> Dict[str, object]:
         """The job's wire form (the ``GET /jobs/<id>`` body)."""
@@ -264,9 +253,6 @@ class JobQueue:
         self.retry_after = retry_after
         self.trace_depth = trace_depth
         self.cache = ResultCache()
-        # the snapshot tier under the result cache: the process-wide
-        # store, shared with direct Session.run/sweep callers
-        self.checkpoints = get_checkpoint_store()
         self._queue: "queue.Queue[Optional[Job]]" = queue.Queue()
         self._lock = threading.RLock()
         self._jobs: Dict[str, Job] = {}
@@ -513,7 +499,9 @@ class JobQueue:
                 "states": states,
                 "coalesced": self._coalesced,
                 "result_cache": self.cache.stats(),
-                "checkpoints": self.checkpoints.stats(),
+                # the snapshot tier under the result cache: the
+                # process-wide store every run_scenario caller shares
+                "checkpoints": get_checkpoint_store().stats(),
                 "compile_caches": {
                     "pysim": pysim.cache_stats(),
                     "kernel": kernel.cache_stats(),
@@ -592,36 +580,12 @@ class JobQueue:
                 job.cached = "content"
                 job.result = self._annotated(cached, cfg, "content")
                 return
-        from_cycle = job.params.get("from_cycle")
-        every = cfg.checkpoint_every
-        extra = None
-        resumed = 0
-        key = None
-        if from_cycle is not None or every:
-            key = prefix_key(job.scenario, cfg, sim)
-            limit = cfg.cycles if from_cycle is None else from_cycle
-            resumed = resume_longest_prefix(sim, key, limit,
-                                            self.checkpoints)
-            extra = {"resumed_from": resumed,
-                     "simulated_cycles": cfg.cycles - resumed}
-        tap = None
-        if job.hub is not None:
-            # attached after the restore: a resumed stream begins at the
-            # restored boundary and publishes absolute cycle numbers
-            tap = TraceTap(sim, job.hub)
-            sim.on_cycle(tap)
-        t0 = time.perf_counter()
-        on_boundary = None
-        if every:
-            on_boundary = Checkpointer(self.checkpoints, key, job.scenario)
-        advance(sim, cfg.cycles - sim.cycle,
-                max_wall_time=cfg.max_wall_time, every=every,
-                on_boundary=on_boundary)
-        elapsed = time.perf_counter() - t0
-        if tap is not None:
-            sim.remove_monitor(tap)
-        job.result = _result_of(job.scenario, cfg, sim, cfg.cycles,
-                                elapsed, extra)
+        # a stream's tap is attached after any restore, so a resumed
+        # stream begins at the restored boundary in absolute cycles
+        job.result = run_scenario(
+            job.scenario, cfg, sim=sim,
+            resume=job.params.get("from_cycle"),
+            on_cycle=None if job.hub is None else TraceTap(sim, job.hub))
         self.cache.store(job.submit_key, job.content_key, job.result)
 
     @staticmethod

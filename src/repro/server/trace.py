@@ -175,10 +175,6 @@ class TraceHub:
             batch = self._buf[start:]
             return batch, self._next, lost
 
-    def oldest_seq(self) -> int:
-        with self._lock:
-            return self._base
-
     def next_seq(self) -> int:
         with self._lock:
             return self._next

@@ -1,13 +1,15 @@
 """The unified run-time surface (`repro.api`) and the `python -m repro`
 CLI: SimConfig validation, the scenario registry, Session runs/sweeps
 and the executor each entry point routes to, the harness drivers'
-compatibility keywords (pinned bit-identical to the config path), and a
+compatibility keywords (pinned bit-identical to the config path), one
+diagnostics contract on every surface that runs a scenario, and a
 smoke pass over every CLI subcommand."""
 
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -22,6 +24,9 @@ from repro import (
     resolve_config,
 )
 from repro.__main__ import main as cli_main
+from repro.codegen import pysim
+from repro.rtl import snapshot as snap_mod
+from repro.server import JobQueue
 
 #: small workloads throughout -- these tests pin behaviour, not perf
 FAST = dict(stim=150, cycles=60)
@@ -219,7 +224,10 @@ class TestScenarioRegistry:
                       stim=100))
         assert sim.engine == "brute"
         anvil = [m for m in sim.modules if hasattr(m, "plan")]
-        assert anvil and all(m.backend == "pycompiled" for m in anvil)
+        assert anvil
+        for m in anvil:      # the generated-Python dispatch is installed
+            fire = pysim.backend_for(m.plan).fire
+            assert [f.func for f in m._fire] == list(fire)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +425,88 @@ def _cli_json(capsys, argv):
     return json.loads(capsys.readouterr().out)
 
 
+# ---------------------------------------------------------------------------
+# one diagnostics contract on every surface that runs a scenario
+# ---------------------------------------------------------------------------
+SURFACES = ("session_run", "sweep_serial", "sweep_process", "server_run",
+            "cli_run")
+
+#: what the patched restore sleeps: a run that restores a prefix must
+#: count the restore in its timing
+RESTORE_DELAY = 0.2
+
+
+def _run_through(surface, cfg, capsys):
+    """One run of ``streams`` under ``cfg``, launched from ``surface``."""
+    if surface == "session_run":
+        return Session(cfg).run("streams")
+    if surface.startswith("sweep_"):
+        executor = surface[len("sweep_"):]
+        return Session(cfg).sweep(["streams"], executor=executor,
+                                  jobs=1)["streams"]
+    if surface == "server_run":
+        queue = JobQueue(config=cfg, depth=1, workers=1).start()
+        try:
+            job = queue.submit({"scenario": "streams"})
+            deadline = time.monotonic() + 60
+            while job.state in ("queued", "running"):
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+        finally:
+            queue.shutdown()
+        assert job.state == "done", job.error
+        return job.result
+    argv = ["run", "streams", "--cycles", str(cfg.cycles),
+            "--stim", str(cfg.stim)]
+    if cfg.checkpoint_every:
+        argv += ["--checkpoint-every", str(cfg.checkpoint_every)]
+    return RunResult.from_dict(_cli_json(capsys, argv))
+
+
+class TestDiagnosticsContract:
+    @pytest.mark.parametrize("checkpointed", [False, True],
+                             ids=["plain", "checkpointed"])
+    @pytest.mark.parametrize("surface", SURFACES)
+    def test_one_contract_on_every_surface(self, surface, checkpointed,
+                                           capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_CHECKPOINT_EVERY", raising=False)
+        cfg = SimConfig(stim=300, cycles=120,
+                        checkpoint_every=50 if checkpointed else None)
+        expected = {"engine", "modules", "watched_signals", "final_cycle"}
+        if checkpointed:
+            # a stored prefix to restore (forked pool workers inherit
+            # this process's store and the patched restore)
+            Session(cfg).run("streams", cycles=100)
+            restore = snap_mod.restore
+
+            def slow_restore(sim, snap):
+                time.sleep(RESTORE_DELAY)
+                restore(sim, snap)
+
+            monkeypatch.setattr(snap_mod, "restore", slow_restore)
+            expected |= {"resumed_from", "simulated_cycles",
+                         "checkpoints_stored"}
+        sweep = surface.startswith("sweep_")
+        if sweep:
+            expected |= {"job_seconds", "sweep_size"}
+
+        result = _run_through(surface, cfg, capsys)
+        diag = result.diagnostics
+        assert set(diag) == expected
+        assert diag["engine"] == cfg.engine
+        assert diag["final_cycle"] == result.cycles == 120
+        assert diag["modules"] > 0 and diag["watched_signals"] > 0
+        if sweep:
+            assert diag["sweep_size"] == 1
+            assert result.seconds >= diag["job_seconds"] > 0
+        if checkpointed:
+            assert diag["resumed_from"] == 100
+            assert diag["simulated_cycles"] == 20
+            assert diag["checkpoints_stored"] == 1       # cycle 120
+            timed = diag["job_seconds"] if sweep else result.seconds
+            assert timed >= RESTORE_DELAY
+
+
 class TestCli:
     def test_list_scenarios_matches_registry(self, capsys):
         payload = _cli_json(capsys, ["list-scenarios"])
@@ -493,6 +583,15 @@ class TestCli:
         ])
         assert set(payload["result"]) == {"streams", "memory"}
         assert payload["config"]["cycles"] == 40
+
+    def test_seeded_sweep_json_echoes_each_runs_seed(self, capsys):
+        payload = _cli_json(capsys, [
+            "sweep", "streams", "--seeds", "2", "--seed", "5",
+            "--cycles", "40", "--stim", "80",
+        ])
+        assert {name: r["config"]["seed"]
+                for name, r in payload["result"].items()} \
+            == {"streams@s5": 5, "streams@s6": 6}
 
     def test_bench_json(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)

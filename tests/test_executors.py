@@ -8,13 +8,12 @@ import pickle
 
 import pytest
 
-from repro.api import Session, SimConfig, UnknownScenarioError
+from repro.api import RunResult, Session, SimConfig, UnknownScenarioError
 from repro.rtl.executors import (
     EXECUTORS,
     ExecutorError,
     JobSpec,
     ProcessExecutor,
-    ScenarioRun,
     _warm_specs,
     execute_job,
     get_executor,
@@ -73,11 +72,11 @@ class TestJobSpec:
 
     def test_scenario_run_drops_sim_at_the_pickle_boundary(self):
         run = execute_job(_spec("memory"))
-        assert isinstance(run, ScenarioRun) and run.sim is not None
+        assert isinstance(run, RunResult) and run.sim is not None
         clone = pickle.loads(pickle.dumps(run))
         assert clone.sim is None
         assert clone.activity == run.activity
-        assert clone.samples == run.samples
+        assert clone.waveform.samples == run.waveform.samples
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +128,13 @@ class TestExecutorEquivalence:
             totals = {sum(swept[f"{name}@s{s}"].activity.values())
                       for s in seeds}
             assert len(totals) == len(seeds), name
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_seed_sweep_results_echo_their_own_seed(self, executor):
+        swept = Session(SimConfig(**FAST)).sweep(
+            ["streams"], seeds=[2, 3], executor=executor, **POOL)
+        assert {name: r.config.seed for name, r in swept.items()} \
+            == {"streams@s2": 2, "streams@s3": 3}
 
     def test_y86_cpu_sweep_survives_the_pickle_boundary(self):
         """the y86 scenarios rebuild a whole CPU-plus-memory system in

@@ -63,14 +63,15 @@ def _probe_cycle(cfg, cond, limit=400):
 # campaign determinism and snapshot-fork fidelity
 # ---------------------------------------------------------------------------
 def test_campaign_byte_identical_across_engines_and_backends():
-    reference = None
-    for engine in ENGINES:
-        for backend in BACKENDS:
-            cfg = SimConfig(engine=engine, backend=backend)
-            got = _normalized(run_campaign("y86_sum", cfg, n_faults=8))
-            if reference is None:
-                reference = got
-            assert got == reference, (engine, backend)
+    for scenario in ("y86_sum", "anvil_memory"):
+        reference = None
+        for engine in ENGINES:
+            for backend in BACKENDS:
+                cfg = SimConfig(engine=engine, backend=backend)
+                got = _normalized(run_campaign(scenario, cfg, n_faults=8))
+                if reference is None:
+                    reference = got
+                assert got == reference, (scenario, engine, backend)
 
 
 def test_sharded_process_campaign_matches_serial():

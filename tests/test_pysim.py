@@ -306,5 +306,5 @@ class TestCompileCache:
         assert out["memory/interp"].activity \
             == out["memory/pycompiled"].activity
         assert out["memory/interp"].total_activity > 0
-        assert out["memory/interp"].samples \
-            == out["memory/pycompiled"].samples
+        assert out["memory/interp"].waveform.samples \
+            == out["memory/pycompiled"].waveform.samples

@@ -239,7 +239,7 @@ class TestRunBatch:
         solo = _build("streams", seed=5, stim=100)
         solo.run(40)
         assert out["j5"].activity == solo.activity
-        assert out["j5"].samples == solo.waveform.samples
+        assert out["j5"].waveform.samples == solo.waveform.samples
 
     def test_run_batch_serial_fallback(self):
         # with no executor named the batch runs serially in this
@@ -263,7 +263,7 @@ class TestRunBatch:
         for name in names:
             solo = _build(name, seed=1, stim=300)
             solo.run(150)
-            assert out[name].final_cycle == 150
+            assert out[name].diagnostics["final_cycle"] == 150
             assert out[name].total_activity > 0
             assert out[name].activity == solo.activity, name
 

@@ -487,6 +487,44 @@ def test_job_queue_backpressure_without_server():
     assert a.state == "done"
 
 
+def _finished(job, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while job.state in ("queued", "running"):
+        assert time.monotonic() < deadline, job.id
+        time.sleep(0.005)
+    assert job.state == "done", (job.error, job.traceback)
+    return job
+
+
+def test_job_queue_from_cycle_resumes_the_deepest_prefix_below_it():
+    # a checkpointed run leaves prefixes at cycles 50, 100 and 150; a
+    # fork from cycle 120 restores the one at 100 and simulates the rest
+    q = JobQueue(depth=4, workers=1).start()
+    run = {"scenario": "streams", "config": {"stim": 400}}
+    try:
+        _finished(q.submit({**run, "cycles": 150,
+                            "config": {"stim": 400,
+                                       "checkpoint_every": 50}}))
+        fork = _finished(q.submit({**run, "cycles": 300,
+                                   "from_cycle": 120}))
+        streamed = _finished(q.submit({**run, "cycles": 300,
+                                       "from_cycle": 120, "stream": True}))
+    finally:
+        q.shutdown()
+    diag = fork.result.diagnostics
+    assert diag["resumed_from"] == 100
+    assert diag["simulated_cycles"] == 200
+    assert "checkpoints_stored" not in diag      # the fork stores none
+    cold = Session(SimConfig(stim=400)).run("streams", cycles=300)
+    assert fork.result.activity == cold.activity
+    assert fork.result.waveform.samples == cold.waveform.samples
+    # the stream begins at the restored boundary, in absolute cycles
+    deltas, _cursor, lost = streamed.hub.read_from(0)
+    assert lost == 0
+    assert [d["cycle"] for d in deltas] == list(range(100, 300))
+    assert deltas[-1]["activity"] == cold.total_activity
+
+
 # ---------------------------------------------------------------------------
 # wire schema round trips (the satellite: one pinned JSON shape)
 # ---------------------------------------------------------------------------

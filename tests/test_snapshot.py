@@ -9,11 +9,15 @@ samples, per-wire activity, totals, cycle count -- from one that ran
 ``Session.run``/``sweep`` and the job queue) safe to apply silently.
 """
 
+import glob
+import json
+import os
 import pickle
 
 import pytest
 
 from repro import Session, SimConfig, get_registry
+from repro.__main__ import main as cli_main
 from repro.errors import SimulationError
 from repro.rtl import snapshot as snap_mod
 from repro.rtl.kernel import fast_path_ready
@@ -255,6 +259,17 @@ class TestCheckpointStore:
         assert key("streams", stim=400) != base
         assert key("memory") != base
 
+    @pytest.mark.parametrize("name", ALL_SCENARIOS)
+    def test_prefix_key_is_engine_and_backend_independent(self, name):
+        keys = set()
+        for engine in ENGINES:
+            for backend in ("interp", "pycompiled"):
+                cfg = SimConfig(engine=engine, backend=backend, cycles=50,
+                                stim=200)
+                keys.add(prefix_key(name, cfg,
+                                    get_registry().build(name, cfg)))
+        assert len(keys) == 1
+
 
 # ---------------------------------------------------------------------------
 # warm prefixes through the public surface
@@ -274,6 +289,22 @@ class TestWarmPrefix:
         assert extended.activity == cold.activity
         assert extended.waveform.samples == cold.waveform.samples
         assert extended.total_activity == cold.total_activity
+
+    def test_checkpointed_serial_sweep_resumes_on_a_longer_resweep(self):
+        names = ["streams", "anvil_mmu"]
+        session = Session(SimConfig(stim=400, checkpoint_every=50,
+                                    executor="serial"))
+        session.sweep(names, cycles=100)
+        resumed = session.sweep(names, cycles=250)
+        cold = Session(SimConfig(stim=400, executor="serial")).sweep(
+            names, cycles=250)
+        for name in names:
+            diag = resumed[name].diagnostics
+            assert diag["resumed_from"] == 100, name
+            assert diag["simulated_cycles"] == 150, name
+            assert resumed[name].activity == cold[name].activity, name
+            assert resumed[name].waveform.samples \
+                == cold[name].waveform.samples, name
 
     def test_advance_checkpoints_every_boundary(self):
         sim = _build("streams", cycles=100, stim=300)
@@ -303,6 +334,117 @@ class TestWarmPrefix:
         advance(sim, 50, every=25, stop=lambda: sim.cycle == 70,
                 on_boundary=lambda s: stop_seen.append(s.cycle))
         assert stop_seen == [70]                # the run ends at the stop
+
+
+# ---------------------------------------------------------------------------
+# checkpoint files through the CLI: --checkpoint-dir -> --resume-from
+# ---------------------------------------------------------------------------
+RUN = ["run", "streams", "--stim", "400", "--json", "--activity",
+       "--samples"]
+
+
+def _cli(capsys, argv):
+    """``python -m repro`` in this process: (exit code, JSON or None,
+    stderr).  The store is reset first, as a fresh process would have
+    it."""
+    reset_checkpoint_store()
+    code = cli_main(argv)
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out) if code == 0 else None
+    return code, payload, captured.err
+
+
+class TestCliCheckpointFiles:
+    @pytest.fixture(autouse=True)
+    def _in_tmp(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_CHECKPOINT_EVERY", raising=False)
+
+    def _checkpointed(self, capsys):
+        code, base, _err = _cli(capsys, RUN + [
+            "--cycles", "150", "--checkpoint-every", "50",
+            "--checkpoint-dir", "ckpts"])
+        assert code == 0
+        assert base["diagnostics"]["checkpoints_stored"] == 3
+        (blob,) = glob.glob("ckpts/streams-c100-*.ckpt")
+        return base, blob
+
+    def test_checkpoint_dir_then_resume_from_round_trip(self, capsys):
+        base, blob = self._checkpointed(capsys)
+        assert len(glob.glob("ckpts/streams-c*.ckpt")) == 3
+        code, resumed, _err = _cli(capsys, RUN + [
+            "--cycles", "150", "--resume-from", blob])
+        assert code == 0
+        assert resumed["diagnostics"]["resumed_from"] == 100
+        assert resumed["diagnostics"]["simulated_cycles"] == 50
+        for key in ("cycles", "total_activity", "activity", "samples"):
+            assert resumed[key] == base[key], key
+
+    def test_resume_from_keeps_checkpointing(self, capsys):
+        base, blob = self._checkpointed(capsys)
+        code, resumed, _err = _cli(capsys, RUN + [
+            "--cycles", "200", "--resume-from", blob,
+            "--checkpoint-every", "50", "--checkpoint-dir", "again"])
+        assert code == 0
+        diag = resumed["diagnostics"]
+        assert (diag["resumed_from"], diag["simulated_cycles"]) == (100, 100)
+        assert diag["checkpoints_stored"] == 2        # cycles 150, 200
+        assert [os.path.basename(p).split("-")[1] for p in
+                sorted(glob.glob("again/streams-c*.ckpt"))] \
+            == ["c150", "c200"]
+        cold = Session(SimConfig(stim=400)).run("streams", cycles=200)
+        assert resumed["total_activity"] == cold.total_activity
+
+    def test_resume_from_checkpoint_dir_needs_an_interval(self, capsys):
+        _base, blob = self._checkpointed(capsys)
+        code, _payload, err = _cli(capsys, RUN + [
+            "--cycles", "200", "--resume-from", blob,
+            "--checkpoint-dir", "again"])
+        assert code == 2
+        assert "--checkpoint-dir needs --checkpoint-every" in err, err
+        assert not os.path.exists("again")
+
+    def test_resume_from_accepts_another_engine_and_backend(self, capsys):
+        argv = ["run", "anvil_streams", "--stim", "400", "--cycles", "150",
+                "--json", "--activity", "--samples"]
+        code, base, _err = _cli(capsys, argv + [
+            "--backend", "interp", "--checkpoint-every", "50",
+            "--checkpoint-dir", "ckpts"])
+        assert code == 0
+        (blob,) = glob.glob("ckpts/anvil_streams-c100-*.ckpt")
+        code, resumed, _err = _cli(capsys, argv + [
+            "--backend", "pycompiled", "--engine", "kernel",
+            "--resume-from", blob])
+        assert code == 0
+        assert resumed["diagnostics"]["resumed_from"] == 100
+        for key in ("cycles", "total_activity", "activity", "samples"):
+            assert resumed[key] == base[key], key
+
+    @pytest.mark.parametrize("flags", [["--seed", "5"], ["--stim", "999"]],
+                             ids=["seed", "stim"])
+    def test_resume_from_refuses_another_prefix(self, flags, capsys):
+        _base, blob = self._checkpointed(capsys)
+        code, _payload, err = _cli(capsys, RUN + [
+            "--cycles", "150", "--resume-from", blob] + flags)
+        assert code == 2
+        assert "prefix key" in err and "seed" in err, err
+
+    @pytest.mark.parametrize("cycles", ["50", "100"])
+    def test_resume_from_refuses_cycles_at_or_below_the_checkpoint(
+            self, cycles, capsys):
+        _base, blob = self._checkpointed(capsys)
+        code, _payload, err = _cli(capsys, RUN + [
+            "--cycles", cycles, "--resume-from", blob])
+        assert code == 2
+        assert "cycle 100" in err and f"cycle {cycles}" in err, err
+
+    def test_resume_from_refuses_another_scenario(self, capsys):
+        _base, blob = self._checkpointed(capsys)
+        code, _payload, err = _cli(capsys, [
+            "run", "memory", "--stim", "400", "--cycles", "150",
+            "--resume-from", blob, "--json"])
+        assert code == 2
+        assert "'streams'" in err and "'memory'" in err, err
 
 
 # ---------------------------------------------------------------------------
