@@ -281,8 +281,7 @@ def main(argv=None):
     # amortize pool spawn + result IPC, or the axis only measures
     # overhead (the recorded cpu_count tells small boxes apart).  The
     # sweep runs the fastest configuration -- the harness-sweep shape
-    # going forward -- which also smokes the per-worker kernel-cache
-    # warm-up end to end.
+    # going forward.
     sweep_names = (registry.names("rtl", exclude="sweep")
                    + registry.names("anvil", exclude="sweep"))
     exec_session = Session(base_cfg.replace(backend="pycompiled",

@@ -39,7 +39,7 @@ with server, ServerClient(port=server.port) as client:
           f"{len(result.activity)} wires "
           f"(engine={result.config.engine})")
 
-    # -- the content-addressed result cache ---------------------------
+    # -- the result cache ---------------------------------------------
     again = client.submit("streams", cycles=400)
     assert again["state"] == "done" and again["cached"] == "submit"
     cached = client.result(again["id"])

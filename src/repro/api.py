@@ -310,11 +310,10 @@ class Scenario:
     tags: frozenset
     description: str = ""
 
-    def build(self, config: SimConfig, sim: Optional[Simulator] = None
-              ) -> Simulator:
-        """Elaborate under ``config`` (optionally into an existing sim)."""
+    def build(self, config: SimConfig) -> Simulator:
+        """Elaborate under ``config``."""
         kwargs = dict(engine=config.engine, seed=config.seed,
-                      backend=config.backend, sim=sim)
+                      backend=config.backend)
         if config.stim is not None:
             kwargs["stim"] = config.stim
         return self.builder(**kwargs)
@@ -333,7 +332,7 @@ class ScenarioRegistry:
 
     >>> registry = ScenarioRegistry()
     >>> @registry.scenario("toy", tags=("rtl",))
-    ... def build_toy(engine="levelized", seed=0, stim=100, sim=None,
+    ... def build_toy(engine="levelized", seed=0, stim=100,
     ...               backend="interp"):
     ...     ...
     """
@@ -393,9 +392,9 @@ class ScenarioRegistry:
         """Every tag in use, sorted."""
         return sorted({t for s in self._scenarios.values() for t in s.tags})
 
-    def build(self, name: str, config: Optional[SimConfig] = None,
-              sim: Optional[Simulator] = None) -> Simulator:
-        return self.get(name).build(config or SimConfig(), sim=sim)
+    def build(self, name: str,
+              config: Optional[SimConfig] = None) -> Simulator:
+        return self.get(name).build(config or SimConfig())
 
     def __contains__(self, name: str) -> bool:
         return name in self._scenarios
@@ -721,11 +720,10 @@ class Session:
         return Session(self.config.replace(**overrides))
 
     # -- building and running ------------------------------------------
-    def build(self, scenario: str, sim: Optional[Simulator] = None,
-              **overrides) -> Simulator:
+    def build(self, scenario: str, **overrides) -> Simulator:
         """Elaborate one registered scenario under this session's config."""
         cfg = resolve_config(self.config, **overrides)
-        return self.registry.build(scenario, cfg, sim=sim)
+        return self.registry.build(scenario, cfg)
 
     def run(self, scenario: str, cycles: Optional[int] = None,
             **overrides) -> RunResult:
@@ -871,14 +869,13 @@ class Session:
     def bench(self, scenarios: Optional[Sequence[str]] = None,
               tag: Optional[str] = None, *, cycles: Optional[int] = None,
               warmup: int = 20, repeats: int = 1,
-              baseline: Optional[SimConfig] = None,
               check: bool = True, executor: Optional[str] = None,
               jobs: Optional[int] = None) -> List[Dict[str, object]]:
-        """Measure this config against a baseline config per scenario.
+        """Measure this config against a baseline per scenario.
 
-        The baseline defaults to the reference pair (``brute`` engine,
-        ``interp`` backend) with this session's seed/stim, so the result
-        reads as "what the configured fast paths buy".  Each row carries
+        The baseline is the reference pair (``brute`` engine, ``interp``
+        backend) with this session's seed/stim, so the result reads as
+        "what the configured fast paths buy".  Each row carries
         cycles/second for both configs, the speedup, and (when ``check``)
         waveform/activity equivalence between the two runs.
 
@@ -892,7 +889,7 @@ class Session:
         isolates measurements in their own workers).
         """
         cfg = resolve_config(self.config, cycles=cycles)
-        base = baseline or cfg.replace(engine="brute", backend="interp")
+        base = cfg.replace(engine="brute", backend="interp")
         names = self._select(scenarios, tag)
         specs = [
             JobSpec(kind="bench_scenario", name=f"{name}:{label}",
@@ -960,14 +957,12 @@ class Session:
         from .harness.figures import generate_figures
         return generate_figures(config=self.config)
 
-    def appendix_a(self, fast: bool = False,
-                   executor: Optional[str] = None) -> Dict[str, object]:
-        """Appendix A under this session's backend.  ``executor`` is the
-        driver's own knob (serial by default; see
+    def appendix_a(self, fast: bool = False) -> Dict[str, object]:
+        """Appendix A under this session's backend, always serial (see
         :func:`repro.harness.appendix_a.appendix_a` for why the session
         executor is deliberately not consulted)."""
         from .harness.appendix_a import appendix_a
-        return appendix_a(config=self.config, fast=fast, executor=executor)
+        return appendix_a(config=self.config, fast=fast)
 
     def __repr__(self):
         return f"Session({self.config!r})"

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..compile_cache import SourceCache
+from ..compile_cache import Emitter, SourceCache
 from ..core.events import EventKind, SyncDir
 from ..core.fsmplan import (
     CommitExpr,
@@ -48,26 +48,6 @@ from ..core.fsmplan import (
     ProcessPlan,
     ThreadPlan,
 )
-
-
-class _Emitter:
-    """Tiny indented-source builder."""
-
-    def __init__(self):
-        self.lines: List[str] = []
-        self._indent = 0
-
-    def line(self, text: str = ""):
-        self.lines.append("    " * self._indent + text if text else "")
-
-    def push(self):
-        self._indent += 1
-
-    def pop(self):
-        self._indent -= 1
-
-    def source(self) -> str:
-        return "\n".join(self.lines) + "\n"
 
 
 class _ExprCtx:
@@ -115,7 +95,7 @@ class _ExprCtx:
         return f"{self.wire(idx, role)}.value"
 
 
-def _emit_expr(em: _Emitter, ctx: _ExprCtx, expr) -> str:
+def _emit_expr(em: Emitter, ctx: _ExprCtx, expr) -> str:
     """Render ``expr`` at the current emission point, hoisting shared
     subexpression DAG nodes into local temporaries first.
 
@@ -152,7 +132,7 @@ def _emit_expr(em: _Emitter, ctx: _ExprCtx, expr) -> str:
     return out
 
 
-def _emit_latches(em: _Emitter, ctx: _ExprCtx, latches):
+def _emit_latches(em: Emitter, ctx: _ExprCtx, latches):
     for latch in latches:
         if type(latch) is LatchRecv:
             em.line(f"_ov[{latch.target}] = "
@@ -167,7 +147,7 @@ def _emit_latches(em: _Emitter, ctx: _ExprCtx, latches):
             em.line(f"_ov[{latch.slot}] = {rendered}")
 
 
-def _gen_fire(em: _Emitter, ctx: _ExprCtx, tp: ThreadPlan):
+def _gen_fire(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
     """The settle-pass body: a straight-line specialization of the
     interpreter's ``_fire_set`` in event order."""
     for ep in tp.events:
@@ -306,7 +286,7 @@ def _gen_fire(em: _Emitter, ctx: _ExprCtx, tp: ThreadPlan):
             em.pop()
 
 
-def _gen_commit(em: _Emitter, ctx: _ExprCtx, tp: ThreadPlan):
+def _gen_commit(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
     """The clock-edge body: apply the committed effects of every event in
     the settled fire set, in event order."""
     em.line("af.update(fn)")
@@ -374,11 +354,9 @@ def generate_source(plan: ProcessPlan) -> str:
     commit_names = []
     for tp in plan.threads:
         # fire ---------------------------------------------------------
-        em = _Emitter()
-        em.push()
+        em = Emitter()
         ctx.used_ports = set()
         _gen_fire(em, ctx, tp)
-        em.pop()
         body = em.lines
         name = f"_t{tp.index}_fire"
         fire_names.append(name)
@@ -399,11 +377,9 @@ def generate_source(plan: ProcessPlan) -> str:
         fn_lines.append("    return fn, dn, _ov")
         chunks.append("\n".join(fn_lines))
         # commit -------------------------------------------------------
-        em = _Emitter()
-        em.push()
+        em = Emitter()
         ctx.used_ports = set()
         _gen_commit(em, ctx, tp)
-        em.pop()
         body = em.lines
         name = f"_t{tp.index}_commit"
         commit_names.append(name)

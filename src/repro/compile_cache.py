@@ -1,11 +1,12 @@
-"""One compile-once cache for generated Python source.
+"""One compile-once cache for generated Python source, and the
+indented-source builder both generators write it with.
 
 The pysim FSM backends (:mod:`repro.codegen.pysim`) and the cycle
 kernels (:mod:`repro.rtl.kernel`) are both pure functions of their
 generated source text, so each keeps a process-wide
 :class:`SourceCache` keyed by the SHA-256 of that text: two builds of
 the same design (a harness sweep rebuilding row after row, a server
-worker, a process-pool warm-up) compile once.  Thread-safe -- harness
+worker, a process-pool worker) compile once.  Thread-safe -- harness
 sweeps and server workers build simulators concurrently.
 """
 
@@ -13,7 +14,25 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from typing import Callable, Dict
+from typing import Callable, Dict, List
+
+
+class Emitter:
+    """Tiny indented-source builder: ``line`` appends at the current
+    indent (four spaces per level), ``push``/``pop`` change it."""
+
+    def __init__(self):
+        self.lines: List[str] = []
+        self._indent = 1    # generated bodies live inside one function
+
+    def line(self, text: str = ""):
+        self.lines.append("    " * self._indent + text if text else "")
+
+    def push(self):
+        self._indent += 1
+
+    def pop(self):
+        self._indent -= 1
 
 
 def source_key(source: str) -> str:

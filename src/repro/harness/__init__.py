@@ -1,11 +1,11 @@
 """Experiment harness: regenerates every table and figure of the paper.
 
 All four drivers (``generate_table1``, ``generate_table2``,
-``generate_figures``, ``appendix_a``) accept a
-:class:`~repro.api.SimConfig` (or :class:`~repro.api.Session`) via
-``config=``; the loose ``backend`` keyword survives as a compatibility
-shim.  The workload builders in :mod:`.scenarios` register with the
-canonical scenario registry (:func:`repro.api.get_registry`).
+``generate_figures``, ``appendix_a``) take their settings from a
+:class:`~repro.api.SimConfig` (or :class:`~repro.api.Session`) passed
+as ``config=``; ``appendix_a`` always runs serially.  The workload
+builders in :mod:`.scenarios` register with the canonical scenario
+registry (:func:`repro.api.get_registry`).
 """
 
 from .appendix_a import appendix_a

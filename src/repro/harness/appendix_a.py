@@ -30,7 +30,6 @@ from ..lang.terms import (
     var,
 )
 from ..lang.types import Logic
-from ..rtl.executors import JobSpec, job_kind, run_batch
 from ..verif import Assertion, BoundedModelChecker, TransitionSystem
 
 
@@ -180,60 +179,39 @@ def verification_side(max_depth: int = 2000, max_states: int = 60_000,
     }
 
 
-@job_kind("appendix_anvil")
-def _appendix_anvil_job(spec: JobSpec) -> Dict[str, object]:
-    """The language side, on the config's settle engine and FSM
-    execution backend."""
-    return anvil_side(backend=spec.config.backend,
-                      engine=spec.config.engine)
-
-
-@job_kind("appendix_bmc")
-def _appendix_bmc_job(spec: JobSpec) -> Dict[str, object]:
-    """One bounded-model-checking side; budgets ride in the params."""
-    return verification_side(**dict(spec.param("budgets")))
-
-
-def appendix_a(backend: str = None, config=None, fast: bool = False,
-               executor: str = None) -> Dict[str, object]:
+def appendix_a(config=None, fast: bool = False) -> Dict[str, object]:
     """The full comparison.
 
     ``config`` (a :class:`~repro.api.SimConfig` or
-    :class:`~repro.api.Session`) supplies the FSM execution backend of
-    the simulated Anvil side; the ``backend`` keyword survives as a
-    compatibility shim and wins when given.
+    :class:`~repro.api.Session`) supplies the settle engine and FSM
+    execution backend of the simulated Anvil side.
 
-    ``executor`` is this driver's own knob (never taken from the config)
-    and defaults to ``serial``: the BMC sides run against *wall-clock*
-    time budgets, so anything that shares a core with them starves them
-    of explored states per second and can flip the budget-bounded
-    verdicts themselves (e.g. the reduced-width case failing to reach
-    its violation on a slow runner), not just skew the reported
-    seconds.  ``executor="process"`` runs each side in its own worker
-    process, which preserves the verdicts as long as the workers get
-    real cores.
+    The three sides always run one after another in this process,
+    whatever the config's executor: the BMC sides run against
+    *wall-clock* time budgets, so anything that shares a core with them
+    starves them of explored states per second and can flip the
+    budget-bounded verdicts themselves (e.g. the reduced-width case
+    failing to reach its violation on a slow runner), not just skew the
+    reported seconds.
 
     ``fast=True`` shrinks the BMC budgets for CI/CLI smoke runs while
     preserving the qualitative outcome (full width exhausts its budget
     without the violation; reduced width reaches it)."""
     from ..api import resolve_config
 
-    cfg = resolve_config(config, backend=backend)
+    cfg = resolve_config(config)
     full_kw = dict(counter_bits=32)
     reduced_kw = dict(counter_bits=8, time_budget=10.0,
                       max_states=2_000_000, max_depth=400)
     if fast:
         full_kw.update(time_budget=0.5, max_states=8_000, max_depth=300)
         reduced_kw.update(time_budget=2.0, max_states=200_000)
-    jobs = [
-        JobSpec(kind="appendix_anvil", name="anvil", config=cfg),
+    return {
+        "anvil": anvil_side(backend=cfg.backend, engine=cfg.engine),
         # full-size counter: the BMC burns its budget without the
         # violation
-        JobSpec(kind="appendix_bmc", name="bmc_full_width",
-                params=(("budgets", tuple(full_kw.items())),)),
+        "bmc_full_width": verification_side(**full_kw),
         # shrunk counter (what a verification engineer must do by
         # hand): now the violation is reachable within budget
-        JobSpec(kind="appendix_bmc", name="bmc_reduced_width",
-                params=(("budgets", tuple(reduced_kw.items())),)),
-    ]
-    return run_batch(jobs, executor or "serial")
+        "bmc_reduced_width": verification_side(**reduced_kw),
+    }

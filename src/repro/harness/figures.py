@@ -369,20 +369,17 @@ def _figure_job(spec: JobSpec) -> Dict[str, object]:
     return FIGURES[name]()
 
 
-def generate_figures(backend: str = None,
-                     config=None) -> Dict[str, object]:
+def generate_figures(config=None) -> Dict[str, object]:
     """Every figure harness as one sweep of declarative ``figure``
     :class:`~repro.rtl.executors.JobSpec` jobs (each figure builds its
     own simulators/processes, so the jobs are independent; the
     ``process`` executor runs them on real cores).  ``config`` (a
     :class:`~repro.api.SimConfig` or :class:`~repro.api.Session`)
     supplies the FSM execution backend wherever a figure simulates a
-    compiled process (figure 4), the executor and the pool size; the
-    ``backend`` keyword survives as a compatibility shim and wins over
-    the config when given."""
+    compiled process (figure 4), the executor and the pool size."""
     from ..api import resolve_config
 
-    cfg = resolve_config(config, backend=backend)
+    cfg = resolve_config(config)
     return run_batch(
         [JobSpec(kind="figure", name=name, config=cfg,
                  params=(("figure", name),))

@@ -212,19 +212,16 @@ def _table2_case_job(spec: JobSpec) -> Dict[str, object]:
     return CASES[case]()
 
 
-def generate_table2(backend: str = None,
-                    config=None) -> Dict[str, Dict[str, object]]:
+def generate_table2(config=None) -> Dict[str, Dict[str, object]]:
     """All five case studies plus the Section 7.2 stream-FIFO dynamic
     comparison; independent, so each runs as one declarative
     ``table2_case`` :class:`~repro.rtl.executors.JobSpec` on the
     configured executor.  ``config`` (a :class:`~repro.api.SimConfig`
     or :class:`~repro.api.Session`) supplies the FSM execution backend
-    of the dynamic case, the executor and the pool size; the
-    ``backend`` keyword survives as a compatibility shim and wins over
-    the config when given."""
+    of the dynamic case, the executor and the pool size."""
     from ..api import resolve_config
 
-    cfg = resolve_config(config, backend=backend)
+    cfg = resolve_config(config)
     return run_batch(
         [JobSpec(kind="table2_case", name=name, config=cfg,
                  params=(("case", name),))

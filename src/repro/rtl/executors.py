@@ -14,8 +14,7 @@ so the same spec list runs identically on either executor:
   profiling/debugging reference and the timing-fidelity choice for
   benchmark measurement and wall-clock-budgeted (BMC) jobs;
 * ``process`` -- a :class:`~concurrent.futures.ProcessPoolExecutor` with
-  chunked sharding, per-worker warm-up that pre-populates the
-  ``pycompiled`` compile cache, and real multi-core speedup.
+  chunked sharding and real multi-core speedup.
 
 Guarantees shared by both executors:
 
@@ -42,8 +41,6 @@ import os
 import pickle
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -53,6 +50,11 @@ EXECUTORS = ("serial", "process")
 #: how many chunks each process worker should receive on average; >1 so
 #: uneven job costs still balance across the pool
 _CHUNKS_PER_WORKER = 4
+
+#: how many times a pool whose worker died abnormally is rebuilt, and
+#: the pause before each rebuild (seconds)
+_MAX_RETRIES = 1
+_RETRY_BACKOFF = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +128,6 @@ _KIND_HOMES = {
     "table1_row": "repro.harness.table1",
     "table2_case": "repro.harness.table2",
     "figure": "repro.harness.figures",
-    "appendix_anvil": "repro.harness.appendix_a",
-    "appendix_bmc": "repro.harness.appendix_a",
     "inject_campaign": "repro.inject.campaign",
 }
 
@@ -217,55 +217,19 @@ def _chunked(items: List, size: int) -> List[List]:
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
-def _warm_specs(specs: Sequence[JobSpec]) -> List[Tuple[str, object]]:
-    """The distinct (scenario, config) pairs worth pre-compiling in each
-    worker: scenario-targeting jobs on the ``pycompiled`` backend (whose
-    generated-Python compile step the warm-up can pay once up front) or
-    the ``kernel`` engine (whose per-topology cycle-kernel compile the
-    warm-up pays the same way)."""
-    seen, warm = set(), []
-    for spec in specs:
-        cfg = spec.config
-        if spec.scenario is None or cfg is None:
-            continue
-        if (getattr(cfg, "backend", "interp") != "pycompiled"
-                and getattr(cfg, "engine", "levelized") != "kernel"):
-            continue
-        key = (spec.scenario, cfg)
-        if key not in seen:
-            seen.add(key)
-            warm.append((spec.scenario, cfg.replace(stim=1)))
-    return warm
+def _worker_init() -> None:
+    """Process-pool initializer: restore the default SIGTERM action.
 
-
-def _worker_init(warm: List[Tuple[str, object]]) -> None:
-    """Process-pool initializer: import the scenario registry and build
-    each warm (scenario, config) pair at minimal stimulus depth, so the
-    ``pycompiled`` source cache is hot before real jobs arrive.  Kernel-
-    engine pairs additionally run two cycles: the cycle kernel compiles
-    on the first multi-cycle run after the activity baseline is primed,
-    and its source depends only on the topology shape -- which stimulus
-    depth does not change -- so the warm build's kernel is the real
-    job's cache hit."""
+    Fork workers inherit the CLI's SIGTERM->KeyboardInterrupt mapping,
+    which would turn ``Process.terminate()`` into "abort this chunk,
+    start the next queued one"; pool workers must actually die on
+    SIGTERM."""
     import signal
 
-    from ..api import get_registry
-
-    # fork workers inherit the CLI's SIGTERM->KeyboardInterrupt mapping,
-    # which would turn Process.terminate() into "abort this chunk, start
-    # the next queued one"; pool workers must actually die on SIGTERM
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):
         pass
-    registry = get_registry()
-    for scenario, cfg in warm:
-        try:
-            sim = registry.build(scenario, cfg)
-            if getattr(cfg, "engine", "levelized") == "kernel":
-                sim.run(2)
-        except Exception:
-            pass      # the real job will surface the error attributably
 
 
 def _run_chunk(specs: List[JobSpec]) -> List[Tuple[str, object]]:
@@ -275,12 +239,10 @@ def _run_chunk(specs: List[JobSpec]) -> List[Tuple[str, object]]:
 def _mp_context():
     import multiprocessing as mp
 
-    method = os.environ.get("REPRO_MP_START")
-    if method:
-        return mp.get_context(method)
     if "fork" in mp.get_all_start_methods():
         # fork is the cheap path and inherits the populated scenario
-        # registry; spawn/forkserver workers import it on demand instead
+        # registry and compile caches; spawn/forkserver workers import
+        # and compile on demand instead
         return mp.get_context("fork")
     return mp.get_context()
 
@@ -297,7 +259,7 @@ class ProcessExecutor:
     A worker that dies *abnormally* (killed by a signal, OOM) poisons
     the whole pool: every unfinished future reports
     ``BrokenProcessPool``.  Finished chunks are kept and the unfinished
-    ones are retried once on a fresh pool after ``retry_backoff``
+    ones are retried once on a fresh pool after ``_RETRY_BACKOFF``
     seconds -- transient deaths (an OOM-killed sibling, a container
     resize, a fault-injection campaign worker taking its hang budget
     out badly) clear on retry, while a deterministic crash fails again
@@ -306,47 +268,30 @@ class ProcessExecutor:
 
     name = "process"
 
-    def __init__(self, workers: int, chunk_size: Optional[int] = None,
-                 warmup: bool = True, max_retries: int = 1,
-                 retry_backoff: float = 0.25):
+    def __init__(self, workers: int):
         self.workers = max(1, workers)
-        self.chunk_size = chunk_size
-        self.warmup = warmup
-        self.max_retries = max(0, max_retries)
-        self.retry_backoff = max(0.0, retry_backoff)
         self.retries = 0
 
-    def _chunk_size(self, n_jobs: int) -> int:
-        if self.chunk_size is not None:
-            return max(1, self.chunk_size)
-        slots = self.workers * _CHUNKS_PER_WORKER
-        return max(1, -(-n_jobs // slots))
-
     def run(self, jobs: Sequence[JobSpec]) -> Dict[str, object]:
+        # imported here: it pulls in multiprocessing, which only a
+        # process-pool run needs
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         jobs = list(jobs)
         if not jobs:
             return {}
         ctx = _mp_context()
-        # fork children inherit the parent's populated registry and
-        # pycompiled source cache, and lazy compilation in a worker
-        # touches only that worker's chunk -- pre-building every
-        # scenario per worker would be pure overhead there.  The
-        # warm-up pays off for spawn/forkserver workers, which start
-        # cold and would otherwise recompile per first-encounter.
-        warm = []
-        if self.warmup and ctx.get_start_method() != "fork":
-            warm = _warm_specs(jobs)
-        chunks = _chunked(jobs, self._chunk_size(len(jobs)))
+        slots = self.workers * _CHUNKS_PER_WORKER
+        pending = _chunked(jobs, max(1, -(-len(jobs) // slots)))
         results: Dict[str, object] = {}
         self.retries = 0
-        pending = chunks
 
         def make_pool(n_chunks: int) -> ProcessPoolExecutor:
             return ProcessPoolExecutor(
                 max_workers=min(self.workers, n_chunks),
                 mp_context=ctx,
                 initializer=_worker_init,
-                initargs=(warm,),
             )
 
         pool = make_pool(len(pending))
@@ -376,7 +321,7 @@ class ProcessExecutor:
                         results[spec.name] = payload
                 if not broken:
                     break
-                if self.retries >= self.max_retries:
+                if self.retries >= _MAX_RETRIES:
                     raise ExecutorError(
                         broken[0][0].name,
                         f"worker process died abnormally (signal/OOM) "
@@ -385,7 +330,7 @@ class ProcessExecutor:
                     ) from cause
                 self.retries += 1
                 pool.shutdown(wait=False, cancel_futures=True)
-                time.sleep(self.retry_backoff)
+                time.sleep(_RETRY_BACKOFF)
                 pending = broken
                 pool = make_pool(len(pending))
         except KeyboardInterrupt:
@@ -410,12 +355,12 @@ class ProcessExecutor:
         return results
 
 
-def get_executor(name: str, workers: int = 1, **kwargs):
+def get_executor(name: str, workers: int = 1):
     """Instantiate the named executor (``serial``/``process``)."""
     if name == "serial":
         return SerialExecutor()
     if name == "process":
-        return ProcessExecutor(workers, **kwargs)
+        return ProcessExecutor(workers)
     choices = ", ".join(repr(e) for e in EXECUTORS)
     raise ValueError(
         f"unknown executor {name!r}: known executors are {choices}"

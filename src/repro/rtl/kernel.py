@@ -85,7 +85,7 @@ catch-all indices, tick overrides and the watched-signal count -- so
 the compile cache (:class:`~repro.compile_cache.SourceCache`, shared
 with :mod:`repro.codegen.pysim`) is keyed by the SHA-256 of the source
 itself.  Two simulators of the same scenario (a harness sweep
-rebuilding row after row, a process-pool worker warm-up) compile once;
+rebuilding row after row, a server worker) compile once;
 :func:`cache_stats` exposes the hit/miss counters and
 :func:`clear_cache` resets them (tests).
 """
@@ -94,7 +94,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..compile_cache import SourceCache, source_key
+from ..compile_cache import Emitter, SourceCache, source_key
 from ..errors import SimulationError
 
 __all__ = [
@@ -201,23 +201,6 @@ def build_plan(sim) -> KernelPlan:
 # ---------------------------------------------------------------------------
 # source generation
 # ---------------------------------------------------------------------------
-class _Emitter:
-    """Tiny indented-source builder (same shape as pysim's)."""
-
-    def __init__(self):
-        self.lines: List[str] = []
-        self._indent = 1          # everything lives inside one function
-
-    def line(self, text: str = ""):
-        self.lines.append("    " * self._indent + text if text else "")
-
-    def push(self):
-        self._indent += 1
-
-    def pop(self):
-        self._indent -= 1
-
-
 def _fused_wires(plan: KernelPlan) -> set:
     """Wire indices whose toggle accounting can fuse into the scan.
 
@@ -247,7 +230,7 @@ def _fused_wires(plan: KernelPlan) -> set:
     return {wi for wi in single_out if writers[wi] == 1}
 
 
-def _emit_scan(em: _Emitter, wi: int, fused: set, dirty_targets=()):
+def _emit_scan(em: Emitter, wi: int, fused: set, dirty_targets=()):
     """Inline output-change check for one scanned wire.
 
     Both shapes compare against a local mirror of the wire's last seen
@@ -275,7 +258,7 @@ def _emit_scan(em: _Emitter, wi: int, fused: set, dirty_targets=()):
     em.pop()
 
 
-def _emit_pass(em: _Emitter, plan: KernelPlan, fused: set) -> int:
+def _emit_pass(em: Emitter, plan: KernelPlan, fused: set) -> int:
     """One full settle pass in level order; returns the number of
     unconditional (straight-line) evaluations, for the eval counter."""
     n_plain = 0
@@ -341,7 +324,7 @@ def _emit_pass(em: _Emitter, plan: KernelPlan, fused: set) -> int:
     return n_plain
 
 
-def _emit_cycle_body(em: _Emitter, plan: KernelPlan, fused: set,
+def _emit_cycle_body(em: Emitter, plan: KernelPlan, fused: set,
                      dynamic: bool):
     """One full simulated cycle: catch-all outer loop (when needed)
     around the settle pass, the end-of-settle activity commit, waveform
@@ -435,7 +418,7 @@ def generate_source(plan: KernelPlan) -> str:
         f"{plan.n_watched} watched signal(s)",
         "def _KERNEL(sim, sch, n, stop):",
     ]
-    em = _Emitter()
+    em = Emitter()
     em.line("mods = sim.modules")
     em.line("wires = sch._wires")
     em.line("values = sch._values")
@@ -550,7 +533,7 @@ def topology_shape(sim) -> Optional[str]:
     The digest is the compile cache's key for the kernel source,
     memoized per simulator against the scheduler's rebuild token and
     the watched-signal count so repeated fingerprinting (checkpoint
-    prefix keys, server content keys) doesn't re-render the source.
+    prefix keys, :func:`fast_path_ready`) doesn't re-render the source.
     """
     sch = sim.scheduler
     sch._ensure_built()

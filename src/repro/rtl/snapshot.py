@@ -22,14 +22,14 @@ simulator at a clock-cycle boundary:
   number, so a resumed run appends samples at absolute cycle numbers.
 
 Snapshots contain only plain data, so they pickle across the process
-pool and spill to disk.
+pool and into checkpoint files (:func:`save_checkpoint`).
 
 The :class:`CheckpointStore` is the incremental-re-simulation tier on
 top: checkpoints are content-addressed by *prefix key* -- topology
-fingerprint (:func:`repro.rtl.kernel.topology_shape`, the same digest
-the PR-8 result cache uses) + stimulus-prefix hash + cycle -- so a
-re-run whose (topology, stimulus) matches a prior run restores the
-longest checkpointed prefix and simulates only the tail.  Prefix
+fingerprint (:func:`repro.rtl.kernel.topology_shape`) + stimulus-prefix
+hash + cycle -- so a re-run whose (topology, stimulus) matches a prior
+run restores the longest checkpointed prefix and simulates only the
+tail.  Prefix
 sharing is valid across *cycle counts* of one deterministic build
 (scenario, seed, stim), not across stimulus edits: scenario builders
 consume one shared RNG at build time, so any stimulus knob change
@@ -184,7 +184,7 @@ def structure_sig(sim) -> str:
 @dataclass
 class Snapshot:
     """Complete cycle-boundary state of one simulator (plain data only:
-    picklable across the process pool, spillable to disk)."""
+    picklable across the process pool and into checkpoint files)."""
 
     version: int
     cycle: int
@@ -315,7 +315,7 @@ def load_checkpoint(path) -> Snapshot:
 
 
 # ---------------------------------------------------------------------------
-# prefix keys (shared with the server's result cache)
+# prefix keys (the stimulus key is shared with the server's result cache)
 # ---------------------------------------------------------------------------
 def _sha(material) -> str:
     return hashlib.sha256(
@@ -375,27 +375,22 @@ def prefix_key(scenario: str, config, sim=None) -> str:
 # the checkpoint store
 # ---------------------------------------------------------------------------
 class CheckpointStore:
-    """LRU-bounded, content-addressed checkpoint store.
+    """LRU-bounded, content-addressed, in-memory checkpoint store.
 
-    Entries are keyed ``(prefix_key, cycle)``.  When ``disk_dir`` is
-    set, entries evicted from the memory tier spill to pickle files and
-    remain restorable; otherwise eviction drops them.  Thread-safe (the
-    server's worker threads and direct Session callers share one
-    process-wide store, like the compile caches).
+    Entries are keyed ``(prefix_key, cycle)``; eviction drops the least
+    recently used one (``run --checkpoint-dir`` is how checkpoints go
+    to disk).  Thread-safe (the server's worker threads and direct
+    Session callers share one process-wide store, like the compile
+    caches).
     """
 
-    def __init__(self, capacity: int = 128, disk_dir: Optional[str] = None):
+    def __init__(self, capacity: int = 128):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.disk_dir = os.fspath(disk_dir) if disk_dir else None
         self._lock = threading.Lock()
         self._mem: "OrderedDict[Tuple[str, int], Snapshot]" = OrderedDict()
-        self._disk: Dict[Tuple[str, int], str] = {}
-        self._stats = {
-            "hits": 0, "misses": 0, "stores": 0,
-            "evictions": 0, "spills": 0, "disk_hits": 0,
-        }
+        self._stats = {"hits": 0, "misses": 0, "stores": 0, "evictions": 0}
 
     def put(self, key: str, cycle: int, snap: Snapshot) -> bool:
         """Store a checkpoint; returns False when the (key, cycle) slot
@@ -405,18 +400,11 @@ class CheckpointStore:
             if k in self._mem:
                 self._mem.move_to_end(k)
                 return False
-            if k in self._disk:
-                return False
             self._mem[k] = snap
             self._stats["stores"] += 1
             while len(self._mem) > self.capacity:
-                old_k, old_snap = self._mem.popitem(last=False)
+                self._mem.popitem(last=False)
                 self._stats["evictions"] += 1
-                if self.disk_dir is not None:
-                    path = self._spill_path(old_k)
-                    save_checkpoint(path, old_snap)
-                    self._disk[old_k] = path
-                    self._stats["spills"] += 1
             return True
 
     def best(self, key: str, max_cycle: int
@@ -424,51 +412,32 @@ class CheckpointStore:
         """The deepest checkpoint for ``key`` at or below ``max_cycle``
         (None counts as a prefix-cache miss)."""
         with self._lock:
-            mem_best = max(
+            best = max(
                 (c for (k, c) in self._mem if k == key and c <= max_cycle),
                 default=None,
             )
-            disk_best = max(
-                (c for (k, c) in self._disk if k == key and c <= max_cycle),
-                default=None,
-            )
-            if mem_best is None and disk_best is None:
+            if best is None:
                 self._stats["misses"] += 1
                 return None
             self._stats["hits"] += 1
-            if disk_best is not None and (mem_best is None
-                                          or disk_best > mem_best):
-                self._stats["disk_hits"] += 1
-                path = self._disk[(key, disk_best)]
-            else:
-                self._mem.move_to_end((key, mem_best))
-                return mem_best, self._mem[(key, mem_best)]
-        return disk_best, load_checkpoint(path)
+            self._mem.move_to_end((key, best))
+            return best, self._mem[(key, best)]
 
     def cycles(self, key: str) -> List[int]:
         with self._lock:
-            return sorted(
-                {c for (k, c) in self._mem if k == key}
-                | {c for (k, c) in self._disk if k == key}
-            )
+            return sorted(c for (k, c) in self._mem if k == key)
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
             out = dict(self._stats)
             out["entries"] = len(self._mem)
-            out["disk_entries"] = len(self._disk)
             return out
 
     def clear(self) -> None:
         with self._lock:
             self._mem.clear()
-            self._disk.clear()
             for k in self._stats:
                 self._stats[k] = 0
-
-    def _spill_path(self, k: Tuple[str, int]) -> str:
-        key, cycle = k
-        return os.path.join(self.disk_dir, f"{key[:24]}-c{cycle}.ckpt")
 
 
 _DEFAULT_STORE: Optional[CheckpointStore] = None

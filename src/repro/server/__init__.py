@@ -8,8 +8,8 @@ A stdlib-only asyncio subsystem that turns the one-shot
   WebSocket trace streaming, all over asyncio streams.
 * :mod:`~repro.server.jobs` -- a bounded job queue with explicit 429
   backpressure, thread workers sharing the process-wide warm pysim and
-  cycle-kernel compile caches, and a content-addressed result cache
-  that makes repeated submissions O(1).
+  cycle-kernel compile caches, and a result cache that makes repeated
+  submissions O(1).
 * :mod:`~repro.server.trace` -- the per-cycle waveform/activity delta
   tap and the bounded ring that fans deltas out to WebSocket clients
   without ever stalling the simulation.

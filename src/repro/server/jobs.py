@@ -1,6 +1,5 @@
 """The server's job engine: a bounded queue, a thread worker pool over
-the process-wide warm compile caches, and a content-addressed result
-cache.
+the process-wide warm compile caches, and a result cache.
 
 Why threads, not processes: the whole point of a long-lived service is
 that compile work survives across requests.  The pysim and cycle-kernel
@@ -16,39 +15,34 @@ started jobs; a submission beyond that raises :class:`Backpressure`,
 which the HTTP layer translates into ``429`` + ``Retry-After``.  The
 server never accepts unbounded work.
 
-Results are cached at two levels, both keyed by content:
-
-* **submit key** -- SHA-256 of (kind, scenario, canonical config JSON).
-  A repeat submission of a finished run is answered without building or
-  running anything: O(1), zero recompiles.
-* **content key** -- SHA-256 of (topology fingerprint, result-relevant
-  config, stimulus hash), computed after elaboration.  The topology
-  fingerprint is the cycle-kernel source digest
-  (:func:`repro.rtl.kernel.topology_shape`) when the topology has one
-  -- a pure function of the topology shape, stable across builds and
-  processes -- and the stimulus hash covers (scenario, seed, stim),
-  which the builders are deterministic in.  Engine and backend are
-  deliberately *excluded*: the repo's equivalence suites pin every
-  engine x backend pair bit-identical, so a result computed under one
-  pair serves a submission under another (the hit is flagged in the
-  result's diagnostics, with the pair that actually computed it).
+Finished runs are cached under one key: SHA-256 of (stimulus key,
+cycles, trace).  The stimulus key
+(:func:`repro.rtl.snapshot.stimulus_key`) covers (scenario, seed,
+stim), which the builders are deterministic in.  Everything else --
+engine, backend, executor, checkpointing, watchdog, ``from_cycle`` --
+is deliberately *excluded*: the repo's equivalence suites pin every
+engine x backend pair bit-identical and a resumed run bit-identical to
+a from-0 run, so a result computed under one serves a submission under
+another (the hit is flagged in the result's diagnostics, with the pair
+that actually computed it).  The key is checked at submit -- a hit is
+answered without building or running anything: O(1), zero recompiles
+-- and again when a queued run starts, for a twin that finished
+meanwhile.
 
 Identical in-flight submissions coalesce onto one queued/running job --
 eight clients asking for the same run occupy one queue slot and pay one
-simulation.  This is the first slice of the ROADMAP's incremental-
-resimulation item: repeated requests are O(1) cache hits.
+simulation.
 
 Underneath the result cache sits the snapshot tier
 (:mod:`repro.rtl.snapshot`): run jobs go through
 :func:`repro.api.run_scenario`, so the queue shares the process-wide
 :class:`~repro.rtl.snapshot.CheckpointStore` with direct
-``Session.run``/``sweep`` callers, the prefix keys reuse the same
-topology-fingerprint + stimulus-hash derivation as the content keys
-above, and run submissions accept ``from_cycle`` -- the job restores
-the deepest checkpoint at or below that cycle for its (topology,
-stimulus) and simulates only the tail, which is what lets clients fork
-divergent runs from a shared prefix.  Streamed resumed runs publish
-absolute cycle numbers (the trace tap reads ``sim.cycle``).
+``Session.run``/``sweep`` callers, and run submissions accept
+``from_cycle`` -- the job restores the deepest checkpoint at or below
+that cycle for its (topology, stimulus) and simulates only the tail,
+which is what lets clients fork divergent runs from a shared prefix.
+Streamed resumed runs publish absolute cycle numbers (the trace tap
+reads ``sim.cycle``).
 """
 
 from __future__ import annotations
@@ -72,7 +66,7 @@ from ..api import (
 )
 from ..codegen import pysim
 from ..rtl import kernel
-from ..rtl.snapshot import get_checkpoint_store, stimulus_key, topology_key
+from ..rtl.snapshot import get_checkpoint_store, stimulus_key
 from .trace import TraceHub, TraceTap
 
 #: job lifecycle states, in order
@@ -108,7 +102,7 @@ class Job:
     __slots__ = (
         "id", "kind", "scenario", "scenarios", "tag", "seeds", "config",
         "stream", "hub", "params", "state", "error", "traceback",
-        "result", "cached", "submit_key", "content_key", "submitted",
+        "result", "cached", "submit_key", "result_key", "submitted",
         "started", "finished",
     )
 
@@ -132,9 +126,10 @@ class Job:
         self.error: Optional[str] = None
         self.traceback: Optional[str] = None   # full worker traceback
         self.result = None           # RunResult (run) or plain data
-        self.cached: Optional[str] = None      # None | "submit" | "content"
+        self.cached: Optional[str] = None      # None | "submit"
         self.submit_key = self._submit_key()
-        self.content_key: Optional[str] = None
+        self.result_key = (_result_key(scenario, config)
+                           if kind == "run" else None)
         self.submitted = time.time()
         self.started: Optional[float] = None
         self.finished: Optional[float] = None
@@ -187,54 +182,52 @@ class Job:
         return self.result
 
 
+def _result_key(scenario: str, config: SimConfig) -> str:
+    """The result-cache key of a run: SHA-256 of (stimulus key, cycles,
+    trace) -- nothing that cannot change the result."""
+    material = json.dumps(
+        [stimulus_key(scenario, config), config.cycles, config.trace],
+        separators=(",", ":"))
+    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+
+
 class ResultCache:
-    """Content-addressed finished-run storage (run-kind jobs only).
+    """Finished-run storage (run-kind jobs only), keyed by
+    :func:`_result_key`.
 
     Stored results are detached (``sim=None``) so the cache holds
-    sampled data, not live module graphs.
+    sampled data, not live module graphs.  ``hits`` counts runs
+    answered from the cache, at submit or when a queued run starts;
+    ``misses`` counts submissions the cache could not answer at submit
+    (the second lookup, when a queued run starts, counts only a hit).
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._by_submit: Dict[str, str] = {}
-        self._by_content: Dict[str, RunResult] = {}
+        self._results: Dict[str, RunResult] = {}
         self._hits = 0
-        self._content_hits = 0
         self._misses = 0
 
-    def lookup_submit(self, submit_key: str) -> Optional[RunResult]:
+    def lookup(self, key: str, count_miss: bool) -> Optional[RunResult]:
         with self._lock:
-            content_key = self._by_submit.get(submit_key)
-            if content_key is None:
-                self._misses += 1
-                return None
-            self._hits += 1
-            return self._by_content[content_key]
-
-    def lookup_content(self, submit_key: str, content_key: str
-                       ) -> Optional[RunResult]:
-        with self._lock:
-            hit = self._by_content.get(content_key)
+            hit = self._results.get(key)
             if hit is not None:
-                self._content_hits += 1
-                self._by_submit[submit_key] = content_key
+                self._hits += 1
+            elif count_miss:
+                self._misses += 1
             return hit
 
-    def store(self, submit_key: str, content_key: str,
-              result: RunResult) -> None:
+    def store(self, key: str, result: RunResult) -> None:
         detached = dataclasses.replace(result, sim=None)
         with self._lock:
-            self._by_content.setdefault(content_key, detached)
-            self._by_submit[submit_key] = content_key
+            self._results.setdefault(key, detached)
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
             return {
                 "hits": self._hits,
-                "content_hits": self._content_hits,
                 "misses": self._misses,
-                "entries": len(self._by_content),
-                "submit_keys": len(self._by_submit),
+                "entries": len(self._results),
             }
 
 
@@ -312,13 +305,12 @@ class JobQueue:
             if not self._accepting:
                 raise Backpressure(self.depth, self.retry_after)
             if job.kind == "run" and not job.stream:
-                cached = self.cache.lookup_submit(job.submit_key)
+                cached = self.cache.lookup(job.result_key,
+                                           count_miss=True)
                 if cached is not None:
                     job.state = "done"
-                    job.cached = "submit"
                     job.started = job.finished = time.time()
-                    job.result = self._annotated(cached, job.config,
-                                                 "submit")
+                    self._answer(job, cached)
                     self._remember(job)
                     return job
             if job.kind == "run":
@@ -568,53 +560,37 @@ class JobQueue:
 
     def _execute_run(self, job: Job) -> None:
         cfg = job.config
-        sim = get_registry().build(job.scenario, cfg)
-        job.content_key = self._content_key(job, sim)
         if not job.stream:
-            # from_cycle is deliberately absent from the content key: a
-            # resumed run is bit-identical to the from-0 run, so either
-            # answers the other
-            cached = self.cache.lookup_content(job.submit_key,
-                                               job.content_key)
+            # a twin submission may have finished while this one queued
+            # (its miss was counted at submit)
+            cached = self.cache.lookup(job.result_key, count_miss=False)
             if cached is not None:
-                job.cached = "content"
-                job.result = self._annotated(cached, cfg, "content")
+                self._answer(job, cached)
                 return
+        sim = get_registry().build(job.scenario, cfg)
         # a stream's tap is attached after any restore, so a resumed
         # stream begins at the restored boundary in absolute cycles
         job.result = run_scenario(
             job.scenario, cfg, sim=sim,
             resume=job.params.get("from_cycle"),
             on_cycle=None if job.hub is None else TraceTap(sim, job.hub))
-        self.cache.store(job.submit_key, job.content_key, job.result)
+        self.cache.store(job.result_key, job.result)
 
     @staticmethod
-    def _content_key(job: Job, sim) -> str:
-        """The content address of a run: topology fingerprint x
-        result-relevant config x stimulus hash, derived through the
-        same :mod:`repro.rtl.snapshot` helpers the checkpoint tier's
-        prefix keys use.  Engine/backend/executor knobs are excluded --
-        results are pinned bit-identical across them -- so submissions
-        differing only in those share one entry."""
-        cfg = job.config
-        material = json.dumps(
-            ["run", topology_key(job.scenario, cfg, sim),
-             stimulus_key(job.scenario, cfg), cfg.cycles, cfg.trace],
-            separators=(",", ":"))
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-    @staticmethod
-    def _annotated(cached: RunResult, config: SimConfig,
-                   level: str) -> RunResult:
-        """A cache hit re-labelled for its requester: the requesting
-        config is echoed, and the diagnostics say which cache level
-        answered and which engine/backend pair actually computed the
-        result (they may differ from the request on a content hit)."""
-        return dataclasses.replace(
-            cached, config=config,
+    def _answer(job: Job, cached: RunResult) -> None:
+        """Answer ``job`` from a cache hit re-labelled for its
+        requester: the requesting config is echoed, and the diagnostics
+        say the result cache answered and which engine/backend pair
+        actually computed the result (it may differ from the
+        request's).  The label is ``"submit"`` -- the cache keyed at
+        submission -- whether the hit came at submit or when the
+        queued run started."""
+        job.cached = "submit"
+        job.result = dataclasses.replace(
+            cached, config=job.config,
             diagnostics={
                 **cached.diagnostics,
-                "result_cache": level,
+                "result_cache": "submit",
                 "computed_by": {
                     "engine": cached.config.engine,
                     "backend": cached.config.backend,

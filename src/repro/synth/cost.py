@@ -182,7 +182,9 @@ def estimate_compiled(compiled: CompiledProcess,
             _merge(out, gather(expr.cond))
             arm_a = gather(expr.a)
             arm_b = gather(expr.b)
-            for gk in set(arm_a) | set(arm_b):
+            # sorted: the float area summed over these gates must not
+            # follow string-hash order
+            for gk in sorted(set(arm_a) | set(arm_b)):
                 out[gk] = out.get(gk, 0) + max(
                     arm_a.get(gk, 0), arm_b.get(gk, 0)
                 )

@@ -1,9 +1,8 @@
 """The unified run-time surface (`repro.api`) and the `python -m repro`
 CLI: SimConfig validation, the scenario registry, Session runs/sweeps
-and the executor each entry point routes to, the harness drivers'
-compatibility keywords (pinned bit-identical to the config path), one
-diagnostics contract on every surface that runs a scenario, and a
-smoke pass over every CLI subcommand."""
+and the executor each entry point routes to, the retired keywords and
+options staying retired, one diagnostics contract on every surface
+that runs a scenario, and a smoke pass over every CLI subcommand."""
 
 import json
 import os
@@ -30,6 +29,17 @@ from repro.server import JobQueue
 
 #: small workloads throughout -- these tests pin behaviour, not perf
 FAST = dict(stim=150, cycles=60)
+
+
+def _src_env(**extra):
+    """The environment of a fresh interpreter that imports this
+    checkout's ``repro``."""
+    env = dict(os.environ, **extra)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH")
+        else "")
+    return env
 
 
 # ---------------------------------------------------------------------------
@@ -303,27 +313,45 @@ class TestSession:
 
 
 # ---------------------------------------------------------------------------
-# compatibility keywords: the drivers' ``backend=`` pinned to the config
+# retired keywords and options stay retired
 # ---------------------------------------------------------------------------
+_DRIVERS = ["generate_table1", "generate_table2", "generate_figures",
+            "appendix_a"]
+
+
 class TestDeprecationShims:
-    def test_harness_driver_kwargs_match_config(self):
-        from repro.harness import generate_table1, generate_table2
-
-        cfg = SimConfig(backend="pycompiled")
-        assert generate_table1(fast=True, backend="pycompiled") \
-            == generate_table1(fast=True, config=cfg)
-        assert generate_table2(backend="pycompiled") \
-            == generate_table2(config=cfg)
-
-    @pytest.mark.parametrize("driver", ["generate_table1",
-                                        "generate_table2",
-                                        "generate_figures", "appendix_a"])
-    def test_harness_drivers_take_no_parallel_keyword(self, driver):
-        # the pool is configured once, through SimConfig.executor/jobs
+    @pytest.mark.parametrize("driver,keyword", [
+        *(pytest.param(d, "parallel", id=d) for d in _DRIVERS),
+        *(pytest.param(d, "backend", id=f"{d}-backend") for d in _DRIVERS),
+        pytest.param("appendix_a", "executor", id="appendix_a-executor"),
+    ])
+    def test_harness_drivers_take_no_parallel_keyword(self, driver,
+                                                      keyword):
+        # the pool and the backend are configured once, through
+        # SimConfig (appendix_a always runs serially)
         import repro.harness
 
-        with pytest.raises(TypeError, match="parallel"):
-            getattr(repro.harness, driver)(parallel=False)
+        with pytest.raises(TypeError, match=keyword):
+            getattr(repro.harness, driver)(**{keyword: "pycompiled"})
+
+    def test_run_time_objects_take_no_test_only_options(self):
+        import inspect
+
+        from repro.api import Scenario
+        from repro.rtl.executors import ProcessExecutor
+        from repro.rtl.snapshot import CheckpointStore
+
+        def params(fn):
+            return [p for p in inspect.signature(fn).parameters
+                    if p != "self"]
+
+        assert params(ProcessExecutor.__init__) == ["workers"]
+        assert params(CheckpointStore.__init__) == ["capacity"]
+        for build in (Scenario.build, ScenarioRegistry.build,
+                      Session.build):
+            assert "sim" not in params(build), build
+        assert "baseline" not in params(Session.bench)
+        assert params(Session.appendix_a) == ["fast"]
 
     def test_harness_exports_no_scenario_shims(self):
         import repro.harness
@@ -337,20 +365,40 @@ class TestDeprecationShims:
     def test_get_registry_registers_bundled_scenarios_itself(self):
         # a fresh interpreter that never names the harness still sees
         # the bundled scenarios: get_registry() imports their module
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src) + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH")
-            else "")
         code = ("from repro import get_registry; "
                 "print(' '.join(get_registry().names()))")
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=_src_env(), capture_output=True,
+                              text=True)
         assert proc.returncode == 0, proc.stderr
         names = proc.stdout.split()
         for family in ("streams", "memory", "aes", "axi", "mmu",
                        "pipeline", "sweep"):
             assert family in names and f"anvil_{family}" in names
+
+    def test_import_and_list_scenarios_leave_multiprocessing_unloaded(
+            self):
+        # the process pool's import (multiprocessing, socket) is paid
+        # only by a run that starts a pool
+        code = ("import sys, repro; repro.get_registry(); "
+                "print('multiprocessing' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=_src_env(), capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
+
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "repro",
+             "list-scenarios"],
+            env=_src_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "anvil_aes" in proc.stdout
+        imported = {line.rsplit("|", 1)[-1].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "repro.api" in imported
+        assert "multiprocessing" not in imported
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +409,6 @@ class TestSweepRouting:
     def routed(self, monkeypatch):
         """Record each run_batch call's (executor, workers), then run
         the batch serially so results stay real and cheap."""
-        import importlib
-
         import repro.api
         from repro.rtl import executors
 
@@ -373,11 +419,6 @@ class TestSweepRouting:
             return executors.run_batch(specs, "serial")
 
         monkeypatch.setattr(repro.api, "run_batch", spy)
-        # the package re-exports the driver function under the
-        # module's own name, so reach the module itself
-        monkeypatch.setattr(
-            importlib.import_module("repro.harness.appendix_a"),
-            "run_batch", spy)
         return calls
 
     @pytest.mark.parametrize("entry", ["sweep", "inject_campaign",
@@ -401,11 +442,21 @@ class TestSweepRouting:
         assert rows[0]["equivalent"]
         assert routed == [("serial", 3)]
 
-    def test_appendix_a_runs_serially_by_default(self, routed):
+    def test_appendix_a_runs_serially_by_default(self, routed,
+                                                 monkeypatch):
         from repro.harness import appendix_a
+        from repro.rtl import executors
 
-        appendix_a(config=SimConfig(executor="process"), fast=True)
-        assert [executor for executor, _ in routed] == ["serial"]
+        def no_pool(self, jobs):
+            raise AssertionError("appendix_a started a process pool")
+
+        monkeypatch.setattr(executors.ProcessExecutor, "run", no_pool)
+        report = appendix_a(config=SimConfig(executor="process"),
+                            fast=True)
+        assert list(report) == ["anvil", "bmc_full_width",
+                                "bmc_reduced_width"]
+        assert report["anvil"]["verdict"] == "rejected"
+        assert routed == []
 
     def test_run_batch_is_the_executors_entry_point(self):
         import repro
@@ -551,6 +602,24 @@ class TestCli:
         assert cli_main(["list-scenarios", "--tag", "nosuch",
                          "--json"]) == 1
         assert "known tags" in capsys.readouterr().err
+
+    def test_table1_does_not_depend_on_the_hash_seed(self):
+        # a float area summed over gates in string-hash order prints
+        # different last digits for the AES row under seeds 0 and 1
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "repro", "table1", "--fast",
+                 "--json"],
+                env=_src_env(PYTHONHASHSEED=seed), stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True)
+            for seed in ("0", "1")
+        ]
+        results = []
+        for proc in procs:
+            out, err = proc.communicate(timeout=600)
+            assert proc.returncode == 0, err
+            results.append(json.loads(out)["result"])
+        assert results[0] == results[1]
 
     def test_harness_json_echoes_only_consumed_config(self, capsys):
         payload = _cli_json(capsys, ["table1", "--fast"])

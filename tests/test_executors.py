@@ -14,7 +14,6 @@ from repro.rtl.executors import (
     ExecutorError,
     JobSpec,
     ProcessExecutor,
-    _warm_specs,
     execute_job,
     get_executor,
     run_batch,
@@ -203,11 +202,22 @@ class TestDeterminism:
             results = run_batch(specs, executor, workers=2)
             assert list(results) == names, executor
 
-    def test_chunked_sharding_covers_every_job(self):
+    def test_chunked_sharding_covers_every_job(self, monkeypatch):
+        import repro.rtl.executors as executors
+
+        # 9 jobs on 2 workers: the default 4 chunks per worker hold two
+        # jobs each (the last chunk, one)
+        chunked, sizes = executors._chunked, []
+
+        def spy(items, size):
+            sizes.append(size)
+            return chunked(items, size)
+
+        monkeypatch.setattr(executors, "_chunked", spy)
         specs = [_spec(f"memory#{i}", scenario="memory", seed=i)
-                 for i in range(5)]
-        pool = ProcessExecutor(workers=2, chunk_size=2)
-        results = pool.run(specs)
+                 for i in range(9)]
+        results = ProcessExecutor(workers=2).run(specs)
+        assert sizes == [2]
         assert list(results) == [s.name for s in specs]
         # distinct seeds really produced distinct stimulus
         activities = [r.total_activity for r in results.values()]
@@ -220,31 +230,6 @@ class TestDeterminism:
         assert a["memory"].activity == b["memory"].activity
         assert a["memory"].waveform.samples \
             == b["memory"].waveform.samples
-
-
-# ---------------------------------------------------------------------------
-# worker warm-up
-# ---------------------------------------------------------------------------
-class TestWarmup:
-    def test_warm_specs_dedupe_and_select_compiled_paths_only(self):
-        # only jobs with something to pre-compile are worth warming:
-        # the pycompiled FSM backend and the kernel settle engine
-        interp = _spec("memory", engine="levelized")
-        compiled = _spec("anvil_memory", backend="pycompiled")
-        twin = _spec("anvil_memory#2", scenario="anvil_memory",
-                     backend="pycompiled")
-        warm = _warm_specs([interp, compiled, twin, compiled])
-        assert [(s, c.backend) for s, c in warm] \
-            == [("anvil_memory", "pycompiled")]
-        # warm builds are minimal-stimulus clones
-        assert warm[0][1].stim == 1
-
-    def test_warmup_disabled_still_correct(self):
-        specs = [_spec("anvil_streams", backend="pycompiled")]
-        cold = ProcessExecutor(workers=2, warmup=False).run(specs)
-        warm = ProcessExecutor(workers=2, warmup=True).run(specs)
-        assert cold["anvil_streams"].activity \
-            == warm["anvil_streams"].activity
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from repro.inject.campaign import (
 from repro.inject.faults import enumerate_sites
 from repro.isa.encoding import FN_ADD, FN_SUB, IOPQ
 from repro.rtl.executors import (
+    _MAX_RETRIES,
     ExecutorError,
     JobSpec,
     ProcessExecutor,
@@ -319,8 +320,7 @@ def _kamikaze_job(spec):
 
 def test_process_executor_retries_killed_worker(tmp_path):
     sentinel = str(tmp_path / "kamikaze.marker")
-    executor = ProcessExecutor(workers=1, warmup=False,
-                               retry_backoff=0.01)
+    executor = ProcessExecutor(workers=1)
     spec = JobSpec(kind="test_kamikaze", name="k1",
                    params=(("sentinel", sentinel),))
     results = executor.run([spec])
@@ -332,13 +332,12 @@ def test_process_executor_raises_after_retry_exhausted():
     # the worker dies on every attempt: the one retry is spent and the
     # failure surfaces as an ExecutorError naming the job, instead of
     # an opaque BrokenProcessPool
-    executor = ProcessExecutor(workers=1, warmup=False,
-                               retry_backoff=0.01)
+    executor = ProcessExecutor(workers=1)
     spec = JobSpec(kind="test_kamikaze", name="k2",
                    params=(("always_die", True),))
     with pytest.raises(ExecutorError) as info:
         executor.run([spec])
-    assert executor.retries == executor.max_retries == 1
+    assert executor.retries == _MAX_RETRIES == 1
     assert "k2" in str(info.value)
 
 

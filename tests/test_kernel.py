@@ -537,14 +537,3 @@ class TestConfigAndWarmup:
         monkeypatch.setenv("REPRO_ENGINE", "warp-drive")
         with pytest.raises(ValueError, match="REPRO_ENGINE"):
             SimConfig()
-
-    def test_warm_specs_select_kernel_engine_jobs(self):
-        from repro.rtl.executors import JobSpec, _warm_specs
-
-        spec = JobSpec(kind="run_scenario", name="mmu", scenario="mmu",
-                       config=SimConfig(engine="kernel", stim=200))
-        plain = JobSpec(kind="run_scenario", name="aes", scenario="aes",
-                        config=SimConfig(engine="levelized", stim=200))
-        warm = _warm_specs([spec, plain])
-        assert [(s, c.engine) for s, c in warm] == [("mmu", "kernel")]
-        assert warm[0][1].stim == 1

@@ -1,6 +1,6 @@
 """The serving loop end to end: registry browsing, submit/poll/fetch
-pinned bit-identical to direct ``Session.run``, the two-level result
-cache (zero recompiles on repeats), 429 backpressure at queue capacity,
+pinned bit-identical to direct ``Session.run``, the result cache (zero
+builds and recompiles on repeats), 429 backpressure at queue capacity,
 concurrent WebSocket trace streams, slow-consumer drop-and-flag, the
 wire-schema round trips and the compile-cache hammer.
 
@@ -179,7 +179,7 @@ def test_resubmission_is_a_submit_level_cache_hit(client):
     assert b.diagnostics["result_cache"] == "submit"
 
 
-def test_cross_engine_submission_hits_the_content_cache(client):
+def test_cross_engine_submission_hits_the_result_cache(client):
     base_engine = SimConfig().engine     # whatever the env resolves to
     other_engine = "kernel" if base_engine != "kernel" else "levelized"
     base = client.submit("streams", cycles=200)
@@ -189,15 +189,93 @@ def test_cross_engine_submission_hits_the_content_cache(client):
     other = client.submit("streams", cycles=200,
                           config={"engine": other_engine})
     final = client.wait(other["id"])
-    # same topology fingerprint + stimulus -> served from the content
-    # cache without running (the repo pins engines bit-identical)
-    assert final["cached"] == "content"
+    # same stimulus, cycles and trace -> served from the result cache
+    # without running (the repo pins engines bit-identical)
+    assert final["cached"] == "submit"
     served = client.result(other["id"])
     assert served.activity == reference.activity
     assert served.waveform.samples == reference.waveform.samples
     # the echoed config is the requester's; diagnostics say who computed
     assert served.config.engine == other_engine
     assert served.diagnostics["computed_by"]["engine"] == base_engine
+
+
+@pytest.mark.parametrize("resubmission", [
+    {"config": {"engine": "brute"}},
+    {"config": {"backend": "pycompiled"}},
+    {"from_cycle": 100},
+], ids=["engine", "backend", "from_cycle"])
+def test_resubmission_answered_without_building(resubmission,
+                                                monkeypatch):
+    # only stimulus, cycles and trace key the result cache: a finished
+    # run resubmitted under another engine or backend, or as a fork
+    # from a cycle, is answered at submit, before anything is built
+    q = JobQueue(depth=2, workers=1).start()
+    run = {"scenario": "anvil_streams", "cycles": 160,
+           "config": {"engine": "kernel", "stim": 200}}
+    try:
+        first = _finished(q.submit(run))
+        builds = []
+        real_build = type(_REGISTRY).build
+
+        def counting_build(self, *args, **kwargs):
+            builds.append(args)
+            return real_build(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(_REGISTRY), "build", counting_build)
+        again = q.submit({
+            **run, **resubmission,
+            "config": {**run["config"],
+                       **resubmission.get("config", {})}})
+        assert again.state == "done" and again.cached == "submit"
+        assert builds == []
+    finally:
+        q.shutdown()
+    assert again.result.activity == first.result.activity
+    assert again.result.waveform.samples == first.result.waveform.samples
+    assert again.result.config == again.config
+    assert again.result.diagnostics["result_cache"] == "submit"
+    assert again.result.diagnostics["computed_by"] == {
+        "engine": "kernel", "backend": first.config.backend}
+
+
+def test_queued_twin_answered_when_it_starts(monkeypatch):
+    # a run queued behind its twin misses at submit; when it leaves the
+    # queue the twin has finished, so the second lookup answers it
+    # without a build, and its miss is counted once, at submit
+    entered, release = threading.Event(), threading.Event()
+    builds = []
+    real_build = type(_REGISTRY).build
+
+    def held_build(self, *args, **kwargs):
+        builds.append(args)
+        entered.set()
+        assert release.wait(60)
+        return real_build(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(_REGISTRY), "build", held_build)
+    q = JobQueue(depth=2, workers=1).start()
+    run = {"scenario": "anvil_streams", "cycles": 160,
+           "config": {"engine": "kernel", "stim": 200}}
+    try:
+        first = q.submit(run)
+        assert entered.wait(60)
+        twin = q.submit({**run, "config": {**run["config"],
+                                           "engine": "brute"}})
+        assert twin is not first and twin.state == "queued"
+        release.set()
+        _finished(first)
+        _finished(twin)
+        stats = q.stats()["result_cache"]
+    finally:
+        release.set()
+        q.shutdown()
+    assert len(builds) == 1
+    assert twin.cached == "submit"
+    assert twin.result.activity == first.result.activity
+    assert twin.result.config == twin.config
+    assert twin.result.diagnostics["computed_by"]["engine"] == "kernel"
+    assert stats == {"hits": 1, "misses": 2, "entries": 1}
 
 
 def test_sweep_and_bench_job_kinds(client):
@@ -427,8 +505,7 @@ def test_eight_concurrent_clients_one_simulation_zero_recompiles():
         # answered by coalescing or the result cache
         stats = srv.queue.stats()
         cache = stats["result_cache"]
-        assert cache["hits"] + cache["content_hits"] + stats["coalesced"] \
-            >= 7
+        assert cache["hits"] + stats["coalesced"] >= 7
         assert stats["states"]["failed"] == 0
 
         # a full queue answers 429, never accepts unbounded work
