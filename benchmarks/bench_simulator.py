@@ -32,7 +32,7 @@ engine axis floors were committed against.
 JobSpec sweep of all twelve scenario families (six mixed + six
 Anvil-only) under the ``serial`` and ``process`` executors of
 :mod:`repro.rtl.executors`.  Each job builds *and* runs its scenario
-inside the executor -- the harness-sweep shape -- so the ``process``
+inside the executor -- the scenario-sweep shape -- so the ``process``
 row shows what real cores buy once jobs cross the pickling boundary.
 The blob records ``cpu_count``: on a single-core box the process row
 can only demonstrate correctness, not speedup, and

@@ -1,8 +1,8 @@
 """``python -m repro`` -- the command-line front end over :mod:`repro.api`.
 
-One option layer (``--engine/--backend/--executor/--seed/--cycles/
---stim/--trace/--json``) shared by every subcommand, resolved
-into a single :class:`~repro.api.SimConfig` and handed to a
+One option layer (``--engine/--backend/--executor/--jobs/--seed/
+--cycles/--stim/--trace/--json`` and the checkpoint/watchdog knobs),
+resolved into a single :class:`~repro.api.SimConfig` and handed to a
 :class:`~repro.api.Session`:
 
 ================  ===========================================================
@@ -22,9 +22,10 @@ into a single :class:`~repro.api.SimConfig` and handed to a
 ``--json`` (optionally ``--json PATH``) emits the machine-readable form
 of any subcommand's result; every blob embeds the resolved config so
 records are self-describing.  A subcommand exposes (and echoes) only
-the config fields its run actually consumes -- the harness drivers take
-``--engine``/``--backend``/``--executor``/``--jobs``, ``appendix-a``
-just ``--engine``/``--backend`` (its BMC sides are serial by design).
+the config fields its run actually consumes.  Only ``sweep``,
+``inject`` and ``serve`` take ``--executor``/``--jobs``: ``run``,
+``bench`` and the four harness commands compute in this process, and
+the harness commands take just ``--engine``/``--backend``.
 """
 
 from __future__ import annotations
@@ -50,20 +51,18 @@ ALL_FIELDS = ("engine", "backend", "executor", "jobs", "seed", "cycles",
 #: nor echoes the executor knobs
 RUN_FIELDS = tuple(f for f in ALL_FIELDS
                    if f not in ("executor", "jobs"))
-#: bench measures each (scenario, config) serially, never checkpoints
-#: and runs no watchdog -- a restored prefix (or a cancelled repeat)
-#: would corrupt the cycles/second it is trying to measure
-BENCH_FIELDS = tuple(f for f in ALL_FIELDS
+#: bench measures each (scenario, config) in this process, never
+#: checkpoints and runs no watchdog -- a restored prefix (or a
+#: cancelled repeat) would corrupt the cycles/second it is measuring
+BENCH_FIELDS = tuple(f for f in RUN_FIELDS
                      if f not in ("checkpoint_every", "max_wall_time"))
 #: a fault campaign forks tails on the configured executor but never
 #: renders waveforms or feeds the checkpoint store (it keeps a
 #: campaign-local one)
 INJECT_FIELDS = tuple(f for f in ALL_FIELDS
                       if f not in ("trace", "checkpoint_every"))
-#: what the harness drivers actually thread through (appendix-a keeps
-#: its own serial-by-design executor knob, so it exposes only the
-#: engine/backend pair its simulated side consumes)
-HARNESS_FIELDS = ("engine", "backend", "executor", "jobs")
+#: what the four harness drivers thread through to their simulations
+HARNESS_FIELDS = ("engine", "backend")
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +263,7 @@ def cmd_bench(args) -> int:
     config = args.sim_config
     session = Session(config)
     rows = session.bench(args.scenarios or None, tag=args.tag,
-                         warmup=args.warmup, repeats=args.repeats,
-                         check=not args.no_check,
-                         # the raw CLI value: bench defaults to serial
-                         # measurement unless an executor is requested
-                         executor=args.executor, jobs=args.jobs)
+                         warmup=args.warmup, repeats=args.repeats)
     if args.json:
         _emit_json(args, _wrap(args, rows))
     else:
@@ -277,7 +272,7 @@ def cmd_bench(args) -> int:
         print(f"{'scenario':18s} {base + ' c/s':>16} {conf + ' c/s':>22} "
               f"{'speedup':>8}  equal")
         for r in rows:
-            eq = {True: "yes", False: "NO", None: "-"}[r["equivalent"]]
+            eq = "yes" if r["equivalent"] else "NO"
             print(f"{r['scenario']:18s} "
                   f"{r['baseline']['cycles_per_second']:16.0f} "
                   f"{r['configured']['cycles_per_second']:22.0f} "
@@ -286,7 +281,7 @@ def cmd_bench(args) -> int:
             geo = statistics.geometric_mean(
                 r["speedup"] for r in rows if r["speedup"] > 0)
             print(f"geomean speedup: {geo:.2f}x")
-    bad = [r for r in rows if r["equivalent"] is False]
+    bad = [r for r in rows if not r["equivalent"]]
     if bad:
         print("ERROR: configured run diverges from baseline on: "
               + ", ".join(r["scenario"] for r in bad), file=sys.stderr)
@@ -474,8 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tag", default=None)
     p.add_argument("--warmup", type=int, default=20)
     p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--no-check", action="store_true",
-                   help="skip waveform/activity equivalence checks")
     _add_config_options(p, fields=BENCH_FIELDS)
     p.set_defaults(fn=cmd_bench)
 
@@ -525,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Appendix A: typecheck vs BMC")
     p.add_argument("--fast", action="store_true",
                    help="shrink the BMC budgets (CI smoke)")
-    _add_config_options(p, fields=("engine", "backend"))
+    _add_config_options(p, fields=HARNESS_FIELDS)
     p.set_defaults(fn=cmd_appendix_a)
 
     p = sub.add_parser(

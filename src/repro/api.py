@@ -656,42 +656,35 @@ def run_scenario(scenario: str, config: SimConfig, *,
 
 
 # ---------------------------------------------------------------------------
-# the scenario job kinds (run by repro.rtl.executors on either executor)
+# the scenario job kind (run by repro.rtl.executors on either executor)
 # ---------------------------------------------------------------------------
 @job_kind("run_scenario")
 def _run_scenario_job(spec: JobSpec) -> RunResult:
     """Run a registered scenario under the spec's config."""
-    config = spec.config
-    if spec.cycles is not None:
-        config = config.replace(cycles=spec.cycles)
-    return run_scenario(spec.scenario, config)
+    return run_scenario(spec.scenario, spec.config)
 
 
-@job_kind("bench_scenario")
-def _bench_scenario_job(spec: JobSpec) -> RunResult:
+def _bench_scenario(scenario: str, config: SimConfig, warmup: int,
+                    repeats: int) -> RunResult:
     """Best-of-N cycles/second measurement of one scenario x config.
 
-    Params: ``warmup`` (cycles run before timing starts) and ``repeats``
-    (the run is rebuilt from scratch each repeat; the best rate wins).
+    Each of ``repeats`` runs is rebuilt from scratch, runs ``warmup``
+    cycles untimed, then ``config.cycles`` timed; the best rate wins.
     One untimed warm-up iteration runs first so one-time compile costs
     (pycompiled sources, cycle kernels) land outside every timed
     repeat -- without it, first-repeat compile time showed up as
     inflated variance on small-cycle scenarios.
     """
-    cfg = spec.config
-    warmup = spec.param("warmup", 20)
-    repeats = max(spec.param("repeats", 1), 1)
-    cycles = spec.run_cycles
-    sim = get_registry().build(spec.scenario, cfg)
-    sim.run(warmup + cycles)                 # untimed: compile caches warm
+    registry = get_registry()
+    registry.build(scenario, config).run(warmup + config.cycles)
     best_elapsed, sim = float("inf"), None
-    for _ in range(repeats):
-        sim = get_registry().build(spec.scenario, cfg)
+    for _ in range(max(repeats, 1)):
+        sim = registry.build(scenario, config)
         sim.run(warmup)
         t0 = time.perf_counter()
-        sim.run(cycles)
+        sim.run(config.cycles)
         best_elapsed = min(best_elapsed, time.perf_counter() - t0)
-    return _result_of(spec.scenario, cfg, sim, cycles, best_elapsed)
+    return _result_of(scenario, config, sim, config.cycles, best_elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -868,45 +861,28 @@ class Session:
     # -- benchmarking --------------------------------------------------
     def bench(self, scenarios: Optional[Sequence[str]] = None,
               tag: Optional[str] = None, *, cycles: Optional[int] = None,
-              warmup: int = 20, repeats: int = 1,
-              check: bool = True, executor: Optional[str] = None,
-              jobs: Optional[int] = None) -> List[Dict[str, object]]:
+              warmup: int = 20, repeats: int = 1) -> List[Dict[str, object]]:
         """Measure this config against a baseline per scenario.
 
         The baseline is the reference pair (``brute`` engine, ``interp``
         backend) with this session's seed/stim, so the result reads as
         "what the configured fast paths buy".  Each row carries
-        cycles/second for both configs, the speedup, and (when ``check``)
-        waveform/activity equivalence between the two runs.
+        cycles/second for both configs, the speedup, and whether the two
+        runs' waveforms and activity are equivalent.
 
-        Every (scenario, config) measurement is one ``bench_scenario``
-        :class:`~repro.rtl.executors.JobSpec`; each runs one untimed
-        warm-up iteration first so compile costs (pycompiled sources,
-        cycle kernels) never pollute the timed repeats.  The measurement
-        executor defaults to ``serial`` regardless of the session config
-        -- timing jobs that share cores would corrupt each other's
-        cycles/second -- and must be requested explicitly (``process``
-        isolates measurements in their own workers).
+        The measurements run one at a time in this process -- per
+        scenario the baseline, then the configured side -- because
+        timing runs that share cores corrupt each other's cycles/second.
+        Each runs one untimed warm-up iteration first, so compile costs
+        (pycompiled sources, cycle kernels) never pollute the timed
+        repeats.
         """
         cfg = resolve_config(self.config, cycles=cycles)
         base = cfg.replace(engine="brute", backend="interp")
-        names = self._select(scenarios, tag)
-        specs = [
-            JobSpec(kind="bench_scenario", name=f"{name}:{label}",
-                    scenario=name, config=variant, cycles=cfg.cycles,
-                    params=(("warmup", warmup), ("repeats", repeats)))
-            for name in names
-            for label, variant in (("baseline", base), ("configured", cfg))
-        ]
-        runs = run_batch(specs, executor or "serial",
-                         jobs if jobs is not None else cfg.jobs)
         rows = []
-        for name in names:
-            b, c = runs[f"{name}:baseline"], runs[f"{name}:configured"]
-            equivalent = True
-            if check:
-                equivalent = (b.activity == c.activity
-                              and b.waveform.samples == c.waveform.samples)
+        for name in self._select(scenarios, tag):
+            b = _bench_scenario(name, base, warmup, repeats)
+            c = _bench_scenario(name, cfg, warmup, repeats)
             rows.append({
                 "scenario": name,
                 "baseline": {"config": base.to_dict(),
@@ -915,7 +891,8 @@ class Session:
                                "cycles_per_second": c.cycles_per_second},
                 "speedup": (c.cycles_per_second / b.cycles_per_second
                             if b.cycles_per_second else 0.0),
-                "equivalent": equivalent if check else None,
+                "equivalent": (b.activity == c.activity
+                               and b.waveform.samples == c.waveform.samples),
             })
         return rows
 
@@ -945,7 +922,8 @@ class Session:
 
     # -- the paper harnesses -------------------------------------------
     def table1(self, fast: bool = False):
-        """Table 1 rows under this session's backend/executor config."""
+        """Table 1 rows, with the activity simulations on this session's
+        engine and backend."""
         from .harness.table1 import generate_table1
         return generate_table1(fast=fast, config=self.config)
 

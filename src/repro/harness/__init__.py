@@ -1,9 +1,10 @@
 """Experiment harness: regenerates every table and figure of the paper.
 
 All four drivers (``generate_table1``, ``generate_table2``,
-``generate_figures``, ``appendix_a``) take their settings from a
+``generate_figures``, ``appendix_a``) compute in the caller's process
+and read only the settle engine and FSM backend of a
 :class:`~repro.api.SimConfig` (or :class:`~repro.api.Session`) passed
-as ``config=``; ``appendix_a`` always runs serially.  The workload
+as ``config=``.  The workload
 builders in :mod:`.scenarios` register with the canonical scenario
 registry (:func:`repro.api.get_registry`).
 """

@@ -25,7 +25,6 @@ from ..lang.terms import (
     var,
 )
 from ..lang.types import Logic
-from ..rtl.executors import JobSpec, job_kind, run_batch
 from ..rtl.simulator import Simulator
 
 
@@ -342,52 +341,6 @@ def figure6() -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 # Figure 8
 # ---------------------------------------------------------------------------
-#: figure name -> harness function; the declarative surface the
-#: ``figure`` job kind dispatches on (figures 1 and 4 simulate and
-#: therefore consume the config's engine; figure 4 also its backend)
-FIGURES = {
-    "figure1": figure1,
-    "figure2_bsv": figure2_bsv,
-    "figure2_anvil": figure2_anvil,
-    "figure4": figure4,
-    "figure5": figure5,
-    "figure6": figure6,
-}
-
-
-@job_kind("figure")
-def _figure_job(spec: JobSpec) -> Dict[str, object]:
-    """Run one named figure harness (any executor)."""
-    name = spec.param("figure")
-    if name == "figure1":
-        return figure1(engine=spec.config.engine)
-    if name == "figure4":
-        return figure4(backend=spec.config.backend,
-                       engine=spec.config.engine)
-    if name == "figure8":
-        return figure8()       # defined below FIGURES; looked up lazily
-    return FIGURES[name]()
-
-
-def generate_figures(config=None) -> Dict[str, object]:
-    """Every figure harness as one sweep of declarative ``figure``
-    :class:`~repro.rtl.executors.JobSpec` jobs (each figure builds its
-    own simulators/processes, so the jobs are independent; the
-    ``process`` executor runs them on real cores).  ``config`` (a
-    :class:`~repro.api.SimConfig` or :class:`~repro.api.Session`)
-    supplies the FSM execution backend wherever a figure simulates a
-    compiled process (figure 4), the executor and the pool size."""
-    from ..api import resolve_config
-
-    cfg = resolve_config(config)
-    return run_batch(
-        [JobSpec(kind="figure", name=name, config=cfg,
-                 params=(("figure", name),))
-         for name in [*FIGURES, "figure8"]],
-        cfg.executor, cfg.jobs,
-    )
-
-
 def figure8() -> Dict[str, object]:
     """Optimization-pass statistics over every compiled design."""
     from ..anvil_designs.aes import aes_core
@@ -417,3 +370,25 @@ def figure8() -> Dict[str, object]:
             })
         out[proc.name] = per_thread
     return out
+
+
+# ---------------------------------------------------------------------------
+# every figure
+# ---------------------------------------------------------------------------
+def generate_figures(config=None) -> Dict[str, object]:
+    """Every figure harness, computed in this process.  ``config`` (a
+    :class:`~repro.api.SimConfig` or :class:`~repro.api.Session`)
+    supplies the settle engine of the simulated figures (1 and 4) and
+    the FSM execution backend of the compiled process in figure 4."""
+    from ..api import resolve_config
+
+    cfg = resolve_config(config)
+    return {
+        "figure1": figure1(engine=cfg.engine),
+        "figure2_bsv": figure2_bsv(),
+        "figure2_anvil": figure2_anvil(),
+        "figure4": figure4(backend=cfg.backend, engine=cfg.engine),
+        "figure5": figure5(),
+        "figure6": figure6(),
+        "figure8": figure8(),
+    }

@@ -21,7 +21,6 @@ from ..anvil_designs import streams as anv_streams
 from ..anvil_designs.aes import aes_core
 from ..codegen.simfsm import build_simulation, compile_process
 from ..lang.process import System
-from ..rtl.executors import JobSpec, job_kind, run_batch
 from ..synth import baselines, estimate_compiled
 from ..synth.cost import CostReport
 
@@ -194,41 +193,19 @@ def _row(spec: dict, fast: bool, backend: str = "interp",
     )
 
 
-@job_kind("table1_row")
-def _table1_row_job(spec: JobSpec) -> Table1Row:
-    """Recompute one Table 1 row from its declarative description --
-    the row index into :func:`_spec_rows` plus the config's engine and
-    backend -- so the job ships to any executor, including the process
-    pool."""
-    rows = _spec_rows()
-    return _row(rows[spec.param("index")], spec.param("fast", False),
-                spec.config.backend, spec.config.engine)
-
-
 def generate_table1(fast: bool = False, config=None) -> List[Table1Row]:
-    """Compute every row of Table 1.
+    """Compute every row of Table 1 in this process.
 
-    Rows are independent (each builds its own processes and simulators),
-    so each becomes one declarative ``table1_row``
-    :class:`~repro.rtl.executors.JobSpec` -- an index into the row spec
-    table plus the resolved config -- and the list runs as one sweep on
-    the configured executor (``serial`` by default; ``process`` buys
-    real multi-core speedup).  ``config`` (a
-    :class:`~repro.api.SimConfig` or :class:`~repro.api.Session`)
-    supplies the FSM execution backend of the activity simulations, the
-    executor and the pool size.  Results are backend- and
-    executor-independent, only the wall-clock changes."""
+    ``config`` (a :class:`~repro.api.SimConfig` or
+    :class:`~repro.api.Session`) supplies the settle engine and FSM
+    execution backend of the activity simulations; the rows do not
+    depend on either, only the wall-clock does.  ``fast=True`` skips
+    the activity simulations."""
     from ..api import resolve_config
 
     cfg = resolve_config(config)
-    specs = _spec_rows()
-    results = run_batch(
-        [JobSpec(kind="table1_row", name=spec["name"], config=cfg,
-                 params=(("index", i), ("fast", fast)))
-         for i, spec in enumerate(specs)],
-        cfg.executor, cfg.jobs,
-    )
-    return [results[spec["name"]] for spec in specs]
+    return [_row(spec, fast, cfg.backend, cfg.engine)
+            for spec in _spec_rows()]
 
 
 def format_table1(rows: List[Table1Row]) -> str:

@@ -24,7 +24,6 @@ from ..lang.terms import (
     var,
 )
 from ..lang.types import Logic
-from ..rtl.executors import JobSpec, job_kind, run_batch
 
 
 def _req_res(name="ch", until=True):
@@ -189,9 +188,9 @@ def case_core2axi_w_valid() -> Dict[str, object]:
     }
 
 
-#: the Table 2 case studies by name -- the declarative surface the
-#: ``table2_case`` job kind dispatches on (``stream_fifo`` is special:
-#: it simulates and therefore consumes the config's backend)
+#: the five Table 2 case studies by name, each a zero-argument function
+#: (the Section 7.2 stream FIFO simulates, so it is
+#: :func:`stream_fifo_safety`, which takes the engine and backend)
 CASES = {
     "opentitan": case_opentitan_entropy,
     "coyote": case_coyote_two_cycle_valid,
@@ -201,33 +200,19 @@ CASES = {
 }
 
 
-@job_kind("table2_case")
-def _table2_case_job(spec: JobSpec) -> Dict[str, object]:
-    """Run one named case study (any executor; nothing to pickle but
-    the name and the config)."""
-    case = spec.param("case")
-    if case == "stream_fifo":
-        return stream_fifo_safety(backend=spec.config.backend,
-                                  engine=spec.config.engine)
-    return CASES[case]()
-
-
 def generate_table2(config=None) -> Dict[str, Dict[str, object]]:
     """All five case studies plus the Section 7.2 stream-FIFO dynamic
-    comparison; independent, so each runs as one declarative
-    ``table2_case`` :class:`~repro.rtl.executors.JobSpec` on the
-    configured executor.  ``config`` (a :class:`~repro.api.SimConfig`
-    or :class:`~repro.api.Session`) supplies the FSM execution backend
-    of the dynamic case, the executor and the pool size."""
+    comparison, computed in this process.  ``config`` (a
+    :class:`~repro.api.SimConfig` or :class:`~repro.api.Session`)
+    supplies the settle engine and FSM execution backend of the dynamic
+    case."""
     from ..api import resolve_config
 
     cfg = resolve_config(config)
-    return run_batch(
-        [JobSpec(kind="table2_case", name=name, config=cfg,
-                 params=(("case", name),))
-         for name in [*CASES, "stream_fifo"]],
-        cfg.executor, cfg.jobs,
-    )
+    cases = {name: case() for name, case in CASES.items()}
+    cases["stream_fifo"] = stream_fifo_safety(backend=cfg.backend,
+                                              engine=cfg.engine)
+    return cases
 
 
 def stream_fifo_safety(backend: str = "interp",

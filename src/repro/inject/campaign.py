@@ -269,14 +269,11 @@ def run_campaign(scenario: str, config=None, *, n_faults: int = 25,
 def _inject_campaign_job(spec) -> Dict[str, object]:
     """Executor entry point: one campaign shard in a worker process.
 
-    ``faults`` arrives as a tuple of ``Fault.to_dict`` forms (JobSpecs
-    must stay picklable and comparable); an empty tuple means "sample
-    ``n_faults`` locally", which keeps single-shard submissions cheap."""
-    shard = [Fault.from_dict(dict(d)) for d in spec.param("faults", ())]
+    ``faults`` arrives as a non-empty tuple of ``Fault.to_dict`` forms
+    (JobSpecs must stay picklable and comparable)."""
     return run_campaign(
         spec.scenario, spec.config,
-        n_faults=spec.param("n_faults", 25),
-        faults=shard or None,
+        faults=spec.param("faults"),
         inject_seed=spec.param("inject_seed"),
         tail_budget=spec.param("tail_budget"),
     )

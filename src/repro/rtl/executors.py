@@ -2,17 +2,16 @@
 them -- ``serial`` and ``process`` -- and :func:`run_batch`, the one
 entry point the sweeps go through.
 
-The harness tables and figures, the benchmark sweeps and the sharded
-fault-injection campaigns are lists of *independent* jobs.  A
-:class:`JobSpec` *describes* a job instead of capturing it in a
-closure: a registered job ``kind``, the scenario registry name it
-targets, a frozen :class:`~repro.api.SimConfig`, and a tuple of
-picklable parameters.  Workers rebuild the work from the description,
-so the same spec list runs identically on either executor:
+Scenario sweeps and sharded fault-injection campaigns are lists of
+*independent* jobs.  A :class:`JobSpec` *describes* a job instead of
+capturing it in a closure: a registered job ``kind``, the scenario
+registry name it targets, a frozen :class:`~repro.api.SimConfig`, and
+a tuple of picklable parameters.  Workers rebuild the work from the
+description, so the same spec list runs identically on either
+executor:
 
-* ``serial``  -- in-process, submission order; the default, the
-  profiling/debugging reference and the timing-fidelity choice for
-  benchmark measurement and wall-clock-budgeted (BMC) jobs;
+* ``serial``  -- in-process, submission order; the default and the
+  profiling/debugging reference;
 * ``process`` -- a :class:`~concurrent.futures.ProcessPoolExecutor` with
   chunked sharding and real multi-core speedup.
 
@@ -29,9 +28,11 @@ Guarantees shared by both executors:
 
 This module runs generic JobSpecs only: job kinds are registered with
 :func:`job_kind` by the modules that own them (the scenario runs in
-:mod:`repro.api`, the harness drivers, fault injection), resolved
-lazily through ``_KIND_HOMES`` so workers only import what their jobs
-need.
+:mod:`repro.api`, the campaign shards in :mod:`repro.inject.campaign`),
+resolved lazily through ``_KIND_HOMES`` so workers only import what
+their jobs need.  The paper harnesses and ``Session.bench`` run in the
+caller's process and submit no jobs: measured on two cores, the pool
+never beat a serial run of them.
 """
 
 from __future__ import annotations
@@ -74,8 +75,6 @@ class JobSpec:
         ``None`` for kinds that take no simulation config);
     ``scenario``
         the scenario-registry name the job targets, when it targets one;
-    ``cycles``
-        cycle-count override (``None`` -> the config's default);
     ``params``
         extra kind-specific parameters as a ``(key, value)`` tuple --
         everything in it must pickle.
@@ -85,7 +84,6 @@ class JobSpec:
     name: str
     config: object = None
     scenario: Optional[str] = None
-    cycles: Optional[int] = None
     params: Tuple[Tuple[str, object], ...] = ()
 
     def __post_init__(self):
@@ -104,14 +102,6 @@ class JobSpec:
                 return v
         return default
 
-    @property
-    def run_cycles(self) -> Optional[int]:
-        """The effective cycle count: the explicit override, else the
-        config's default."""
-        if self.cycles is not None:
-            return self.cycles
-        return getattr(self.config, "cycles", None)
-
 
 # ---------------------------------------------------------------------------
 # job kinds
@@ -124,10 +114,6 @@ JOB_KINDS: Dict[str, Callable[[JobSpec], object]] = {}
 #: module registers the kind at import time; workers import on demand
 _KIND_HOMES = {
     "run_scenario": "repro.api",
-    "bench_scenario": "repro.api",
-    "table1_row": "repro.harness.table1",
-    "table2_case": "repro.harness.table2",
-    "figure": "repro.harness.figures",
     "inject_campaign": "repro.inject.campaign",
 }
 

@@ -124,14 +124,19 @@ def estimate_compiled(compiled: CompiledProcess,
     for reg in process.registers.values():
         flops += reg.dtype.width
 
-    skey_memo: Dict[int, tuple] = {}
-    node_seen: set = set()
+    # expressions are DAGs: every memo below is keyed by node identity
+    # (or interned structural key), so each distinct node is visited once
+    skey_memo: Dict[int, int] = {}
+    skey_ids: Dict[tuple, int] = {}
     depth_memo: Dict[int, int] = {}
+    slots_memo: Dict[int, frozenset] = {}
     max_depth = 0
 
-    def skey(expr: rx.RExpr) -> tuple:
+    def skey(expr: rx.RExpr) -> int:
         """Structural key: identical logic built twice synthesizes once
-        (common-subexpression elimination)."""
+        (common-subexpression elimination).  Keys are interned as ints,
+        so a key is the node's own parameters plus its children's ints
+        and hashing it never descends the expression."""
         cached = skey_memo.get(id(expr))
         if cached is not None:
             return cached
@@ -160,11 +165,12 @@ def estimate_compiled(compiled: CompiledProcess,
             params = ("ready", expr.endpoint, expr.message)
         else:
             params = (type(expr).__name__, expr.width)
-        key = params + tuple(skey(c) for c in expr.children())
+        key = skey_ids.setdefault(
+            params + tuple(skey(c) for c in expr.children()), len(skey_ids))
         skey_memo[id(expr)] = key
         return key
 
-    gather_memo: Dict[tuple, Dict[str, int]] = {}
+    gathered: set = set()
 
     def gather(expr: rx.RExpr) -> Dict[str, int]:
         """Gate demand of a subtree with two synthesis optimizations:
@@ -172,11 +178,10 @@ def estimate_compiled(compiled: CompiledProcess,
         second time) and operator sharing across mux alternatives (the two
         arms are mutually exclusive, so their operators merge elementwise).
         """
-        nonlocal max_depth
         key = skey(expr)
-        if key in gather_memo:
+        if key in gathered:
             return {}
-        gather_memo[key] = {}
+        gathered.add(key)
         out: Dict[str, int] = dict(expr.gate_count())
         if isinstance(expr, rx.RMux):
             _merge(out, gather(expr.cond))
@@ -204,6 +209,16 @@ def estimate_compiled(compiled: CompiledProcess,
         max_depth = max(max_depth, d)
         return d
 
+    def slots_read(expr: rx.RExpr) -> frozenset:
+        """The value slots an expression reads."""
+        cached = slots_memo.get(id(expr))
+        if cached is None:
+            own = (expr.slot,) if isinstance(expr, rx.RSlot) else ()
+            cached = frozenset(own).union(
+                *(slots_read(c) for c in expr.children()))
+            slots_memo[id(expr)] = cached
+        return cached
+
     def charge(expr: Optional[rx.RExpr]) -> int:
         if expr is None:
             return 0
@@ -222,9 +237,8 @@ def estimate_compiled(compiled: CompiledProcess,
         def note_reads(expr: Optional[rx.RExpr], eid: int):
             if expr is None:
                 return
-            for node in rx.walk(expr):
-                if isinstance(node, rx.RSlot):
-                    slot_readers.setdefault(node.slot, set()).add(eid)
+            for slot in slots_read(expr):
+                slot_readers.setdefault(slot, set()).add(eid)
 
         # FSM state: a hand-encoded FSM needs log2(#control states) bits;
         # the control states are the distinct time offsets the thread's
@@ -289,10 +303,6 @@ def estimate_compiled(compiled: CompiledProcess,
             if len(sources) > 1:
                 width = max(s.width or 1 for s in sources)
                 _merge(gates, {"mux2": width * (len(sources) - 1)})
-        for cond_id, expr in cthread.cond_exprs.items():
-            for node in rx.walk(expr):
-                if isinstance(node, rx.RSlot):
-                    slot_readers.setdefault(node.slot, set())
         for slot, (latch_eid, width) in slot_latch.items():
             readers = slot_readers.get(slot, set())
             if any(not _co_cyclic(g, latch_eid, r) for r in readers):

@@ -4,6 +4,7 @@ and the executor each entry point routes to, the retired keywords and
 options staying retired, one diagnostics contract on every surface
 that runs a scenario, and a smoke pass over every CLI subcommand."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -421,26 +422,40 @@ class TestSweepRouting:
         monkeypatch.setattr(repro.api, "run_batch", spy)
         return calls
 
-    @pytest.mark.parametrize("entry", ["sweep", "inject_campaign",
-                                       "bench"])
+    @pytest.mark.parametrize("entry", ["sweep", "inject_campaign"])
     def test_entry_points_forward_executor_and_jobs(self, entry, routed):
         session = Session(SimConfig(stim=100, cycles=40,
                                     executor="process", jobs=3))
         if entry == "sweep":
             session.sweep(["streams"])
-        elif entry == "inject_campaign":
-            session.inject_campaign("streams", faults=4)
         else:
-            session.bench(["streams"], cycles=20, warmup=1,
-                          executor="process")
+            session.inject_campaign("streams", faults=4)
         assert routed == [("process", 3)]
 
-    def test_bench_measures_serially_unless_asked(self, routed):
-        rows = Session(SimConfig(stim=100, executor="process",
-                                 jobs=3)).bench(["streams"], cycles=20,
-                                                warmup=1)
-        assert rows[0]["equivalent"]
-        assert routed == [("serial", 3)]
+    def test_harnesses_and_bench_run_in_this_process(self, monkeypatch):
+        from repro.harness import (
+            generate_figures,
+            generate_table1,
+            generate_table2,
+        )
+        from repro.rtl import executors
+
+        def no_batch(*args, **kwargs):
+            raise AssertionError("submitted a JobSpec batch")
+
+        # every run_batch call, wherever it was imported, builds its
+        # executor here
+        monkeypatch.setattr(executors, "get_executor", no_batch)
+        cfg = SimConfig(stim=100, executor="process", jobs=2)
+        assert len(generate_table1(fast=True, config=cfg)) == 10
+        assert generate_table2(config=cfg)["opentitan"]["unsafe_rejected"]
+        assert "figure8" in generate_figures(config=cfg)
+        rows = Session(cfg).bench(["streams"], cycles=20, warmup=1)
+        assert rows[0]["equivalent"] is True
+
+    def test_bench_takes_no_pool_or_check_knobs(self):
+        params = inspect.signature(Session.bench).parameters
+        assert not {"executor", "jobs", "check"} & set(params)
 
     def test_appendix_a_runs_serially_by_default(self, routed,
                                                  monkeypatch):
@@ -621,11 +636,13 @@ class TestCli:
             results.append(json.loads(out)["result"])
         assert results[0] == results[1]
 
-    def test_harness_json_echoes_only_consumed_config(self, capsys):
-        payload = _cli_json(capsys, ["table1", "--fast"])
-        assert set(payload["config"]) == {"engine", "backend", "executor",
-                                          "jobs"}
-        payload = _cli_json(capsys, ["appendix-a", "--fast"])
+    @pytest.mark.parametrize("command", [
+        ["table1", "--fast"], ["table2"], ["figures"],
+        ["appendix-a", "--fast"],
+    ], ids=lambda argv: argv[0])
+    def test_harness_json_echoes_only_consumed_config(self, command,
+                                                      capsys):
+        payload = _cli_json(capsys, command)
         assert set(payload["config"]) == {"engine", "backend"}
 
     @pytest.mark.parametrize("command", [
@@ -642,8 +659,24 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert flags[0] in err
-        if flags[1] == "thread":
+        if flags[1] == "thread" and command[0] in ("sweep", "inject",
+                                                   "serve"):
             assert "'serial', 'process'" in err
+
+    @pytest.mark.parametrize("argv", [
+        *([*command, *flags]
+          for command in (["bench", "streams"], ["table1"], ["table2"],
+                          ["figures"])
+          for flags in (["--executor", "serial"], ["--jobs", "2"])),
+        ["bench", "streams", "--no-check"],
+    ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+    def test_in_process_commands_reject_pool_flags(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert next(a for a in argv if a.startswith("--")) in err
 
     def test_sweep_json(self, capsys):
         payload = _cli_json(capsys, [
@@ -679,7 +712,7 @@ class TestCli:
         assert {"design", "area_overhead"} <= set(rows[0])
 
     def test_table2_json(self, capsys):
-        payload = _cli_json(capsys, ["table2", "--executor", "serial"])
+        payload = _cli_json(capsys, ["table2"])
         assert payload["result"]["opentitan"]["unsafe_rejected"]
         assert not payload["result"]["stream_fifo"]["anvil_data_lost"]
 
@@ -691,7 +724,7 @@ class TestCli:
         assert not result["bmc_full_width"]["found_violation"]
 
     def test_figures_smoke(self, capsys):
-        assert cli_main(["figures", "--executor", "serial"]) == 0
+        assert cli_main(["figures"]) == 0
         out = capsys.readouterr().out
         for fig in ("figure1", "figure2_bsv", "figure4", "figure8"):
             assert fig in out

@@ -4,11 +4,13 @@ bit-identical across engines x backends, clean failure propagation with
 worker tracebacks, deterministic submission-order results, and
 ``run_batch``'s input validation and pool sizing."""
 
+import dataclasses
 import pickle
 
 import pytest
 
 from repro.api import RunResult, Session, SimConfig, UnknownScenarioError
+from repro.rtl import executors
 from repro.rtl.executors import (
     EXECUTORS,
     ExecutorError,
@@ -44,16 +46,17 @@ class TestJobSpec:
         assert clone.config.backend == "pycompiled"
 
     def test_param_lookup_and_defaults(self):
-        spec = JobSpec(kind="bench_scenario", name="x", scenario="memory",
-                       params=(("warmup", 5), ("repeats", 2)))
-        assert spec.param("warmup") == 5
+        spec = JobSpec(kind="inject_campaign", name="x", scenario="memory",
+                       params=(("inject_seed", 5), ("tail_budget", 2)))
+        assert spec.param("inject_seed") == 5
         assert spec.param("nonesuch", 42) == 42
 
-    def test_run_cycles_prefers_explicit_override(self):
-        assert _spec("memory").run_cycles == FAST["cycles"]
-        spec = JobSpec(kind="run_scenario", name="m", scenario="memory",
-                       config=SimConfig(**FAST), cycles=7)
-        assert spec.run_cycles == 7
+    def test_only_sweeps_and_campaign_shards_are_job_kinds(self):
+        # the harnesses and bench run in the caller's process; a sweep's
+        # cycle count rides in its config
+        assert set(executors._KIND_HOMES) == {"run_scenario",
+                                              "inject_campaign"}
+        assert "cycles" not in {f.name for f in dataclasses.fields(JobSpec)}
 
     def test_validation(self):
         with pytest.raises(ValueError, match="kind"):

@@ -1,7 +1,6 @@
 """The levelized, dirty-set scheduler: loop diagnostics, equivalence
 against the brute-force reference engine, incremental activity
-accounting, cache invalidation, the batch runner, and the harness
-sweep on both executors."""
+accounting, cache invalidation and the batch runner."""
 
 import pytest
 
@@ -266,14 +265,3 @@ class TestRunBatch:
             assert out[name].diagnostics["final_cycle"] == 150
             assert out[name].total_activity > 0
             assert out[name].activity == solo.activity, name
-
-
-class TestHarnessParallelPaths:
-    def test_generate_table2_parallel_matches_serial(self):
-        from repro.harness import generate_table2
-
-        serial = generate_table2(config=SimConfig(executor="serial"))
-        pooled = generate_table2(
-            config=SimConfig(executor="process", jobs=2))
-        assert serial == pooled
-        assert serial["opentitan"]["unsafe_rejected"]

@@ -573,9 +573,13 @@ def _finished(job, timeout=60.0):
     return job
 
 
-def test_job_queue_from_cycle_resumes_the_deepest_prefix_below_it():
+def test_job_queue_from_cycle_resumes_the_deepest_prefix_below_it(
+        monkeypatch):
     # a checkpointed run leaves prefixes at cycles 50, 100 and 150; a
-    # fork from cycle 120 restores the one at 100 and simulates the rest
+    # fork from cycle 120 restores the one at 100 and simulates the rest.
+    # Only the first run may checkpoint, and a config cannot say "off"
+    # while $REPRO_CHECKPOINT_EVERY is set
+    monkeypatch.delenv("REPRO_CHECKPOINT_EVERY", raising=False)
     q = JobQueue(depth=4, workers=1).start()
     run = {"scenario": "streams", "config": {"stim": 400}}
     try:

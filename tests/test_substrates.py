@@ -151,6 +151,30 @@ class TestSynthCost:
         big = estimate_compiled(compile_process(fifo_buffer(8, 32)))
         assert big.area > 2 * small.area
 
+    def test_shared_expressions_are_costed_as_a_dag(self, monkeypatch):
+        # the AES round logic shares subexpressions heavily: walking it
+        # as a tree made ~1.8 M children() calls over ~1,300 nodes.  As
+        # a DAG, each of four memoized passes (structural key, gates,
+        # depth, slot reads) expands a node at most once
+        from repro.anvil_designs.aes import aes_core
+        from repro.codegen import rexpr as rx
+        from repro.codegen.simfsm import compile_process
+        from repro.synth import estimate_compiled
+
+        compiled = compile_process(aes_core())
+        calls, nodes = [0], set()
+        for cls in vars(rx).values():
+            if isinstance(cls, type) and issubclass(cls, rx.RExpr) \
+                    and "children" in vars(cls):
+                def counting(self, children=vars(cls)["children"]):
+                    calls[0] += 1
+                    nodes.add(id(self))
+                    return children(self)
+                monkeypatch.setattr(cls, "children", counting)
+        estimate_compiled(compiled)
+        assert nodes
+        assert calls[0] <= 4 * len(nodes), (calls[0], len(nodes))
+
     def test_baseline_inventories_available(self):
         from repro.synth import baselines
         for name in ("fifo_buffer", "spill_register", "tlb", "ptw",
