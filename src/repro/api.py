@@ -831,7 +831,6 @@ class Session:
         shards = max(1, min(workers, len(plan)))
         per = -(-len(plan) // shards)      # ceil division
         specs = []
-        offsets = []
         for i in range(0, len(plan), per):
             group = plan[i:i + per]
             specs.append(JobSpec(
@@ -843,17 +842,11 @@ class Session:
                         for f in group)),
                     ("inject_seed", seed),
                     ("tail_budget", budget),
+                    ("first_index", i),
                 )))
-            offsets.append(i)
         runs = run_batch(specs, cfg.executor, cfg.jobs)
-        outcomes = []
-        for spec, offset in zip(specs, offsets):
-            shard = runs[spec.name]
-            for rec in shard["outcomes"]:
-                rec = dict(rec)
-                rec["index"] += offset
-                outcomes.append(rec)
-        outcomes.sort(key=lambda rec: rec["index"])
+        outcomes = [rec for spec in specs
+                    for rec in runs[spec.name]["outcomes"]]
         return assemble_result(
             scenario, cfg, seed, plan, budget, golden, outcomes,
             time.perf_counter() - t0)

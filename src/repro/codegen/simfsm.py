@@ -35,6 +35,7 @@ which is why the generated hardware carries no lifetime bookkeeping.
 from __future__ import annotations
 
 from functools import partial
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from ..core.events import EventGraph, EventKind, SyncDir
@@ -87,6 +88,11 @@ class CompiledProcess:
             CompiledThread(tp.graph, 0, tp.anchor, tp.kind, tp.cond_exprs)
             for tp in plan.threads
         ]
+        #: register name -> width mask applied to every committed write
+        self.reg_masks: Dict[str, int] = {
+            name: (1 << r.dtype.width) - 1
+            for name, r in process.registers.items()
+        }
 
 
 def compile_process(process: Process, do_optimize: bool = True
@@ -136,8 +142,7 @@ class _SlotView:
 class Activation:
     """One in-flight iteration of a thread."""
 
-    __slots__ = ("start", "fired", "dead", "slots", "spawned", "retired",
-                 "cache")
+    __slots__ = ("start", "fired", "dead", "slots", "spawned", "cache")
 
     def __init__(self, start: int):
         self.start = start
@@ -145,7 +150,6 @@ class Activation:
         self.dead: set = set()
         self.slots: Dict[int, int] = {}
         self.spawned = False
-        self.retired = False
         # (cycle, fired_now, dead_now, overlay) from the last settled
         # fire pass; consumed by tick() so the clock edge does not
         # recompute the fire set the settle phase already produced
@@ -274,6 +278,10 @@ class AnvilProcessModule(Module):
         return outs
 
     # -- combinational phase ---------------------------------------------
+    # Between ticks a thread's list holds only live activations (tick
+    # drops retired ones), so a settle pass walks it as is, then the
+    # activations it spawns: the walk over ``tentative`` sees the
+    # children appended while it runs.
     def eval_comb(self):
         if not self._started:
             for ti in range(len(self.plan.threads)):
@@ -283,39 +291,32 @@ class AnvilProcessModule(Module):
         # release our handshake outputs, then re-drive below
         for w in self._release_wires:
             w.value = 0
+        now = self.cycle
         for ti, tp in enumerate(self.plan.threads):
-            self._tentative[ti] = []
-            acts = [a for a in self._threads_rt[ti] if not a.retired]
-            self._eval_thread(ti, tp, acts, self._tentative[ti])
-
-    def _eval_thread(self, ti: int, tp: ThreadPlan, acts: List[Activation],
-                     tentative: List[Activation]):
-        fire = self._fire[ti]
-        queue = list(acts)
-        spawns = 0
-        busy_messages: set = set()
-        anchor = tp.anchor
-        idx = 0
-        while idx < len(queue):
-            act = queue[idx]
-            idx += 1
-            fired_now, dead_now, overlay = fire(act, busy_messages)
-            act.cache = (self.cycle, fired_now, dead_now, overlay)
-            anchor_fires = anchor in fired_now or anchor in act.fired
-            if anchor_fires and not act.spawned:
+            acts = self._threads_rt[ti]
+            tentative = self._tentative[ti]
+            tentative.clear()
+            fire = self._fire[ti]
+            anchor = tp.anchor
+            busy: set = set()
+            spawns = 0
+            for act in chain(acts, tentative):
+                fired_now, dead_now, overlay = fire(act, busy)
+                act.cache = (now, fired_now, dead_now, overlay)
+                if act.spawned or not (anchor in fired_now
+                                       or anchor in act.fired):
+                    continue
                 spawns += 1
                 if spawns > self.MAX_SPAWNS_PER_CYCLE:
                     raise SimulationError(
                         f"{self.name}: zero-delay loop detected (thread "
                         f"anchored at e{anchor})"
                     )
-                if len(queue) >= self.MAX_ACTIVATIONS:
+                if len(acts) + len(tentative) >= self.MAX_ACTIVATIONS:
                     raise SimulationError(
                         f"{self.name}: too many concurrent activations"
                     )
-                child = Activation(self.cycle)
-                tentative.append(child)
-                queue.append(child)
+                tentative.append(Activation(now))
 
     # -- the reference interpreter ----------------------------------------
     def _apply_latches(self, latches, overlay, env):
@@ -453,8 +454,6 @@ class AnvilProcessModule(Module):
     def _interp_commit(self, tp: ThreadPlan, act: Activation,
                        fired_now: Dict[int, int], overlay: Dict[int, int]):
         act.fired.update(fired_now)
-        if not fired_now:
-            return
         env = rx.REnv(self.regs, _SlotView(act.slots, overlay), self._ready)
         now = self.cycle
         pw = self._pw
@@ -492,65 +491,88 @@ class AnvilProcessModule(Module):
 
     # -- clock edge ---------------------------------------------------------
     def tick(self):
+        now = self.cycle
         for ti, tp in enumerate(self.plan.threads):
             acts = self._threads_rt[ti]
-            acts.extend(self._tentative[ti])
-            self._tentative[ti] = []
+            tentative = self._tentative[ti]
+            if tentative:
+                acts.extend(tentative)
+                tentative.clear()
             fire = self._fire[ti]
             commit = self._commit[ti]
             n_events = tp.n_events
+            anchor = tp.anchor
             busy: set = set()
+            live = []
             for act in acts:
-                if act.retired:
-                    continue
                 cache = act.cache
                 act.cache = None
-                if cache is not None and cache[0] == self.cycle:
+                if cache is not None and cache[0] == now:
                     # the settle phase already computed this activation's
                     # fire set on the settled wires; reuse it
                     _cyc, fired_now, dead_now, overlay = cache
                 else:
                     fired_now, dead_now, overlay = fire(act, busy)
-                act.dead.update(dead_now)
-                commit(act, fired_now, overlay)
-                if tp.anchor in fired_now:
-                    act.spawned = True
-                if len(act.fired) + len(act.dead) == n_events:
-                    act.retired = True
-            live = [a for a in acts if not a.retired]
-            if len(live) < 2:
-                self._threads_rt[ti] = live
-                continue
-            # Activations with identical FSM state are indistinguishable
-            # (the generated hardware holds one copy of that state); keep
-            # only the oldest of each equivalence class.  This is what
-            # stops stalled `recursive` iterations from piling up.
-            seen_states = set()
-            deduped = []
-            for a in live:
-                dues = []
-                for eid, preds, delay in tp.delays:
-                    if eid not in a.fired and eid not in a.dead and preds \
-                            and all(p in a.fired for p in preds):
-                        base = max(a.fired[p] for p in preds)
-                        dues.append((eid, base + delay - self.cycle))
-                key = (
-                    frozenset(a.fired),
-                    frozenset(a.dead),
-                    tuple(sorted(a.slots.items())),
-                    tuple(sorted(dues)),
-                    a.spawned,
-                )
-                if key in seen_states:
+                if dead_now:
+                    act.dead.update(dead_now)
+                if fired_now:
+                    commit(act, fired_now, overlay)
+                    if anchor in fired_now:
+                        act.spawned = True
+                if len(act.fired) + len(act.dead) != n_events:
+                    live.append(act)
+            self._threads_rt[ti] = (
+                self._dedup(tp, live) if len(live) > 1 else live
+            )
+        if self._reg_writes:
+            masks = self.compiled.reg_masks
+            regs = self.regs
+            for reg, value in self._reg_writes:
+                regs[reg] = value & masks[reg]
+            self._reg_writes = []
+        self.cycle = now + 1
+
+    def _dedup(self, tp: ThreadPlan, live: List[Activation]
+               ) -> List[Activation]:
+        """Activations with identical FSM state are indistinguishable
+        (the generated hardware holds one copy of that state); keep only
+        the oldest of each equivalence class.  This is what stops
+        stalled ``recursive`` iterations from piling up.
+
+        Equal states have equal fired/dead/slot counts and ``spawned``
+        flags, so the full state key is built only for activations that
+        share that cheap signature with an earlier one."""
+        first: Dict[Tuple, Activation] = {}
+        keys: Dict[Tuple, set] = {}
+        kept = []
+        for a in live:
+            sig = (len(a.fired), len(a.dead), len(a.slots), a.spawned)
+            other = first.setdefault(sig, a)
+            if other is not a:
+                seen = keys.get(sig)
+                if seen is None:
+                    seen = keys[sig] = {self._state_key(tp, other)}
+                key = self._state_key(tp, a)
+                if key in seen:
                     continue
-                seen_states.add(key)
-                deduped.append(a)
-            self._threads_rt[ti] = deduped
-        for reg, value in self._reg_writes:
-            dtype = self.process.registers[reg].dtype
-            self.regs[reg] = dtype.mask(value)
-        self._reg_writes = []
-        self.cycle += 1
+                seen.add(key)
+            kept.append(a)
+        return kept
+
+    def _state_key(self, tp: ThreadPlan, a: Activation) -> Tuple:
+        dues = []
+        for eid, preds, delay in tp.delays:
+            if eid not in a.fired and eid not in a.dead and preds \
+                    and all(p in a.fired for p in preds):
+                base = max(a.fired[p] for p in preds)
+                dues.append((eid, base + delay - self.cycle))
+        return (
+            frozenset(a.fired),
+            frozenset(a.dead),
+            tuple(sorted(a.slots.items())),
+            tuple(sorted(dues)),
+            a.spawned,
+        )
 
     def reset(self):
         self.regs = {
@@ -567,9 +589,13 @@ class AnvilProcessModule(Module):
 class ExternalEndpoint(Module):
     """Test-bench driver for the far side of an exposed channel.
 
-    Provides queue-based ``send``/``expect_recv`` so tests and baseline
-    co-simulations can interact with Anvil modules through ordinary
-    valid/ack handshakes."""
+    Provides queue-based ``send``/``always_receive`` so tests and
+    baseline co-simulations can interact with Anvil modules through
+    ordinary valid/ack handshakes.
+
+    A send queue keeps every value ever queued: the ones already
+    handed over are exactly those recorded in ``sent``, so
+    ``len(sent[m])`` is the queue's read cursor."""
 
     def __init__(self, name: str, channel, side: Side,
                  ports: Dict[str, MessagePort]):
@@ -589,6 +615,16 @@ class ExternalEndpoint(Module):
         self._sender_memo: Dict[str, bool] = {
             m: channel.message(m).sender_side() is side for m in ports
         }
+        # each message's (name, valid, ack, data), split by role in port
+        # order so eval_comb/tick never look the role up.  Kept as one
+        # attribute that always holds wires: snapshots and state
+        # signatures skip it as structural (an empty plain tuple would
+        # enter them).
+        entries = [(m, p.valid, p.ack, p.data) for m, p in ports.items()]
+        self._roles = (
+            tuple(e for e in entries if self._sender_memo[e[0]]),
+            tuple(e for e in entries if not self._sender_memo[e[0]]),
+        )
 
     def _is_sender(self, message: str) -> bool:
         hit = self._sender_memo.get(message)
@@ -625,30 +661,39 @@ class ExternalEndpoint(Module):
         return outs
 
     def eval_comb(self):
-        for m, port in self.ports.items():
-            if self._is_sender(m):
-                queue = self._send_queues.get(m, [])
-                if queue:
-                    port.valid.set(1)
-                    port.data.set(queue[0])
-                else:
-                    port.valid.set(0)
-            else:
-                port.ack.set(1 if self._recv_enabled.get(m) else 0)
+        sends, receives = self._roles
+        queues = self._send_queues
+        sent = self.sent
+        for m, valid, _ack, data in sends:
+            queue = queues.get(m)
+            if queue:
+                k = len(sent.get(m, ()))
+                if k < len(queue):
+                    valid.value = 1
+                    data.value = queue[k] & data.mask
+                    continue
+            valid.value = 0
+        enabled = self._recv_enabled
+        for m, _valid, ack, _data in receives:
+            ack.value = 1 if enabled.get(m) else 0
 
     def tick(self):
-        for m, port in self.ports.items():
-            if self._is_sender(m):
-                queue = self._send_queues.get(m, [])
-                if queue and port.fires:
-                    value = queue.pop(0)
-                    self.sent.setdefault(m, []).append((self.cycle, value))
-            else:
-                if port.fires:
-                    self.received.setdefault(m, []).append(
-                        (self.cycle, port.data.value)
-                    )
-        self.cycle += 1
+        sends, receives = self._roles
+        cycle = self.cycle
+        queues = self._send_queues
+        sent = self.sent
+        for m, valid, ack, _data in sends:
+            if valid.value and ack.value:
+                queue = queues.get(m)
+                if queue:
+                    k = len(sent.get(m, ()))
+                    if k < len(queue):
+                        sent.setdefault(m, []).append((cycle, queue[k]))
+        received = self.received
+        for m, valid, ack, data in receives:
+            if valid.value and ack.value:
+                received.setdefault(m, []).append((cycle, data.value))
+        self.cycle = cycle + 1
 
 
 class SimulatedSystem:

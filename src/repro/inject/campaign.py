@@ -10,6 +10,11 @@ scenario and classifies every answer against the uninjected golden run:
 * **hang** -- the tail exceeded its cycle budget (or tripped the
   optional ``max_wall_time`` wall-clock watchdog) without halting.
 
+A fault that cannot be armed, or whose tail raises anything but an
+:class:`~repro.errors.AnvilError`, is not classified: the campaign
+aborts with a :class:`~repro.errors.SimulationError` that names the
+fault and the file and line the original exception came from.
+
 The driver never re-simulates a prefix: it walks one simulator forward
 through the distinct injection cycles, captures a
 :class:`~repro.rtl.snapshot.Snapshot` at each into a campaign-local
@@ -28,6 +33,8 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+import traceback
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import AnvilError, SimulationError, WatchdogTimeout
@@ -185,11 +192,25 @@ def default_budget(golden_cycles: int) -> int:
     return 2 * golden_cycles + 64
 
 
+def _aborted(scenario: str, index: int, fault: Fault,
+             exc: Exception) -> SimulationError:
+    """The error that ends a campaign whose fault could not be armed,
+    or whose tail crashed outside the simulator's own error types: it
+    names the fault and where the original exception was raised."""
+    where = traceback.extract_tb(exc.__traceback__)[-1]
+    return SimulationError(
+        f"{scenario} campaign aborted at fault {index} ({fault.kind} on "
+        f"{fault.site} at cycle {fault.cycle}): {type(exc).__name__}: "
+        f"{exc} (at {'/'.join(Path(where.filename).parts[-2:])}:"
+        f"{where.lineno})")
+
+
 def run_campaign(scenario: str, config=None, *, n_faults: int = 25,
                  faults: Optional[Sequence] = None,
                  inject_seed: Optional[int] = None,
                  tail_budget: Optional[int] = None,
                  include_state: bool = True,
+                 first_index: int = 0,
                  **overrides) -> Dict[str, object]:
     """Run one fault-injection campaign serially and return the result
     dict (see :func:`assemble_result`).
@@ -199,7 +220,8 @@ def run_campaign(scenario: str, config=None, *, n_faults: int = 25,
     site x the golden run's cycle span.  An explicit ``faults``
     sequence (:class:`~repro.inject.faults.Fault` objects or their
     ``to_dict`` forms) runs exactly those -- the sharded path and the
-    pinned classification tests use this."""
+    pinned classification tests use this; ``first_index`` is the
+    campaign-wide index of its first fault (a shard's offset)."""
     from ..api import resolve_config
 
     cfg = resolve_config(config, **overrides)
@@ -240,15 +262,21 @@ def run_campaign(scenario: str, config=None, *, n_faults: int = 25,
     # injection pass: fork every fault from its warm prefix snapshot
     cpu = _halt_module(walker)
     outcomes: List[dict] = []
-    for index, fault in enumerate(plan):
+    for index, fault in enumerate(plan, first_index):
         _cycle, snap = store.best(key, fault.cycle)
         restore(walker, snap)
-        injector = FaultInjector(fault).arm(walker)
+        injector = FaultInjector(fault)
+        try:
+            injector.arm(walker)
+        except Exception as exc:
+            raise _aborted(scenario, index, fault, exc) from exc
         error: Optional[BaseException] = None
         try:
             _run_tail(walker, cpu, golden, budget, cfg.max_wall_time)
         except AnvilError as exc:   # includes WatchdogTimeout
             error = exc
+        except Exception as exc:
+            raise _aborted(scenario, index, fault, exc) from exc
         finally:
             injector.disarm()
         outcome, digest = _classify(walker, cpu, golden, error)
@@ -270,10 +298,12 @@ def _inject_campaign_job(spec) -> Dict[str, object]:
     """Executor entry point: one campaign shard in a worker process.
 
     ``faults`` arrives as a non-empty tuple of ``Fault.to_dict`` forms
-    (JobSpecs must stay picklable and comparable)."""
+    (JobSpecs must stay picklable and comparable); ``first_index``
+    numbers its outcomes within the whole campaign."""
     return run_campaign(
         spec.scenario, spec.config,
         faults=spec.param("faults"),
         inject_seed=spec.param("inject_seed"),
         tail_budget=spec.param("tail_budget"),
+        first_index=spec.param("first_index", 0),
     )

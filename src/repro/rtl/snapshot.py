@@ -50,7 +50,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..errors import SimulationError
 
 #: bump when the Snapshot layout changes; restore refuses mismatches
-SNAPSHOT_VERSION = 1
+#: (2: endpoint send queues keep their consumed entries, read through
+#: the ``len(sent[m])`` cursor; activations lost ``retired``)
+SNAPSHOT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +99,7 @@ def _encode(v):
     activation, slot_view = _fsm_types()
     if t is activation:
         return ("a", v.start, _encode(v.fired), _encode(v.dead),
-                _encode(v.slots), v.spawned, v.retired, _encode(v.cache))
+                _encode(v.slots), v.spawned, _encode(v.cache))
     if t is slot_view:
         return ("v", _encode(v.base), _encode(v.overlay))
     raise _Structural(type(v).__name__)
@@ -126,8 +128,7 @@ def _decode(v):
         act.dead = _decode(v[3])
         act.slots = _decode(v[4])
         act.spawned = v[5]
-        act.retired = v[6]
-        act.cache = _decode(v[7])
+        act.cache = _decode(v[6])
         return act
     if tag == "v":
         activation, slot_view = _fsm_types()

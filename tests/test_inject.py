@@ -35,6 +35,12 @@ BACKENDS = ("interp", "pycompiled")
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "inject_y86_sum_25.json")
+PIPELINE_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
+                                    "inject_anvil_pipeline_25.json")
+#: the per-fault fields the fixed-cycle golden pins (not ``digest``:
+#: state signatures move with the snapshot layout, classifications not)
+PINNED_FAULT_FIELDS = ("site", "kind", "cycle", "bit", "width",
+                       "duration", "fired", "end_cycle", "outcome")
 
 
 def _normalized(result):
@@ -126,6 +132,46 @@ def test_pinned_golden_histogram():
     assert result["histogram"] == golden["histogram"]
     assert result["golden"] == golden["golden"]
     assert result["tail_budget"] == golden["tail_budget"]
+
+
+def test_pinned_fixed_cycle_campaign():
+    """A campaign classified on whole-simulator state rather than a CPU
+    halt: ``anvil_pipeline`` has endpoint send queues and activation
+    dedup merges, so this pins their bookkeeping fault by fault."""
+    with open(PIPELINE_GOLDEN_PATH) as fh:
+        golden = json.load(fh)
+    result = run_campaign("anvil_pipeline",
+                          SimConfig(cycles=300, stim=400), n_faults=25)
+    assert result["histogram"] == golden["histogram"]
+    assert result["tail_budget"] == golden["tail_budget"]
+    assert {k: result["golden"][k] for k in ("cycles", "stat")} \
+        == golden["golden"]
+    assert [{k: rec[k] for k in PINNED_FAULT_FIELDS}
+            for rec in result["outcomes"]] == golden["outcomes"]
+
+
+def test_crashing_tail_aborts_naming_the_fault(capsys):
+    """An upset FIFO pointer in the rtl ``streams`` family indexes past
+    its storage: the campaign cannot classify that, so ``inject`` exits
+    2 with one error line naming the fault and the raising file."""
+    from repro.__main__ import main
+
+    code = main(["inject", "streams", "--faults", "40", "--cycles", "300",
+                 "--stim", "400"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "fault 6 (stuck_at_1 on st_pfifo2.rptr at cycle 47)" in err
+    assert "IndexError" in err and "designs/streams.py" in err
+
+
+def test_unarmable_fault_aborts_naming_the_fault():
+    fault = Fault("transient_bitflip", "anvil_systolic", "no_such_site", 5)
+    with pytest.raises(SimulationError,
+                       match=r"fault 0 \(transient_bitflip on "
+                             r"anvil_systolic\.no_such_site at cycle 5\)"):
+        run_campaign("anvil_pipeline", SimConfig(cycles=20, stim=40),
+                     faults=[fault])
 
 
 # ---------------------------------------------------------------------------

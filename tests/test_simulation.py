@@ -23,6 +23,7 @@ from repro.lang.terms import (
     unit,
     var,
 )
+from repro.rtl.simulator import ENGINES
 
 from helpers import cache_channel, stream_channel
 
@@ -38,7 +39,22 @@ def counter_process(width=8):
     return p
 
 
-from repro import Side  # noqa: E402  (used by helper above)
+def filter_process():
+    p = Process("filt")
+    p.endpoint("inp", stream_channel("in"), Side.RIGHT)
+    p.endpoint("out", stream_channel("out"), Side.LEFT)
+    p.register("buf", Logic(8))
+    p.loop(
+        let("d", recv("inp", "data"),
+            if_(var("d").eq(0),
+                set_reg("buf", 0xAA),
+                set_reg("buf", var("d") + 1))
+            >> send("out", "data", read("buf")))
+    )
+    return p
+
+
+from repro import Side  # noqa: E402  (used by helpers above)
 
 
 class TestSingleProcess:
@@ -69,17 +85,7 @@ class TestSingleProcess:
         assert values == list(range(5))  # starts from 0, nothing lost
 
     def test_branching_process(self):
-        p = Process("filt")
-        p.endpoint("inp", stream_channel("in"), Side.RIGHT)
-        p.endpoint("out", stream_channel("out"), Side.LEFT)
-        p.register("buf", Logic(8))
-        p.loop(
-            let("d", recv("inp", "data"),
-                if_(var("d").eq(0),
-                    set_reg("buf", 0xAA),
-                    set_reg("buf", var("d") + 1))
-                >> send("out", "data", read("buf")))
-        )
+        p = filter_process()
         assert check_process(p).ok
         sys_ = System()
         inst = sys_.add(p)
@@ -91,6 +97,34 @@ class TestSingleProcess:
             ein.send("data", v)
         ss.sim.run(20)
         assert [v for _, v in eout.received["data"]] == [0xAA, 6, 0xAA, 8]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_send_queue_drains_then_refills(self, engine):
+        """A drained send queue drives ``valid`` low until a later
+        ``send`` refills it, and ``sent`` records every value in order
+        (the queue keeps consumed entries; ``sent`` is its cursor)."""
+        sys_ = System()
+        inst = sys_.add(filter_process())
+        ci, co = sys_.expose(inst, "inp"), sys_.expose(inst, "out")
+        ss = build_simulation(sys_, backend="pycompiled", engine=engine)
+        ein, eout = ss.external(ci), ss.external(co)
+        eout.always_receive("data")
+        valid = ein.ports["data"].valid
+        for v in [0, 5]:
+            ein.send("data", v)
+        ss.sim.run(12)
+        for _ in range(3):
+            ss.sim.run(1)
+            assert valid.value == 0
+        ein.send("data", 7)
+        ss.sim.run(1)
+        assert valid.value == 1
+        ss.sim.run(12)
+        assert valid.value == 0
+        sent = ein.sent["data"]
+        assert [v for _, v in sent] == [0, 5, 7]
+        assert sent[1][0] + 3 < sent[2][0]
+        assert [v for _, v in eout.received["data"]] == [0xAA, 6, 8]
 
     def test_debug_print_logged(self):
         from repro.lang.terms import dprint
