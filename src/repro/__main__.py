@@ -330,6 +330,10 @@ def cmd_inject(args) -> int:
           f"{golden['cycles']} cycles, tail budget "
           f"{result['tail_budget']}")
     print("  outcomes: " + "  ".join(f"{k}={hist[k]}" for k in hist))
+    early = sum(rec["converged_at"] is not None
+                for rec in result["outcomes"])
+    print(f"  tails stopped early: {early} of {result['faults']} "
+          f"(re-converged with the golden run)")
     rows = sorted(result["table"].items(),
                   key=lambda kv: (-kv[1]["vulnerability"], kv[0]))
     shown = rows[:args.top]

@@ -5,10 +5,11 @@ Seeded fault models (:mod:`repro.inject.faults`) corrupt a named
 by hooking the simulator between settle and the activity commit, on any
 of the three engines.  The campaign driver (:mod:`repro.inject.campaign`)
 samples N faults, forks every injection from a warm
-:class:`~repro.rtl.snapshot.CheckpointStore` snapshot of its prefix,
-runs each tail under a cycle-budget watchdog and classifies the outcome
-against the uninjected golden run (masked / sdc / detected / hang),
-aggregating an AVF-style per-site vulnerability table.
+:class:`~repro.rtl.snapshot.Snapshot` of its prefix, runs each tail
+under a cycle-budget watchdog until it halts, ends or re-converges with
+the golden run, and classifies the outcome against the uninjected
+golden run (masked / sdc / detected / hang), aggregating an AVF-style
+per-site vulnerability table.
 """
 
 from .campaign import OUTCOMES, plan_faults, run_campaign

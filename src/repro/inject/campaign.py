@@ -15,12 +15,28 @@ A fault that cannot be armed, or whose tail raises anything but an
 aborts with a :class:`~repro.errors.SimulationError` that names the
 fault and the file and line the original exception came from.
 
-The driver never re-simulates a prefix: it walks one simulator forward
-through the distinct injection cycles, captures a
-:class:`~repro.rtl.snapshot.Snapshot` at each into a campaign-local
-:class:`~repro.rtl.snapshot.CheckpointStore`, then forks every
-injection sharing that prefix from the warm snapshot (restore is
-in-place and bit-exact, so one tail simulator serves the whole sweep).
+One build serves the whole campaign: the driver captures the fresh
+simulator at cycle 0, runs the golden pass on it, enumerates sites and
+samples the plan from the finished run, then restores cycle 0.  It
+never re-simulates a prefix: it walks that simulator forward through
+the distinct injection cycles, captures a
+:class:`~repro.rtl.snapshot.Snapshot` of the golden run at each, and
+forks every injection from the snapshot at its cycle (restore is
+in-place and bit-exact, so one simulator serves the whole sweep).
+
+A tail stops as soon as it re-converges with the golden run.  Once the
+injector has disarmed itself (the fault's window has closed), the tail
+compares its state with the golden snapshot at every later injection
+cycle (:func:`~repro.rtl.snapshot.matches`: wire values, pending
+scheduler state, every module's plain-data state).  Restore being
+bit-exact rests on module state being plain data and structural
+attributes never changing mid-run; the same premise makes a match final:
+from there the tail repeats the golden run, so its record is the one
+the full tail would produce -- ``masked`` with the golden cycle count
+as ``end_cycle`` and the golden digest -- and ``converged_at`` names the
+checkpoint cycle (``None`` for a tail that ran to its end).  On CPU
+scenarios a tail stops early only when the golden halt lies within its
+cycle budget; otherwise the full tail is a ``hang``.
 
 Campaigns shard: the ``inject_campaign`` :class:`~repro.rtl.executors.
 JobSpec` kind runs an explicit fault list in a worker, and
@@ -40,13 +56,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import AnvilError, SimulationError, WatchdogTimeout
 from ..rtl.executors import job_kind
 from ..rtl.simulator import advance
-from ..rtl.snapshot import (
-    CheckpointStore,
-    capture,
-    prefix_key,
-    restore,
-    state_sig,
-)
+from ..rtl.snapshot import Snapshot, capture, matches, restore, state_sig
 from .faults import Fault, FaultInjector, enumerate_sites, sample_faults
 
 #: outcome taxonomy, in histogram order
@@ -77,29 +87,55 @@ def _arch_digest(state) -> str:
     return h.hexdigest()[:16]
 
 
-def _golden_pass(sim, cpu, cfg) -> Dict[str, object]:
+def _golden_pass(scenario: str, sim, cpu, cfg) -> Dict[str, object]:
     """Run the uninjected reference and fingerprint its final state."""
     if cpu is None:
         advance(sim, cfg.cycles, max_wall_time=cfg.max_wall_time)
         return {"cycles": cfg.cycles, "stat": None,
                 "digest": state_sig(sim)[:16]}
-    sim.run_until(lambda: cpu.halted, limit=cfg.cycles)
+    sim.run(cfg.cycles, stop=lambda: cpu.halted)
+    if not cpu.halted:
+        raise SimulationError(
+            f"{scenario}: the golden run did not halt within {cfg.cycles} "
+            f"cycles; raise the cycle limit (cycles=, or --cycles on the "
+            f"command line)")
     return {"cycles": sim.cycle, "stat": cpu.stat,
             "digest": _arch_digest(cpu.arch_state())}
 
 
 def _run_tail(sim, cpu, golden: Dict[str, object], budget: int,
-              max_wall_time: Optional[float]) -> None:
+              max_wall_time: Optional[float],
+              golden_at: Optional[Dict[int, Snapshot]] = None
+              ) -> Optional[int]:
     """Advance an injected fork to its classification point: the exact
     halt cycle (or the absolute cycle ``budget``) for CPU scenarios,
-    the golden cycle count for fixed-cycle ones -- under the optional
-    wall-clock watchdog."""
-    if cpu is None:
-        advance(sim, int(golden["cycles"]) - sim.cycle,
-                max_wall_time=max_wall_time)
-    else:
-        advance(sim, budget - sim.cycle, stop=lambda: cpu.halted,
-                max_wall_time=max_wall_time)
+    the golden cycle count for fixed-cycle ones -- in one
+    :func:`~repro.rtl.simulator.advance` call, under one wall-clock
+    deadline.
+
+    ``golden_at`` maps cycles to golden-run snapshots: once the
+    injector has disarmed, the tail stops at the first of those cycles
+    where its state :func:`~repro.rtl.snapshot.matches` the golden
+    run's and returns that cycle.  It returns ``None`` for a tail that
+    ran to its end -- always so without ``golden_at``, the full-tail
+    reference path."""
+    golden_at = golden_at or {}
+    converged_at = None
+
+    def stop() -> bool:
+        nonlocal converged_at
+        if cpu is not None and cpu.halted:
+            return True
+        snap = golden_at.get(sim.cycle)
+        if snap is None or sim._inject_hook is not None \
+                or not matches(sim, snap):
+            return False
+        converged_at = sim.cycle
+        return True
+
+    end = int(golden["cycles"]) if cpu is None else budget
+    advance(sim, end - sim.cycle, stop=stop, max_wall_time=max_wall_time)
+    return converged_at
 
 
 def _classify(sim, cpu, golden: Dict[str, object],
@@ -164,6 +200,15 @@ def assemble_result(scenario: str, cfg, inject_seed: int,
     }
 
 
+def _sample(sim, golden: Dict[str, object], n_faults: int, seed: int,
+            include_state: bool) -> List[Fault]:
+    """The seeded sampling plan over the sites of ``sim`` after its
+    golden pass and the golden run's cycle span."""
+    sites = enumerate_sites(sim, include_state=include_state)
+    return sample_faults(sites, n_faults, random.Random(seed),
+                         int(golden["cycles"]))
+
+
 def plan_faults(scenario: str, config=None, n_faults: int = 25,
                 inject_seed: Optional[int] = None,
                 include_state: bool = True,
@@ -178,12 +223,8 @@ def plan_faults(scenario: str, config=None, n_faults: int = 25,
     cfg = resolve_config(config, **overrides)
     seed = cfg.seed if inject_seed is None else inject_seed
     sim = get_registry().build(scenario, cfg)
-    cpu = _halt_module(sim)
-    golden = _golden_pass(sim, cpu, cfg)
-    sites = enumerate_sites(sim, include_state=include_state)
-    rng = random.Random(seed)
-    faults = sample_faults(sites, n_faults, rng, int(golden["cycles"]))
-    return golden, faults
+    golden = _golden_pass(scenario, sim, _halt_module(sim), cfg)
+    return golden, _sample(sim, golden, n_faults, seed, include_state)
 
 
 def default_budget(golden_cycles: int) -> int:
@@ -221,22 +262,24 @@ def run_campaign(scenario: str, config=None, *, n_faults: int = 25,
     sequence (:class:`~repro.inject.faults.Fault` objects or their
     ``to_dict`` forms) runs exactly those -- the sharded path and the
     pinned classification tests use this; ``first_index`` is the
-    campaign-wide index of its first fault (a shard's offset)."""
-    from ..api import resolve_config
+    campaign-wide index of its first fault (a shard's offset).  Each
+    outcome record's ``converged_at`` is the injection cycle where its
+    tail re-converged with the golden run, or ``None``; it depends on
+    which fault cycles this call walks, so shards of one plan may stop
+    a tail at a later checkpoint than the whole plan would."""
+    from ..api import get_registry, resolve_config
 
     cfg = resolve_config(config, **overrides)
     seed = cfg.seed if inject_seed is None else inject_seed
     start = time.perf_counter()
 
+    sim = get_registry().build(scenario, cfg)
+    origin = capture(sim, scenario=scenario)
+    cpu = _halt_module(sim)
+    golden = _golden_pass(scenario, sim, cpu, cfg)
     if faults is None:
-        golden, plan = plan_faults(
-            scenario, cfg, n_faults=n_faults, inject_seed=seed,
-            include_state=include_state)
+        plan = _sample(sim, golden, n_faults, seed, include_state)
     else:
-        from ..api import get_registry
-
-        sim = get_registry().build(scenario, cfg)
-        golden = _golden_pass(sim, _halt_module(sim), cfg)
         plan = [f if isinstance(f, Fault) else Fault.from_dict(dict(f))
                 for f in faults]
     if not plan:
@@ -246,44 +289,49 @@ def run_campaign(scenario: str, config=None, *, n_faults: int = 25,
         int(golden["cycles"]))
     budget = max(budget, max(f.cycle for f in plan) + 1)
 
-    # prefix pass: walk one simulator forward through the distinct
-    # injection cycles, snapshotting each boundary once
-    from ..api import get_registry
-
-    walker = get_registry().build(scenario, cfg)
-    key = prefix_key(scenario, cfg, walker)
-    cycles_needed = sorted({f.cycle for f in plan})
-    store = CheckpointStore(capacity=len(cycles_needed))
-    for cycle in cycles_needed:
-        advance(walker, cycle - walker.cycle,
-                max_wall_time=cfg.max_wall_time)
-        store.put(key, cycle, capture(walker, scenario=scenario, key=key))
+    # prefix pass: walk the golden run again from cycle 0 through the
+    # distinct injection cycles, snapshotting each boundary once
+    restore(sim, origin)
+    checkpoints = {}
+    for cycle in sorted({f.cycle for f in plan}):
+        advance(sim, cycle - sim.cycle, max_wall_time=cfg.max_wall_time)
+        checkpoints[cycle] = capture(sim, scenario=scenario)
+    # a CPU tail whose budget ends before the golden halt is a hang
+    # even if it re-converges, so it runs to its budget
+    golden_at = checkpoints if cpu is None or \
+        int(golden["cycles"]) <= budget else None
 
     # injection pass: fork every fault from its warm prefix snapshot
-    cpu = _halt_module(walker)
     outcomes: List[dict] = []
     for index, fault in enumerate(plan, first_index):
-        _cycle, snap = store.best(key, fault.cycle)
-        restore(walker, snap)
+        restore(sim, checkpoints[fault.cycle])
         injector = FaultInjector(fault)
         try:
-            injector.arm(walker)
+            injector.arm(sim)
         except Exception as exc:
             raise _aborted(scenario, index, fault, exc) from exc
         error: Optional[BaseException] = None
+        converged_at = None
         try:
-            _run_tail(walker, cpu, golden, budget, cfg.max_wall_time)
+            converged_at = _run_tail(sim, cpu, golden, budget,
+                                     cfg.max_wall_time, golden_at)
         except AnvilError as exc:   # includes WatchdogTimeout
             error = exc
         except Exception as exc:
             raise _aborted(scenario, index, fault, exc) from exc
         finally:
             injector.disarm()
-        outcome, digest = _classify(walker, cpu, golden, error)
+        if converged_at is None:
+            outcome, digest = _classify(sim, cpu, golden, error)
+            end_cycle = sim.cycle
+        else:
+            outcome, digest = "masked", golden["digest"]
+            end_cycle = int(golden["cycles"])
         record = dict(fault.to_dict())
         record.update(
             index=index, site=fault.site, outcome=outcome,
-            fired=injector.fired, end_cycle=walker.cycle, digest=digest,
+            fired=injector.fired, end_cycle=end_cycle, digest=digest,
+            converged_at=converged_at,
         )
         if error is not None and not isinstance(error, WatchdogTimeout):
             record["error"] = f"{type(error).__name__}: {error}"

@@ -40,6 +40,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import marshal
+import operator
 import os
 import pickle
 import threading
@@ -294,6 +296,62 @@ def restore(sim, snap: Snapshot) -> None:
         # in place: the kernel prebinds .append on these exact lists
         series[:] = saved[label]
     sim.cycle = snap.cycle
+
+
+_VALUE = operator.attrgetter("value")
+
+
+def matches(sim, snap: Snapshot) -> bool:
+    """Whether ``sim``, at ``snap``'s cycle boundary, holds ``snap``'s
+    state in everything that drives its future: the scheduler's pending
+    prime flag and dirty set, every wire value and every module's
+    plain-data state.  Observers that nothing downstream reads back --
+    toggle counters, eval/settle counts, waveform samples -- are not
+    compared.  Since restore is bit-exact, a match means a run from
+    here repeats the snapshot's run cycle for cycle.
+
+    Cheapest state first, returning at the first difference: module
+    state is encoded one attribute at a time, never captured whole.
+    Safe inside a cycle-kernel stop predicate: it reads wire ``.value``
+    (current there), not the scheduler's value columns (stale for fused
+    wires until the kernel exits).  ``==`` equates ``1``, ``1.0`` and
+    ``True``, so a match is confirmed on marshal's type-tagged image.
+    ``sim`` must have the structure ``snap`` was taken from, as for
+    :func:`restore`."""
+    sch = sim.scheduler
+    if (sim.cycle != snap.cycle or sch._needs_prime != snap.needs_prime
+            or sorted(sch._changed) != list(snap.changed)
+            or len(sim.modules) != len(snap.module_state)):
+        return False
+    values = tuple(map(_VALUE, sch._wires))
+    if values != snap.values:
+        return False
+    live = []
+    for m, state in zip(sim.modules, snap.module_state):
+        attrs = m.__dict__
+        encoded = []
+        for attr, enc in state:
+            try:
+                got = _encode(attrs[attr])
+            except (KeyError, _Structural):
+                return False
+            if got != enc:
+                return False
+            encoded.append((attr, got))
+        live.append(tuple(encoded))
+    for m, state in zip(sim.modules, snap.module_state):
+        # a plain-data attribute the module grew that the snapshot lacks
+        names = {attr for attr, _enc in state}
+        for attr, value in m.__dict__.items():
+            if attr in names:
+                continue
+            try:
+                _encode(value)
+            except _Structural:
+                continue
+            return False
+    return marshal.dumps((values, tuple(live)), 0) == \
+        marshal.dumps((snap.values, snap.module_state), 0)
 
 
 def save_checkpoint(path, snap: Snapshot) -> None:

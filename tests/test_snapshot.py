@@ -27,6 +27,7 @@ from repro.rtl.snapshot import (
     CheckpointStore,
     capture,
     load_checkpoint,
+    matches,
     prefix_key,
     reset_checkpoint_store,
     restore,
@@ -144,6 +145,67 @@ class TestRestoreBitIdentity:
             assert (fork_samples[label][:60] == ref_samples[label][:60]), (
                 f"{label}: prefix diverged before the fork cycle"
             )
+
+
+# ---------------------------------------------------------------------------
+# matches: the state comparison that ends re-converged fault tails
+# ---------------------------------------------------------------------------
+class TestMatches:
+    def _pair(self, engine="kernel"):
+        sim = _build("y86_sum", engine=engine, backend="pycompiled")
+        sim.run(40)
+        snap = sim.snapshot()
+        other = _build("y86_sum", engine=engine, backend="pycompiled")
+        other.restore(snap)
+        return other, snap
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_restored_simulator_matches_until_it_moves(self, engine):
+        sim, snap = self._pair(engine)
+        assert matches(sim, snap)
+        sim.run(1)
+        assert not matches(sim, snap)
+
+    def test_observers_are_not_compared(self):
+        sim, snap = self._pair()
+        sch = sim.scheduler
+        sch._toggles[0] += 3
+        sch.eval_count += 5
+        sch.settle_count += 1
+        for _label, _wire, series in sim.waveform._watched:
+            series.append(7)
+        assert matches(sim, snap)
+
+    def test_future_driving_state_is_compared(self):
+        sim, snap = self._pair()
+        wire = sim.scheduler._wires[0]
+        wire.value ^= 1
+        assert not matches(sim, snap)
+        wire.value ^= 1
+        cpu = next(m for m in sim.modules if m.name == "y86_sum_cpu")
+        cpu.registers[3] += 1
+        assert not matches(sim, snap)
+        cpu.registers[3] -= 1
+        assert matches(sim, snap)
+        cpu.grown = 0            # plain data the snapshot does not hold
+        assert not matches(sim, snap)
+
+    def test_equal_values_of_another_type_do_not_match(self):
+        sim, snap = self._pair()
+        cpu = next(m for m in sim.modules if m.name == "y86_sum_cpu")
+        cpu.instret = float(cpu.instret)
+        assert not matches(sim, snap)
+
+    def test_stops_a_kernel_run_on_current_wire_values(self):
+        reference = _build("y86_sum", engine="kernel",
+                           backend="pycompiled")
+        reference.run(60)
+        snap = reference.snapshot()
+        sim = _build("y86_sum", engine="kernel", backend="pycompiled")
+        sim.run(10)
+        assert fast_path_ready(sim)
+        assert sim.run(100, stop=lambda: matches(sim, snap)) == 50
+        assert sim.cycle == 60
 
 
 # ---------------------------------------------------------------------------
