@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import statistics
 import sys
@@ -185,8 +186,6 @@ def cmd_list_scenarios(args) -> int:
 
 
 def cmd_run(args) -> int:
-    import os
-
     from .api import run_scenario
     from .errors import SimulationError
     from .rtl.snapshot import load_checkpoint, save_checkpoint
@@ -573,7 +572,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # a pipe's reader may leave before the buffered output is
+        # written: flush here, where a BrokenPipeError can be handled
+        sys.stdout.flush()
+        return code
     except UnknownScenarioError as exc:
         # lookup misses name the known scenarios; anything else is a
         # real defect and should traceback
@@ -584,6 +587,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         # exit with the conventional 130 and no traceback
         print("interrupted", file=sys.stderr)
         return 130
+    except BrokenPipeError:
+        # stdout's reader has exited (``| head``): point stdout at
+        # devnull so the interpreter's exit-time flush cannot raise
+        # again, and exit 141 (128 + SIGPIPE) without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -798,18 +798,13 @@ class Session:
         the result shape.
 
         With a ``serial`` executor (or ``jobs=1``) the whole campaign
-        runs in-process.  Otherwise the sampled plan is split into
-        contiguous shards, each an ``inject_campaign``
-        :class:`~repro.rtl.executors.JobSpec` on the configured
-        executor (``process`` gives real multi-core sweeps), and the
-        shard outcomes are re-aggregated -- the merged result is
-        identical to the serial one (``elapsed`` aside)."""
-        from .inject.campaign import (
-            assemble_result,
-            default_budget,
-            plan_faults,
-            run_campaign,
-        )
+        runs in-process.  Otherwise the plan is split into one
+        contiguous slice per worker, each an ``inject_campaign``
+        :class:`~repro.rtl.executors.JobSpec` that runs the serial
+        campaign over its slice (``run_campaign(shard=...)``), and the
+        outcomes are merged in plan order.  The parent builds nothing,
+        and the merged result is the serial one (``elapsed`` aside)."""
+        from .inject.campaign import assemble_result, run_campaign
 
         cfg = resolve_config(self.config, **overrides)
         seed = cfg.seed if inject_seed is None else inject_seed
@@ -821,34 +816,29 @@ class Session:
                 tail_budget=tail_budget)
 
         t0 = time.perf_counter()
-        golden, plan = plan_faults(
-            scenario, cfg, n_faults=faults, inject_seed=seed)
-        # one global tail budget, fixed up front, so every shard
-        # classifies hangs exactly as the serial campaign would
-        budget = tail_budget if tail_budget else default_budget(
-            int(golden["cycles"]))
-        budget = max(budget, max(f.cycle for f in plan) + 1)
-        shards = max(1, min(workers, len(plan)))
-        per = -(-len(plan) // shards)      # ceil division
-        specs = []
-        for i in range(0, len(plan), per):
-            group = plan[i:i + per]
-            specs.append(JobSpec(
-                kind="inject_campaign",
-                name=f"{scenario}@f{i // per}", scenario=scenario,
-                config=cfg, params=(
-                    ("faults", tuple(
-                        tuple(sorted(f.to_dict().items()))
-                        for f in group)),
-                    ("inject_seed", seed),
-                    ("tail_budget", budget),
-                    ("first_index", i),
-                )))
-        runs = run_batch(specs, cfg.executor, cfg.jobs)
-        outcomes = [rec for spec in specs
-                    for rec in runs[spec.name]["outcomes"]]
+        count = min(workers, faults)
+        specs = [
+            JobSpec(kind="inject_campaign", name=f"{scenario}@f{i}",
+                    scenario=scenario, config=cfg, params=(
+                        ("n_faults", faults),
+                        ("inject_seed", seed),
+                        ("tail_budget", tail_budget),
+                        ("shard", (i, count)),
+                    ))
+            for i in range(count)
+        ]
+        shards = list(run_batch(specs, cfg.executor, cfg.jobs).values())
+        golden, budget = shards[0]["golden"], shards[0]["tail_budget"]
+        if any(s["golden"] != golden or s["tail_budget"] != budget
+               for s in shards):
+            raise SimulationError(
+                f"{scenario} campaign shards disagree on the golden run "
+                f"or the tail budget: "
+                + "; ".join(f"{s['golden']} budget {s['tail_budget']}"
+                            for s in shards))
         return assemble_result(
-            scenario, cfg, seed, plan, budget, golden, outcomes,
+            scenario, cfg, seed, budget, golden,
+            [rec for s in shards for rec in s["outcomes"]],
             time.perf_counter() - t0)
 
     # -- benchmarking --------------------------------------------------

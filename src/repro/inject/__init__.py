@@ -12,13 +12,12 @@ golden run (masked / sdc / detected / hang), aggregating an AVF-style
 per-site vulnerability table.
 """
 
-from .campaign import OUTCOMES, plan_faults, run_campaign
+from .campaign import OUTCOMES, run_campaign
 from .faults import (
     FAULT_KINDS,
     Fault,
     FaultInjector,
     enumerate_sites,
-    run_with_fault,
     sample_faults,
 )
 
@@ -28,8 +27,6 @@ __all__ = [
     "FaultInjector",
     "OUTCOMES",
     "enumerate_sites",
-    "plan_faults",
     "run_campaign",
-    "run_with_fault",
     "sample_faults",
 ]

@@ -38,10 +38,15 @@ checkpoint cycle (``None`` for a tail that ran to its end).  On CPU
 scenarios a tail stops early only when the golden halt lies within its
 cycle budget; otherwise the full tail is a ``hang``.
 
-Campaigns shard: the ``inject_campaign`` :class:`~repro.rtl.executors.
-JobSpec` kind runs an explicit fault list in a worker, and
-``Session.inject_campaign`` splits a sampled plan across the process
-executor and re-aggregates -- same outcomes, any executor.
+Campaigns shard: a shard is the serial campaign over one contiguous
+slice of the plan (``run_campaign(shard=(index, count))``).  It
+samples the whole plan, fixes the one tail budget and walks the same
+golden checkpoints, and runs only its slice's tails, so its records
+equal the serial campaign's for that slice, ``converged_at`` included.
+``Session.inject_campaign`` runs one ``inject_campaign``
+:class:`~repro.rtl.executors.JobSpec` per slice on the process executor
+and merges the outcomes in plan order -- the result does not depend on
+the executor.
 """
 
 from __future__ import annotations
@@ -177,18 +182,17 @@ def aggregate(outcomes: Sequence[dict]
     return hist, table
 
 
-def assemble_result(scenario: str, cfg, inject_seed: int,
-                    faults: Sequence[Fault], budget: int,
+def assemble_result(scenario: str, cfg, inject_seed: int, budget: int,
                     golden: Dict[str, object], outcomes: List[dict],
                     elapsed: float) -> Dict[str, object]:
     """The campaign's pinned result shape.  Everything except
     ``elapsed`` and ``config`` is a pure function of (scenario, config
-    determinism axes, faults) -- the byte-identity tests compare the
-    rest verbatim."""
+    determinism axes, the fault plan) -- the byte-identity tests compare
+    the rest verbatim."""
     hist, table = aggregate(outcomes)
     return {
         "scenario": scenario,
-        "faults": len(faults),
+        "faults": len(outcomes),
         "inject_seed": inject_seed,
         "tail_budget": budget,
         "golden": golden,
@@ -200,31 +204,12 @@ def assemble_result(scenario: str, cfg, inject_seed: int,
     }
 
 
-def _sample(sim, golden: Dict[str, object], n_faults: int, seed: int,
-            include_state: bool) -> List[Fault]:
+def _sample(sim, golden: Dict[str, object], n_faults: int,
+            seed: int) -> List[Fault]:
     """The seeded sampling plan over the sites of ``sim`` after its
     golden pass and the golden run's cycle span."""
-    sites = enumerate_sites(sim, include_state=include_state)
-    return sample_faults(sites, n_faults, random.Random(seed),
-                         int(golden["cycles"]))
-
-
-def plan_faults(scenario: str, config=None, n_faults: int = 25,
-                inject_seed: Optional[int] = None,
-                include_state: bool = True,
-                **overrides) -> Tuple[Dict[str, object], List[Fault]]:
-    """Golden pass + seeded sampling plan, without running any tails.
-
-    Returns ``(golden, faults)``.  ``Session.inject_campaign`` uses
-    this to sample once in the parent and shard the explicit fault list
-    across executor workers."""
-    from ..api import get_registry, resolve_config
-
-    cfg = resolve_config(config, **overrides)
-    seed = cfg.seed if inject_seed is None else inject_seed
-    sim = get_registry().build(scenario, cfg)
-    golden = _golden_pass(scenario, sim, _halt_module(sim), cfg)
-    return golden, _sample(sim, golden, n_faults, seed, include_state)
+    return sample_faults(enumerate_sites(sim), n_faults,
+                         random.Random(seed), int(golden["cycles"]))
 
 
 def default_budget(golden_cycles: int) -> int:
@@ -247,29 +232,44 @@ def _aborted(scenario: str, index: int, fault: Fault,
 
 
 def run_campaign(scenario: str, config=None, *, n_faults: int = 25,
-                 faults: Optional[Sequence] = None,
+                 faults: Optional[Sequence[Fault]] = None,
                  inject_seed: Optional[int] = None,
                  tail_budget: Optional[int] = None,
-                 include_state: bool = True,
-                 first_index: int = 0,
-                 **overrides) -> Dict[str, object]:
+                 shard: Optional[Tuple[int, int]] = None
+                 ) -> Dict[str, object]:
     """Run one fault-injection campaign serially and return the result
     dict (see :func:`assemble_result`).
 
     With ``faults`` omitted, ``n_faults`` are sampled from
     ``random.Random(inject_seed or config.seed)`` over every injectable
-    site x the golden run's cycle span.  An explicit ``faults``
-    sequence (:class:`~repro.inject.faults.Fault` objects or their
-    ``to_dict`` forms) runs exactly those -- the sharded path and the
-    pinned classification tests use this; ``first_index`` is the
-    campaign-wide index of its first fault (a shard's offset).  Each
-    outcome record's ``converged_at`` is the injection cycle where its
-    tail re-converged with the golden run, or ``None``; it depends on
-    which fault cycles this call walks, so shards of one plan may stop
-    a tail at a later checkpoint than the whole plan would."""
+    site x the golden run's cycle span; an explicit ``faults`` list of
+    :class:`~repro.inject.faults.Fault` objects runs exactly those (the
+    hand-placed classification tests use this).  ``tail_budget`` is
+    the absolute cycle budget of every tail (``None``:
+    :func:`default_budget`).  Each outcome record's ``converged_at`` is
+    the injection cycle where its tail re-converged with the golden
+    run, or ``None``.
+
+    ``shard=(index, count)`` runs only the tails of the ``index``-th of
+    ``count`` contiguous, near-equal slices of the plan, numbered by
+    plan index; everything else -- the plan, the budget, the golden
+    checkpoints -- is the whole campaign's, so the shard's records are
+    the serial campaign's records for that slice."""
     from ..api import get_registry, resolve_config
 
-    cfg = resolve_config(config, **overrides)
+    if tail_budget is not None and tail_budget < 1:
+        raise SimulationError(
+            f"fault injection: the tail budget must be a positive cycle "
+            f"count, got {tail_budget}")
+    if faults is None and n_faults < 1:
+        raise SimulationError(
+            f"fault injection: the fault count must be positive, got "
+            f"{n_faults}")
+    if shard is not None and not 0 <= shard[0] < shard[1]:
+        raise SimulationError(
+            f"fault injection: shard {shard} is not (index, count) with "
+            f"0 <= index < count")
+    cfg = resolve_config(config)
     seed = cfg.seed if inject_seed is None else inject_seed
     start = time.perf_counter()
 
@@ -277,16 +277,16 @@ def run_campaign(scenario: str, config=None, *, n_faults: int = 25,
     origin = capture(sim, scenario=scenario)
     cpu = _halt_module(sim)
     golden = _golden_pass(scenario, sim, cpu, cfg)
-    if faults is None:
-        plan = _sample(sim, golden, n_faults, seed, include_state)
-    else:
-        plan = [f if isinstance(f, Fault) else Fault.from_dict(dict(f))
-                for f in faults]
+    plan = _sample(sim, golden, n_faults, seed) if faults is None \
+        else list(faults)
     if not plan:
         raise SimulationError("fault injection: empty fault list")
+    part, parts = shard or (0, 1)
+    mine = range(len(plan) * part // parts,
+                 len(plan) * (part + 1) // parts)
 
-    budget = tail_budget if tail_budget else default_budget(
-        int(golden["cycles"]))
+    budget = default_budget(int(golden["cycles"])) if tail_budget is None \
+        else tail_budget
     budget = max(budget, max(f.cycle for f in plan) + 1)
 
     # prefix pass: walk the golden run again from cycle 0 through the
@@ -303,7 +303,8 @@ def run_campaign(scenario: str, config=None, *, n_faults: int = 25,
 
     # injection pass: fork every fault from its warm prefix snapshot
     outcomes: List[dict] = []
-    for index, fault in enumerate(plan, first_index):
+    for index in mine:
+        fault = plan[index]
         restore(sim, checkpoints[fault.cycle])
         injector = FaultInjector(fault)
         try:
@@ -337,21 +338,17 @@ def run_campaign(scenario: str, config=None, *, n_faults: int = 25,
             record["error"] = f"{type(error).__name__}: {error}"
         outcomes.append(record)
 
-    return assemble_result(scenario, cfg, seed, plan, budget, golden,
-                           outcomes, time.perf_counter() - start)
+    return assemble_result(scenario, cfg, seed, budget, golden, outcomes,
+                           time.perf_counter() - start)
 
 
 @job_kind("inject_campaign")
 def _inject_campaign_job(spec) -> Dict[str, object]:
-    """Executor entry point: one campaign shard in a worker process.
-
-    ``faults`` arrives as a non-empty tuple of ``Fault.to_dict`` forms
-    (JobSpecs must stay picklable and comparable); ``first_index``
-    numbers its outcomes within the whole campaign."""
+    """Executor entry point: one campaign shard in a worker process."""
     return run_campaign(
         spec.scenario, spec.config,
-        faults=spec.param("faults"),
+        n_faults=spec.param("n_faults"),
         inject_seed=spec.param("inject_seed"),
         tail_budget=spec.param("tail_budget"),
-        first_index=spec.param("first_index", 0),
+        shard=spec.param("shard"),
     )

@@ -223,36 +223,16 @@ class FaultInjector:
             self.disarm()
 
 
-def run_with_fault(sim, fault: Fault, cycles: int) -> int:
-    """Advance ``sim`` by ``cycles`` with ``fault`` injected.
-
-    The prefix before the fault cycle runs unhooked (kernel fast path
-    intact), the injection window steps interpreted, and the tail
-    re-arms the fast path once the injector self-disarms.  Returns how
-    many cycles the fault actually fired (0 if the window fell outside
-    the run)."""
-    end = sim.cycle + cycles
-    injector = FaultInjector(fault)
-    if sim.cycle <= fault.cycle < end:
-        if fault.cycle > sim.cycle:
-            sim.run(fault.cycle - sim.cycle)
-        injector.arm(sim)
-    if end > sim.cycle:
-        sim.run(end - sim.cycle)
-    injector.disarm()
-    return injector.fired
-
-
-def enumerate_sites(sim, include_state: bool = True) -> List[Site]:
+def enumerate_sites(sim) -> List[Site]:
     """Deterministically enumerate every injectable site in ``sim``.
 
     Wires are listed per owning module (first tracker wins, matching
-    the scheduler's activity attribution) under their full names; with
-    ``include_state``, plain integer attributes plus integer list and
-    string-keyed integer dict entries follow (pipeline latches,
-    register files, flags).  Bulk ``bytearray`` memories are skipped --
-    a memory-array AVF sweep would drown the logic sites a campaign is
-    after; target them explicitly via ``"memory[addr]"`` instead."""
+    the scheduler's activity attribution) under their full names;
+    plain integer attributes plus integer list and string-keyed integer
+    dict entries follow (pipeline latches, register files, flags).
+    Bulk ``bytearray`` memories are skipped -- a memory-array AVF sweep
+    would drown the logic sites a campaign is after; target them
+    explicitly via ``"memory[addr]"`` instead."""
     sites: List[Site] = []
     seen_wires = set()
     for m in sim.modules:
@@ -264,8 +244,6 @@ def enumerate_sites(sim, include_state: bool = True) -> List[Site]:
                 continue
             seen_wires.add(id(w))
             sites.append(Site(name, w.name, w.width, "wire"))
-        if not include_state:
-            continue
         for attr in sorted(vars(m)):
             if attr.startswith("_") or attr in ("name",):
                 continue
@@ -294,8 +272,7 @@ def enumerate_sites(sim, include_state: bool = True) -> List[Site]:
 
 
 def sample_faults(sites: Sequence[Site], count: int, rng,
-                  max_cycle: int,
-                  kinds: Sequence[str] = FAULT_KINDS) -> List[Fault]:
+                  max_cycle: int) -> List[Fault]:
     """Draw ``count`` faults over ``sites`` x ``[0, max_cycle)`` from a
     seeded ``random.Random`` -- the campaign's sampling plan.  Every
     draw consumes a fixed number of RNG values, so the plan is a pure
@@ -310,7 +287,7 @@ def sample_faults(sites: Sequence[Site], count: int, rng,
     faults = []
     for _ in range(count):
         site = sites[rng.randrange(len(sites))]
-        kind = kinds[rng.randrange(len(kinds))]
+        kind = FAULT_KINDS[rng.randrange(len(FAULT_KINDS))]
         bit = rng.randrange(site.width)
         raw_width = rng.randrange(2, 5)
         raw_duration = rng.randrange(1, 5)

@@ -93,6 +93,17 @@ class BadSubmission(ValueError):
     invalid config overrides, wrong field types)."""
 
 
+def _check_scenario(kind: str, scenario: object) -> None:
+    """Refuse a run or inject submission whose scenario is missing or
+    unregistered (the registry's message names close matches)."""
+    if not isinstance(scenario, str) or not scenario:
+        raise BadSubmission(f"{kind} jobs need a scenario name")
+    try:
+        get_registry().get(scenario)
+    except KeyError as exc:
+        raise BadSubmission(str(exc.args[0]))
+
+
 _JOB_IDS = itertools.count(1)
 
 
@@ -371,14 +382,7 @@ class JobQueue:
         seeds = payload.get("seeds")
         params = {}
         if kind == "run":
-            if not isinstance(scenario, str) or not scenario:
-                raise BadSubmission("run jobs need a scenario name")
-            registry = get_registry()
-            if scenario not in registry:
-                try:
-                    registry.get(scenario)   # raises with suggestions
-                except KeyError as exc:
-                    raise BadSubmission(str(exc.args[0]))
+            _check_scenario(kind, scenario)
             from_cycle = payload.get("from_cycle")
             if from_cycle is not None:
                 if not isinstance(from_cycle, int) \
@@ -401,14 +405,7 @@ class JobQueue:
                     "'inject' (a campaign runs many forked tails, not "
                     "one waveform)"
                 )
-            if not isinstance(scenario, str) or not scenario:
-                raise BadSubmission("inject jobs need a scenario name")
-            registry = get_registry()
-            if scenario not in registry:
-                try:
-                    registry.get(scenario)   # raises with suggestions
-                except KeyError as exc:
-                    raise BadSubmission(str(exc.args[0]))
+            _check_scenario(kind, scenario)
             faults = payload.get("faults", 25)
             if not isinstance(faults, int) or isinstance(faults, bool) \
                     or faults < 1:

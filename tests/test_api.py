@@ -749,3 +749,21 @@ class TestCli:
         assert proc.returncode == 0
         for name in get_registry().names():
             assert name in proc.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["list-scenarios"],
+        ["inject", "y86_sum", "--faults", "2"],
+    ], ids=["list-scenarios", "inject"])
+    def test_closed_stdout_exits_without_a_traceback(self, argv):
+        # the read end is closed before the child writes anything, so
+        # its first write to stdout hits a broken pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, env=_src_env())
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""

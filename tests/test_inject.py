@@ -1,6 +1,7 @@
 """Fault injection: deterministic campaigns, hand-placed outcomes,
 watchdogs, executor retry, server traceback/timeout plumbing."""
 
+import functools
 import json
 import os
 import signal
@@ -81,18 +82,110 @@ def test_campaign_byte_identical_across_engines_and_backends():
                 assert got == reference, (scenario, engine, backend)
 
 
-def test_sharded_process_campaign_matches_serial():
-    serial = run_campaign(
-        "y86_sum", SimConfig(executor="serial"), n_faults=10)
-    sharded = Session(SimConfig(executor="process", jobs=2)) \
-        .inject_campaign("y86_sum", faults=10)
-    # a shard walks only its own faults' cycles, so a tail may
-    # re-converge at a later checkpoint than in the serial campaign;
-    # every classification field still matches
-    for result in (serial, sharded):
-        for record in result["outcomes"]:
-            del record["converged_at"]
-    assert _normalized(sharded) == _normalized(serial)
+@functools.lru_cache(maxsize=None)
+def _serial_campaign(scenario, config, n_faults):
+    return _normalized(run_campaign(
+        scenario, SimConfig(executor="serial", **dict(config)),
+        n_faults=n_faults))
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("scenario,config,n_faults", [
+    ("y86_sum", (), 25),
+    ("y86_sum", (), 7),
+    ("y86_sort", (("cycles", 2000), ("engine", "kernel"),
+                  ("backend", "pycompiled")), 25),
+    ("anvil_pipeline", (("cycles", 300), ("stim", 400)), 25),
+], ids=["y86_sum-25", "y86_sum-7", "y86_sort-25", "anvil_pipeline-25"])
+def test_sharded_process_campaign_matches_serial(scenario, config, n_faults,
+                                                 jobs):
+    """Every shard walks the whole plan's golden checkpoints, so the
+    merged result -- ``converged_at`` included -- is the serial one."""
+    sharded = Session(SimConfig(executor="process", jobs=jobs,
+                                **dict(config))) \
+        .inject_campaign(scenario, faults=n_faults)
+    assert _normalized(sharded) == _serial_campaign(scenario, config,
+                                                    n_faults)
+
+
+def test_sharded_campaign_builds_nothing_in_the_parent(monkeypatch):
+    from repro.api import ScenarioRegistry
+
+    parent, build = os.getpid(), ScenarioRegistry.build
+
+    def build_in_workers_only(registry, *args, **kwargs):
+        assert os.getpid() != parent, "the parent built a simulator"
+        return build(registry, *args, **kwargs)
+
+    monkeypatch.setattr(ScenarioRegistry, "build", build_in_workers_only)
+    result = Session(SimConfig(executor="process", jobs=2)) \
+        .inject_campaign("y86_sum", faults=5)
+    assert [rec["index"] for rec in result["outcomes"]] == list(range(5))
+
+
+def test_sharded_campaign_refuses_shards_that_disagree(monkeypatch):
+    import repro.api
+
+    run_batch = repro.api.run_batch
+
+    def skewed(specs, executor, workers):
+        runs = run_batch(specs, "serial", workers)
+        runs[specs[-1].name]["tail_budget"] += 1
+        return runs
+
+    monkeypatch.setattr(repro.api, "run_batch", skewed)
+    with pytest.raises(SimulationError, match="shards disagree"):
+        Session(SimConfig(executor="process", jobs=2)) \
+            .inject_campaign("y86_sum", faults=4)
+
+
+@pytest.mark.parametrize("shard", [(1, 3), (2, 3), (0, 1)])
+def test_a_shard_is_the_serial_campaign_over_its_slice(shard):
+    whole = run_campaign("y86_sum", SimConfig(), n_faults=7)
+    part = run_campaign("y86_sum", SimConfig(), n_faults=7, shard=shard)
+    index, count = shard
+    assert part["outcomes"] == \
+        whole["outcomes"][7 * index // count:7 * (index + 1) // count]
+    assert (part["golden"], part["tail_budget"], part["faults"]) == \
+        (whole["golden"], whole["tail_budget"], len(part["outcomes"]))
+
+
+@pytest.mark.parametrize("kwargs,named", [
+    ({"tail_budget": -5}, "tail budget must be a positive cycle count, "
+                          "got -5"),
+    ({"tail_budget": 0}, "got 0"),
+    ({"n_faults": 0}, "fault count must be positive, got 0"),
+    ({"shard": (3, 3)}, r"shard \(3, 3\)"),
+])
+def test_campaign_inputs_are_validated(kwargs, named, monkeypatch):
+    from repro.api import ScenarioRegistry
+
+    def no_build(*_args, **_kwargs):
+        raise AssertionError("built a simulator for invalid inputs")
+
+    monkeypatch.setattr(ScenarioRegistry, "build", no_build)
+    with pytest.raises(SimulationError, match=named):
+        run_campaign("y86_sum", SimConfig(), **kwargs)
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--tail-budget", "-5"], "got -5"),
+    (["--tail-budget", "0"], "got 0"),
+    (["--faults", "0"], "fault count must be positive"),
+    (["--tail-budget", "0", "--executor", "process", "--jobs", "2"],
+     "got 0"),
+], ids=["negative-budget", "zero-budget", "zero-faults",
+        "zero-budget-sharded"])
+def test_cli_inject_rejects_invalid_campaign_inputs(flags, named, capsys):
+    from repro.__main__ import main
+
+    code = main(["inject", "y86_sum", "--faults", "5", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") \
+        and captured.err.count("\n") == 1, captured.err
+    assert named in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("scenario,config,pairs", [
@@ -561,6 +654,37 @@ def test_job_queue_validates_inject_submissions():
                        "faults": 7, "inject_seed": 3, "tail_budget": 99})
     assert job.params == {"faults": 7, "inject_seed": 3,
                           "tail_budget": 99}
+
+
+@pytest.mark.parametrize("kind", ["run", "inject"])
+def test_job_queue_scenario_errors_name_the_kind_and_suggest(kind):
+    q = JobQueue(workers=1)
+    with pytest.raises(BadSubmission,
+                       match=f"^{kind} jobs need a scenario name$"):
+        q._job_from({"kind": kind, "scenario": ""})
+    with pytest.raises(BadSubmission,
+                       match=r"^unknown scenario 'y86_summ' \(did you "
+                             r"mean 'y86_sum'"):
+        q._job_from({"kind": kind, "scenario": "y86_summ"})
+
+
+def test_cli_inject_on_a_server_matches_a_local_campaign(tmp_path):
+    from repro.__main__ import main
+
+    server = Session().serve(port=0, background=True)
+    try:
+        remote = tmp_path / "remote.json"
+        assert main(["inject", "y86_sum", "--faults", "5", "--server",
+                     f"127.0.0.1:{server.port}", "--json",
+                     str(remote)]) == 0
+    finally:
+        server.close()
+    local = tmp_path / "local.json"
+    assert main(["inject", "y86_sum", "--faults", "5", "--json",
+                 str(local)]) == 0
+    results = [json.loads(path.read_text())["result"]
+               for path in (remote, local)]
+    assert _normalized(results[0]) == _normalized(results[1])
 
 
 def test_client_timeout_is_clear_and_not_retried():
