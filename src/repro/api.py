@@ -320,9 +320,17 @@ class Scenario:
 
 
 class UnknownScenarioError(KeyError):
-    """Raised on a registry lookup miss (a user-input error: the message
-    names the known scenarios, and the CLI reports it without a
-    traceback)."""
+    """Raised on a registry lookup miss, of a scenario name or a tag (a
+    user-input error: the message names close matches and the known
+    names, and the CLI reports it without a traceback)."""
+
+
+def _unknown(what: str, key: str,
+             known: Sequence[str]) -> UnknownScenarioError:
+    close = difflib.get_close_matches(key, known, n=3)
+    hint = f" (did you mean {_choices(close)}?)" if close else ""
+    return UnknownScenarioError(
+        f"unknown {what} {key!r}{hint}: known {what}s are {_choices(known)}")
 
 
 class ScenarioRegistry:
@@ -369,14 +377,7 @@ class ScenarioRegistry:
         try:
             return self._scenarios[name]
         except KeyError:
-            hint = ""
-            close = difflib.get_close_matches(name, self._scenarios, n=3)
-            if close:
-                hint = f" (did you mean {_choices(close)}?)"
-            raise UnknownScenarioError(
-                f"unknown scenario {name!r}{hint}: known scenarios are "
-                f"{_choices(self.names())}"
-            ) from None
+            raise _unknown("scenario", name, self.names()) from None
 
     def names(self, tag: Optional[str] = None, *,
               exclude: Optional[str] = None) -> List[str]:
@@ -391,6 +392,21 @@ class ScenarioRegistry:
     def tags(self) -> List[str]:
         """Every tag in use, sorted."""
         return sorted({t for s in self._scenarios.values() for t in s.tags})
+
+    def select(self, names: Optional[Sequence[str]] = None,
+               tag: Optional[str] = None) -> List[str]:
+        """The scenarios a sweep or bench runs: ``names`` if given, else
+        every scenario carrying ``tag``, else every non-sweep scenario
+        (the all-in-one sweeps would duplicate the individual families'
+        work).  An unknown name or tag raises
+        :class:`UnknownScenarioError` before anything runs."""
+        if names:
+            for name in names:
+                self.get(name)
+            return list(names)
+        if tag is not None and tag not in self.tags():
+            raise _unknown("tag", tag, self.tags())
+        return self.names(tag, exclude=None if tag == "sweep" else "sweep")
 
     def build(self, name: str,
               config: Optional[SimConfig] = None) -> Simulator:
@@ -724,17 +740,6 @@ class Session:
         return run_scenario(
             scenario, resolve_config(self.config, cycles=cycles, **overrides))
 
-    def _select(self, scenarios: Optional[Sequence[str]],
-                tag: Optional[str]) -> List[str]:
-        """Scenario selection shared by sweep/bench: an explicit
-        name list, else every scenario carrying ``tag``, else every
-        non-sweep scenario (the all-in-one sweeps would duplicate the
-        individual families' work)."""
-        if scenarios:
-            return list(scenarios)
-        return self.registry.names(
-            tag, exclude=None if tag == "sweep" else "sweep")
-
     def sweep(self, scenarios: Optional[Sequence[str]] = None,
               tag: Optional[str] = None, cycles: Optional[int] = None,
               seeds: Optional[Sequence[int]] = None,
@@ -758,7 +763,7 @@ class Session:
         job's own run-phase timing), and its config is its own job's.
         """
         cfg = resolve_config(self.config, cycles=cycles, **overrides)
-        names = self._select(scenarios, tag)
+        names = self.registry.select(scenarios, tag)
         if seeds is None:
             specs = [
                 JobSpec(kind="run_scenario", name=name, scenario=name,
@@ -863,7 +868,7 @@ class Session:
         cfg = resolve_config(self.config, cycles=cycles)
         base = cfg.replace(engine="brute", backend="interp")
         rows = []
-        for name in self._select(scenarios, tag):
+        for name in self.registry.select(scenarios, tag):
             b = _bench_scenario(name, base, warmup, repeats)
             c = _bench_scenario(name, cfg, warmup, repeats)
             rows.append({

@@ -277,22 +277,6 @@ class EventGraph:
                 seen.append(e.cond_id)
         return seen
 
-    def conditions_of(self, eids) -> List[int]:
-        """Branch conditions occurring among the ancestors (and selves) of
-        the given events -- the only conditions relevant to comparing them."""
-        relevant: Set[int] = set()
-        for eid in eids:
-            for a in self.ancestors(eid) | {eid}:
-                ev = self.events[a]
-                if ev.kind is EventKind.BRANCH:
-                    relevant.add(ev.cond_id)
-                elif ev.kind is EventKind.JOIN_ANY:
-                    for p in ev.preds:
-                        pe = self.events[p]
-                        if pe.kind is EventKind.BRANCH:
-                            relevant.add(pe.cond_id)
-        return sorted(relevant)
-
     def stats(self) -> Dict[str, int]:
         by_kind: Dict[str, int] = {}
         for e in self.events:

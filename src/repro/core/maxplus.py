@@ -115,9 +115,11 @@ class MpTerm:
 class MaxExpr:
     """Maximum over a set of :class:`MpTerm`, or ``+infinity``.
 
-    ``MaxExpr.inf()`` builds the timestamp of an event that is never
-    reached in the branch case under consideration (Definition C.9 assigns
-    such events timestamp infinity).
+    ``MaxExpr.inf()`` is the timestamp of an event that is never reached
+    in the branch case under consideration (Definition C.9 assigns such
+    events timestamp infinity).  Expressions are never mutated once built,
+    so ``zero()``, ``inf()`` and ``maximum`` of a single operand share
+    existing instances instead of allocating.
     """
 
     __slots__ = ("terms", "infinite")
@@ -131,11 +133,11 @@ class MaxExpr:
     # -- constructors ---------------------------------------------------
     @staticmethod
     def zero() -> "MaxExpr":
-        return MaxExpr([MpTerm(0, ())])
+        return _ZERO
 
     @staticmethod
     def inf() -> "MaxExpr":
-        return MaxExpr(infinite=True)
+        return _INF
 
     # -- algebra --------------------------------------------------------
     def shifted(self, k: int) -> "MaxExpr":
@@ -153,9 +155,11 @@ class MaxExpr:
         """max over several expressions; infinity absorbs."""
         exprs = [e for e in exprs]
         if not exprs:
-            return MaxExpr.zero()
+            return _ZERO
+        if len(exprs) == 1:
+            return exprs[0]
         if any(e.infinite for e in exprs):
-            return MaxExpr.inf()
+            return _INF
         terms = []
         for e in exprs:
             terms.extend(e.terms)
@@ -222,6 +226,10 @@ def _prune(terms: FrozenSet[MpTerm]) -> FrozenSet[MpTerm]:
         if not dominated:
             kept.append(t)
     return frozenset(kept) if kept else terms
+
+
+_ZERO = MaxExpr([MpTerm(0, ())])
+_INF = MaxExpr(infinite=True)
 
 
 class MinExpr:

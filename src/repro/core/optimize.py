@@ -193,7 +193,6 @@ def pass_shift_branch_joins(graph: EventGraph):
         if len(a.preds) != 1 or len(b.preds) != 1:
             continue
         # rebuild: new join of the delay parents, then one delay
-        redirect: Dict[int, int] = {}
         new = EventGraph(graph.name)
         mapping: Dict[int, int] = {}
         for old in graph.events:
@@ -208,8 +207,6 @@ def pass_shift_branch_joins(graph: EventGraph):
             )
             copy.actions.extend(old.actions)
             mapping[old.eid] = copy.eid
-            if old.eid == ev.preds[0]:
-                pass
             # insert the shifted join right after both parents are present
             if (
                 a.preds[0] in mapping
@@ -263,8 +260,7 @@ def pass_remove_branch_joins(graph: EventGraph):
 
 
 # ----------------------------------------------------------------------
-def optimize(graph: EventGraph, anchors: Optional[List[int]] = None,
-             max_rounds: int = 8):
+def optimize(graph: EventGraph, max_rounds: int = 8):
     """Run all passes to a fixpoint.
 
     Returns ``(graph, mapping, stats)`` where ``mapping`` maps original

@@ -75,6 +75,7 @@ class TimingOracle:
         self._candidates_cache: Dict[Tuple[int, str, str, bool], Tuple[int, ...]] = {}
         self._relevant_mask: Optional[int] = None
         self._cone_masks: Optional[List[int]] = None
+        self._transparent: Dict[int, MaxExpr] = {}
         self._verdict_cache: Dict[tuple, bool] = {}
 
     # ------------------------------------------------------------------
@@ -111,6 +112,9 @@ class TimingOracle:
                 acc = acc | {(ev.cond_id, ev.polarity)}
             gated[ev.eid] = acc
         candidates = set()
+        # exits[c]: the exit joins of condition c, i.e. the any-joins not
+        # gated by c with a predecessor that is
+        exits: Dict[int, List[int]] = {}
         for ev in g.events:
             takes_time = (
                 (ev.kind is EventKind.DELAY and ev.delay > 0)
@@ -118,19 +122,24 @@ class TimingOracle:
             )
             if takes_time:
                 candidates.update(c for c, _pol in gated[ev.eid])
+            elif ev.kind is EventKind.JOIN_ANY:
+                inside = {c for c, _pol in gated[ev.eid]}
+                for c in {c for p in ev.preds for c, _pol in gated[p]}:
+                    if c not in inside:
+                        exits.setdefault(c, []).append(ev.eid)
         # a candidate is only truly relevant if flipping it shifts the
         # timestamp of some event *outside* its arms (balanced branches,
-        # e.g. a one-cycle register write on both sides, do not)
+        # e.g. a one-cycle register write on both sides, do not).  Every
+        # event but an any-join is gated by each condition gating one of
+        # its predecessors, so the first such event is an exit join.
+        self._cond_cones()
         relevant = 0
         for cond in candidates:
             memo_t: Dict[int, MaxExpr] = {}
             memo_f: Dict[int, MaxExpr] = {}
-            for ev in g.events:
-                if any(c == cond for c, _pol in gated[ev.eid]):
-                    continue
-                t_true = self._ts_approx(ev.eid, cond, True, memo_t)
-                t_false = self._ts_approx(ev.eid, cond, False, memo_f)
-                if t_true != t_false:
+            for eid in exits.get(cond, ()):
+                if (self._ts_approx(eid, cond, True, memo_t)
+                        != self._ts_approx(eid, cond, False, memo_f)):
                     relevant |= 1 << cond
                     break
         self._relevant_mask = relevant
@@ -141,7 +150,11 @@ class TimingOracle:
         """Approximate timestamps for the relevance analysis: the single
         condition ``cond`` is fixed, every other condition is transparent
         and any-joins take the max over reachable sides (a sound common
-        upper shape -- only *equality across the two cases* is used)."""
+        upper shape -- only *equality across the two cases* is used).
+        An event without ``cond`` in its cone is the same for every
+        ``cond`` and ``value``, so it is memoized once for all of them."""
+        if not self._cone_masks[eid] >> cond & 1:
+            memo = self._transparent
         cached = memo.get(eid)
         if cached is not None:
             return cached
@@ -191,11 +204,13 @@ class TimingOracle:
         :meth:`_cases` yields do).  Timestamps are memoized per event on
         the case restricted to that event's condition cone.
         """
+        self._cond_cones()
         return self._ts(eid, _mask_case(case))
 
     def _ts(self, eid: int, case: MaskCase) -> MaxExpr:
+        # the cone masks are computed by every entry point (ts, _cases)
         assigned, values = case
-        cone = self._cond_cones()[eid]
+        cone = self._cone_masks[eid]
         key = (assigned & cone, values & cone, eid)
         cached = self._ts_cache.get(key)
         if cached is not None:

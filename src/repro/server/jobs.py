@@ -104,6 +104,21 @@ def _check_scenario(kind: str, scenario: object) -> None:
         raise BadSubmission(str(exc.args[0]))
 
 
+def _check_selection(scenarios: object, tag: object) -> None:
+    """Refuse a sweep or bench submission that names an unknown scenario
+    or tag: the selection check the job would fail on once it runs."""
+    if scenarios is not None and not (
+            isinstance(scenarios, list)
+            and all(isinstance(s, str) for s in scenarios)):
+        raise BadSubmission("scenarios must be a list of names")
+    if tag is not None and not isinstance(tag, str):
+        raise BadSubmission(f"tag must be a string, got {tag!r}")
+    try:
+        get_registry().select(scenarios, tag)
+    except KeyError as exc:
+        raise BadSubmission(str(exc.args[0]))
+
+
 _JOB_IDS = itertools.count(1)
 
 
@@ -430,10 +445,7 @@ class JobQueue:
                     f"{kind!r} (sweeps and benches have no single "
                     f"per-cycle waveform)"
                 )
-            if scenarios is not None and not (
-                    isinstance(scenarios, list)
-                    and all(isinstance(s, str) for s in scenarios)):
-                raise BadSubmission("scenarios must be a list of names")
+            _check_selection(scenarios, tag)
             if seeds is not None and (
                     not isinstance(seeds, int) or isinstance(seeds, bool)
                     or seeds < 1):

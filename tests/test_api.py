@@ -612,6 +612,35 @@ class TestCli:
         assert cli_main(["run", "streams", "--cycles", "0"]) == 2
         assert "cycles must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--tag", "nosuch"],
+        ["sweep", "--tag", "Anvil", "--json"],
+        ["bench", "--tag", "nosuch"],
+    ], ids=" ".join)
+    def test_sweep_and_bench_refuse_an_unknown_tag(self, argv, capsys):
+        assert cli_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: unknown tag {argv[2]!r}")
+        assert err.count("\n") == 1
+        assert "known tags are 'anvil', 'cpu', 'rtl'" in err
+        if argv[2] == "Anvil":
+            assert "(did you mean 'anvil'?)" in err
+
+    @pytest.mark.parametrize("command", ["sweep", "bench"])
+    def test_sweep_and_bench_refuse_an_unknown_name_before_running(
+            self, command, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scenario was built")
+
+        monkeypatch.setattr(ScenarioRegistry, "build", refuse)
+        assert cli_main([command, "streams", "y86_summ",
+                         "--cycles", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown scenario 'y86_summ' "
+                              "(did you mean 'y86_sum'")
+        assert err.count("\n") == 1
+
     def test_unknown_tag_fails_in_both_output_modes(self, capsys):
         assert cli_main(["list-scenarios", "--tag", "nosuch"]) == 1
         assert cli_main(["list-scenarios", "--tag", "nosuch",

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.anvil_designs.aes import aes_core
 from repro.anvil_designs.axi import axi_demux, axi_mux
@@ -21,6 +23,7 @@ from repro.anvil_designs.streams import (
 from repro.anvil_designs.y86 import y86_core
 from repro.core.events import EventGraph, EventKind, SyncDir
 from repro.core.graph_builder import GraphBuilder
+from repro.core.maxplus import MaxExpr
 from repro.core.oracle import TimingOracle
 from repro.core.patterns import Duration, EndSet
 from repro.semantics import concrete_times
@@ -60,15 +63,6 @@ class TestEventGraph:
         g, r, d2, sync, d1 = linear_graph()
         assert g.sync_events("ep", "m") == [sync]
         assert g.sync_events("ep", "other") == []
-
-    def test_conditions_of_includes_join_preds(self):
-        g = EventGraph()
-        r = g.root()
-        bt = g.add(EventKind.BRANCH, (r.eid,), cond_id=0, polarity=True)
-        bf = g.add(EventKind.BRANCH, (r.eid,), cond_id=0, polarity=False)
-        j = g.add(EventKind.JOIN_ANY, (bt.eid, bf.eid))
-        tail = g.add(EventKind.DELAY, (j.eid,), delay=1)
-        assert g.conditions_of([tail.eid]) == [0]
 
     def test_dot_rendering(self):
         g, *_ = linear_graph()
@@ -298,3 +292,140 @@ class TestOracleMemo:
         o = TimingOracle(g)
         assert o.ts(s2.eid, ((0, True),)).evaluate({}) == 3
         assert o.ts(s2.eid, ((0, False),)).evaluate({}) == 1
+
+
+# ----------------------------------------------------------------------
+# timing relevance of branch conditions
+# ----------------------------------------------------------------------
+def reference_relevant(g: EventGraph) -> int:
+    """The relevance rule applied literally: a condition is relevant iff
+    one of its arms takes time and fixing it one way or the other changes
+    the timestamp of some event outside its arms (every other condition
+    transparent, any-joins taking the max over reachable sides)."""
+    gated = []
+    for ev in g.events:
+        sets = [gated[p] for p in ev.preds]
+        if not sets:
+            acc = frozenset()
+        elif ev.kind is EventKind.JOIN_ANY:
+            acc = frozenset.intersection(*sets)
+        else:
+            acc = frozenset().union(*sets)
+        if ev.kind is EventKind.BRANCH:
+            acc |= {(ev.cond_id, ev.polarity)}
+        gated.append(acc)
+
+    def approx(eid, cond, value, memo):
+        if eid in memo:
+            return memo[eid]
+        ev = g[eid]
+        alts = [approx(p, cond, value, memo) for p in ev.preds]
+        if ev.kind is EventKind.ROOT:
+            out = MaxExpr.zero()
+        elif ev.kind is EventKind.BRANCH and ev.cond_id == cond \
+                and ev.polarity != value:
+            out = MaxExpr.inf()
+        elif ev.kind is EventKind.JOIN_ANY:
+            reachable = [a for a in alts if not a.infinite]
+            out = MaxExpr.maximum(reachable) if reachable else MaxExpr.inf()
+        else:
+            out = MaxExpr.maximum(alts)
+            if ev.kind is EventKind.DELAY:
+                out = out.shifted(ev.delay)
+            elif ev.kind is EventKind.SYNC:
+                out = (out.with_var(eid) if ev.static_slack is None
+                       else out.shifted(ev.static_slack))
+        memo[eid] = out
+        return out
+
+    candidates = set()
+    for ev in g.events:
+        if (ev.kind is EventKind.DELAY and ev.delay > 0) or (
+                ev.kind is EventKind.SYNC and ev.static_slack != 0):
+            candidates.update(c for c, _pol in gated[ev.eid])
+    relevant = 0
+    for cond in candidates:
+        memo_t, memo_f = {}, {}
+        for ev in g.events:
+            if any(c == cond for c, _pol in gated[ev.eid]):
+                continue
+            if approx(ev.eid, cond, True, memo_t) != \
+                    approx(ev.eid, cond, False, memo_f):
+                relevant |= 1 << cond
+                break
+    return relevant
+
+
+@st.composite
+def branchy_graphs(draw):
+    """Random event graphs: branch pairs, zero and positive delays, static
+    and dynamic syncs sharing two messages, and any-/all-joins over
+    arbitrary earlier events."""
+    g = EventGraph("random")
+    g.root()
+    conds = 0
+    for _ in range(draw(st.integers(1, 24))):
+        earlier = st.integers(0, len(g.events) - 1)
+        kind = draw(st.sampled_from(
+            ("branch", "delay", "sync", "join_any", "join_all")))
+        if kind == "branch":
+            parent = draw(earlier)
+            g.add(EventKind.BRANCH, (parent,), cond_id=conds, polarity=True)
+            g.add(EventKind.BRANCH, (parent,), cond_id=conds, polarity=False)
+            conds += 1
+        elif kind == "delay":
+            g.add(EventKind.DELAY, (draw(earlier),),
+                  delay=draw(st.integers(0, 2)))
+        elif kind == "sync":
+            g.add(EventKind.SYNC, (draw(earlier),), endpoint="ep",
+                  message=draw(st.sampled_from("ab")),
+                  direction=SyncDir.SEND,
+                  static_slack=draw(st.sampled_from((None, 0, 1))))
+        else:
+            preds = draw(st.lists(earlier, min_size=1, max_size=3,
+                                  unique=True))
+            g.add(EventKind.JOIN_ANY if kind == "join_any"
+                  else EventKind.JOIN_ALL, preds)
+    return g
+
+
+class TestRelevance:
+    @given(branchy_graphs())
+    @settings(max_examples=400, deadline=None)
+    def test_exit_joins_decide_like_the_full_sweep(self, g):
+        assert TimingOracle(g)._timing_relevant_conditions() == \
+            reference_relevant(g)
+
+    def test_arms_that_never_rejoin_are_irrelevant(self):
+        g = EventGraph()
+        r = g.root()
+        bt = g.add(EventKind.BRANCH, (r.eid,), cond_id=0, polarity=True)
+        bf = g.add(EventKind.BRANCH, (r.eid,), cond_id=0, polarity=False)
+        g.add(EventKind.DELAY, (bt.eid,), delay=2)
+        g.add(EventKind.DELAY, (bf.eid,), delay=1)
+        g.add(EventKind.DELAY, (r.eid,), delay=4)
+        assert reference_relevant(g) == 0
+        assert TimingOracle(g)._timing_relevant_conditions() == 0
+
+    def test_exit_join_with_an_unconditional_third_side(self):
+        """The unconditional side comes first, so only the later
+        predecessors show that the join leaves the condition's arms."""
+        g = EventGraph()
+        r = g.root()
+        d1 = g.add(EventKind.DELAY, (r.eid,), delay=1)
+        bt = g.add(EventKind.BRANCH, (r.eid,), cond_id=0, polarity=True)
+        bf = g.add(EventKind.BRANCH, (r.eid,), cond_id=0, polarity=False)
+        d3 = g.add(EventKind.DELAY, (bt.eid,), delay=3)
+        j = g.add(EventKind.JOIN_ANY, (d1.eid, d3.eid, bf.eid))
+        g.add(EventKind.DELAY, (j.eid,), delay=1)
+        assert reference_relevant(g) == 1
+        assert TimingOracle(g)._timing_relevant_conditions() == 1
+
+    @pytest.mark.parametrize("factory", DESIGN_FACTORIES,
+                             ids=lambda f: f.__name__)
+    def test_design_graphs_match_the_full_sweep(self, factory):
+        process = factory()
+        for thread in process.threads:
+            g = GraphBuilder(process, thread).build(1).graph
+            assert TimingOracle(g)._timing_relevant_conditions() == \
+                reference_relevant(g), g.name

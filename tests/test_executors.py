@@ -174,16 +174,23 @@ class TestExecutorEquivalence:
 # ---------------------------------------------------------------------------
 class TestFailurePropagation:
     def test_process_reraises_original_with_worker_traceback(self):
-        session = Session(SimConfig(**FAST))
         with pytest.raises(UnknownScenarioError,
                            match="known scenarios") as exc:
-            session.sweep(["streams", "nonesuch"], executor="process",
-                          **POOL)
+            run_batch([_spec("streams"), _spec("nonesuch")], "process",
+                      workers=2)
         cause = exc.value.__cause__
         assert isinstance(cause, ExecutorError)
         assert cause.job_name == "nonesuch"
         assert "worker traceback" in str(cause)
         assert "UnknownScenarioError" in cause.worker_traceback
+
+    def test_sweep_refuses_an_unknown_name_before_dispatch(self):
+        session = Session(SimConfig(**FAST))
+        with pytest.raises(UnknownScenarioError,
+                           match="unknown scenario 'nonesuch'") as exc:
+            session.sweep(["streams", "nonesuch"], executor="process",
+                          **POOL)
+        assert exc.value.__cause__ is None      # not a worker's failure
 
     def test_first_failure_in_submission_order_wins(self):
         specs = [_spec("bad_a", scenario="nonesuch_a"),

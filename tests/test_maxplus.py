@@ -50,6 +50,15 @@ class TestMaxExpr:
     def test_inf_absorbs(self):
         assert MaxExpr.maximum([MaxExpr.zero(), MaxExpr.inf()]).infinite
 
+    def test_constants_and_single_operands_are_shared(self):
+        """The oracle's memos hold hundreds of thousands of these on the
+        Y86 core: one shared instance each keeps its memory flat."""
+        assert MaxExpr.inf() is MaxExpr.inf()
+        assert MaxExpr.zero() is MaxExpr.zero()
+        e = MaxExpr([term(1, 5)])
+        assert MaxExpr.maximum([e]) is e
+        assert MaxExpr.maximum([e, MaxExpr.inf()]) is MaxExpr.inf()
+
     def test_pruning_drops_dominated_terms(self):
         e = MaxExpr([term(0), term(0, 7)])
         assert e.terms == frozenset([term(0, 7)])

@@ -366,6 +366,23 @@ def test_bad_submissions_are_400(client):
     assert exc_info.value.status == 404
 
 
+def test_sweep_and_bench_with_an_unknown_selection_are_400(client):
+    for body, message in (
+        ({"kind": "sweep", "tag": "nosuch"}, "unknown tag 'nosuch'"),
+        ({"kind": "bench", "tag": "Anvil"}, "did you mean 'anvil'"),
+        ({"kind": "sweep", "scenarios": ["streams", "y86_summ"]},
+         "unknown scenario 'y86_summ' (did you mean 'y86_sum'"),
+        ({"kind": "bench", "scenarios": ["nonesuch"]},
+         "known scenarios are"),
+        ({"kind": "sweep", "tag": 5}, "tag must be a string"),
+    ):
+        with pytest.raises(ServerError) as exc_info:
+            client._request("POST", "/jobs", body)
+        assert exc_info.value.status == 400, body
+        assert message in str(exc_info.value), body
+    assert client._request("GET", "/jobs") == {"jobs": []}
+
+
 def test_result_before_done_is_409(client):
     record = client.submit("server_slow", cycles=500)
     with pytest.raises(ServerError) as exc_info:

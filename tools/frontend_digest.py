@@ -9,10 +9,12 @@ Prints one canonical JSON document covering:
 - the six Table 2 studies;
 - Figures 2, 5, 6 and 8.
 
-Run it on two commits and compare the files to show that a change to the
-type checker, the oracle or the optimizer changed no output:
+``tests/test_frontend_digest.py`` compares :func:`digest` with the
+committed output, so a change to the type checker, the oracle or the
+optimizer that changes any of it fails the suite.  Regenerate the golden
+only for an intended output change:
 
-    PYTHONPATH=src python tools/frontend_digest.py > after.json
+    PYTHONPATH=src python tools/frontend_digest.py > tests/golden/frontend_digest.json
 
 The Y86 core's verdict takes most of the run time.
 """
