@@ -382,7 +382,10 @@ class ScenarioRegistry:
     def names(self, tag: Optional[str] = None, *,
               exclude: Optional[str] = None) -> List[str]:
         """Registered names in registration order, optionally filtered
-        to those carrying ``tag`` and/or not carrying ``exclude``."""
+        to those carrying ``tag`` and/or not carrying ``exclude``.  A
+        ``tag`` no scenario carries raises :class:`UnknownScenarioError`."""
+        if tag is not None and tag not in self.tags():
+            raise _unknown("tag", tag, self.tags())
         return [
             s.name for s in self._scenarios.values()
             if (tag is None or tag in s.tags)
@@ -404,8 +407,6 @@ class ScenarioRegistry:
             for name in names:
                 self.get(name)
             return list(names)
-        if tag is not None and tag not in self.tags():
-            raise _unknown("tag", tag, self.tags())
         return self.names(tag, exclude=None if tag == "sweep" else "sweep")
 
     def build(self, name: str,

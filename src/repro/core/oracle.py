@@ -5,14 +5,24 @@ the event graph.  The oracle realizes that quantification:
 
 * handshake slack of each dynamic synchronization event becomes a fresh
   max-plus variable (see :mod:`repro.core.maxplus`);
-* branch conditions are enumerated case by case -- but only the conditions
-  *relevant* to the events being compared (those labelling their ancestors),
-  which keeps the enumeration small;
-* within one case, each event's time is an exact max-plus expression, and
-  comparisons hold only if they hold in every case;
-* an event's time depends only on the conditions in its own cone, so it is
-  memoized on the case restricted to that cone and shared by every case
-  and every query that agrees there.
+* branch conditions are decided case by case -- but only the conditions
+  *relevant* to timing (those whose arms shift some timestamp outside
+  them), which keeps the cases few;
+* each event's time is one reduced, ordered *case tree* over those
+  conditions (an algebraic decision diagram): an inner node tests one
+  condition, the highest id on top, and a leaf is the exact max-plus
+  expression shared by every case that reaches it.  Leaves are interned
+  and nodes hash-consed, so equal subtrees are one object;
+* trees are built bottom-up, each from the trees of the events its time
+  depends on by applying the event kind's rule leaf by leaf, so a
+  condition appears in a tree only where it moves that timestamp, and
+  every query shares them;
+* a query walks the product of the trees of the events it reads, false
+  arm first (the order of the cases the cells stand for), checks each
+  combination of leaves once, and holds only if it holds in every one;
+* an any-join whose reachable sides differ in a case is a conflict leaf
+  there, and only a query that reads it raises :class:`OracleLimitError`,
+  naming the first case that reaches it.
 
 Dynamic event patterns ``e |> pi.m`` ("first occurrence of pi.m after e")
 are resolved against the graph structurally.  We compute two bounds:
@@ -32,20 +42,20 @@ sound approximations of ``<=G`` and ``<G``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .events import EventGraph, EventKind
+from .events import Event, EventGraph, EventKind
 from .maxplus import MaxExpr, MinExpr
 from .patterns import EndSet, EventPattern
 
 Case = Tuple[Tuple[int, bool], ...]
-#: A case as bitmasks over condition ids: ``(assigned, values)``, where bit
-#: ``c`` of ``assigned`` marks condition ``c`` as fixed and the same bit of
-#: ``values`` gives its value.  Unassigned conditions take both arms.
-MaskCase = Tuple[int, int]
 
 
-def _mask_case(case: Case) -> MaskCase:
+def _mask_case(case: Case) -> Tuple[int, int]:
+    """``case`` as bitmasks ``(assigned, values)``: bit ``c`` of
+    ``assigned`` marks condition ``c`` as fixed and the same bit of
+    ``values`` gives its value."""
     assigned = values = 0
     for cond, value in case:
         bit = 1 << cond
@@ -62,7 +72,131 @@ def _case_tuple(assigned: int, values: int) -> Case:
 
 
 class OracleLimitError(Exception):
-    """Raised when branch-case enumeration exceeds the configured limit."""
+    """Raised when a query cannot be decided: the timing-relevant branch
+    conditions in the cones of its events have more combinations than the
+    case limit, or, in a case the query reads, an any-join has reachable
+    sides with different timestamps (the join conflict: the condition set
+    was incomplete)."""
+
+
+def _conflict_message(join: int, assigned: int, values: int) -> str:
+    return (
+        f"join e{join} has multiple reachable branches under case "
+        f"{_case_tuple(assigned, values)}; condition set was incomplete"
+    )
+
+
+class _Conflict:
+    """Leaf value of an any-join whose reachable sides disagree, and of
+    every event whose time is read through it."""
+
+    __slots__ = ("join",)
+
+    def __init__(self, join: int):
+        self.join = join
+
+    def __eq__(self, other):
+        return isinstance(other, _Conflict) and other.join == self.join
+
+    def __hash__(self):
+        return hash(self.join)
+
+
+class _ConflictRead(Exception):
+    """A query read a :class:`_Conflict` leaf; the walk, which knows the
+    case, turns it into an :class:`OracleLimitError`."""
+
+    def __init__(self, join: int):
+        super().__init__(join)
+        self.join = join
+
+
+class _Node:
+    """A case-tree node.  An inner node tests condition ``var``: ``lo`` is
+    the tree where it is false, ``hi`` where it is true, and both test
+    only lower conditions.  A leaf has ``var == -1`` and its timestamp (a
+    :class:`MaxExpr`, or a :class:`_Conflict`) in ``value``."""
+
+    __slots__ = ("var", "lo", "hi", "value")
+
+    def __init__(self, var: int, lo, hi, value):
+        self.var = var
+        self.lo = lo
+        self.hi = hi
+        self.value = value
+
+
+_VAR = attrgetter("var")
+
+
+def _read(cell, eid: int) -> MaxExpr:
+    """Timestamp of ``eid`` in ``cell``, a mapping from event id to leaf."""
+    value = cell[eid].value
+    if value.__class__ is _Conflict:
+        raise _ConflictRead(value.join)
+    return value
+
+
+def _first_conflict(values: Sequence) -> Optional[_Conflict]:
+    for v in values:
+        if v.__class__ is _Conflict:
+            return v
+    return None
+
+
+# Per-kind timestamp rules, applied leaf by leaf: ``values`` are the
+# timestamps of the event's predecessors (then, for a sync, of the earlier
+# syncs of its message) in one case.  A predecessor's conflict is read
+# before the event's own rule, in predecessor order.
+def _latest(ev: Event, values: List):
+    """ROOT (no predecessors: time 0), BRANCH (before its gate) and
+    JOIN_ALL."""
+    return _first_conflict(values) or MaxExpr.maximum(values)
+
+
+def _delay(ev: Event, values: List):
+    return _first_conflict(values) or \
+        MaxExpr.maximum(values).shifted(ev.delay)
+
+
+def _sync(ev: Event, values: List):
+    npreds = len(ev.preds)
+    parts = values[:npreds]
+    conflict = _first_conflict(parts)
+    if conflict:
+        return conflict
+    # Successive synchronizations of one message share a single handshake
+    # resource and are serialized in program order; a later sync can
+    # therefore never complete before an earlier one.  (This matters for
+    # overlapped `recursive` iterations.)
+    if not any(p.infinite for p in parts):
+        for t in values[npreds:]:
+            if t.__class__ is _Conflict:
+                return t
+            if not t.infinite:
+                parts.append(t)
+    base = MaxExpr.maximum(parts)
+    if ev.static_slack is None:
+        return base.with_var(ev.eid)
+    return base.shifted(ev.static_slack)
+
+
+def _join_any(ev: Event, values: List):
+    conflict = _first_conflict(values)
+    if conflict:
+        return conflict
+    reachable = [v for v in values if not v.infinite]
+    if not reachable:
+        return MaxExpr.inf()
+    # More than one side is reachable only when the branch condition was
+    # deemed irrelevant; both sides then carry identical timestamps by
+    # construction (optimization passes preserve this), so one side stands
+    # for all only when they agree.  Leaves are interned: equal values are
+    # one object.
+    first = reachable[0]
+    if all(r is first for r in reachable[1:]):
+        return first
+    return _Conflict(ev.eid)
 
 
 class TimingOracle:
@@ -71,12 +205,16 @@ class TimingOracle:
     def __init__(self, graph: EventGraph, max_cases: int = 4096):
         self.graph = graph
         self.max_cases = max_cases
-        self._ts_cache: Dict[Tuple[int, int, int], MaxExpr] = {}
         self._candidates_cache: Dict[Tuple[int, str, str, bool], Tuple[int, ...]] = {}
         self._relevant_mask: Optional[int] = None
         self._cone_masks: Optional[List[int]] = None
         self._transparent: Dict[int, MaxExpr] = {}
         self._verdict_cache: Dict[tuple, bool] = {}
+        # case trees, per mask of the conditions they test: event -> tree
+        self._forest: Dict[int, Dict[int, _Node]] = {}
+        self._leaves: Dict[object, _Node] = {}
+        self._nodes: Dict[Tuple[int, _Node, _Node], _Node] = {}
+        self._products: Dict[Tuple[_Node, ...], list] = {}
 
     # ------------------------------------------------------------------
     # branch-condition relevance
@@ -193,89 +331,114 @@ class TimingOracle:
         return out
 
     # ------------------------------------------------------------------
-    # timestamps
+    # timestamps: case trees
     # ------------------------------------------------------------------
     def ts(self, eid: int, case: Case) -> MaxExpr:
         """Max-plus timestamp of event ``eid`` under branch case ``case``.
 
         A case is a tuple of ``(condition, value)`` pairs.  A condition it
-        leaves out takes both arms, so ``case`` should assign every
-        timing-relevant condition in the cone of ``eid`` (the cases
-        :meth:`_cases` yields do).  Timestamps are memoized per event on
-        the case restricted to that event's condition cone.
+        leaves out takes both arms: the timestamp is read off the case
+        tree of ``eid`` over exactly the conditions ``case`` assigns.
         """
-        self._cond_cones()
-        return self._ts(eid, _mask_case(case))
-
-    def _ts(self, eid: int, case: MaskCase) -> MaxExpr:
-        # the cone masks are computed by every entry point (ts, _cases)
-        assigned, values = case
-        cone = self._cone_masks[eid]
-        key = (assigned & cone, values & cone, eid)
-        cached = self._ts_cache.get(key)
-        if cached is not None:
-            return cached
-        ev = self.graph[eid]
-        if ev.kind is EventKind.ROOT:
-            out = MaxExpr.zero()
-        elif ev.kind is EventKind.DELAY:
-            out = MaxExpr.maximum(
-                self._ts(p, case) for p in ev.preds
-            ).shifted(ev.delay)
-        elif ev.kind is EventKind.SYNC:
-            parts = [self._ts(p, case) for p in ev.preds]
-            # Successive synchronizations of one message share a single
-            # handshake resource and are serialized in program order; a
-            # later sync can therefore never complete before an earlier
-            # one.  (This matters for overlapped `recursive` iterations.)
-            if not any(p.infinite for p in parts):
-                for other in self.graph.sync_events(ev.endpoint, ev.message):
-                    if other.eid < ev.eid:
-                        t = self._ts(other.eid, case)
-                        if not t.infinite:
-                            parts.append(t)
-            base = MaxExpr.maximum(parts)
-            if ev.static_slack is not None:
-                out = base.shifted(ev.static_slack)
-            else:
-                out = base.with_var(ev.eid)
-        elif ev.kind is EventKind.BRANCH:
-            bit = 1 << ev.cond_id
-            if assigned & bit and bool(values & bit) != ev.polarity:
-                out = MaxExpr.inf()
-            else:
-                out = MaxExpr.maximum(
-                    self._ts(p, case) for p in ev.preds
-                )
-        elif ev.kind is EventKind.JOIN_ANY:
-            alts = [self._ts(p, case) for p in ev.preds]
-            reachable = [a for a in alts if not a.infinite]
-            if not reachable:
-                out = MaxExpr.inf()
-            elif len(reachable) == 1:
-                out = reachable[0]
-            else:
-                # A join of branches where more than one side is reachable
-                # can only happen when the branch condition was deemed
-                # irrelevant; both sides then carry identical timestamps by
-                # construction (optimization passes preserve this), so take
-                # the max as a safe representative only when they agree.
-                first = reachable[0]
-                if all(r == first for r in reachable[1:]):
-                    out = first
-                else:
-                    raise OracleLimitError(
-                        f"join e{eid} has multiple reachable branches under "
-                        f"case {_case_tuple(assigned, values)}; condition "
-                        f"set was incomplete"
-                    )
-        elif ev.kind is EventKind.JOIN_ALL:
-            out = MaxExpr.maximum(
-                self._ts(p, case) for p in ev.preds
+        assigned, values = _mask_case(case)
+        node = self._tree(eid, assigned)
+        while node.var >= 0:
+            node = node.hi if values >> node.var & 1 else node.lo
+        if node.value.__class__ is _Conflict:
+            raise OracleLimitError(
+                _conflict_message(node.value.join, assigned, values)
             )
-        else:  # pragma: no cover - exhaustive
-            raise AssertionError(ev.kind)
-        self._ts_cache[key] = out
+        return node.value
+
+    def _leaf(self, value) -> _Node:
+        """The leaf of ``value``: one per distinct timestamp."""
+        leaf = self._leaves.get(value)
+        if leaf is None:
+            leaf = self._leaves[value] = _Node(-1, None, None, value)
+        return leaf
+
+    def _node(self, var: int, lo: _Node, hi: _Node) -> _Node:
+        """The node testing ``var`` over ``lo`` and ``hi``: one per
+        distinct triple, and ``lo`` itself when both arms are one subtree,
+        so trees stay reduced."""
+        if lo is hi:
+            return lo
+        key = (var, lo, hi)
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = _Node(var, lo, hi, None)
+        return node
+
+    def _tree(self, eid: int, split: int) -> _Node:
+        """Case tree of ``eid`` over the conditions in mask ``split``,
+        built on first use from the trees of the events its time depends
+        on: its predecessors and, for a sync, the earlier syncs of its
+        message."""
+        trees = self._forest.get(split)
+        if trees is None:
+            trees = self._forest[split] = {}
+        tree = trees.get(eid)
+        if tree is None:
+            ev = self.graph[eid]
+            kind = ev.kind
+            deps = [trees.get(p) or self._tree(p, split) for p in ev.preds]
+            if kind is EventKind.SYNC:
+                deps.extend(trees.get(other.eid) or
+                            self._tree(other.eid, split) for other in
+                            self.graph.sync_events(ev.endpoint, ev.message)
+                            if other.eid < eid)
+                rule = _sync
+            elif kind is EventKind.DELAY:
+                rule = _delay
+            elif kind is EventKind.JOIN_ANY:
+                rule = _join_any
+            else:
+                rule = _latest
+            tree = self._apply(rule, ev, tuple(deps), {})
+            if kind is EventKind.BRANCH and split >> ev.cond_id & 1:
+                tree = self._gate(tree, ev.cond_id, ev.polarity, {})
+            trees[eid] = tree
+        return tree
+
+    def _apply(self, rule: Callable, ev: Event, trees: Tuple[_Node, ...],
+               memo: Dict[Tuple[_Node, ...], _Node]) -> _Node:
+        """The tree mapping each case to ``rule(ev, leaf values)`` of the
+        leaves ``trees`` map it to."""
+        out = memo.get(trees)
+        if out is None:
+            top = max(map(_VAR, trees), default=-1)
+            if top < 0:
+                out = self._leaf(rule(ev, [t.value for t in trees]))
+            else:
+                out = self._node(
+                    top,
+                    self._apply(rule, ev, tuple([t.lo if t.var == top else t
+                                                 for t in trees]), memo),
+                    self._apply(rule, ev, tuple([t.hi if t.var == top else t
+                                                 for t in trees]), memo),
+                )
+            memo[trees] = out
+        return out
+
+    def _gate(self, tree: _Node, cond: int, polarity: bool,
+              memo: Dict[_Node, _Node]) -> _Node:
+        """``tree`` where condition ``cond`` has value ``polarity``, and
+        unreached (infinite) where it has the other, without reading
+        ``tree`` there: the tree of a branch whose condition is tested."""
+        out = memo.get(tree)
+        if out is None:
+            if tree.var > cond:
+                out = self._node(tree.var,
+                                 self._gate(tree.lo, cond, polarity, memo),
+                                 self._gate(tree.hi, cond, polarity, memo))
+            else:
+                arm = tree
+                if tree.var == cond:
+                    arm = tree.hi if polarity else tree.lo
+                inf = self._leaf(MaxExpr.inf())
+                out = (self._node(cond, inf, arm) if polarity
+                       else self._node(cond, arm, inf))
+            memo[tree] = out
         return out
 
     # ------------------------------------------------------------------
@@ -302,10 +465,10 @@ class TimingOracle:
         return result
 
     def _pattern_alts(
-        self, pattern: EventPattern, case: MaskCase, upper: bool
+        self, pattern: EventPattern, cell, upper: bool
     ) -> List[MaxExpr]:
-        """Alternatives (min-candidates) for an event pattern under a case."""
-        base_ts = self._ts(pattern.base, case)
+        """Alternatives (min-candidates) for an event pattern in a cell."""
+        base_ts = _read(cell, pattern.base)
         if base_ts.infinite:
             return []  # pattern base never reached: treated as vacuous
         dur = pattern.duration
@@ -314,35 +477,34 @@ class TimingOracle:
         cands = self._candidates(pattern.base, dur.endpoint, dur.message, upper)
         alts = []
         for c in cands:
-            t = self._ts(c, case)
+            t = _read(cell, c)
             if not t.infinite:
                 alts.append(t)
         return alts
 
-    def _endset_expr(self, end: EndSet, case: MaskCase, upper: bool
-                     ) -> MinExpr:
+    def _endset_expr(self, end: EndSet, cell, upper: bool) -> MinExpr:
         """MinExpr bound for an :class:`EndSet` (infinite when eternal)."""
-        return self._endset_state(end, case, upper)[0]
+        return self._endset_state(end, cell, upper)[0]
 
-    def _endset_state(self, end: EndSet, case: MaskCase, upper: bool
+    def _endset_state(self, end: EndSet, cell, upper: bool
                       ) -> Tuple[MinExpr, bool]:
         """Bound plus reachability: the second component is False when every
-        pattern base is unreachable in this case (the interval -- and hence
+        pattern base is unreachable in this cell (the interval -- and hence
         any obligation built on it -- is vacuous there)."""
         if end.is_eternal:
             return MinExpr.inf(), True
         alts: List[MaxExpr] = []
         reachable = False
         for p in end.patterns:
-            if not self._ts(p.base, case).infinite:
+            if not _read(cell, p.base).infinite:
                 reachable = True
-            alts.extend(self._pattern_alts(p, case, upper))
+            alts.extend(self._pattern_alts(p, cell, upper))
         if not alts:
             return MinExpr.inf(), reachable
         return MinExpr(alts), reachable
 
     # ------------------------------------------------------------------
-    # branch-case enumeration
+    # deciding a query over the case trees
     # ------------------------------------------------------------------
     def _involved_events(self, eids: Iterable[int], ends: Iterable[EndSet]):
         involved = set(eids)
@@ -380,28 +542,77 @@ class TimingOracle:
         self._cone_masks = cones
         return cones
 
-    def _cases(self, eids: Iterable[int], ends: Iterable[EndSet] = ()
-               ) -> Iterator[MaskCase]:
-        """Enumerate branch cases over the *timing-relevant* conditions in
-        the cones of the involved events (others cannot shift any
-        timestamp).  Cases come in increasing order of their value mask,
-        the lowest condition id varying fastest."""
+    def _holds(self, eids: Iterable[int], ends: Iterable[EndSet],
+               check: Callable) -> bool:
+        """True iff ``check(cell)`` holds in every case of the
+        timing-relevant conditions in the cones of the involved events
+        (others cannot shift any timestamp).  A cell maps each involved
+        event to its leaf in a case.
+
+        The cells are those of the product of the involved events' trees,
+        in the order of the first case reaching each (:meth:`_cells`), so
+        the first failing cell holds the first failing case, and a join
+        conflict the check reads is reported under that case.  When every
+        tree is a leaf, the trees themselves are the one cell."""
         cones = self._cond_cones()
+        involved = self._involved_events(eids, ends)
         conds = 0
-        for eid in self._involved_events(eids, ends):
+        for eid in involved:
             conds |= cones[eid]
-        conds &= self._timing_relevant_conditions()
+        relevant = self._timing_relevant_conditions()
+        conds &= relevant
         n = conds.bit_count()
         if 2**n > self.max_cases:
             raise OracleLimitError(
                 f"{n} relevant branch conditions exceed the case limit"
             )
+        trees = self._forest.get(relevant)
+        if trees is None:
+            trees = self._forest[relevant] = {}
+        split = []
+        for eid in involved:
+            if (trees.get(eid) or self._tree(eid, relevant)).var >= 0:
+                split.append(eid)
         values = 0
-        while True:
-            yield conds, values
-            if values == conds:
-                return
-            values = (values - conds) & conds
+        try:
+            if not split:
+                return check(trees)
+            cell = {eid: trees[eid] for eid in involved}
+            for values, leaves in self._cells(
+                    tuple([trees[eid] for eid in split])):
+                cell.update(zip(split, leaves))
+                if not check(cell):
+                    return False
+            return True
+        except _ConflictRead as exc:
+            raise OracleLimitError(
+                _conflict_message(exc.join, conds, values)) from None
+
+    def _cells(self, nodes: Tuple[_Node, ...]
+               ) -> List[Tuple[int, Tuple[_Node, ...]]]:
+        """The cells of the product of the trees ``nodes``: each distinct
+        combination of their leaves, with the first case reaching it (a
+        mask of the conditions set true), in the order of those cases.
+        Cases run false arm first, so the cells under the false arm of the
+        top condition come first, then the new ones under its true arm.
+        Memoized: products of equal subtrees are one list."""
+        cells = self._products.get(nodes)
+        if cells is None:
+            top = max(map(_VAR, nodes))
+            if top < 0:
+                cells = [(0, nodes)]
+            else:
+                cells = self._cells(tuple([n.lo if n.var == top else n
+                                           for n in nodes]))
+                hi = self._cells(tuple([n.hi if n.var == top else n
+                                        for n in nodes]))
+                seen = {leaves for _values, leaves in cells}
+                bit = 1 << top
+                cells = cells + [(values | bit, leaves)
+                                 for values, leaves in hi
+                                 if leaves not in seen]
+            self._products[nodes] = cells
+        return cells
 
     # ------------------------------------------------------------------
     # public comparisons
@@ -418,13 +629,11 @@ class TimingOracle:
         return out
 
     def _event_le(self, a: int, b: int) -> bool:
-        for case in self._cases((a, b)):
-            ta = self._ts(a, case)
-            if ta.infinite:
-                continue  # vacuous in this case
-            if not ta.le(self._ts(b, case)):
-                return False
-        return True
+        def check(cell) -> bool:
+            ta = _read(cell, a)
+            return ta.infinite or ta.le(_read(cell, b))  # vacuous if unreached
+
+        return self._holds((a, b), (), check)
 
     def event_lt(self, a: int, b: int) -> bool:
         key = ("lt", a, b)
@@ -436,13 +645,11 @@ class TimingOracle:
         return out
 
     def _event_lt(self, a: int, b: int) -> bool:
-        for case in self._cases((a, b)):
-            ta = self._ts(a, case)
-            if ta.infinite:
-                continue
-            if not ta.lt(self._ts(b, case)):
-                return False
-        return True
+        def check(cell) -> bool:
+            ta = _read(cell, a)
+            return ta.infinite or ta.lt(_read(cell, b))
+
+        return self._holds((a, b), (), check)
 
     def event_le_end(self, a: int, end: EndSet, shift: int = 0) -> bool:
         """``a + shift <= earliest(end)`` in every case (value live until at
@@ -458,14 +665,14 @@ class TimingOracle:
         return out
 
     def _event_le_end(self, a: int, end: EndSet, shift: int = 0) -> bool:
-        for case in self._cases((a,), (end,)):
-            ta = self._ts(a, case)
+        def check(cell) -> bool:
+            ta = _read(cell, a)
             if ta.infinite:
-                continue
-            bound = self._endset_expr(end, case, upper=False)
-            if not bound.ge_expr(ta.shifted(shift)):
-                return False
-        return True
+                return True
+            bound = self._endset_expr(end, cell, upper=False)
+            return bound.ge_expr(ta.shifted(shift))
+
+        return self._holds((a,), (end,), check)
 
     def end_le_event(self, end: EndSet, a: int, shift: int = 0) -> bool:
         """``earliest(end) <= a + shift`` in every case; uses the *upper*
@@ -482,16 +689,16 @@ class TimingOracle:
         return out
 
     def _end_le_event(self, end: EndSet, a: int, shift: int = 0) -> bool:
-        for case in self._cases((a,), (end,)):
-            ta = self._ts(a, case)
+        def check(cell) -> bool:
+            ta = _read(cell, a)
             if ta.infinite:
-                continue
-            bound, reachable = self._endset_state(end, case, upper=True)
+                return True
+            bound, reachable = self._endset_state(end, cell, upper=True)
             if not reachable:
-                continue  # the interval never materializes in this case
-            if not bound.le_expr(ta.shifted(shift)):
-                return False
-        return True
+                return True  # the interval never materializes in this case
+            return bound.le_expr(ta.shifted(shift))
+
+        return self._holds((a,), (end,), check)
 
     def end_le_end(self, required: EndSet, available: EndSet) -> bool:
         """``earliest(required) <= earliest(available)``: the available
@@ -510,14 +717,14 @@ class TimingOracle:
         return out
 
     def _end_le_end(self, required: EndSet, available: EndSet) -> bool:
-        for case in self._cases((), (required, available)):
-            req, req_reachable = self._endset_state(required, case, upper=True)
+        def check(cell) -> bool:
+            req, req_reachable = self._endset_state(required, cell, upper=True)
             if not req_reachable:
-                continue  # the requirement is vacuous in this case
-            ava = self._endset_expr(available, case, upper=False)
-            if not req.le(ava):
-                return False
-        return True
+                return True  # the requirement is vacuous in this case
+            ava = self._endset_expr(available, cell, upper=False)
+            return req.le(ava)
+
+        return self._holds((), (required, available), check)
 
     def lifetime_within(
         self,

@@ -8,7 +8,8 @@ One :class:`ReproServer` owns one :class:`~repro.server.jobs.JobQueue`
 method  path                       answer
 ======  =========================  ==========================================
 GET     /health                    liveness + version + registry size
-GET     /scenarios                 registered scenarios (``?tag=`` filters)
+GET     /scenarios                 registered scenarios (``?tag=`` filters;
+                                   404 on an unknown tag)
 GET     /scenarios/<name>          one scenario's tags/description/defaults
 POST    /jobs                      submit run/sweep/bench (202; 200 cached;
                                    429 + Retry-After when the queue is full).
@@ -315,8 +316,8 @@ class ReproServer:
                     "tags": sorted(sc.tags),
                     "description": sc.description,
                 }
-                for sc in registry
-                if tag is None or tag in sc.tags
+                # an unknown tag raises UnknownScenarioError: a 404
+                for sc in map(registry.get, registry.names(tag))
             ],
             "tags": registry.tags(),
         }

@@ -642,10 +642,16 @@ class TestCli:
         assert err.count("\n") == 1
 
     def test_unknown_tag_fails_in_both_output_modes(self, capsys):
-        assert cli_main(["list-scenarios", "--tag", "nosuch"]) == 1
-        assert cli_main(["list-scenarios", "--tag", "nosuch",
-                         "--json"]) == 1
-        assert "known tags" in capsys.readouterr().err
+        # refused like sweep/bench: exit 2, one registry error line
+        assert cli_main(["sweep", "--tag", "anvill"]) == 2
+        refusal = capsys.readouterr().err
+        assert refusal.startswith(
+            "error: unknown tag 'anvill' (did you mean 'anvil'?): "
+            "known tags are 'anvil', 'cpu', 'rtl'")
+        for argv in (["list-scenarios", "--tag", "anvill"],
+                     ["list-scenarios", "--tag", "anvill", "--json"]):
+            assert cli_main(argv) == 2
+            assert capsys.readouterr() == ("", refusal)
 
     def test_table1_does_not_depend_on_the_hash_seed(self):
         # a float area summed over gates in string-hash order prints

@@ -1,6 +1,7 @@
 """Tests for the event graph and the ``<=G`` timing oracle."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +24,9 @@ from repro.anvil_designs.streams import (
 from repro.anvil_designs.y86 import y86_core
 from repro.core.events import EventGraph, EventKind, SyncDir
 from repro.core.graph_builder import GraphBuilder
-from repro.core.maxplus import MaxExpr
-from repro.core.oracle import TimingOracle
-from repro.core.patterns import Duration, EndSet
+from repro.core.maxplus import MaxExpr, MinExpr
+from repro.core.oracle import OracleLimitError, TimingOracle
+from repro.core.patterns import Duration, EndSet, EventPattern
 from repro.semantics import concrete_times
 
 DESIGN_FACTORIES = (
@@ -250,9 +251,10 @@ class TestOracleMatchesSemantics:
 
 class TestOracleMemo:
     def test_timestamps_shared_across_cases(self):
-        """A query enumerating two independent conditions computes an
-        event under the first branch once per value of that condition,
-        not once per case of the query."""
+        """Each event's timestamps form one case tree over the conditions
+        that move it: an event under the first branch has one leaf per
+        value of that condition, whatever the query it is read in, and
+        asking again builds no new node."""
         g = EventGraph()
         r = g.root()
         arms = []
@@ -265,16 +267,29 @@ class TestOracleMemo:
             arms.append((dt, g.add(EventKind.JOIN_ANY, (dt.eid, df.eid))))
         (d0, j0), (_d1, j1) = arms
         o = TimingOracle(g)
-        # j0 in {1, 2} never exceeds j1 in {3, 5}: all four cases run
+        # j0 in {1, 2} never exceeds j1 in {3, 5}: all four cases hold
         assert o.event_le(j0.eid, j1.eid)
+        relevant = o._timing_relevant_conditions()
+        assert relevant == 0b11
 
-        def computed(eid):
-            return sum(1 for key in o._ts_cache if key[-1] == eid)
+        def leaves(eid):
+            found, stack = set(), [o._tree(eid, relevant)]
+            while stack:
+                node = stack.pop()
+                if node.var < 0:
+                    found.add(node)
+                else:
+                    stack += (node.lo, node.hi)
+            return found
 
-        assert computed(j1.eid) == 2
-        assert computed(j0.eid) == 2
-        assert computed(d0.eid) == 2
-        assert computed(r.eid) == 1
+        assert len(leaves(j0.eid)) == 2
+        assert len(leaves(j1.eid)) == 2
+        assert len(leaves(d0.eid)) == 2  # its delay, or unreached
+        assert o._tree(r.eid, relevant).var < 0  # one leaf
+        built = (len(o._nodes), len(o._leaves))
+        o._verdict_cache.clear()
+        assert o.event_le(j0.eid, j1.eid)
+        assert (len(o._nodes), len(o._leaves)) == built
 
     def test_sync_memo_covers_earlier_same_message_syncs(self):
         """A sync waits for earlier syncs of its message, so the branch
@@ -429,3 +444,264 @@ class TestRelevance:
             g = GraphBuilder(process, thread).build(1).graph
             assert TimingOracle(g)._timing_relevant_conditions() == \
                 reference_relevant(g), g.name
+
+
+# ----------------------------------------------------------------------
+# case trees against the case-by-case enumeration
+# ----------------------------------------------------------------------
+def reference_oracle(g: EventGraph, max_cases: int):
+    """The five relations decided by enumerating every case of the
+    timing-relevant conditions in the cones of the events a query reads,
+    the lowest condition varying fastest, and computing each timestamp
+    under the case (memoized on the case restricted to the event's cone).
+    A query holds iff it holds in every case: it is false at the first
+    case where it fails, and raises at the first one where it reads an
+    any-join whose reachable sides differ."""
+    relevant = reference_relevant(g)
+    cones = []
+    for ev in g.events:
+        acc = 0
+        for p in ev.preds:
+            acc |= cones[p]
+        if ev.kind is EventKind.BRANCH:
+            acc |= 1 << ev.cond_id
+        elif ev.kind is EventKind.SYNC:
+            for other in g.sync_events(ev.endpoint, ev.message):
+                if other.eid < ev.eid:
+                    acc |= cones[other.eid]
+        cones.append(acc)
+    memo = {}
+
+    def ts(eid, case):
+        """``case``: {condition: value} for every condition of the query."""
+        key = (eid, tuple(sorted((c, v) for c, v in case.items()
+                                 if cones[eid] >> c & 1)))
+        if key in memo:
+            return memo[key]
+        ev = g[eid]
+        if ev.kind is EventKind.ROOT:
+            out = MaxExpr.zero()
+        elif ev.kind is EventKind.BRANCH and case.get(ev.cond_id,
+                                                      ev.polarity) \
+                != ev.polarity:
+            out = MaxExpr.inf()
+        elif ev.kind is EventKind.JOIN_ANY:
+            reachable = [t for t in (ts(p, case) for p in ev.preds)
+                         if not t.infinite]
+            if not reachable:
+                out = MaxExpr.inf()
+            elif any(t != reachable[0] for t in reachable[1:]):
+                raise OracleLimitError(
+                    f"join e{eid} has multiple reachable branches under "
+                    f"case {tuple(sorted(case.items()))}; condition set "
+                    f"was incomplete")
+            else:
+                out = reachable[0]
+        else:
+            parts = [ts(p, case) for p in ev.preds]
+            if ev.kind is EventKind.SYNC and \
+                    not any(t.infinite for t in parts):
+                for other in g.sync_events(ev.endpoint, ev.message):
+                    if other.eid < eid:
+                        t = ts(other.eid, case)
+                        if not t.infinite:
+                            parts.append(t)
+            out = MaxExpr.maximum(parts)
+            if ev.kind is EventKind.DELAY:
+                out = out.shifted(ev.delay)
+            elif ev.kind is EventKind.SYNC:
+                out = (out.with_var(eid) if ev.static_slack is None
+                       else out.shifted(ev.static_slack))
+        memo[key] = out
+        return out
+
+    def candidates(pattern, guaranteed):
+        dur = pattern.duration
+        return [ev.eid for ev in g.sync_events(dur.endpoint, dur.message)
+                if ev.eid != pattern.base
+                and not g.is_ancestor(ev.eid, pattern.base)
+                and (not guaranteed or g.is_ancestor(pattern.base, ev.eid))]
+
+    def end_state(end, case, upper):
+        alts, reachable = [], False
+        for p in end.patterns:
+            base = ts(p.base, case)
+            if not base.infinite:
+                reachable = True
+            if base.infinite:
+                continue
+            if p.duration.is_static:
+                alts.append(base.shifted(p.duration.cycles))
+                continue
+            for c in candidates(p, upper):
+                t = ts(c, case)
+                if not t.infinite:
+                    alts.append(t)
+        return MinExpr(alts), reachable
+
+    def cases(eids, ends):
+        involved = set(eids)
+        for end in ends:
+            for p in end.patterns:
+                involved.add(p.base)
+                if not p.duration.is_static:
+                    involved.update(candidates(p, False))
+        conds = 0
+        for eid in involved:
+            conds |= cones[eid]
+        conds = [c for c in range(conds.bit_length())
+                 if (conds & relevant) >> c & 1]
+        if 2 ** len(conds) > max_cases:
+            raise OracleLimitError(
+                f"{len(conds)} relevant branch conditions exceed the case "
+                f"limit")
+        for values in range(2 ** len(conds)):
+            yield {c: bool(values >> i & 1) for i, c in enumerate(conds)}
+
+    def event_le(a, b):
+        return all(ts(a, case).infinite or ts(a, case).le(ts(b, case))
+                   for case in cases((a, b), ()))
+
+    def event_lt(a, b):
+        return all(ts(a, case).infinite or ts(a, case).lt(ts(b, case))
+                   for case in cases((a, b), ()))
+
+    def event_le_end(a, end, shift):
+        if end.is_eternal:
+            return True
+        return all(ts(a, case).infinite or
+                   end_state(end, case, False)[0].ge_expr(
+                       ts(a, case).shifted(shift))
+                   for case in cases((a,), (end,)))
+
+    def end_le_event(end, a, shift):
+        if end.is_eternal:
+            return False
+        for case in cases((a,), (end,)):
+            if ts(a, case).infinite:
+                continue
+            bound, reachable = end_state(end, case, True)
+            if reachable and not bound.le_expr(ts(a, case).shifted(shift)):
+                return False
+        return True
+
+    def end_le_end(required, available):
+        if available.is_eternal:
+            return True
+        if required.is_eternal:
+            return False
+        for case in cases((), (required, available)):
+            req, reachable = end_state(required, case, True)
+            if reachable and not req.le(end_state(available, case, False)[0]):
+                return False
+        return True
+
+    return SimpleNamespace(
+        event_le=event_le, event_lt=event_lt, event_le_end=event_le_end,
+        end_le_event=end_le_event, end_le_end=end_le_end)
+
+
+@st.composite
+def diamond_graphs(draw):
+    """Branch diamonds hung off earlier events: each condition's arms take
+    zero to two cycles, may sync, and meet in an any-join (now and then
+    with a third, earlier side), so many conditions are relevant at once
+    and nested ones can leave an outer join with unequal sides."""
+    g = EventGraph("diamonds")
+    g.root()
+    for cond in range(draw(st.integers(1, 8))):
+        earlier = st.integers(0, len(g.events) - 1)
+        parent = draw(earlier)
+        ends = []
+        for polarity in (True, False):
+            arm = g.add(EventKind.BRANCH, (parent,), cond_id=cond,
+                        polarity=polarity).eid
+            if draw(st.booleans()):
+                arm = g.add(EventKind.SYNC, (arm,), endpoint="ep",
+                            message=draw(st.sampled_from("ab")),
+                            direction=SyncDir.SEND,
+                            static_slack=draw(st.sampled_from((None, 0, 1)))
+                            ).eid
+            ends.append(g.add(EventKind.DELAY, (arm,),
+                              delay=draw(st.integers(0, 2))).eid)
+        if draw(st.integers(0, 4)) == 0:
+            ends.append(draw(earlier))
+        g.add(EventKind.JOIN_ANY, ends)
+    return g
+
+
+def end_sets(n_events: int):
+    """Eternal or one to three patterns, static (#0..#3) or dynamic on the
+    two messages the graph strategies sync on."""
+    duration = st.one_of(
+        st.integers(0, 3).map(Duration.static),
+        st.sampled_from("ab").map(lambda m: Duration.dynamic("ep", m)))
+    pattern = st.builds(EventPattern, st.integers(0, n_events - 1), duration)
+    return st.lists(pattern, max_size=3).map(lambda ps: EndSet(tuple(ps)))
+
+
+def queries(n_events: int):
+    event = st.integers(0, n_events - 1)
+    end = end_sets(n_events)
+    shift = st.integers(-1, 2)
+    return st.one_of(
+        st.tuples(st.just("event_le"), event, event),
+        st.tuples(st.just("event_lt"), event, event),
+        st.tuples(st.just("event_le_end"), event, end, shift),
+        st.tuples(st.just("end_le_event"), end, event, shift),
+        st.tuples(st.just("end_le_end"), end, end),
+    )
+
+
+def outcome(relation, *args):
+    try:
+        return relation(*args)
+    except OracleLimitError as exc:
+        return "OracleLimitError", str(exc)
+
+
+class TestCaseTrees:
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_relations_match_the_case_enumeration(self, data):
+        g = data.draw(st.one_of(branchy_graphs(), diamond_graphs()))
+        asked = data.draw(st.lists(queries(len(g.events)), min_size=1,
+                                   max_size=12))
+        for max_cases in (4, 64, 4096):
+            # one oracle answers every query, as in the type checker
+            oracle = TimingOracle(g, max_cases=max_cases)
+            reference = reference_oracle(g, max_cases)
+            for name, *args in asked:
+                assert outcome(getattr(oracle, name), *args) == \
+                    outcome(getattr(reference, name), *args), \
+                    (max_cases, name, args)
+
+    def test_join_conflict_raises_where_the_query_reads_it(self):
+        """Condition 1 is nested in condition 0's true arm; condition 0's
+        arms take two cycles either way, so only condition 1 is relevant,
+        and the outer any-join sees both of its sides under ``1 = True``."""
+        g = EventGraph()
+        r = g.root()
+        t0 = g.add(EventKind.BRANCH, (r.eid,), cond_id=0, polarity=True)
+        f0 = g.add(EventKind.BRANCH, (r.eid,), cond_id=0, polarity=False)
+        t1 = g.add(EventKind.BRANCH, (t0.eid,), cond_id=1, polarity=True)
+        f1 = g.add(EventKind.BRANCH, (t0.eid,), cond_id=1, polarity=False)
+        d1 = g.add(EventKind.DELAY, (t1.eid,), delay=1)
+        d2 = g.add(EventKind.DELAY, (f1.eid,), delay=2)
+        inner = g.add(EventKind.JOIN_ANY, (d1.eid, d2.eid))
+        other = g.add(EventKind.DELAY, (f0.eid,), delay=2)
+        outer = g.add(EventKind.JOIN_ANY, (inner.eid, other.eid))
+        assert (len(g.events), outer.eid) == (10, 9)
+        o = TimingOracle(g)
+        assert o._timing_relevant_conditions() == reference_relevant(g) \
+            == 0b10
+        message = ("join e9 has multiple reachable branches under case "
+                   "((1, True),); condition set was incomplete")
+        for _ in range(2):  # a conflict is never cached as a verdict
+            with pytest.raises(OracleLimitError) as exc:
+                o.event_le(r.eid, outer.eid)
+            assert str(exc.value) == message
+        assert outcome(reference_oracle(g, 4096).event_le, r.eid,
+                       outer.eid) == ("OracleLimitError", message)
+        # a query that never reads the join is unaffected
+        assert o.event_le(r.eid, inner.eid)

@@ -23,7 +23,13 @@ import time
 
 import pytest
 
-from repro.api import RunResult, Session, SimConfig, get_registry
+from repro.api import (
+    RunResult,
+    Session,
+    SimConfig,
+    UnknownScenarioError,
+    get_registry,
+)
 from repro.codegen import pysim
 from repro.rtl import kernel
 from repro.rtl.module import Module
@@ -135,6 +141,17 @@ def test_unknown_scenario_is_404_with_suggestions(client):
         client.scenario("streems")
     assert exc_info.value.status == 404
     assert "streams" in str(exc_info.value)
+
+
+def test_unknown_tag_is_404_with_the_registry_error(client):
+    with pytest.raises(UnknownScenarioError) as refused:
+        get_registry().names("anvill")
+    with pytest.raises(ServerError) as exc_info:
+        client.scenarios(tag="anvill")
+    assert exc_info.value.status == 404
+    assert exc_info.value.payload == {"error": refused.value.args[0]}
+    assert refused.value.args[0].startswith(
+        "unknown tag 'anvill' (did you mean 'anvil'?)")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ only for an intended output change:
 
     PYTHONPATH=src python tools/frontend_digest.py > tests/golden/frontend_digest.json
 
-The Y86 core's verdict takes most of the run time.
+A run takes about a second on a 2-CPU host (Python 3.11); the Y86 core,
+`axi_mux` and `aes_core` together take about half of it.
 """
 
 import hashlib
