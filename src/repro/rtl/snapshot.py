@@ -13,11 +13,20 @@ simulator at a clock-cycle boundary:
   generated loop without bailing out (its flat locals are rebound from
   the scheduler columns at every kernel entry);
 * every module's plain-data attributes (register files, pipeline
-  latches, stimulus queues/cursors, Anvil activation bookkeeping) via a
-  recursive pure-data encoder.  Attributes holding structural objects
-  (wires, ports, modules, callables, plans) are never mutated mid-run
-  by construction, so they are skipped at capture and left untouched at
-  restore;
+  latches, stimulus queues/cursors, Anvil activation bookkeeping), each
+  as its pickle image: bytes from the C pickler in fast mode at a
+  pinned protocol, so equal values give equal bytes (sets in their
+  iteration order, which equal sets need not share) and ``1``, ``1.0``
+  and ``True`` give different ones.  Plain data is ``None``, ``bool``,
+  ``int``, ``float``, ``str``, ``bytes``, ``bytearray``, ``list``,
+  ``tuple``, ``dict``, ``set`` and ``frozenset`` of exactly those types
+  (a subclass, such as an ``IntEnum``, is not), nested freely, plus the
+  Anvil runtime's activations and slot views, pickled by value.  An
+  attribute holding anything else (wires, ports, modules, callables,
+  plans) is structural: never mutated mid-run by construction, so it is
+  skipped at capture and left untouched at restore.  :func:`restore`
+  unpickles the images, :func:`matches` compares them byte for byte and
+  :func:`state_sig` hashes them;
 * the waveform series recorded so far and the monitor-visible cycle
   number, so a resumed run appends samples at absolute cycle numbers.
 
@@ -39,8 +48,8 @@ re-deals the whole deck.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
-import marshal
 import operator
 import os
 import pickle
@@ -53,116 +62,96 @@ from ..errors import SimulationError
 
 #: bump when the Snapshot layout changes; restore refuses mismatches
 #: (2: endpoint send queues keep their consumed entries, read through
-#: the ``len(sent[m])`` cursor; activations lost ``retired``)
-SNAPSHOT_VERSION = 2
+#: the ``len(sent[m])`` cursor; activations lost ``retired``;
+#: 3: module attributes are pickle images)
+SNAPSHOT_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
-# pure-data encoding of module state
+# module state as pickle images
 # ---------------------------------------------------------------------------
+#: pinned, so images, and the state sigs and prefix keys hashed from
+#: them, do not move with the interpreter's default protocol
+_PROTOCOL = 5
+
+
 class _Structural(Exception):
     """Raised when a value is not plain data (wires, ports, callables,
     plans): the whole attribute is structural and is skipped."""
 
 
-_SCALARS = (type(None), bool, int, float, str, bytes)
-_FSM_TYPES = None
+def _activation(start, fired, dead, slots, spawned, cache):
+    """Rebuild an Anvil :class:`~repro.codegen.simfsm.Activation` from
+    its image."""
+    from ..codegen.simfsm import Activation
+
+    act = Activation(start)
+    act.fired, act.dead, act.slots = fired, dead, slots
+    act.spawned, act.cache = spawned, cache
+    return act
 
 
-def _fsm_types():
-    """(Activation, _SlotView) from the Anvil runtime, imported lazily
-    so rtl stays importable without the codegen package loaded."""
-    global _FSM_TYPES
-    if _FSM_TYPES is None:
+def _slot_view(base, overlay):
+    """Rebuild an Anvil slot view from its image."""
+    from ..codegen.simfsm import _SlotView
+
+    return _SlotView(base, overlay)
+
+
+class _Images(pickle.Pickler):
+    """Pickle images of plain data.  The C pickler writes the builtin
+    scalars and containers itself and asks :meth:`reducer_override`
+    about any other object: activations and slot views pickle by value
+    through the two reconstructors above, anything else is structural.
+    Fast mode keeps no memo, so equal values give equal bytes, up to the
+    iteration order of sets."""
+
+    def __init__(self):
+        # imported here so rtl stays importable without codegen loaded
         from ..codegen.simfsm import Activation, _SlotView
 
-        _FSM_TYPES = (Activation, _SlotView)
-    return _FSM_TYPES
+        self._out = io.BytesIO()
+        super().__init__(self._out, protocol=_PROTOCOL)
+        self.fast = True
+        self._activation_type = Activation
+        self._slot_view_type = _SlotView
 
+    def reducer_override(self, obj):
+        t = type(obj)
+        if t is self._activation_type:
+            return _activation, (obj.start, obj.fired, obj.dead, obj.slots,
+                                 obj.spawned, obj.cache)
+        if t is self._slot_view_type:
+            return _slot_view, (obj.base, obj.overlay)
+        if obj is _activation or obj is _slot_view:
+            return NotImplemented           # pickled by name
+        raise _Structural(t.__name__)
 
-def _encode(v):
-    """Deep-copy ``v`` into an immutable, picklable form; raises
-    :class:`_Structural` when any part is not plain data."""
-    if isinstance(v, _SCALARS):
-        return v
-    t = type(v)
-    if t is list:
-        return ("l", tuple(_encode(x) for x in v))
-    if t is tuple:
-        return ("t", tuple(_encode(x) for x in v))
-    if t is dict:
-        return ("d", tuple((_encode(k), _encode(x)) for k, x in v.items()))
-    if t is set:
-        return ("s", tuple(_encode(x) for x in v))
-    if t is frozenset:
-        return ("f", tuple(_encode(x) for x in v))
-    if t is bytearray:
-        return ("b", bytes(v))
-    activation, slot_view = _fsm_types()
-    if t is activation:
-        return ("a", v.start, _encode(v.fired), _encode(v.dead),
-                _encode(v.slots), v.spawned, _encode(v.cache))
-    if t is slot_view:
-        return ("v", _encode(v.base), _encode(v.overlay))
-    raise _Structural(type(v).__name__)
+    def image(self, value) -> bytes:
+        """``value``'s pickle image; raises :class:`_Structural` when
+        any part of it is not plain data."""
+        self._out.seek(0)
+        self._out.truncate()
+        self.dump(value)
+        return self._out.getvalue()
 
-
-def _decode(v):
-    if isinstance(v, _SCALARS):
-        return v
-    tag = v[0]
-    if tag == "l":
-        return [_decode(x) for x in v[1]]
-    if tag == "t":
-        return tuple(_decode(x) for x in v[1])
-    if tag == "d":
-        return {_decode(k): _decode(x) for k, x in v[1]}
-    if tag == "s":
-        return {_decode(x) for x in v[1]}
-    if tag == "f":
-        return frozenset(_decode(x) for x in v[1])
-    if tag == "b":
-        return bytearray(v[1])
-    if tag == "a":
-        activation, _slot_view = _fsm_types()
-        act = activation(v[1])
-        act.fired = _decode(v[2])
-        act.dead = _decode(v[3])
-        act.slots = _decode(v[4])
-        act.spawned = v[5]
-        act.cache = _decode(v[6])
-        return act
-    if tag == "v":
-        activation, slot_view = _fsm_types()
-        return slot_view(_decode(v[1]), _decode(v[2]))
-    raise SimulationError(f"unknown snapshot encoding tag {tag!r}")
-
-
-def _module_state(m) -> Tuple[Tuple[str, object], ...]:
-    out = []
-    for attr in sorted(m.__dict__):
+    def is_plain(self, value) -> bool:
         try:
-            out.append((attr, _encode(m.__dict__[attr])))
+            self.image(value)
         except _Structural:
-            continue
-    return tuple(out)
+            return False
+        return True
 
-
-def _restore_module(m, state):
-    captured = set()
-    for attr, enc in state:
-        captured.add(attr)
-        setattr(m, attr, _decode(enc))
-    # drop plain-data attributes the module grew *after* the snapshot
-    # (lazily-added bookkeeping); structural attributes stay untouched
-    for attr in list(m.__dict__):
-        if attr in captured:
-            continue
-        try:
-            _encode(m.__dict__[attr])
-        except _Structural:
-            continue
-        delattr(m, attr)
+    def module_state(self, m) -> Tuple[Tuple[str, bytes], ...]:
+        """(attribute, image) for each plain-data attribute of ``m``,
+        sorted by name."""
+        out = []
+        for attr in sorted(m.__dict__):
+            try:
+                out.append((attr, self.image(m.__dict__[attr])))
+            except _Structural:
+                continue
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +189,7 @@ class Snapshot:
     needs_prime: bool
     eval_count: int
     settle_count: int
-    module_state: Tuple[Tuple[Tuple[str, object], ...], ...]
+    module_state: Tuple[Tuple[Tuple[str, bytes], ...], ...]
     samples: Tuple[Tuple[str, Tuple[int, ...]], ...]
     scenario: str = ""          # provenance (informational)
     key: str = ""               # prefix key, when stored in a store
@@ -226,7 +215,7 @@ def capture(sim, scenario: str = "", key: str = "") -> Snapshot:
         needs_prime=sch._needs_prime,
         eval_count=sch.eval_count,
         settle_count=sch.settle_count,
-        module_state=tuple(_module_state(m) for m in sim.modules),
+        module_state=tuple(map(_Images().module_state, sim.modules)),
         samples=tuple(
             (label, tuple(series))
             for label, _wire, series in sim.waveform._watched
@@ -245,7 +234,8 @@ def restore(sim, snap: Snapshot) -> None:
     columns, toggle counters, module registers/latches/queues, waveform
     series and cycle number all match bit-for-bit, across engines (the
     state model is engine-independent; the equivalence suites pin the
-    engines to identical boundary states).
+    engines to identical boundary states).  Every check runs before the
+    first write, so a refused snapshot leaves ``sim`` as it was.
     """
     if snap.version != SNAPSHOT_VERSION:
         raise SimulationError(
@@ -263,6 +253,13 @@ def restore(sim, snap: Snapshot) -> None:
         raise SimulationError(
             f"snapshot has {len(snap.values)} wires, simulator has "
             f"{len(sch._wires)}"
+        )
+    saved = dict(snap.samples)
+    watched = {label for label, _w, _s in sim.waveform._watched}
+    if watched != set(saved):
+        raise SimulationError(
+            f"snapshot watch list {sorted(saved)} does not match the "
+            f"simulator's {sorted(watched)}"
         )
     for wi, w in enumerate(sch._wires):
         w.value = snap.values[wi]
@@ -283,15 +280,16 @@ def restore(sim, snap: Snapshot) -> None:
         }
     else:
         sim._prev_values = {}
+    images = _Images()
     for m, state in zip(sim.modules, snap.module_state):
-        _restore_module(m, state)
-    saved = dict(snap.samples)
-    watched = {label for label, _w, _s in sim.waveform._watched}
-    if watched != set(saved):
-        raise SimulationError(
-            f"snapshot watch list {sorted(saved)} does not match the "
-            f"simulator's {sorted(watched)}"
-        )
+        captured = {attr for attr, _image in state}
+        # drop plain-data attributes the module grew *after* the
+        # snapshot (lazily-added bookkeeping); structural ones stay
+        for attr in [a for a, v in m.__dict__.items()
+                     if a not in captured and images.is_plain(v)]:
+            delattr(m, attr)
+        for attr, image in state:
+            setattr(m, attr, pickle.loads(image))
     for label, _wire, series in sim.waveform._watched:
         # in place: the kernel prebinds .append on these exact lists
         series[:] = saved[label]
@@ -311,47 +309,35 @@ def matches(sim, snap: Snapshot) -> bool:
     here repeats the snapshot's run cycle for cycle.
 
     Cheapest state first, returning at the first difference: module
-    state is encoded one attribute at a time, never captured whole.
-    Safe inside a cycle-kernel stop predicate: it reads wire ``.value``
-    (current there), not the scheduler's value columns (stale for fused
-    wires until the kernel exits).  ``==`` equates ``1``, ``1.0`` and
-    ``True``, so a match is confirmed on marshal's type-tagged image.
-    ``sim`` must have the structure ``snap`` was taken from, as for
-    :func:`restore`."""
+    state is compared one attribute image at a time, byte for byte, so
+    ``1``, ``1.0`` and ``True`` never match each other, nor do equal
+    sets in another iteration order (a false "no" only lets a caller
+    run on).  Safe inside a cycle-kernel stop predicate: it reads wire
+    ``.value`` (current there), not the scheduler's value columns
+    (stale for fused wires until the kernel exits).  ``sim`` must have
+    the structure ``snap`` was taken from, as for :func:`restore`."""
     sch = sim.scheduler
     if (sim.cycle != snap.cycle or sch._needs_prime != snap.needs_prime
             or sorted(sch._changed) != list(snap.changed)
-            or len(sim.modules) != len(snap.module_state)):
+            or len(sim.modules) != len(snap.module_state)
+            or tuple(map(_VALUE, sch._wires)) != snap.values):
         return False
-    values = tuple(map(_VALUE, sch._wires))
-    if values != snap.values:
-        return False
-    live = []
+    images = _Images()
     for m, state in zip(sim.modules, snap.module_state):
         attrs = m.__dict__
-        encoded = []
-        for attr, enc in state:
+        for attr, image in state:
             try:
-                got = _encode(attrs[attr])
+                if images.image(attrs[attr]) != image:
+                    return False
             except (KeyError, _Structural):
                 return False
-            if got != enc:
-                return False
-            encoded.append((attr, got))
-        live.append(tuple(encoded))
     for m, state in zip(sim.modules, snap.module_state):
         # a plain-data attribute the module grew that the snapshot lacks
-        names = {attr for attr, _enc in state}
-        for attr, value in m.__dict__.items():
-            if attr in names:
-                continue
-            try:
-                _encode(value)
-            except _Structural:
-                continue
+        captured = {attr for attr, _image in state}
+        if any(attr not in captured and images.is_plain(value)
+               for attr, value in m.__dict__.items()):
             return False
-    return marshal.dumps((values, tuple(live)), 0) == \
-        marshal.dumps((snap.values, snap.module_state), 0)
+    return True
 
 
 def save_checkpoint(path, snap: Snapshot) -> None:
@@ -365,11 +351,23 @@ def save_checkpoint(path, snap: Snapshot) -> None:
 
 
 def load_checkpoint(path) -> Snapshot:
+    """Read a :func:`save_checkpoint` file.  A file that does not
+    unpickle to a snapshot of this layout version is refused with a
+    :class:`~repro.errors.SimulationError` naming ``path``."""
     with open(os.fspath(path), "rb") as fh:
-        snap = fh.read()
-    obj = pickle.loads(snap)
+        blob = fh.read()
+    try:
+        obj = pickle.loads(blob)
+    except Exception as exc:    # arbitrary bytes raise many exception types
+        raise SimulationError(
+            f"{path}: not a repro checkpoint file "
+            f"({type(exc).__name__}: {exc})") from exc
     if not isinstance(obj, Snapshot):
         raise SimulationError(f"{path}: not a repro checkpoint file")
+    if obj.version != SNAPSHOT_VERSION:
+        raise SimulationError(
+            f"{path}: checkpoint version {obj.version} != "
+            f"{SNAPSHOT_VERSION}")
     return obj
 
 
@@ -410,10 +408,8 @@ def state_sig(sim) -> str:
     Computed on a freshly built simulator this fingerprints the entire
     stimulus content (builders precompute queues/tables at build time),
     which the shape-only topology digest cannot see."""
-    blob = pickle.dumps(
-        tuple(_module_state(m) for m in sim.modules),
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
+    blob = pickle.dumps(tuple(map(_Images().module_state, sim.modules)),
+                        protocol=_PROTOCOL)
     return hashlib.sha256(blob).hexdigest()
 
 

@@ -9,6 +9,7 @@ samples, per-wire activity, totals, cycle count -- from one that ran
 ``Session.run``/``sweep`` and the job queue) safe to apply silently.
 """
 
+import enum
 import glob
 import json
 import os
@@ -18,6 +19,7 @@ import pytest
 
 from repro import Session, SimConfig, get_registry
 from repro.__main__ import main as cli_main
+from repro.codegen.simfsm import Activation, _SlotView
 from repro.errors import SimulationError
 from repro.rtl import snapshot as snap_mod
 from repro.rtl.kernel import fast_path_ready
@@ -52,6 +54,10 @@ def _build(name, **config):
 def _state(sim):
     return (sim.cycle, sim.waveform.samples, sim.activity,
             sim.total_activity())
+
+
+def _y86_cpu(sim):
+    return next(m for m in sim.modules if m.name == "y86_sum_cpu")
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +212,137 @@ class TestMatches:
         assert fast_path_ready(sim)
         assert sim.run(100, stop=lambda: matches(sim, snap)) == 50
         assert sim.cycle == 60
+
+
+# ---------------------------------------------------------------------------
+# the plain-data rule, pinned against the recursive encoder that images
+# replaced: reference_encode raises where an attribute is structural,
+# and reference_decode(reference_encode(v)) is what restore gave back
+# ---------------------------------------------------------------------------
+class _ReferenceStructural(Exception):
+    pass
+
+
+_REFERENCE_SCALARS = (type(None), bool, int, float, str, bytes)
+
+
+def reference_encode(v):
+    if isinstance(v, _REFERENCE_SCALARS):
+        return v
+    t = type(v)
+    if t is list:
+        return ("l", tuple(reference_encode(x) for x in v))
+    if t is tuple:
+        return ("t", tuple(reference_encode(x) for x in v))
+    if t is dict:
+        return ("d", tuple((reference_encode(k), reference_encode(x))
+                           for k, x in v.items()))
+    if t is set:
+        return ("s", tuple(reference_encode(x) for x in v))
+    if t is frozenset:
+        return ("f", tuple(reference_encode(x) for x in v))
+    if t is bytearray:
+        return ("b", bytes(v))
+    if t is Activation:
+        return ("a", v.start, reference_encode(v.fired),
+                reference_encode(v.dead), reference_encode(v.slots),
+                v.spawned, reference_encode(v.cache))
+    if t is _SlotView:
+        return ("v", reference_encode(v.base), reference_encode(v.overlay))
+    raise _ReferenceStructural(type(v).__name__)
+
+
+def reference_decode(v):
+    if isinstance(v, _REFERENCE_SCALARS):
+        return v
+    tag = v[0]
+    if tag == "l":
+        return [reference_decode(x) for x in v[1]]
+    if tag == "t":
+        return tuple(reference_decode(x) for x in v[1])
+    if tag == "d":
+        return {reference_decode(k): reference_decode(x) for k, x in v[1]}
+    if tag == "s":
+        return {reference_decode(x) for x in v[1]}
+    if tag == "f":
+        return frozenset(reference_decode(x) for x in v[1])
+    if tag == "b":
+        return bytearray(v[1])
+    if tag == "a":
+        act = Activation(v[1])
+        act.fired = reference_decode(v[2])
+        act.dead = reference_decode(v[3])
+        act.slots = reference_decode(v[4])
+        act.spawned = v[5]
+        act.cache = reference_decode(v[6])
+        return act
+    assert tag == "v", tag
+    return _SlotView(reference_decode(v[1]), reference_decode(v[2]))
+
+
+def _identical(a, b) -> bool:
+    """Equal, with identical types at every level (activations and slot
+    views slot by slot, dicts in order)."""
+    if type(a) is not type(b):
+        return False
+    if type(a) in (Activation, _SlotView):
+        return all(_identical(getattr(a, slot), getattr(b, slot))
+                   for slot in type(a).__slots__)
+    if type(a) in (list, tuple):
+        return len(a) == len(b) and all(map(_identical, a, b))
+    if type(a) is dict:
+        return len(a) == len(b) and all(
+            _identical(ka, kb) and _identical(va, vb)
+            for (ka, va), (kb, vb) in zip(a.items(), b.items()))
+    if type(a) in (set, frozenset):
+        return len(a) == len(b) and all(
+            any(_identical(x, y) for y in b) for x in a)
+    return a == b
+
+
+class TestPlainDataRule:
+    @pytest.mark.parametrize("name", ALL_SCENARIOS)
+    def test_images_hold_what_the_reference_encoder_held(self, name):
+        sim = _build(name, engine="kernel", backend="pycompiled", stim=400)
+        for cycle in (0, 37, 150):
+            sim.run(cycle - sim.cycle)
+            snap = capture(sim)
+            for m, state in zip(sim.modules, snap.module_state):
+                accepted = {}
+                for attr in sorted(m.__dict__):
+                    try:
+                        accepted[attr] = reference_encode(m.__dict__[attr])
+                    except _ReferenceStructural:
+                        continue
+                where = (name, cycle, m.name)
+                assert [attr for attr, _image in state] \
+                    == list(accepted), where
+                for attr, image in state:
+                    assert _identical(pickle.loads(image),
+                                      reference_decode(accepted[attr])), \
+                        (where, attr)
+
+    def test_every_plain_type_round_trips(self):
+        act = Activation(3)
+        act.fired, act.dead, act.slots = {1: 2}, {4}, {5: 6}
+        act.spawned = True
+        act.cache = (7, _SlotView({1: 1}, {2: 2}), frozenset({8}))
+        value = [None, True, 1, 1.5, "s", b"b", bytearray(b"a"), (1,),
+                 {"k": [2]}, {3}, frozenset({4}), act, _SlotView({}, {9: 9})]
+        sim = _build("y86_sum")
+        _y86_cpu(sim).extra = value
+        fresh = _build("y86_sum")
+        fresh.restore(sim.snapshot())
+        assert _identical(_y86_cpu(fresh).extra, value)
+        assert _identical(_y86_cpu(fresh).extra,
+                          reference_decode(reference_encode(value)))
+
+    def test_a_builtin_scalar_subclass_is_structural(self):
+        sim = _build("y86_sum")
+        cpu = _y86_cpu(sim)
+        cpu.flag = enum.IntEnum("Flag", "ON")(1)
+        state = dict(capture(sim).module_state[sim.modules.index(cpu)])
+        assert "flag" not in state and "instret" in state
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +632,32 @@ class TestCliCheckpointFiles:
         assert code == 2
         assert "'streams'" in err and "'memory'" in err, err
 
+    @pytest.mark.parametrize("corrupt", ["truncated", "garbage"])
+    def test_resume_from_refuses_a_corrupt_file(self, corrupt, capsys):
+        _base, blob = self._checkpointed(capsys)
+        with open(blob, "rb") as fh:
+            data = fh.read()
+        with open(blob, "wb") as fh:
+            fh.write(data[:len(data) // 2] if corrupt == "truncated"
+                     else b"not a checkpoint\n")
+        code, _payload, err = _cli(capsys, RUN + [
+            "--cycles", "150", "--resume-from", blob])
+        assert code == 2
+        assert err.startswith(f"error: {blob}: not a repro checkpoint "
+                              f"file ("), err
+        assert err.count("\n") == 1, err
+
+    def test_resume_from_refuses_another_layout_version(self, capsys):
+        _base, blob = self._checkpointed(capsys)
+        old = load_checkpoint(blob)
+        old.version = snap_mod.SNAPSHOT_VERSION - 1
+        save_checkpoint(blob, old)
+        code, _payload, err = _cli(capsys, RUN + [
+            "--cycles", "150", "--resume-from", blob])
+        assert code == 2
+        assert f"checkpoint version {snap_mod.SNAPSHOT_VERSION - 1}" \
+            in err, err
+
 
 # ---------------------------------------------------------------------------
 # the error surface
@@ -520,3 +683,27 @@ class TestSnapshotErrors:
         fresh = _build("streams", cycles=50, stim=200)
         with pytest.raises(SimulationError, match="version"):
             fresh.restore(snap)
+
+    def test_a_refused_restore_changes_nothing(self):
+        donor = _build("y86_sum")
+        donor.run(40)
+        snap = donor.snapshot()
+        sim = _build("y86_sum")
+        sim.run(5)
+        sch = sim.scheduler
+        cpu = _y86_cpu(sim)
+        assert cpu.instret != _y86_cpu(donor).instret
+
+        def state():
+            return (sim.cycle, [w.value for w in sch._wires],
+                    list(sch._values), list(sch._prev_settled),
+                    list(sch._toggles), sorted(sch._changed),
+                    cpu.instret, list(cpu.registers),
+                    capture(sim).module_state)
+
+        before = state()
+        sim.watch(sch._wires[0], "extra")       # not in the snapshot
+        with pytest.raises(SimulationError, match="watch list"):
+            sim.restore(snap)
+        assert state() == before
+
