@@ -23,20 +23,23 @@ Caching
 -------
 
 Generated source is a pure function of the plan, so the compile cache
-(:class:`~repro.compile_cache.SourceCache`, shared with
-:mod:`repro.rtl.kernel`) is keyed by the SHA-256 of the source itself
-(which also fingerprints the optimization flags -- a plan built with
-``do_optimize=False`` generates different source).  Rebuilding a process from the same factory therefore
-hits the cache even though the :class:`~repro.lang.process.Process`
-object is new.  :func:`cache_stats` exposes hit/miss counters for the
-benchmark; :func:`clear_cache` resets the cache (tests).
+(a :class:`~repro.compile_cache.SourceCache`, like :mod:`repro.rtl.kernel`'s)
+is keyed by the SHA-256 of the source itself (which also fingerprints
+the optimization flags -- a plan built with ``do_optimize=False``
+generates different source).  An equal process planned again gets its
+first plan back from :func:`repro.core.fsmplan.build_process_plan`,
+backend memo included, and never reaches this cache; a plan built anew
+(after a plan-cache eviction, or for a process the plan cache cannot
+key) regenerates its source but hits here.  :func:`cache_stats`
+exposes hit/miss counters for the benchmark; :func:`clear_cache`
+resets the cache (tests).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..compile_cache import Emitter, SourceCache
+from ..compile_cache import Emitter, SourceCache, source_key
 from ..core.events import EventKind, SyncDir
 from ..core.fsmplan import (
     CommitExpr,
@@ -417,9 +420,10 @@ class PyBackend:
 
 _CACHE = SourceCache()
 
-#: compile-cache counters (``hits``/``misses``/``entries``; the
-#: benchmark's cache-stats hook) and their reset -- per-plan memos on
-#: already-built ProcessPlan objects are unaffected by the reset
+#: compile-cache counters (``hits``/``misses``/``entries``/
+#: ``evictions``; the benchmark's cache-stats hook) and their reset --
+#: per-plan memos on already-built ProcessPlan objects (and so on the
+#: plans :mod:`repro.core.fsmplan` caches) are unaffected by the reset
 cache_stats = _CACHE.stats
 clear_cache = _CACHE.clear
 
@@ -436,9 +440,9 @@ def backend_for(plan: ProcessPlan) -> PyBackend:
     designs share one compilation)."""
     memo = plan._backend
     if memo is None:
+        source = generate_source(plan)
         memo = plan._backend = _CACHE.get(
-            generate_source(plan),
-            lambda source: _compile(source, plan.name))
+            source_key(source), lambda: _compile(source, plan.name))
     return memo
 
 

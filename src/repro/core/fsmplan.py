@@ -26,13 +26,27 @@ Two backends consume plans today: the reference interpreter in
 :mod:`repro.codegen.simfsm` and the generated-Python backend in
 :mod:`repro.codegen.pysim`.  Both must remain observationally identical;
 the plan is the single source of truth they share.
+
+A plan is a pure function of ``(process, do_optimize)``, so
+:func:`build_process_plan` keeps the plans it built in a process-wide
+:class:`~repro.compile_cache.SourceCache` keyed by :func:`plan_key`: an
+equal process planned again -- a fresh factory build, the SystemVerilog
+path after the simulation path, a campaign rebuilding its scenario --
+gets the first plan back, skipping graph building, the optimizer and
+planning, and through the plan's ``_backend`` memo the pysim source
+generation too.  A hit's ``plan.process`` is the first equal process;
+only :meth:`ProcessPlan._port` and :func:`build_thread_plan` read it,
+while the plan is built.
 """
 
 from __future__ import annotations
 
+import hashlib
+import pickle
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..codegen import rexpr as rx
+from ..compile_cache import SourceCache
 from .events import (
     DebugPrintAction,
     EventGraph,
@@ -319,15 +333,43 @@ def build_thread_plan(plan: ProcessPlan, thread, index: int,
                       cond_exprs, graph)
 
 
-def build_process_plan(process, do_optimize: bool = True) -> ProcessPlan:
-    """Lower every thread of ``process`` to an executable plan.
+def plan_key(process, do_optimize: bool) -> Optional[str]:
+    """The plan cache's key for ``(process, do_optimize)``: the SHA-256
+    of their pickle, or ``None`` when pickle refuses the process (a
+    local function or class in it, say).  The pickler's memo keeps
+    shared subterms shared, so equal keys mean equal processes down to
+    which subterms are one object."""
+    try:
+        image = pickle.dumps((process, bool(do_optimize)), protocol=5)
+    except (pickle.PicklingError, AttributeError, TypeError,
+            RecursionError):
+        return None         # planned cold, every time
+    return hashlib.sha256(image).hexdigest()
 
-    This is the single entry point both simulation backends compile
-    through; :func:`repro.codegen.simfsm.compile_process` wraps it."""
+
+def _plan(process, do_optimize: bool) -> ProcessPlan:
     plan = ProcessPlan(process, do_optimize)
     for i, thread in enumerate(process.threads):
         plan.threads.append(build_thread_plan(plan, thread, i, do_optimize))
     return plan
+
+
+_PLANS = SourceCache()
+
+#: plan-cache counters (``hits``/``misses``/``entries``/``evictions``;
+#: a process without a key counts a miss) and their reset (tests)
+cache_stats = _PLANS.stats
+clear_cache = _PLANS.clear
+
+
+def build_process_plan(process, do_optimize: bool = True) -> ProcessPlan:
+    """Lower every thread of ``process`` to an executable plan, or
+    return the plan of an equal process built earlier (thread-safe).
+
+    This is the single entry point both simulation backends compile
+    through; :func:`repro.codegen.simfsm.compile_process` wraps it."""
+    return _PLANS.get(plan_key(process, do_optimize),
+                      lambda: _plan(process, do_optimize))
 
 
 # ---------------------------------------------------------------------------

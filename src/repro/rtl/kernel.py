@@ -511,8 +511,9 @@ def _compile(source: str) -> CycleKernel:
 
 _CACHE = SourceCache()
 
-#: compile-cache counters (``hits``/``misses``/``entries``; the
-#: benchmark's cache-stats hook) and their reset (tests)
+#: compile-cache counters (``hits``/``misses``/``entries``/
+#: ``evictions``; the benchmark's cache-stats hook) and their reset
+#: (tests)
 cache_stats = _CACHE.stats
 clear_cache = _CACHE.clear
 
@@ -522,7 +523,8 @@ def kernel_for(plan: KernelPlan) -> Optional[CycleKernel]:
     is unsupported)."""
     if plan.unsupported:
         return None
-    return _CACHE.get(generate_source(plan), _compile)
+    source = generate_source(plan)
+    return _CACHE.get(source_key(source), lambda: _compile(source))
 
 
 def topology_shape(sim) -> Optional[str]:

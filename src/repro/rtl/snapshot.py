@@ -16,8 +16,9 @@ simulator at a clock-cycle boundary:
   latches, stimulus queues/cursors, Anvil activation bookkeeping), each
   as its pickle image: bytes from the C pickler in fast mode at a
   pinned protocol, so equal values give equal bytes (sets in their
-  iteration order, which equal sets need not share) and ``1``, ``1.0``
-  and ``True`` give different ones.  Plain data is ``None``, ``bool``,
+  iteration order, which equal sets need not share, except an
+  activation's dead set, imaged sorted) and ``1``, ``1.0`` and ``True``
+  give different ones.  Plain data is ``None``, ``bool``,
   ``int``, ``float``, ``str``, ``bytes``, ``bytearray``, ``list``,
   ``tuple``, ``dict``, ``set`` and ``frozenset`` of exactly those types
   (a subclass, such as an ``IntEnum``, is not), nested freely, plus the
@@ -63,8 +64,9 @@ from ..errors import SimulationError
 #: bump when the Snapshot layout changes; restore refuses mismatches
 #: (2: endpoint send queues keep their consumed entries, read through
 #: the ``len(sent[m])`` cursor; activations lost ``retired``;
-#: 3: module attributes are pickle images)
-SNAPSHOT_VERSION = 3
+#: 3: module attributes are pickle images;
+#: 4: an activation's dead events are imaged in sorted order)
+SNAPSHOT_VERSION = 4
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +88,7 @@ def _activation(start, fired, dead, slots, spawned, cache):
     from ..codegen.simfsm import Activation
 
     act = Activation(start)
-    act.fired, act.dead, act.slots = fired, dead, slots
+    act.fired, act.dead, act.slots = fired, set(dead), slots
     act.spawned, act.cache = spawned, cache
     return act
 
@@ -104,7 +106,9 @@ class _Images(pickle.Pickler):
     about any other object: activations and slot views pickle by value
     through the two reconstructors above, anything else is structural.
     Fast mode keeps no memo, so equal values give equal bytes, up to the
-    iteration order of sets."""
+    iteration order of sets; an activation's dead set, the one set in
+    module state, is imaged sorted, so a restore that rebuilds it with
+    another iteration order still images it the same."""
 
     def __init__(self):
         # imported here so rtl stays importable without codegen loaded
@@ -119,8 +123,8 @@ class _Images(pickle.Pickler):
     def reducer_override(self, obj):
         t = type(obj)
         if t is self._activation_type:
-            return _activation, (obj.start, obj.fired, obj.dead, obj.slots,
-                                 obj.spawned, obj.cache)
+            return _activation, (obj.start, obj.fired, sorted(obj.dead),
+                                 obj.slots, obj.spawned, obj.cache)
         if t is self._slot_view_type:
             return _slot_view, (obj.base, obj.overlay)
         if obj is _activation or obj is _slot_view:

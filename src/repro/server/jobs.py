@@ -65,6 +65,7 @@ from ..api import (
     run_scenario,
 )
 from ..codegen import pysim
+from ..core import fsmplan
 from ..rtl import kernel
 from ..rtl.snapshot import get_checkpoint_store, stimulus_key
 from .trace import TraceHub, TraceTap
@@ -504,6 +505,7 @@ class JobQueue:
                 # process-wide store every run_scenario caller shares
                 "checkpoints": get_checkpoint_store().stats(),
                 "compile_caches": {
+                    "plan": fsmplan.cache_stats(),
                     "pysim": pysim.cache_stats(),
                     "kernel": kernel.cache_stats(),
                 },

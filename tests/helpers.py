@@ -1,5 +1,8 @@
 """Shared fixtures: the paper's channels and processes used across tests."""
 
+import importlib.util
+import pathlib
+
 from repro import (
     ChannelDef,
     LifetimeSpec,
@@ -84,3 +87,14 @@ def top_safe() -> Process:
                       set_reg("enq_data", var("d"))))
     )
     return p
+
+
+def frontend_digest_tool():
+    """``tools/frontend_digest.py`` loaded as a module (``tools/`` is not
+    a package)."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "tools" \
+        / "frontend_digest.py"
+    spec = importlib.util.spec_from_file_location("frontend_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

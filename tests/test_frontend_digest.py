@@ -10,20 +10,14 @@ CHANGES.md:
         > tests/golden/frontend_digest.json
 """
 
-import importlib.util
 import json
 import pathlib
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-GOLDEN = ROOT / "tests" / "golden" / "frontend_digest.json"
+from helpers import frontend_digest_tool
+from repro.core import fsmplan
 
-
-def _load_tool():
-    spec = importlib.util.spec_from_file_location(
-        "frontend_digest", ROOT / "tools" / "frontend_digest.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" \
+    / "frontend_digest.json"
 
 
 def first_difference(want, got, path=""):
@@ -63,9 +57,17 @@ def test_first_difference_names_the_key_path():
 
 
 def test_frontend_digest_matches_the_golden():
-    digest = _load_tool().digest()
-    got = json.loads(json.dumps(digest, sort_keys=True, default=repr))
+    """Cold, then again in the same process, where every plan is a hit
+    in the plan cache: both passes must equal the golden."""
+    tool = frontend_digest_tool()
     want = json.loads(GOLDEN.read_text())
-    where = first_difference(want, got)
-    assert where is None, (
-        f"the front-end digest differs from {GOLDEN.name}, first at {where}")
+    for run in ("cold", "warm"):
+        misses = fsmplan.cache_stats()["misses"]
+        got = json.loads(json.dumps(tool.digest(), sort_keys=True,
+                                    default=repr))
+        where = first_difference(want, got)
+        assert where is None, (
+            f"the {run} front-end digest differs from {GOLDEN.name}, "
+            f"first at {where}")
+    assert fsmplan.cache_stats()["misses"] == misses, \
+        "the warm pass planned a process again"

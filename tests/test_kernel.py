@@ -446,7 +446,8 @@ class TestKernelCache:
             sim = _build("mmu", seed=1, stim=120, engine="kernel")
             sim.run(10)
         stats = kernel.cache_stats()
-        assert stats == {"hits": 2, "misses": 1, "entries": 1}
+        assert stats == {"hits": 2, "misses": 1, "entries": 1,
+                         "evictions": 0}
 
     def test_distinct_topologies_get_distinct_kernels(self):
         kernel.clear_cache()

@@ -20,6 +20,7 @@ from repro import (
 from repro.codegen import pysim
 from repro.codegen import rexpr as rx
 from repro.codegen.simfsm import compile_process
+from repro.core import fsmplan
 from repro.core.fsmplan import build_process_plan, port_reads, port_writes
 from repro.errors import ContractViolationError
 from repro.lang.channels import ChannelDef, LifetimeSpec, MessageDef
@@ -270,8 +271,11 @@ class TestCompileCache:
         from repro.anvil_designs.streams import spill_register
 
         for _ in range(3):
-            # a fresh Process object each time -- the cache must key on
-            # the generated source, not object identity
+            # a fresh Process object and a fresh plan each time (the
+            # plan cache would hand back the first plan, whose backend
+            # memo skips this cache) -- the cache must key on the
+            # generated source, not object identity
+            fsmplan.clear_cache()
             pysim.backend_for(compile_process(spill_register()).plan)
         stats = pysim.cache_stats()
         assert stats["misses"] == 1

@@ -31,6 +31,7 @@ from repro.api import (
     get_registry,
 )
 from repro.codegen import pysim
+from repro.core import fsmplan
 from repro.rtl import kernel
 from repro.rtl.module import Module
 from repro.rtl.simulator import Simulator
@@ -194,6 +195,17 @@ def test_resubmission_is_a_submit_level_cache_hit(client):
     assert a.activity == b.activity
     assert a.waveform.samples == b.waveform.samples
     assert b.diagnostics["result_cache"] == "submit"
+
+
+def test_stats_report_every_compile_cache(client):
+    # an Anvil run plans its processes and compiles their pysim sources
+    client.run("anvil_streams", cycles=20, config={"backend": "pycompiled"})
+    caches = client.stats()["compile_caches"]
+    assert sorted(caches) == ["kernel", "plan", "pysim"]
+    for name, counters in caches.items():
+        assert sorted(counters) == ["entries", "evictions", "hits",
+                                    "misses"], name
+    assert caches["plan"]["misses"] >= 1
 
 
 def test_cross_engine_submission_hits_the_result_cache(client):
@@ -759,6 +771,8 @@ def test_pysim_cache_survives_concurrent_compilation():
     assert pysim.cache_stats()["entries"] == expected
 
     pysim.clear_cache()
+    # fresh plans too: the cached ones keep their compiled backends
+    fsmplan.clear_cache()
     _hammer(lambda: Session(
         SimConfig(cycles=10, backend="pycompiled")).run("anvil_streams"))
     stats = pysim.cache_stats()

@@ -34,6 +34,7 @@ from repro.rtl.snapshot import (
     reset_checkpoint_store,
     restore,
     save_checkpoint,
+    state_sig,
 )
 
 ALL_SCENARIOS = get_registry().names()
@@ -201,6 +202,21 @@ class TestMatches:
         cpu = next(m for m in sim.modules if m.name == "y86_sum_cpu")
         cpu.instret = float(cpu.instret)
         assert not matches(sim, snap)
+
+    @pytest.mark.parametrize("name", ALL_SCENARIOS)
+    def test_a_fresh_restore_matches_its_snapshot(self, name):
+        # equal states give equal images: the sets a restore rebuilds
+        # (an activation's dead events) can iterate in another order
+        # than the live ones they were imaged from
+        sim = _build(name, engine="kernel", backend="pycompiled", stim=400)
+        for cycle in (37, 150):
+            sim.run(cycle - sim.cycle)
+            snap = capture(sim)
+            fresh = _build(name, engine="kernel", backend="pycompiled",
+                           stim=400)
+            restore(fresh, snap)
+            assert matches(fresh, snap), (name, cycle)
+            assert state_sig(fresh) == state_sig(sim), (name, cycle)
 
     def test_stops_a_kernel_run_on_current_wire_values(self):
         reference = _build("y86_sum", engine="kernel",
@@ -670,9 +686,9 @@ class TestSnapshotErrors:
         with pytest.raises(SimulationError, match="structure"):
             other.restore(donor.snapshot())
 
-    # SNAPSHOT_VERSION - 1 is the layout whose endpoint send queues
-    # held only unconsumed entries: its prefix keys match today's, so
-    # only the version check stops the read cursor skipping entries
+    # SNAPSHOT_VERSION - 1 is the layout that imaged an activation's
+    # dead set in iteration order: its images still unpickle, so only
+    # the version check refuses it
     @pytest.mark.parametrize("delta", [1, -1])
     def test_restore_rejects_unknown_versions(self, delta):
         sim = _build("streams", cycles=50, stim=200)
