@@ -26,7 +26,7 @@ paper's compiler (Section 6).
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 
 class EventKind(enum.Enum):
@@ -208,7 +208,10 @@ class EventGraph:
     def __init__(self, name: str = ""):
         self.name = name
         self.events: List[Event] = []
-        self._ancestors_cache: Dict[int, FrozenSet[int]] = {}
+        # per event, bit ``p`` of ``_ancestry`` is set when ``p`` is a
+        # strict ancestor, and of ``_must`` when ``p`` must precede it
+        self._ancestry: List[int] = []
+        self._must: List[int] = []
         self._succs: Dict[int, List[int]] = {}
         self._sync_index: Dict[Tuple[str, str], List[Event]] = {}
 
@@ -223,12 +226,23 @@ class EventGraph:
             if p >= len(self.events) or p < 0:
                 raise ValueError(f"predecessor e{p} not yet in graph")
         ev = Event(len(self.events), kind, preds, **kwargs)
+        # an any-join keeps what all its predecessors share, any other
+        # event takes the union
+        ancestry = must = 0
+        for i, p in enumerate(preds):
+            bit = 1 << p
+            ancestry |= self._ancestry[p] | bit
+            if kind is EventKind.JOIN_ANY and i:
+                must &= self._must[p] | bit
+            else:
+                must |= self._must[p] | bit
         self.events.append(ev)
+        self._ancestry.append(ancestry)
+        self._must.append(must)
         for p in preds:
             self._succs.setdefault(p, []).append(ev.eid)
         if ev.kind is EventKind.SYNC:
             self._sync_index.setdefault(ev.sync_key, []).append(ev)
-        self._ancestors_cache.clear()
         return ev
 
     def root(self) -> Event:
@@ -246,25 +260,22 @@ class EventGraph:
 
     def ancestors(self, eid: int) -> FrozenSet[int]:
         """All strict ancestors of ``eid`` (transitive predecessors)."""
-        cached = self._ancestors_cache.get(eid)
-        if cached is not None:
-            return cached
-        acc: Set[int] = set()
-        stack = list(self.events[eid].preds)
-        while stack:
-            p = stack.pop()
-            if p in acc:
-                continue
-            acc.add(p)
-            stack.extend(self.events[p].preds)
-        result = frozenset(acc)
-        self._ancestors_cache[eid] = result
-        return result
+        bits = bin(self._ancestry[eid])[:1:-1]
+        return frozenset(i for i, bit in enumerate(bits) if bit == "1")
 
     def is_ancestor(self, a: int, b: int) -> bool:
-        """True iff there is a path from ``a`` to ``b`` (``a`` strictly
-        precedes ``b`` structurally)."""
-        return a in self.ancestors(b)
+        """True iff there is a path from ``a`` to ``b``: ``a`` fires in
+        *some* activation that reaches ``b``."""
+        return bool(self._ancestry[b] >> a & 1)
+
+    def must_precede(self, a: int, b: int) -> bool:
+        """True iff ``a`` fires, no later than ``b``, in *every*
+        activation that reaches ``b``.  An any-join is reached through
+        one predecessor, so it keeps what all of them share; every other
+        event waits for all of its predecessors, so it takes the union.
+        Ancestry through one arm of a branch does not order events;
+        this does."""
+        return bool(self._must[b] >> a & 1)
 
     def sync_events(self, endpoint: str, message: str) -> List[Event]:
         return self._sync_index.get((endpoint, message), [])

@@ -11,7 +11,7 @@ Walking a thread body produces, in one pass:
   register mutations and message sends.
 
 Loops and recursives are *unrolled* for type checking (Lemma C.19: two
-iterations suffice; we default to two and allow more).  For a ``loop`` the
+iterations suffice, and the type checker builds two).  For a ``loop`` the
 next iteration is anchored at the completion of the previous one; for a
 ``recursive`` it is anchored at the ``recurse`` event, which is precisely
 what lets iterations overlap in a pipelined fashion.
@@ -282,7 +282,11 @@ class GraphBuilder:
         if term.name not in env:
             raise ElaborationError(f"unbound variable {term.name!r}")
         bind_completion, bval = env[term.name]
-        if bind_completion == at or self.graph.is_ancestor(bind_completion, at):
+        # a binding reached through one arm of a branch has not happened
+        # on the other arm: only a binding that must precede the use
+        # point may skip the await
+        if bind_completion == at or \
+                self.graph.must_precede(bind_completion, at):
             start = at
         else:
             start = self.graph.add(

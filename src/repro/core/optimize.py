@@ -8,7 +8,11 @@ four passes of the paper:
     event that wait for the same fixed delay (or the same branch condition
     polarity) always fire together and are merged.
 (b) **Remove unbalanced joins** -- a join of ``ea`` and ``eb`` where
-    ``ea <=G eb`` always fires exactly when ``eb`` does.
+    ``ea`` must precede ``eb`` (it fires, no later, in every activation
+    that reaches ``eb``) always fires exactly when ``eb`` does.  The paper
+    states the rule with ``ea <=G eb``, which must-precede implies; it is
+    a bit test on :class:`~repro.core.events.EventGraph`, so the optimizer
+    queries no timing oracle.
 (c) **Shift branch joins** -- when both sides of a branch end in an
     action-free ``#N`` delay, join first and delay once after.
 (d) **Remove branch joins** -- a join of two empty branches collapses into
@@ -20,10 +24,12 @@ pass removed (regenerated for the Figure 8 experiment).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .events import Event, EventGraph, EventKind
-from .oracle import OracleLimitError, TimingOracle
+
+#: fixpoint rounds of :func:`optimize` at most
+MAX_ROUNDS = 8
 
 
 class OptimizeStats:
@@ -42,6 +48,18 @@ class OptimizeStats:
 
     def __repr__(self):
         return f"OptimizeStats({self.removed}, passes={self.passes_run})"
+
+
+def _copy(graph: EventGraph, ev: Event, preds) -> Event:
+    """Add a copy of ``ev``, actions included, to ``graph`` over ``preds``."""
+    copy = graph.add(
+        ev.kind, preds, delay=ev.delay, endpoint=ev.endpoint,
+        message=ev.message, direction=ev.direction,
+        static_slack=ev.static_slack, conditional=ev.conditional,
+        cond_id=ev.cond_id, polarity=ev.polarity, note=ev.note,
+    )
+    copy.actions.extend(ev.actions)
+    return copy
 
 
 def _rebuild(graph: EventGraph, redirect: Dict[int, int],
@@ -72,21 +90,7 @@ def _rebuild(graph: EventGraph, redirect: Dict[int, int],
             np = mapping.get(resolve(p))
             if np is not None and np not in preds:
                 preds.append(np)
-        copy = new.add(
-            ev.kind,
-            preds,
-            delay=ev.delay,
-            endpoint=ev.endpoint,
-            message=ev.message,
-            direction=ev.direction,
-            static_slack=ev.static_slack,
-            conditional=ev.conditional,
-            cond_id=ev.cond_id,
-            polarity=ev.polarity,
-            note=ev.note,
-        )
-        copy.actions.extend(ev.actions)
-        mapping[ev.eid] = copy.eid
+        mapping[ev.eid] = _copy(new, ev, preds).eid
     # migrate actions of merged events
     for eid, target in redirect.items():
         tgt = mapping.get(resolve(eid))
@@ -135,38 +139,31 @@ def pass_merge_labels(graph: EventGraph):
     return new, mapping, len(redirect)
 
 
-def pass_unbalanced_joins(graph: EventGraph, max_cases: int = 512):
-    """(b) a join of predecessors where one dominates is redundant."""
-    oracle = TimingOracle(graph, max_cases=max_cases)
+def pass_unbalanced_joins(graph: EventGraph):
+    """(b) an all-join (or a join left with one predecessor) is merged into
+    the predecessor that every other predecessor must precede.
+
+    The rule is exact in the FSM.  An all-join fires in the cycle its
+    last predecessor fires, and no event fires before one that must
+    precede it: an all-join, a delay or a sync waits for every
+    predecessor, an any-join for one of them, and an event that must
+    precede an any-join is, or must precede, each of its predecessors.
+    So where the dominant predecessor fires, every other one has fired
+    and the join fires with it; where it never fires, neither does the
+    join.  The paper states the rule with ``<=G``, which must-precede
+    implies, since no timestamp is earlier than one its event waits for.
+    Ancestry alone is not enough: an ancestor through one arm of a
+    branch has not fired when the dominant predecessor is reached
+    through the other arm, and the merged join would stop waiting for
+    it."""
     redirect: Dict[int, int] = {}
     for ev in graph.events:
-        if ev.eid in redirect:
+        if not (ev.kind is EventKind.JOIN_ALL
+                or (ev.kind is EventKind.JOIN_ANY and len(ev.preds) == 1)):
             continue
-        # joins left with a single predecessor (after earlier merges) are
-        # trivially redundant
-        if ev.kind in (EventKind.JOIN_ALL, EventKind.JOIN_ANY) and \
-                len(ev.preds) == 1 and ev.preds[0] not in redirect:
-            redirect[ev.eid] = ev.preds[0]
-            continue
-        if ev.kind is not EventKind.JOIN_ALL or len(ev.preds) < 2:
-            continue
-        dominant: Optional[int] = None
-        try:
-            for cand in ev.preds:
-                others = [p for p in ev.preds if p != cand]
-                # structural ancestry guarantees the FSM fires `cand` after
-                # every other predecessor at run time; the timing check
-                # guarantees it statically.  Both are required: merging on
-                # timing-equality alone would detach data dependencies
-                # (e.g. a zero-slack message sync) from the join.
-                if all(
-                    graph.is_ancestor(p, cand) and oracle.event_le(p, cand)
-                    for p in others
-                ):
-                    dominant = cand
-                    break
-        except OracleLimitError:
-            continue
+        dominant = next((cand for cand in ev.preds
+                         if all(graph.must_precede(p, cand)
+                                for p in ev.preds if p != cand)), None)
         if dominant is not None and dominant not in redirect:
             redirect[ev.eid] = dominant
     if not redirect:
@@ -199,14 +196,7 @@ def pass_shift_branch_joins(graph: EventGraph):
             if old.eid in (a.eid, b.eid, ev.eid):
                 continue
             preds = [mapping[p] for p in old.preds if p in mapping]
-            copy = new.add(
-                old.kind, preds, delay=old.delay, endpoint=old.endpoint,
-                message=old.message, direction=old.direction,
-                static_slack=old.static_slack, conditional=old.conditional,
-                cond_id=old.cond_id, polarity=old.polarity, note=old.note,
-            )
-            copy.actions.extend(old.actions)
-            mapping[old.eid] = copy.eid
+            mapping[old.eid] = _copy(new, old, preds).eid
             # insert the shifted join right after both parents are present
             if (
                 a.preds[0] in mapping
@@ -260,8 +250,8 @@ def pass_remove_branch_joins(graph: EventGraph):
 
 
 # ----------------------------------------------------------------------
-def optimize(graph: EventGraph, max_rounds: int = 8):
-    """Run all passes to a fixpoint.
+def optimize(graph: EventGraph):
+    """Run all passes to a fixpoint (at most :data:`MAX_ROUNDS` rounds).
 
     Returns ``(graph, mapping, stats)`` where ``mapping`` maps original
     event ids to ids in the optimized graph (identity when nothing fired).
@@ -274,7 +264,7 @@ def optimize(graph: EventGraph, max_rounds: int = 8):
         ("shift_branch_joins", pass_shift_branch_joins),
         ("remove_branch_joins", pass_remove_branch_joins),
     ]
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         changed = False
         for name, fn in passes:
             new_graph, mapping, removed = fn(graph)

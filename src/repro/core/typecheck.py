@@ -1,6 +1,6 @@
 """The Anvil type checker: the three timing-safety checks of Section 5.4.
 
-Given a process, each thread body is unrolled (two iterations by default --
+Given a process, each thread body is unrolled (two iterations --
 Lemma C.19 shows that suffices for loops) and elaborated into an event graph
 with check obligations.  The checker then discharges:
 
@@ -41,6 +41,9 @@ from .graph_builder import BuildResult, GraphBuilder, UseCheck
 from .oracle import OracleLimitError, TimingOracle
 from .patterns import EndSet
 
+#: unrolled copies of each thread body; two suffice (Lemma C.19)
+ITERATIONS = 2
+
 
 class Loan:
     __slots__ = ("register", "start", "end", "context")
@@ -75,12 +78,7 @@ class CheckReport:
         return f"CheckReport({self.process.name}: {state})"
 
 
-def check_process(
-    process: Process,
-    iterations: int = 2,
-    max_cases: int = 4096,
-    collect_all: bool = True,
-) -> CheckReport:
+def check_process(process: Process, max_cases: int = 4096) -> CheckReport:
     """Type check every thread of ``process``.
 
     Returns a :class:`CheckReport`; raise behaviour is left to the caller
@@ -88,25 +86,24 @@ def check_process(
     """
     report = CheckReport(process)
     for thread in process.threads:
-        result = GraphBuilder(process, thread).build(iterations)
+        result = GraphBuilder(process, thread).build(ITERATIONS)
         report.threads.append(result)
         oracle = TimingOracle(result.graph, max_cases=max_cases)
-        _check_thread(process, thread, result, oracle, report, collect_all)
+        _check_thread(process, result, oracle, report)
     _check_cross_thread(process, report)
     return report
 
 
-def assert_safe(process: Process, iterations: int = 2,
-                max_cases: int = 4096) -> CheckReport:
+def assert_safe(process: Process) -> CheckReport:
     """Type check and raise the first error, if any."""
-    report = check_process(process, iterations, max_cases)
+    report = check_process(process)
     report.raise_first()
     return report
 
 
 # ----------------------------------------------------------------------
-def _check_thread(process, thread, result: BuildResult, oracle: TimingOracle,
-                  report: CheckReport, collect_all: bool):
+def _check_thread(process, result: BuildResult, oracle: TimingOracle,
+                  report: CheckReport):
     loans = _collect_loans(result)
 
     # 1. Valid Value Use --------------------------------------------------
@@ -116,8 +113,6 @@ def _check_thread(process, thread, result: BuildResult, oracle: TimingOracle,
             report.errors.append(
                 ValueNotLiveError(err, process=process.name)
             )
-            if not collect_all:
-                return
 
     # 2. Valid Register Mutation ------------------------------------------
     for mut in result.mutations:
@@ -138,8 +133,6 @@ def _check_thread(process, thread, result: BuildResult, oracle: TimingOracle,
                     process=process.name,
                 )
             )
-            if not collect_all:
-                return
 
     # 3. Valid Message Send (overlap) --------------------------------------
     by_message: Dict[Tuple[str, str], list] = {}
@@ -170,8 +163,6 @@ def _check_thread(process, thread, result: BuildResult, oracle: TimingOracle,
                         process=process.name,
                     )
                 )
-                if not collect_all:
-                    return
         # unordered (parallel) sends of the same message
         for i in range(len(sends)):
             for j in range(i + 1, len(sends)):
@@ -198,8 +189,6 @@ def _check_thread(process, thread, result: BuildResult, oracle: TimingOracle,
                         process=process.name,
                     )
                 )
-                if not collect_all:
-                    return
 
 
 def _check_use(oracle: TimingOracle, use: UseCheck) -> Optional[str]:

@@ -11,6 +11,10 @@ from repro import (
     Process,
     Side,
     StaticSync,
+    System,
+    build_simulation,
+    cycle,
+    if_,
     let,
     par,
     read,
@@ -87,6 +91,63 @@ def top_safe() -> Process:
                       set_reg("enq_data", var("d"))))
     )
     return p
+
+
+def branch_await_process(which: str) -> Process:
+    """Loops that bind a value through one arm of an ``if`` only, the
+    shape where ancestry does not order events.
+
+    ``"A"`` sends ``x`` after awaiting ``y``, which awaited ``x`` on the
+    then-arm alone; ``"B"`` awaits ``x`` and ``y`` and sends ``cnt``;
+    ``"C"`` binds ``x`` to nested ``if``s of unequal delays and receives
+    nothing.  ``inp.m`` has a dynamic handshake and an 8-cycle lifetime;
+    ``out.m`` is static on both sides in ``"A"`` and dynamic otherwise.
+    """
+    out_sync = StaticSync(1) if which == "A" else None
+    inp = ChannelDef("inp_ch", [
+        MessageDef("m", Side.RIGHT, Logic(8), LifetimeSpec.static(8))])
+    out = ChannelDef("out_ch", [
+        MessageDef("m", Side.RIGHT, Logic(8), LifetimeSpec.static(1),
+                   out_sync, out_sync)])
+    p = Process("branch_await_" + which)
+    if which != "C":
+        p.endpoint("inp", inp, Side.RIGHT)
+    p.endpoint("out", out, Side.LEFT)
+    p.register("cnt", Logic(8))
+    bump = set_reg("cnt", read("cnt") + 1)
+    if which == "C":
+        p.loop(let("x", if_(read("cnt").bit(0),
+                            if_(read("cnt").bit(1), cycle(1), cycle(2)),
+                            cycle(2)),
+                   var("x") >> send("out", "m", read("cnt")) >> bump))
+        return p
+    if which == "A":
+        tail = var("y") >> send("out", "m", var("x")) >> bump
+    else:
+        tail = var("x") >> var("y") >> send("out", "m", read("cnt")) >> bump
+    p.loop(let("x", recv("inp", "m"),
+               let("y", if_(read("cnt").bit(0), var("x"), cycle(1)), tail)))
+    return p
+
+
+def port_traces(process: Process, backend: str, do_optimize: bool = True,
+                cycles: int = 45):
+    """Every transfer on ``process``'s external ports, as ``{"inp": [(cycle,
+    value), ...], "out": [...]}``.  ``inp`` is offered one value, 100 plus
+    the cycle, every 7 cycles; ``out`` is always received."""
+    system = System()
+    inst = system.add(process)
+    channels = {name: system.expose(inst, name)
+                for name in ("inp", "out") if name in process.endpoints}
+    ss = build_simulation(system, backend=backend, do_optimize=do_optimize)
+    ends = {name: ss.external(ch) for name, ch in channels.items()}
+    ends["out"].always_receive("m")
+    for c in range(cycles):
+        if "inp" in ends and c % 7 == 0:
+            ends["inp"].send("m", 100 + c)
+        ss.sim.run(1)
+    return {"inp": ends["inp"].sent.get("m", []) if "inp" in ends else [],
+            "out": ends["out"].received.get("m", [])}
 
 
 def frontend_digest_tool():

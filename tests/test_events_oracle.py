@@ -1,5 +1,6 @@
 """Tests for the event graph and the ``<=G`` timing oracle."""
 
+import itertools
 import random
 from types import SimpleNamespace
 
@@ -59,6 +60,23 @@ class TestEventGraph:
         assert g.ancestors(d1.eid) == {r.eid, d2.eid, sync.eid}
         assert g.is_ancestor(r.eid, d1.eid)
         assert not g.is_ancestor(d1.eid, r.eid)
+
+    def test_must_precede_through_branches(self):
+        """An event on one arm is an ancestor of the arms' any-join but
+        does not precede it; an all-join waits for both arms."""
+        g = EventGraph()
+        r = g.root()
+        bt = g.add(EventKind.BRANCH, (r.eid,), cond_id=0, polarity=True)
+        bf = g.add(EventKind.BRANCH, (r.eid,), cond_id=0, polarity=False)
+        d = g.add(EventKind.DELAY, (bt.eid,), delay=1)
+        any_ = g.add(EventKind.JOIN_ANY, (d.eid, bf.eid))
+        all_ = g.add(EventKind.JOIN_ALL, (d.eid, bf.eid))
+        assert g.is_ancestor(d.eid, any_.eid)
+        assert not g.must_precede(d.eid, any_.eid)
+        assert g.must_precede(r.eid, any_.eid)
+        assert g.must_precede(d.eid, all_.eid)
+        assert g.must_precede(bf.eid, all_.eid)
+        assert not g.must_precede(all_.eid, all_.eid)
 
     def test_sync_events_index(self):
         g, r, d2, sync, d1 = linear_graph()
@@ -705,3 +723,46 @@ class TestCaseTrees:
                        outer.eid) == ("OracleLimitError", message)
         # a query that never reads the join is unaffected
         assert o.event_le(r.eid, inner.eid)
+
+
+def firing_sets(g: EventGraph):
+    """Per event, every set of events that fires in an activation reaching
+    it, itself included, by brute force: an any-join fires after the set
+    of one predecessor, any other event after the sets of all of its
+    predecessors together."""
+    sets = []
+    for ev in g.events:
+        me = frozenset((ev.eid,))
+        if ev.kind is EventKind.JOIN_ANY:
+            sets.append({s | me for p in ev.preds for s in sets[p]})
+        else:
+            sets.append({me.union(*combo) for combo in
+                         itertools.product(*(sets[p] for p in ev.preds))})
+    return sets
+
+
+class TestPrecedence:
+    @given(st.one_of(branchy_graphs(), diamond_graphs()))
+    @settings(max_examples=300, deadline=None)
+    def test_relations_match_the_firing_sets(self, g):
+        """``a`` is an ancestor of ``b`` iff it is in some set that fires
+        in an activation reaching ``b``, and must precede ``b`` iff it is
+        in every such set."""
+        for b, fired in enumerate(firing_sets(g)):
+            some = frozenset().union(*fired) - {b}
+            every = frozenset.intersection(*fired) - {b}
+            assert g.ancestors(b) == some
+            for a in range(len(g.events)):
+                assert g.is_ancestor(a, b) == (a in some), (a, b)
+                assert g.must_precede(a, b) == (a in every), (a, b)
+
+    @given(st.one_of(branchy_graphs(), diamond_graphs()))
+    @settings(max_examples=300, deadline=None)
+    def test_must_precede_implies_event_le_where_decided(self, g):
+        oracle = TimingOracle(g)
+        for b in range(len(g.events)):
+            for a in range(len(g.events)):
+                if g.must_precede(a, b):
+                    verdict = outcome(oracle.event_le, a, b)
+                    assert verdict is True or \
+                        verdict[0] == "OracleLimitError", (a, b)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ElaborationError, Logic, Process, Side, Thread
+from repro import ElaborationError, Logic, Process, Side, Thread, check_process
 from repro.core.events import EventKind, SyncDir
 from repro.core.graph_builder import GraphBuilder
 from repro.lang.terms import (
@@ -20,7 +20,7 @@ from repro.lang.terms import (
     var,
 )
 
-from helpers import stream_channel
+from helpers import branch_await_process, port_traces, stream_channel
 
 
 def build(body, kind=Thread.LOOP, iterations=1, setup=None):
@@ -160,3 +160,20 @@ class TestDirectionChecks:
     def test_recv_on_sending_endpoint_rejected(self):
         with pytest.raises(ElaborationError):
             build(let("x", recv("o", "data"), unit()))
+
+
+class TestAwaitThroughBranches:
+    """A ``let`` value is awaited unless its binding must precede the use
+    point: ancestry through one arm of an ``if`` does not order them."""
+
+    def test_value_bound_on_one_arm_is_awaited_after_the_join(self):
+        p = branch_await_process("A")
+        assert check_process(p).ok
+        for backend in ("interp", "pycompiled"):
+            traces = port_traces(p, backend)
+            assert traces["out"] == [(1, 100), (7, 107), (14, 114),
+                                     (21, 121), (28, 128), (35, 135),
+                                     (42, 142)], backend
+            for cycle_, value in traces["out"]:
+                assert any(v == value and c <= cycle_
+                           for c, v in traces["inp"]), (backend, cycle_)

@@ -1,6 +1,10 @@
 """Tests for the event-graph optimization passes (Figure 8)."""
 
+import pytest
+
 from repro.core.events import EventGraph, EventKind, SyncDir
+from repro.core.fsmplan import build_process_plan
+from repro.core.graph_builder import GraphBuilder
 from repro.core.optimize import (
     optimize,
     pass_merge_labels,
@@ -8,7 +12,9 @@ from repro.core.optimize import (
     pass_shift_branch_joins,
     pass_unbalanced_joins,
 )
-from repro.core.oracle import TimingOracle
+from repro.core.oracle import OracleLimitError, TimingOracle
+
+from helpers import branch_await_process, port_traces
 
 
 class TestMergeLabels:
@@ -76,9 +82,64 @@ class TestUnbalancedJoins:
                   direction=SyncDir.RECV, static_slack=0)
         j = g.add(EventKind.JOIN_ALL, (r.eid, s.eid))
         new, mapping, removed = pass_unbalanced_joins(g)
-        if removed:
-            # if merged, it must merge into the sync, never into the root
-            assert mapping[j.eid] == mapping[s.eid]
+        # merged into the sync, never into the root
+        assert removed == 1
+        assert mapping[j.eid] == mapping[s.eid]
+
+    def test_keeps_join_whose_pred_is_an_ancestor_on_one_arm_only(self):
+        """The sync is an ancestor of the any-join through the true arm
+        only: on the false arm the any-join fires without it."""
+        g = EventGraph()
+        r = g.root()
+        s = g.add(EventKind.SYNC, (r.eid,), endpoint="e", message="m",
+                  direction=SyncDir.RECV)
+        bt = g.add(EventKind.BRANCH, (r.eid,), cond_id=0, polarity=True)
+        bf = g.add(EventKind.BRANCH, (r.eid,), cond_id=0, polarity=False)
+        wait = g.add(EventKind.JOIN_ALL, (bt.eid, s.eid))
+        d = g.add(EventKind.DELAY, (bf.eid,), delay=1)
+        arms = g.add(EventKind.JOIN_ANY, (wait.eid, d.eid))
+        g.add(EventKind.JOIN_ALL, (s.eid, arms.eid))
+        assert g.is_ancestor(s.eid, arms.eid)
+        assert not g.must_precede(s.eid, arms.eid)
+        _, _, removed = pass_unbalanced_joins(g)
+        assert removed == 0
+
+
+class TestOptimizedRunsLikeUnoptimized:
+    """Programs whose joins read values bound through one arm of an
+    ``if``: the optimized and unoptimized plans transfer the same values
+    in the same cycles on both backends."""
+
+    @pytest.mark.parametrize("backend", ["interp", "pycompiled"])
+    def test_await_of_a_one_armed_binding_is_kept(self, backend):
+        p = branch_await_process("B")
+        traces = port_traces(p, backend)
+        assert traces == port_traces(p, backend, do_optimize=False)
+        assert [c for c, _v in traces["out"]] == [1, 7, 14, 21, 28, 35, 42]
+
+    def test_join_the_oracle_cannot_decide_is_merged(self):
+        """``x`` is an any-join whose sides the oracle sees as reachable
+        together (a join conflict), so no ``<=G`` query over it is
+        decided; the root must precede it all the same."""
+        p = branch_await_process("C")
+        g = GraphBuilder(p, p.threads[0]).build().graph
+        (j,) = [e for e in g.events if e.kind is EventKind.JOIN_ALL]
+        root, outer = j.preds
+        assert (g[root].kind, g[outer].kind) == (EventKind.ROOT,
+                                                 EventKind.JOIN_ANY)
+        with pytest.raises(OracleLimitError, match="multiple reachable"):
+            TimingOracle(g).event_le(root, outer)
+        _, mapping, removed = pass_unbalanced_joins(g)
+        assert removed == 1 and mapping[j.eid] == mapping[outer]
+        stats = build_process_plan(p).optimize_stats[0]
+        assert stats.removed["unbalanced_joins"] == 1
+
+    @pytest.mark.parametrize("backend", ["interp", "pycompiled"])
+    def test_merged_join_over_nested_branches_runs_alike(self, backend):
+        p = branch_await_process("C")
+        traces = port_traces(p, backend)
+        assert traces == port_traces(p, backend, do_optimize=False)
+        assert len(traces["out"]) > 10
 
 
 class TestBranchJoins:

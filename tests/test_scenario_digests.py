@@ -28,11 +28,11 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
 SEED, STIM, CYCLES = 0, 400, 300
 
 
-def scenario_digest(name, engine, backend):
+def scenario_digest(name, engine, backend, seed=SEED):
     """SHA-256 over ``name``'s activity counts and waveform samples
     after ``CYCLES`` cycles."""
     sim = get_registry().build(name, SimConfig(
-        engine=engine, backend=backend, seed=SEED, stim=STIM,
+        engine=engine, backend=backend, seed=seed, stim=STIM,
         cycles=CYCLES))
     sim.run(CYCLES)
     blob = json.dumps({
