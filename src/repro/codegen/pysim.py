@@ -7,13 +7,15 @@ iteration of every cycle -- generic dispatch on event kinds, recursive
 per-cycle interpretation: from the plan it emits straight-line Python
 source -- one specialized **fire** function per thread (the settle-pass
 body: compute the events firing this cycle, drive handshake wires,
-populate the same-cycle overlay) and one specialized **commit** function
-per thread (the clock-edge body: commit register writes, slots and debug
-prints for the fired events) -- with every runtime expression lowered to
-an inline Python expression by :meth:`~repro.codegen.rexpr.RExpr.to_python`.
-The source is ``compile()``d and ``exec``'d once per distinct plan and
-cached, so harness sweeps that rebuild the same design row after row
-never pay the compilation twice.
+populate the same-cycle overlay) and, for a thread with register writes
+or prints, one specialized **commit** function (the clock-edge body:
+those writes and prints, each event one evaluation site; the shared
+tick commits the fire set and overlay) -- with every runtime expression
+lowered to an inline Python expression by
+:meth:`~repro.codegen.rexpr.RExpr.to_python`.  The source is
+``compile()``d and ``exec``'d once per distinct plan and cached, so
+harness sweeps that rebuild the same design row after row never pay
+the compilation twice.
 
 Both backends must stay observationally identical -- same waveforms,
 same toggle counts, same diagnostics; ``tests/test_pysim.py`` pins that
@@ -42,15 +44,13 @@ from typing import Dict, List, Tuple
 from ..compile_cache import Emitter, SourceCache, source_key
 from ..core.events import EventKind, SyncDir
 from ..core.fsmplan import (
-    CommitExpr,
-    CommitFlag,
-    CommitRecv,
     CommitReg,
     LatchFlag,
     LatchRecv,
     ProcessPlan,
     ThreadPlan,
 )
+from .rexpr import RLit, RUnit, fit
 
 
 class _ExprCtx:
@@ -65,7 +65,7 @@ class _ExprCtx:
         self._temp = 0
         self._cse_n = 0
         self.cse: Dict[int, str] = {}    # id(node) -> temp name
-        self.used_ports: set = set()
+        self.used_wires: set = set()
 
     def sub(self, node) -> str:
         """Render a child expression -- through the active CSE table, so
@@ -88,8 +88,9 @@ class _ExprCtx:
         return f"_i{self._temp}"
 
     def wire(self, port: int, role: str) -> str:
-        self.used_ports.add(port)
-        return f"_w{port}{role[0]}"      # _w3d / _w3v / _w3a
+        name = f"_w{port}{role[0]}"      # _w3d / _w3v / _w3a
+        self.used_wires.add(name)
+        return name
 
     def ready(self, endpoint: str, message: str) -> str:
         idx = self.plan.port_index[(endpoint, message)]
@@ -98,17 +99,17 @@ class _ExprCtx:
         return f"{self.wire(idx, role)}.value"
 
 
-def _emit_expr(em: Emitter, ctx: _ExprCtx, expr) -> str:
-    """Render ``expr`` at the current emission point, hoisting shared
-    subexpression DAG nodes into local temporaries first.
+def _emit_exprs(em: Emitter, ctx: _ExprCtx, exprs) -> List[str]:
+    """Render ``exprs`` (one environment) at the current emission
+    point, hoisting shared DAG nodes into local temporaries first.
 
     Runtime expressions are DAGs with heavy sharing (the AES round
     functions reuse xtime chains hundreds of times); inlining them as
     trees makes the generated source exponential.  Within one evaluation
     site the environment is fixed, so every shared node can be computed
-    once: composite nodes referenced more than once are assigned to
-    ``_eN`` locals in dependency order, and the returned expression
-    refers to those names."""
+    once: nodes other than literals referenced more than once are
+    assigned to ``_eN`` locals in dependency order, and the returned
+    expressions refer to those names."""
     counts: Dict[int, int] = {}
     topo: List = []
 
@@ -121,18 +122,24 @@ def _emit_expr(em: Emitter, ctx: _ExprCtx, expr) -> str:
             visit(child)
         topo.append(node)
 
-    visit(expr)
+    for expr in exprs:
+        visit(expr)
     hoisted = ctx.cse
     for node in topo:
-        if counts[id(node)] >= 2 and node.children():
+        if counts[id(node)] >= 2 and not isinstance(node, (RLit, RUnit)):
             rendered = node.to_python(ctx)
             ctx._cse_n += 1
             name = f"_e{ctx._cse_n}"
             em.line(f"{name} = {rendered}")
             hoisted[id(node)] = name
-    out = ctx.sub(expr)
+    out = [ctx.sub(expr) for expr in exprs]
     ctx.cse = {}
     return out
+
+
+def _emit_bit(em: Emitter, ctx: _ExprCtx, expr) -> str:
+    """``expr`` rendered as a 1-bit condition or guard."""
+    return fit(_emit_exprs(em, ctx, [expr])[0], expr.bits, 1)
 
 
 def _emit_latches(em: Emitter, ctx: _ExprCtx, latches):
@@ -146,7 +153,7 @@ def _emit_latches(em: Emitter, ctx: _ExprCtx, latches):
             em.line(f"_ov[{latch.target}] = "
                     f"1 if ({v}.value and {a}.value) else 0")
         else:   # LatchExpr
-            rendered = _emit_expr(em, ctx, latch.source)
+            rendered = _emit_exprs(em, ctx, [latch.source])[0]
             em.line(f"_ov[{latch.slot}] = {rendered}")
 
 
@@ -196,33 +203,18 @@ def _gen_fire(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
             em.push()
             em.line(f"dn.add({eid})")
             em.pop()
-            em.line("else:")
+            em.line("elif " + " and ".join(
+                f"({p} in af or {p} in fn)" for p in preds) + ":")
             em.push()
             pops += 1
-            cvars = []
-            for j, p in enumerate(preds):
-                cv = f"_c{j}"
-                cvars.append(cv)
-                em.line(f"{cv} = af.get({p})")
-                em.line(f"if {cv} is None:")
-                em.push()
-                em.line(f"{cv} = fn.get({p})")
-                em.pop()
-            em.line("if " + " and ".join(f"{c} is not None" for c in cvars)
-                    + ":")
-            em.push()
-            pops += 1
-            if kind is EventKind.DELAY:       # only DELAY consumes _b
-                em.line("_b = _st")
-                for cv in cvars:
-                    em.line(f"if {cv} > _b:")
-                    em.push()
-                    em.line(f"_b = {cv}")
-                    em.pop()
-        elif kind is EventKind.DELAY:
+        if kind is EventKind.DELAY:       # only DELAY needs the cycles
             em.line("_b = _st")
-
-        if kind is EventKind.DELAY:
+            for p in preds:
+                em.line(f"_c = af[{p}] if {p} in af else fn[{p}]")
+                em.line("if _c > _b:")
+                em.push()
+                em.line("_b = _c")
+                em.pop()
             em.line(f"if _b + {ep.delay} == now:")
             em.push()
             em.line(f"fn[{eid}] = now")
@@ -232,12 +224,9 @@ def _gen_fire(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
             em.line(f"fn[{eid}] = now")
             _emit_latches(em, ctx, ep.latches)
         elif kind is EventKind.BRANCH:
-            if ep.cond_expr is not None:
-                rendered = _emit_expr(em, ctx, ep.cond_expr)
-                em.line(f"_x = ({rendered}) & 1")
-            else:
-                em.line("_x = 0")
-            em.line("if _x:" if ep.polarity else "if not _x:")
+            cond = "0" if ep.cond_expr is None \
+                else _emit_bit(em, ctx, ep.cond_expr)
+            em.line(f"if {cond}:" if ep.polarity else f"if not {cond}:")
             em.push()
             em.line(f"fn[{eid}] = now")
             _emit_latches(em, ctx, ep.latches)
@@ -247,26 +236,23 @@ def _gen_fire(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
             em.line(f"dn.add({eid})")
             em.pop()
         elif kind is EventKind.SYNC:
-            key = repr(ep.sync_key)
-            em.line(f"if {key} not in busy:")
+            pidx = ep.port      # keys busy by port index, not sync_key
+            em.line(f"if {pidx} not in busy:")
             em.push()
-            em.line(f"busy.add({key})")
-            if ep.guard is not None:
-                rendered = _emit_expr(em, ctx, ep.guard)
-                em.line(f"_g = ({rendered}) & 1")
-            pidx = ep.port
+            em.line(f"busy.add({pidx})")
             v = ctx.wire(pidx, "valid")
             a = ctx.wire(pidx, "ack")
-            d = ctx.wire(pidx, "data")
             drive_guarded = ep.guard is not None
             if drive_guarded:
-                em.line("if _g:")
+                guard = _emit_bit(em, ctx, ep.guard)
+                em.line(f"if {guard}:")
                 em.push()
             if ep.direction is SyncDir.SEND:
+                d = ctx.wire(pidx, "data")
                 em.line(f"{v}.value = 1")
                 if ep.payload is not None:
-                    rendered = _emit_expr(em, ctx, ep.payload)
-                    em.line(f"{d}.value = ({rendered}) & {d}.mask")
+                    rendered = _emit_exprs(em, ctx, [ep.payload])[0]
+                    em.line(f"{d}.value = {rendered} & {d}.mask")
                 else:
                     em.line(f"{d}.value = 0")
             else:
@@ -290,62 +276,49 @@ def _gen_fire(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
 
 
 def _gen_commit(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
-    """The clock-edge body: apply the committed effects of every event in
-    the settled fire set, in event order."""
-    em.line("af.update(fn)")
+    """The clock-edge body: the register writes and debug prints of
+    every event in the settled fire set, in event order, each event one
+    evaluation site."""
     for ep in tp.events:
         if not ep.commits:
             continue
         em.line(f"if {ep.eid} in fn:")
         em.push()
+        values = iter(_emit_exprs(em, ctx, [
+            c.source for c in ep.commits if c.source is not None]))
         for c in ep.commits:
             if type(c) is CommitReg:
-                rendered = _emit_expr(em, ctx, c.source)
-                em.line(f"_rw.append(({c.reg!r}, {rendered}))")
-            elif type(c) is CommitRecv:
-                t = c.target
-                em.line(f"_sl[{t}] = _ov[{t}] if {t} in _ov else "
-                        f"{ctx.wire(c.port, 'data')}.value")
-            elif type(c) is CommitFlag:
-                t = c.target
-                v = ctx.wire(c.port, "valid")
-                a = ctx.wire(c.port, "ack")
-                em.line(f"_sl[{t}] = _ov[{t}] if {t} in _ov else "
-                        f"(1 if ({v}.value and {a}.value) else 0)")
-            elif type(c) is CommitExpr:
-                s = c.slot
-                rendered = _emit_expr(em, ctx, c.source)
-                em.line(f"_sl[{s}] = _ov[{s}] if {s} in _ov else "
-                        f"({rendered})")
-            else:   # CommitPrint
-                if c.source is not None:
-                    rendered = _emit_expr(em, ctx, c.source)
-                    em.line(f"_v = {rendered}")
-                else:
-                    em.line("_v = None")
-                em.line(f"m.debug_log.append((now, {c.fmt!r}, _v))")
-                em.line("if m.print_debug:")
-                em.push()
-                em.line('_sfx = "" if _v is None else f" {_v:#x}"')
-                em.line(f'print(f"[{{now}}] {{m.name}}: " + {c.fmt!r}'
-                        " + _sfx)")
-                em.pop()
+                em.line(f"_rw.append(({c.reg!r}, {next(values)}))")
+                continue
+            # CommitPrint
+            em.line(f"_v = {next(values) if c.source is not None else None}")
+            em.line(f"m.debug_log.append((m.cycle, {c.fmt!r}, _v))")
+            em.line("if m.print_debug:")
+            em.push()
+            em.line('_sfx = "" if _v is None else f" {_v:#x}"')
+            em.line(f'print(f"[{{m.cycle}}] {{m.name}}: " + {c.fmt!r}'
+                    " + _sfx)")
+            em.pop()
         em.pop()
 
 
-def _port_binds(ctx: _ExprCtx) -> List[str]:
-    """Local bindings for the port wires the body actually touches."""
-    out = []
-    for pidx in sorted(ctx.used_ports):
-        base = 3 * pidx
-        out.append(f"    _w{pidx}d = pw[{base}]; _w{pidx}v = pw[{base + 1}]"
-                   f"; _w{pidx}a = pw[{base + 2}]")
-    return out
+def _function(name: str, args: str, prologue: List[str], ctx: _ExprCtx,
+              body: List[str], epilogue: Tuple[str, ...] = ()) -> str:
+    """A generated function: prologue, one unpack of the port wires
+    the body uses (``_`` for the rest), body, epilogue."""
+    lines = [f"def {name}({args}):"] + [f"    {line}" for line in prologue]
+    if ctx.used_wires:
+        names = [f"_w{p}{r}" for p in range(len(ctx.plan.ports))
+                 for r in "dva"]
+        lines.append("    " + ", ".join(
+            n if n in ctx.used_wires else "_" for n in names) + " = m._pw")
+    return "\n".join(lines + body + [f"    {line}" for line in epilogue])
 
 
 def generate_source(plan: ProcessPlan) -> str:
     """Deterministically render ``plan`` as a Python module defining
-    ``_FIRE`` and ``_COMMIT`` tuples (one entry per thread)."""
+    ``_FIRE`` and ``_COMMIT`` tuples (one entry per thread; ``None`` in
+    ``_COMMIT`` for a thread without register writes or prints)."""
     ctx = _ExprCtx(plan)
     chunks: List[str] = []
     header = [
@@ -356,47 +329,29 @@ def generate_source(plan: ProcessPlan) -> str:
     fire_names = []
     commit_names = []
     for tp in plan.threads:
-        # fire ---------------------------------------------------------
         em = Emitter()
-        ctx.used_ports = set()
+        ctx.used_wires = set()
         _gen_fire(em, ctx, tp)
-        body = em.lines
         name = f"_t{tp.index}_fire"
         fire_names.append(name)
-        fn_lines = [f"def {name}(m, act, busy):",
-                    "    now = m.cycle",
-                    "    _r = m.regs",
-                    "    _sl = act.slots",
-                    "    af = act.fired",
-                    "    ad = act.dead",
-                    "    _st = act.start",
-                    "    fn = {}",
-                    "    dn = set()",
-                    "    _ov = {}"]
-        if ctx.used_ports:
-            fn_lines.append("    pw = m._pw")
-            fn_lines.extend(_port_binds(ctx))
-        fn_lines.extend(body)
-        fn_lines.append("    return fn, dn, _ov")
-        chunks.append("\n".join(fn_lines))
-        # commit -------------------------------------------------------
+        chunks.append(_function(
+            name, "m, act, busy",
+            ["now = m.cycle", "_r = m.regs", "_sl = act.slots",
+             "af = act.fired", "ad = act.dead", "_st = act.start",
+             "fn = {}", "dn = set()", "_ov = {}"],
+            ctx, em.lines, ("return fn, dn, _ov",)))
+        if not any(ep.commits for ep in tp.events):
+            commit_names.append("None")
+            continue
         em = Emitter()
-        ctx.used_ports = set()
+        ctx.used_wires = set()
         _gen_commit(em, ctx, tp)
-        body = em.lines
         name = f"_t{tp.index}_commit"
         commit_names.append(name)
-        fn_lines = [f"def {name}(m, act, fn, _ov):",
-                    "    now = m.cycle",
-                    "    _r = m.regs",
-                    "    _sl = act.slots",
-                    "    af = act.fired",
-                    "    _rw = m._reg_writes"]
-        if ctx.used_ports:
-            fn_lines.append("    pw = m._pw")
-            fn_lines.extend(_port_binds(ctx))
-        fn_lines.extend(body)
-        chunks.append("\n".join(fn_lines))
+        chunks.append(_function(
+            name, "m, act, fn, _ov",
+            ["_r = m.regs", "_sl = act.slots", "_rw = m._reg_writes"],
+            ctx, em.lines))
     consts = [f"{name} = {value!r}" for name, value in ctx.const_order]
     footer = [
         f"_FIRE = ({', '.join(fire_names)}{',' if fire_names else ''})",
@@ -404,7 +359,7 @@ def generate_source(plan: ProcessPlan) -> str:
         f"{',' if commit_names else ''})",
     ]
     return "\n".join(header + consts + [""] +
-                     ["\n\n".join(chunks)] + [""] + footer) + "\n"
+                      ["\n\n".join(chunks)] + [""] + footer) + "\n"
 
 
 class PyBackend:

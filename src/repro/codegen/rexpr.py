@@ -14,13 +14,21 @@ equivalent to the wire semantics of the generated hardware.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 from ..lang.types import Bundle
 
 
 def mask(value: int, width: int) -> int:
     return value & ((1 << width) - 1)
+
+
+def fit(text: str, bits: Optional[int], width: int) -> str:
+    """Source ``text`` masked to ``width`` bits unless its value, of at
+    most ``bits`` bits (``None``: maybe negative), fits."""
+    if bits is not None and bits <= width:
+        return text
+    return f"({text} & {(1 << width) - 1})"
 
 
 class REnv:
@@ -34,6 +42,9 @@ class REnv:
 
 class RExpr:
     width: int = 1
+    #: bound on the bit length of eval()'s result (at most width, 1 for
+    #: a truth value), so to_python masks only where a bit can be cut
+    bits: int = 1
 
     def eval(self, env: REnv) -> int:  # pragma: no cover - interface
         raise NotImplementedError
@@ -45,7 +56,9 @@ class RExpr:
         (committed slots), ``_ov`` (same-cycle overlay) -- plus whatever
         ``ctx`` hands out: ``ctx.ready(ep, msg)`` for handshake
         observations, ``ctx.const(value)`` for pooled constants and
-        ``ctx.temp()`` for fresh local names."""
+        ``ctx.temp()`` for fresh local names.  The text is atomic or
+        parenthesized.  Register and slot reads keep their masks (a
+        fault can set bits above a register's width)."""
         raise NotImplementedError
 
     def gate_count(self) -> Dict[str, int]:
@@ -62,6 +75,7 @@ class RExpr:
 
 class RUnit(RExpr):
     width = 0
+    bits = 0
 
     def eval(self, env):
         return 0
@@ -77,6 +91,7 @@ class RLit(RExpr):
     def __init__(self, value: int, width: int):
         self.width = max(width, 1)
         self.value = mask(value, self.width)
+        self.bits = self.value.bit_length()
 
     def eval(self, env):
         return self.value
@@ -91,7 +106,7 @@ class RLit(RExpr):
 class RReg(RExpr):
     def __init__(self, name: str, width: int):
         self.name = name
-        self.width = width
+        self.width = self.bits = width
 
     def eval(self, env):
         return mask(env.regs[self.name], self.width)
@@ -109,7 +124,7 @@ class RSlot(RExpr):
 
     def __init__(self, slot: int, width: int, note: str = ""):
         self.slot = slot
-        self.width = width
+        self.width = self.bits = width
         self.note = note
 
     def eval(self, env):
@@ -150,12 +165,44 @@ _BIN_DEPTH = {
 }
 
 
+_PY_OPS = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|",
+           "xor": "^", "shl": "<<", "shr": ">>"}
+_PY_CMPS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">",
+            "ge": ">="}
+
+
+def _bin_bits(op: str, a: RExpr, b: RExpr) -> Optional[int]:
+    """Bit bound of ``a op b`` before eval masks it (``None``: maybe
+    negative)."""
+    x, y = a.bits, b.bits
+    if op == "add":
+        return max(x, y) + 1
+    if op == "mul":
+        return x + y
+    if op == "and":
+        return min(x, y)
+    if op in ("or", "xor"):
+        return max(x, y)
+    if op == "shl":
+        return x + (b.value if isinstance(b, RLit) else (1 << y) - 1)
+    if op == "shr":
+        return x
+    if op == "concat":
+        return x + b.width
+    return None
+
+
 class RBin(RExpr):
     def __init__(self, op: str, a: RExpr, b: RExpr, width: int):
         self.op = op
         self.a = a
         self.b = b
         self.width = width
+        if op in _PY_CMPS:
+            self.bits = 1
+        else:
+            raw = _bin_bits(op, a, b)
+            self.bits = width if raw is None else min(raw, width)
 
     def children(self):
         return (self.a, self.b)
@@ -198,36 +245,17 @@ class RBin(RExpr):
         raise AssertionError(op)
 
     def to_python(self, ctx):
-        a = ctx.sub(self.a)
-        b = ctx.sub(self.b)
-        op = self.op
-        m = (1 << self.width) - 1
-        # operands are already masked to their own widths by their own
-        # to_python, so the comparison-width masking eval() performs is
-        # the identity here
-        if op == "add":
-            return f"((({a}) + ({b})) & {m})"
-        if op == "sub":
-            return f"((({a}) - ({b})) & {m})"
-        if op == "mul":
-            return f"((({a}) * ({b})) & {m})"
-        if op == "and":
-            return f"((({a}) & ({b})) & {m})"
-        if op == "or":
-            return f"((({a}) | ({b})) & {m})"
-        if op == "xor":
-            return f"((({a}) ^ ({b})) & {m})"
-        if op in ("eq", "ne", "lt", "le", "gt", "ge"):
-            pyop = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=",
-                    "gt": ">", "ge": ">="}[op]
-            return f"(1 if ({a}) {pyop} ({b}) else 0)"
-        if op == "shl":
-            return f"((({a}) << ({b})) & {m})"
-        if op == "shr":
-            return f"((({a}) >> ({b})) & {m})"
+        a, b, op = ctx.sub(self.a), ctx.sub(self.b), self.op
+        if op in _PY_CMPS:
+            w = max(self.a.width, self.b.width, 1)
+            return (f"(1 if {fit(a, self.a.bits, w)} {_PY_CMPS[op]} "
+                    f"{fit(b, self.b.bits, w)} else 0)")
         if op == "concat":
-            return f"(((({a}) << {self.b.width}) | ({b})) & {m})"
-        raise AssertionError(op)
+            text = (f"(({a} << {self.b.width}) | "
+                    f"{fit(b, self.b.bits, self.b.width)})")
+        else:
+            text = f"({a} {_PY_OPS[op]} {b})"
+        return fit(text, _bin_bits(op, self.a, self.b), self.width)
 
     def gate_count(self):
         out: Dict[str, int] = {}
@@ -268,6 +296,7 @@ class RUn(RExpr):
         self.op = op
         self.a = a
         self.width = width
+        self.bits = width if op in ("not", "neg") else 1
 
     def children(self):
         return (self.a,)
@@ -288,15 +317,15 @@ class RUn(RExpr):
 
     def to_python(self, ctx):
         a = ctx.sub(self.a)
-        m = (1 << self.width) - 1
         if self.op == "not":
-            return f"((~({a})) & {m})"
+            return f"(~{a} & {(1 << self.width) - 1})"
         if self.op == "neg":
-            return f"((-({a})) & {m})"
+            return f"(-{a} & {(1 << self.width) - 1})"
+        a = fit(a, self.a.bits, self.a.width)
         if self.op == "redor":
-            return f"(1 if ({a}) != 0 else 0)"
+            return f"(1 if {a} else 0)"
         if self.op == "redand":
-            return f"(1 if ({a}) == {(1 << self.a.width) - 1} else 0)"
+            return f"(1 if {a} == {(1 << self.a.width) - 1} else 0)"
         if self.op == "redxor":
             return f"(({a}).bit_count() & 1)"
         raise AssertionError(self.op)
@@ -315,12 +344,21 @@ class RUn(RExpr):
         return f"({self.op} {self.a!r})"
 
 
+def _field_python(ctx, node) -> str:
+    """A slice's or bundle field's source: ``a >> lo``, cut to width."""
+    text = ctx.sub(node.a)
+    if node.lo:
+        text = f"({text} >> {node.lo})"
+    return fit(text, node.a.bits - node.lo, node.width)
+
+
 class RSlice(RExpr):
     def __init__(self, a: RExpr, hi: int, lo: int):
         self.a = a
         self.hi = hi
         self.lo = lo
         self.width = hi - lo + 1
+        self.bits = max(min(a.bits - lo, self.width), 0)
 
     def children(self):
         return (self.a,)
@@ -329,8 +367,7 @@ class RSlice(RExpr):
         return mask(self.a.eval(env) >> self.lo, self.width)
 
     def to_python(self, ctx):
-        return (f"((({ctx.sub(self.a)}) >> {self.lo})"
-                f" & {(1 << self.width) - 1})")
+        return _field_python(ctx, self)
 
     def __repr__(self):
         return f"{self.a!r}[{self.hi}:{self.lo}]"
@@ -344,6 +381,7 @@ class RField(RExpr):
         self.name = name
         self.lo = lo
         self.width = w
+        self.bits = max(min(a.bits - lo, w), 0)
 
     def children(self):
         return (self.a,)
@@ -352,8 +390,7 @@ class RField(RExpr):
         return mask(self.a.eval(env) >> self.lo, self.width)
 
     def to_python(self, ctx):
-        return (f"((({ctx.sub(self.a)}) >> {self.lo})"
-                f" & {(1 << self.width) - 1})")
+        return _field_python(ctx, self)
 
     def __repr__(self):
         return f"{self.a!r}.{self.name}"
@@ -363,7 +400,7 @@ class RBundle(RExpr):
     def __init__(self, dtype: Bundle, fields: Dict[str, RExpr]):
         self.dtype = dtype
         self.fields = fields
-        self.width = dtype.width
+        self.width = self.bits = dtype.width
 
     def children(self):
         return tuple(self.fields.values())
@@ -381,10 +418,8 @@ class RBundle(RExpr):
         for name, ftype in self.dtype.fields:
             sub = self.fields.get(name)
             if sub is not None:
-                fm = (1 << ftype.width) - 1
-                term = f"((({ctx.sub(sub)}) & {fm}) << {lo})" if lo \
-                    else f"(({ctx.sub(sub)}) & {fm})"
-                parts.append(term)
+                term = fit(ctx.sub(sub), sub.bits, ftype.width)
+                parts.append(f"({term} << {lo})" if lo else term)
             lo += ftype.width
         return f"({' | '.join(parts)})" if parts else "0"
 
@@ -398,6 +433,7 @@ class RMux(RExpr):
         self.a = a
         self.b = b
         self.width = width
+        self.bits = min(max(a.bits, b.bits), width)
 
     def children(self):
         return (self.cond, self.a, self.b)
@@ -409,9 +445,9 @@ class RMux(RExpr):
         )
 
     def to_python(self, ctx):
-        return (f"((({ctx.sub(self.a)}) if "
-                f"(({ctx.sub(self.cond)}) & 1) else "
-                f"({ctx.sub(self.b)})) & {(1 << self.width) - 1})")
+        cond = fit(ctx.sub(self.cond), self.cond.bits, 1)
+        return fit(f"({ctx.sub(self.a)} if {cond} else {ctx.sub(self.b)})",
+                   max(self.a.bits, self.b.bits), self.width)
 
     def gate_count(self):
         return {"mux2": self.width}
@@ -431,7 +467,7 @@ class RTable(RExpr):
     def __init__(self, index: RExpr, entries, width: int):
         self.index = index
         self.entries = tuple(entries)
-        self.width = width
+        self.width = self.bits = width
         self._idx_bits = max((len(self.entries) - 1).bit_length(), 1)
 
     def children(self):
@@ -447,10 +483,11 @@ class RTable(RExpr):
         table = ctx.const(tuple(
             mask(e, self.width) for e in self.entries
         ))
+        index = fit(ctx.sub(self.index), self.index.bits, self._idx_bits)
+        if 1 << min(self.index.bits, self._idx_bits) <= len(self.entries):
+            return f"{table}[{index}]"      # every index names an entry
         tmp = ctx.temp()
-        im = (1 << self._idx_bits) - 1
-        return (f"(({table}[{tmp}]) if "
-                f"({tmp} := (({ctx.sub(self.index)}) & {im}))"
+        return (f"({table}[{tmp}] if ({tmp} := {index})"
                 f" < {len(self.entries)} else 0)")
 
     def gate_count(self):

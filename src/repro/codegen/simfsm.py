@@ -40,9 +40,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.events import EventGraph, EventKind, SyncDir
 from ..core.fsmplan import (
-    CommitExpr,
-    CommitFlag,
-    CommitRecv,
     CommitReg,
     LatchFlag,
     LatchRecv,
@@ -209,12 +206,17 @@ class AnvilProcessModule(Module):
 
             be = backend_for(self.plan)
             self._fire = [partial(f, self) for f in be.fire]
-            self._commit = [partial(c, self) for c in be.commit]
+            commits = [partial(c, self) if c else None for c in be.commit]
         else:
             self._fire = [partial(self._interp_fire, tp)
                           for tp in self.plan.threads]
-            self._commit = [partial(self._interp_commit, tp)
-                            for tp in self.plan.threads]
+            commits = [partial(self._interp_commit, tp)
+                       if any(e.commits for e in tp.events) else None
+                       for tp in self.plan.threads]
+        # per thread, tick's (fire, commit) steps, commit None for a
+        # thread without register writes or prints; a pair holding a
+        # partial is never plain data, so snapshots skip it
+        self._edge = list(zip(self._fire, commits))
 
     # -- wiring -----------------------------------------------------------
     def bind_endpoint(self, endpoint: str, side: Side,
@@ -453,32 +455,14 @@ class AnvilProcessModule(Module):
 
     def _interp_commit(self, tp: ThreadPlan, act: Activation,
                        fired_now: Dict[int, int], overlay: Dict[int, int]):
-        act.fired.update(fired_now)
-        env = rx.REnv(self.regs, _SlotView(act.slots, overlay), self._ready)
+        # tick() has merged the overlay into the slots already
+        env = rx.REnv(self.regs, act.slots, self._ready)
         now = self.cycle
-        pw = self._pw
-        slots = act.slots
         events = tp.events
         for eid in fired_now:
             for c in events[eid].commits:
-                t = type(c)
-                if t is CommitReg:
+                if type(c) is CommitReg:
                     self._reg_writes.append((c.reg, c.source.eval(env)))
-                elif t is CommitRecv:
-                    slots[c.target] = overlay.get(
-                        c.target, pw[3 * c.port].value
-                    )
-                elif t is CommitFlag:
-                    base = 3 * c.port
-                    slots[c.target] = overlay.get(
-                        c.target,
-                        1 if (pw[base + 1].value and pw[base + 2].value)
-                        else 0,
-                    )
-                elif t is CommitExpr:
-                    slots[c.slot] = overlay.get(
-                        c.slot, c.source.eval(env)
-                    )
                 else:   # CommitPrint
                     value = (
                         c.source.eval(env)
@@ -491,6 +475,10 @@ class AnvilProcessModule(Module):
 
     # -- clock edge ---------------------------------------------------------
     def tick(self):
+        """Commit each activation's settled fire pass (both backends):
+        its dead and fired events, its overlay into its slots (every
+        slot a fired event writes is there, at its final value), then
+        the thread's commit step for register writes and prints."""
         now = self.cycle
         for ti, tp in enumerate(self.plan.threads):
             acts = self._threads_rt[ti]
@@ -498,8 +486,7 @@ class AnvilProcessModule(Module):
             if tentative:
                 acts.extend(tentative)
                 tentative.clear()
-            fire = self._fire[ti]
-            commit = self._commit[ti]
+            fire, commit = self._edge[ti]
             n_events = tp.n_events
             anchor = tp.anchor
             busy: set = set()
@@ -516,7 +503,10 @@ class AnvilProcessModule(Module):
                 if dead_now:
                     act.dead.update(dead_now)
                 if fired_now:
-                    commit(act, fired_now, overlay)
+                    act.fired.update(fired_now)
+                    act.slots.update(overlay)
+                    if commit is not None:
+                        commit(act, fired_now, overlay)
                     if anchor in fired_now:
                         act.spawned = True
                 if len(act.fired) + len(act.dead) != n_events:

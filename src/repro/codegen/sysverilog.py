@@ -112,11 +112,16 @@ def _sv_expr_raw(e: rx.RExpr, names: "NameMap") -> str:
         return names.ready(e.endpoint, e.message)
     if isinstance(e, rx.RTable):
         # ROM-style case expression folded into a nested ternary chain
+        # on the index's low table bits, 0 past the last entry
+        bits, n = e._idx_bits, len(e.entries)
         idx = _sv_expr(e.index, names)
-        chain = f"{e.width}'d{e.entries[-1]}"
-        for i in range(len(e.entries) - 2, -1, -1):
+        if e.index.width > bits:
+            idx = f"{idx} & {e.index.width}'d{(1 << bits) - 1}"
+        full = n == 1 << bits
+        chain = f"{e.width}'d{e.entries[-1] if full else 0}"
+        for i in range(n - 2 if full else n - 1, -1, -1):
             chain = (
-                f"(({idx}) == {e._idx_bits}'d{i}) ? "
+                f"(({idx}) == {bits}'d{i}) ? "
                 f"{e.width}'d{e.entries[i]} : {chain}"
             )
         return f"({chain})"

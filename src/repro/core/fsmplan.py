@@ -10,10 +10,10 @@ runs cycle by cycle --
   list, delay, branch condition and handshake role pre-resolved;
 * per-event **latch specs** (the combinational overlay writes: received
   data, sync success flags, latched expressions) and **commit specs**
-  (the clock-edge effects: register writes, slot commits, debug prints),
-  extracted once from the action lists so no backend ever runs
-  ``isinstance`` over :class:`~repro.core.events.Action` objects in its
-  inner loop;
+  (register writes and debug prints; the clock edge commits slots by
+  merging the overlay), extracted once from the action lists so no
+  backend ever runs ``isinstance`` over
+  :class:`~repro.core.events.Action` objects in its inner loop;
 * the **port table**: every ``(endpoint, message)`` pair the process
   actually synchronizes on or queries readiness of, with its
   sender/receiver role -- the exact combinational sensitivity of the
@@ -88,21 +88,6 @@ class LatchExpr(NamedTuple):
 # ---------------------------------------------------------------------------
 class CommitReg(NamedTuple):
     reg: str
-    source: rx.RExpr
-
-
-class CommitRecv(NamedTuple):
-    port: int
-    target: int
-
-
-class CommitFlag(NamedTuple):
-    port: int
-    target: int
-
-
-class CommitExpr(NamedTuple):
-    slot: int
     source: rx.RExpr
 
 
@@ -287,14 +272,11 @@ def _extract_event(plan: ProcessPlan, ev) -> EventPlan:
         if isinstance(act, RecvBindAction):
             pp = plan._port(act.endpoint, act.message)
             latches.append(LatchRecv(pp.index, act.target))
-            commits.append(CommitRecv(pp.index, act.target))
         elif isinstance(act, SyncFlagAction):
             pp = plan._port(act.endpoint, act.message)
             latches.append(LatchFlag(pp.index, act.target))
-            commits.append(CommitFlag(pp.index, act.target))
         elif isinstance(act, LatchAction):
             latches.append(LatchExpr(act.slot, act.source))
-            commits.append(CommitExpr(act.slot, act.source))
             _register_ready_reads(plan, act.source)
         elif isinstance(act, RegWriteAction):
             commits.append(CommitReg(act.reg, act.source))

@@ -25,7 +25,7 @@ from repro.core.fsmplan import build_process_plan, port_reads, port_writes
 from repro.errors import ContractViolationError
 from repro.lang.channels import ChannelDef, LifetimeSpec, MessageDef
 from repro.lang.terms import let, read, recv, send, set_reg, var
-from repro.lang.types import Logic
+from repro.lang.types import Bundle, Logic
 from repro.rtl.executors import EXECUTORS, JobSpec
 
 BACKENDS = ("interp", "pycompiled")
@@ -90,8 +90,82 @@ class _BareCtx:
         self._n += 1
         return f"_t{self._n}"
 
-    def ready(self, endpoint, message):  # pragma: no cover - unused here
-        raise AssertionError("no ports in this test")
+    def ready(self, endpoint, message):
+        return f"_rd[{(endpoint, message)!r}]"
+
+
+#: leaf widths of the mixed-width trees: registers, slots, ready flags
+_REG_WIDTHS = {"a": 3, "b": 8, "c": 33}
+_SLOT_WIDTHS = {0: 1, 1: 12, 2: 40}
+_READY = [("ep", "req"), ("ep", "res")]
+_FAULT_BIT = 1 << 40      # what a flipped bit 40 leaves in a register
+
+
+def _mixed_leaf(rng):
+    pick = rng.randrange(4)
+    if pick == 0:
+        w = rng.choice([1, 4, 9, 40])
+        return rx.RLit(rng.getrandbits(w), w)
+    if pick == 1:
+        name = rng.choice(sorted(_REG_WIDTHS))
+        return rx.RReg(name, _REG_WIDTHS[name])
+    if pick == 2:
+        slot = rng.choice(sorted(_SLOT_WIDTHS))
+        return rx.RSlot(slot, _SLOT_WIDTHS[slot])
+    return rx.RReady(*rng.choice(_READY))
+
+
+def _mixed_expr(rng, depth):
+    """A random RExpr whose nodes mix widths: every node kind, result
+    widths below, at and above their operands', shift amounts cut to
+    4 bits, tables of 5, 14 and 16 entries under indices of any width."""
+    if depth == 0 or rng.random() < 0.2:
+        return _mixed_leaf(rng)
+    a = _mixed_expr(rng, depth - 1)
+    b = _mixed_expr(rng, depth - 1)
+    pick = rng.random()
+    if pick < 0.35:
+        op = rng.choice(["add", "sub", "mul", "and", "or", "xor", "eq",
+                         "ne", "lt", "le", "gt", "ge", "concat", "shl",
+                         "shr"])
+        if op in ("shl", "shr"):
+            b = rx.RSlice(b, min(b.width, 4) - 1, 0)
+        if op in ("eq", "ne", "lt", "le", "gt", "ge"):
+            return rx.RBin(op, a, b, 1)
+        w = rng.choice([1, a.width, max(a.width, b.width),
+                        max(a.width, b.width) + 1, a.width + b.width])
+        return rx.RBin(op, a, b, max(w, 1))
+    if pick < 0.45:
+        op = rng.choice(["not", "neg", "redor", "redand", "redxor"])
+        return rx.RUn(op, a, rng.choice([1, a.width, a.width + 3])
+                      if op in ("not", "neg") else 1)
+    if pick < 0.55:
+        hi = rng.randrange(a.width)
+        return rx.RSlice(a, hi, rng.randrange(hi + 1))
+    if pick < 0.7:
+        dtype = Bundle([("lo", Logic(rng.randint(1, 9))),
+                        ("mid", Logic(1)),
+                        ("hi", Logic(rng.randint(1, 20)))])
+        fields = {"lo": a, "hi": b}
+        if rng.random() < 0.5:
+            fields["mid"] = _mixed_leaf(rng)
+        bundle = rx.RBundle(dtype, fields)
+        if rng.random() < 0.5:
+            return bundle
+        return rx.RField(bundle, dtype, rng.choice(["lo", "mid", "hi"]))
+    if pick < 0.85:
+        return rx.RMux(_mixed_expr(rng, depth - 1), a, b,
+                       rng.choice([1, a.width, max(a.width, b.width)]))
+    n = rng.choice([5, 14, 16])
+    w = rng.choice([1, 6, 8])
+    return rx.RTable(a, [rng.getrandbits(w + 2) for _ in range(n)], w)
+
+
+def _lowered(expr, regs, slots, ready=None):
+    """``expr.to_python`` evaluated on the generated backend's names."""
+    namespace = {"_r": regs, "_sl": slots, "_ov": {},
+                 "_rd": ready or {}}
+    return eval(expr.to_python(_BareCtx()), namespace)
 
 
 class TestExprLowering:
@@ -108,6 +182,42 @@ class TestExprLowering:
             rendered = expr.to_python(_BareCtx())
             assert eval(rendered, dict(namespace)) == expr.eval(env), \
                 rendered
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_to_python_matches_eval_on_mixed_width_trees(self, seed):
+        rng = random.Random(seed)
+        for _ in range(60):
+            regs = {name: rng.getrandbits(w) | (
+                _FAULT_BIT if rng.random() < 0.3 else 0)
+                for name, w in _REG_WIDTHS.items()}
+            slots = {slot: rng.getrandbits(w) | (
+                _FAULT_BIT if rng.random() < 0.3 else 0)
+                for slot, w in _SLOT_WIDTHS.items()}
+            ready = {key: rng.randrange(2) for key in _READY}
+            env = rx.REnv(regs, slots, lambda ep, msg: ready[(ep, msg)])
+            expr = _mixed_expr(rng, 4)
+            assert _lowered(expr, regs, slots, ready) == expr.eval(env), \
+                expr.to_python(_BareCtx())
+
+    @pytest.mark.parametrize("n", [5, 14, 16])
+    @pytest.mark.parametrize("index_width", [2, 3, 4, 5, 8])
+    def test_tables_read_zero_past_the_last_entry(self, n, index_width):
+        entries = [3 * i + 1 for i in range(n)]
+        table = rx.RTable(rx.RReg("i", index_width), entries, 8)
+        for i in range(1 << index_width):
+            for value in (i, i | _FAULT_BIT):
+                env = rx.REnv({"i": value}, {})
+                assert _lowered(table, {"i": value}, {}) \
+                    == table.eval(env)
+
+    def test_an_out_of_width_register_still_reads_masked(self):
+        # the add's result fits its 9 bits, so the add drops its own
+        # mask; the register read must still drop the faulted bit 40
+        expr = rx.RBin("add", rx.RReg("a", 8), rx.RLit(1, 1), 9)
+        regs = {"a": 0xFF | _FAULT_BIT}
+        assert _lowered(expr, regs, {}) == 0x100
+        assert expr.eval(rx.REnv(regs, {})) == 0x100
+        assert _lowered(rx.RSlot(0, 4), {}, {0: 0x9 | _FAULT_BIT}) == 0x9
 
     def test_overlay_shadows_committed_slots(self):
         expr = rx.RSlot(3, 8)

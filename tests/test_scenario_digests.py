@@ -8,6 +8,11 @@ activity counts and waveform samples -- as recorded on the reference
 pair (``brute`` engine, ``interp`` backend), and replays it on the fast
 pair (``kernel``, ``pycompiled``).
 
+``REPRO_DIGEST_SEEDS`` (say ``1,2,3,4``) adds stimulus seeds the golden
+does not pin: at each, the two pairs must agree on every scenario's
+digest and on its module state (``state_sig``) at cycle 150.  The
+default run reads no extra seed.
+
 Regenerate the golden (only when a change is *meant* to alter
 simulation results) on the reference pair::
 
@@ -22,19 +27,31 @@ import os
 import pytest
 
 from repro.api import SimConfig, get_registry
+from repro.rtl.snapshot import state_sig
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "scenario_digests.json")
 SEED, STIM, CYCLES = 0, 400, 300
+EXTRA_SEEDS = sorted({
+    int(s) for s in os.environ.get("REPRO_DIGEST_SEEDS", "").split(",")
+    if s.strip()} - {SEED})
+
+
+def _build(name, engine, backend, seed):
+    return get_registry().build(name, SimConfig(
+        engine=engine, backend=backend, seed=seed, stim=STIM,
+        cycles=CYCLES))
 
 
 def scenario_digest(name, engine, backend, seed=SEED):
     """SHA-256 over ``name``'s activity counts and waveform samples
     after ``CYCLES`` cycles."""
-    sim = get_registry().build(name, SimConfig(
-        engine=engine, backend=backend, seed=seed, stim=STIM,
-        cycles=CYCLES))
+    sim = _build(name, engine, backend, seed)
     sim.run(CYCLES)
+    return _digest(sim)
+
+
+def _digest(sim):
     blob = json.dumps({
         "activity": sorted([m, w, n] for (m, w), n in sim.activity.items()),
         "samples": sorted(sim.waveform.samples.items()),
@@ -58,6 +75,21 @@ def test_golden_covers_every_registry_scenario():
 def test_fast_path_reproduces_the_pinned_digest(name):
     assert scenario_digest(name, "kernel", "pycompiled") \
         == _golden()["digests"][name]
+
+
+def _state_and_digest(name, engine, backend, seed):
+    sim = _build(name, engine, backend, seed)
+    sim.run(150)
+    sig = state_sig(sim)
+    sim.run(CYCLES - 150)
+    return sig, _digest(sim)
+
+
+@pytest.mark.parametrize("seed,name", [
+    (seed, name) for seed in EXTRA_SEEDS for name in get_registry().names()])
+def test_fast_path_agrees_with_the_reference_at_unpinned_seeds(seed, name):
+    assert _state_and_digest(name, "kernel", "pycompiled", seed) \
+        == _state_and_digest(name, "brute", "interp", seed)
 
 
 if __name__ == "__main__":

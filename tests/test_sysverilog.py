@@ -12,7 +12,8 @@ from repro import (
     emit_system,
     to_systemverilog,
 )
-from repro.codegen.sysverilog import structural_check
+from repro.codegen import rexpr as rx
+from repro.codegen.sysverilog import NameMap, _sv_expr, structural_check
 from repro.lang.channels import LifetimeSpec, MessageDef, ChannelDef, StaticSync
 from repro.lang.terms import (
     if_,
@@ -124,6 +125,50 @@ class TestExpressions:
         )
         sv = to_systemverilog(p)
         assert "_w" in sv  # bypass wires present
+
+
+def _sv_table(entries, index_width):
+    """A table of 8-bit ``entries`` indexed by register ``i``, and its
+    SystemVerilog text."""
+    table = rx.RTable(rx.RReg("i", index_width), entries, 8)
+    return table, _sv_expr(table, NameMap(None))
+
+
+def _eval_sv_chain(text, i):
+    """Evaluate a table's ternary chain at ``i_q`` = ``i``."""
+    arms = re.sub(r"\d+'d(\d+)", r"\1", text)[1:-1].replace(
+        "i_q", str(i)).split(" : ")
+    for arm in arms[:-1]:
+        cond, value = arm.split(" ? ")
+        if eval(cond):
+            return int(value)
+    return int(arms[-1])
+
+
+class TestTables:
+    def test_a_short_table_reads_zero_past_its_last_entry(self):
+        # as RTable.eval and the simulator backends do: the index is cut
+        # to the table's 3 bits, and 5..7 name no entry
+        entries = [10, 20, 30, 40, 50]
+        table, sv = _sv_table(entries, 8)
+        arms = "".join(f"((i_q & 8'd7) == 3'd{i}) ? 8'd{e} : "
+                       for i, e in enumerate(entries))
+        assert sv == f"({arms}8'd0)"
+        for i in range(256):
+            assert _eval_sv_chain(sv, i) \
+                == table.eval(rx.REnv({"i": i}, {})), i
+
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    def test_power_of_two_tables_emit_unchanged_text(self, n):
+        bits = (n - 1).bit_length()
+        entries = list(range(100, 100 + n))
+        _, sv = _sv_table(entries, bits)
+        chain = f"8'd{entries[-1]}"
+        for i in range(n - 2, -1, -1):
+            chain = f"((i_q) == {bits}'d{i}) ? 8'd{entries[i]} : {chain}"
+        assert sv == f"({chain})"
+        for i in range(n):
+            assert _eval_sv_chain(sv, i) == entries[i]
 
 
 class TestSystemEmission:
