@@ -1,7 +1,8 @@
 """Everything the front end decides, pinned: ``tools/frontend_digest.py``
 (type-check verdicts, errors and notes of every design, optimizer
-statistics, digests of the generated pysim and SystemVerilog, the Table 2
-studies and Figures 2/5/6/8) must equal the committed golden.
+statistics, digests of the generated pysim and SystemVerilog, the Table 1
+cost of each compiled design, the Table 2 studies and Figures 2/5/6/8)
+must equal the committed golden.
 
 Regenerate the golden only for an intended output change, and say why in
 CHANGES.md:

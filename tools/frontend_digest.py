@@ -4,8 +4,9 @@ Prints one canonical JSON document covering:
 
 - the type-check verdict, errors and notes of every ``repro.anvil_designs``
   factory (the Y86 core included) and of both Appendix A listings;
-- each one's optimizer statistics, and SHA-256 digests of its generated
-  pysim source and of its SystemVerilog;
+- each one's optimizer statistics, SHA-256 digests of its generated
+  pysim source and of its SystemVerilog, and its Table 1 cost (flops,
+  logic depth and gate counts of ``estimate_compiled``);
 - the six Table 2 studies;
 - Figures 2, 5, 6 and 8.
 
@@ -25,11 +26,12 @@ import json
 
 from repro.anvil_designs import aes, axi, memory, mmu, pipeline, streams, y86
 from repro.codegen.pysim import generate_source
+from repro.codegen.simfsm import compile_process
 from repro.codegen.sysverilog import emit_process
-from repro.core.fsmplan import build_process_plan
 from repro.core.typecheck import check_process
 from repro.harness import figures, table2
 from repro.harness.appendix_a import listing1_child, listing1_child_safe
+from repro.synth import estimate_compiled
 
 FACTORIES = (
     streams.fifo_buffer,
@@ -58,14 +60,18 @@ def _sha(text: str) -> str:
 def process_digest(factory) -> dict:
     process = factory()
     report = check_process(process)
-    plan = build_process_plan(process)
+    compiled = compile_process(process)
+    plan = compiled.plan
+    cost = estimate_compiled(compiled)
     return {
         "ok": report.ok,
         "errors": [f"{type(e).__name__}: {e}" for e in report.errors],
         "notes": report.notes,
         "optimize_stats": [[s.removed, s.passes_run] for s in plan.optimize_stats],
         "pysim_sha256": _sha(generate_source(plan)),
-        "sv_sha256": _sha(emit_process(process)),
+        "sv_sha256": _sha(emit_process(process, compiled)),
+        "cost": {"flops": cost.flops, "depth": cost.depth,
+                 "gates": cost.gates},
     }
 
 
