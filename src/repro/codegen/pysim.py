@@ -145,12 +145,12 @@ def _emit_bit(em: Emitter, ctx: _ExprCtx, expr) -> str:
 def _emit_latches(em: Emitter, ctx: _ExprCtx, latches):
     for latch in latches:
         if type(latch) is LatchRecv:
-            em.line(f"_ov[{latch.target}] = "
+            em.line(f"_ov[{latch.slot}] = "
                     f"{ctx.wire(latch.port, 'data')}.value")
         elif type(latch) is LatchFlag:
             v = ctx.wire(latch.port, "valid")
             a = ctx.wire(latch.port, "ack")
-            em.line(f"_ov[{latch.target}] = "
+            em.line(f"_ov[{latch.slot}] = "
                     f"1 if ({v}.value and {a}.value) else 0")
         else:   # LatchExpr
             rendered = _emit_exprs(em, ctx, [latch.source])[0]

@@ -5,10 +5,11 @@ wire per event plus state registers for joins, cycle delays and dynamic
 sends/receives (Section 6.2).  This module is the executable analogue,
 split into three layers:
 
-1. :func:`compile_process` lowers a process through
-   :func:`repro.core.fsmplan.build_process_plan` into a backend-neutral
-   **FSM plan** (per-thread firing order, latch/commit specs, the exact
-   handshake sensitivity sets);
+1. :func:`compile_process` lowers a process into a backend-neutral
+   **FSM plan** (:class:`repro.core.fsmplan.ProcessPlan`: per-thread
+   firing order, latch/commit specs, the exact handshake sensitivity
+   sets), the one compiled artifact the simulators, the SystemVerilog
+   emitter and the cost model all read;
 2. :class:`AnvilProcessModule` owns the run-time state -- activations,
    per-activation slots, the register file, handshake ports -- and the
    **reference interpreter** that walks the plan cycle by cycle;
@@ -38,7 +39,7 @@ from functools import partial
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-from ..core.events import EventGraph, EventKind, SyncDir
+from ..core.events import EventKind, SyncDir
 from ..core.fsmplan import (
     CommitReg,
     LatchFlag,
@@ -60,42 +61,11 @@ from . import rexpr as rx
 BACKENDS = ("interp", "pycompiled")
 
 
-class CompiledThread:
-    """Legacy view of one thread's compiled graph (the SystemVerilog
-    backend and the synthesis cost model consume this shape)."""
-
-    def __init__(self, graph: EventGraph, root: int, anchor: int, kind: str,
-                 cond_exprs: Dict[int, rx.RExpr]):
-        self.graph = graph
-        self.root = root
-        self.anchor = anchor
-        self.kind = kind
-        self.cond_exprs = cond_exprs  # cond_id -> condition expression
-
-
-class CompiledProcess:
-    """A type-check-free compilation artifact: the FSM plan, ready to
-    execute, plus the per-thread graph view other backends consume."""
-
-    def __init__(self, process: Process, plan: ProcessPlan):
-        self.process = process
-        self.plan = plan
-        self.optimize_stats = plan.optimize_stats
-        self.threads: List[CompiledThread] = [
-            CompiledThread(tp.graph, 0, tp.anchor, tp.kind, tp.cond_exprs)
-            for tp in plan.threads
-        ]
-        #: register name -> width mask applied to every committed write
-        self.reg_masks: Dict[str, int] = {
-            name: (1 << r.dtype.width) - 1
-            for name, r in process.registers.items()
-        }
-
-
 def compile_process(process: Process, do_optimize: bool = True
-                    ) -> CompiledProcess:
-    """Compile each thread to a single-iteration event graph + plan."""
-    return CompiledProcess(process, build_process_plan(process, do_optimize))
+                    ) -> ProcessPlan:
+    """Compile each thread to a single-iteration event graph and its
+    FSM plan (type-check free)."""
+    return build_process_plan(process, do_optimize)
 
 
 class MessagePort:
@@ -169,16 +139,15 @@ class AnvilProcessModule(Module):
     MAX_ACTIVATIONS = 64
     MAX_SPAWNS_PER_CYCLE = 16
 
-    def __init__(self, compiled: CompiledProcess, name: str = "",
+    def __init__(self, plan: ProcessPlan, name: str = "",
                  backend: str = "interp"):
-        super().__init__(name or compiled.process.name)
+        super().__init__(name or plan.name)
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r} (use 'interp' or 'pycompiled')"
             )
-        self.compiled = compiled
-        self.plan: ProcessPlan = compiled.plan
-        self.process = compiled.process
+        self.plan = plan
+        self.process = plan.process
         self.regs: Dict[str, int] = {
             r.name: r.init for r in self.process.registers.values()
         }
@@ -326,10 +295,10 @@ class AnvilProcessModule(Module):
         for latch in latches:
             t = type(latch)
             if t is LatchRecv:
-                overlay[latch.target] = pw[3 * latch.port].value
+                overlay[latch.slot] = pw[3 * latch.port].value
             elif t is LatchFlag:
                 base = 3 * latch.port
-                overlay[latch.target] = (
+                overlay[latch.slot] = (
                     1 if (pw[base + 1].value and pw[base + 2].value) else 0
                 )
             else:   # LatchExpr
@@ -515,7 +484,7 @@ class AnvilProcessModule(Module):
                 self._dedup(tp, live) if len(live) > 1 else live
             )
         if self._reg_writes:
-            masks = self.compiled.reg_masks
+            masks = self.plan.reg_masks
             regs = self.regs
             for reg, value in self._reg_writes:
                 regs[reg] = value & masks[reg]
@@ -719,15 +688,15 @@ def build_simulation(system: System, sim=None, do_optimize: bool = True,
     from ..rtl.simulator import Simulator
 
     sim = sim or Simulator(system.name, engine=engine)
-    compiled: Dict[str, CompiledProcess] = {}
+    plans: Dict[str, ProcessPlan] = {}
     modules: Dict[str, AnvilProcessModule] = {}
     for inst in system.instances.values():
-        if inst.process.name not in compiled:
-            compiled[inst.process.name] = compile_process(
+        if inst.process.name not in plans:
+            plans[inst.process.name] = compile_process(
                 inst.process, do_optimize
             )
         modules[inst.name] = AnvilProcessModule(
-            compiled[inst.process.name], inst.name, backend=backend
+            plans[inst.process.name], inst.name, backend=backend
         )
     externals: Dict[int, ExternalEndpoint] = {}
     for chan in system.channels:

@@ -5,8 +5,11 @@ Each Anvil process becomes one synthesizable SystemVerilog module:
 * channel messages lower to ``data``/``valid``/``ack`` ports with the
   handshake ports omitted for static/dependent sync modes
   (:mod:`repro.codegen.lowering`);
-* the event graph lowers to an FSM with a one-bit ``fire`` wire per event,
-  plus state registers for joins, cycle delays and in-flight handshakes;
+* the process's FSM plan (:mod:`repro.core.fsmplan`, the artifact both
+  simulators run) lowers to an FSM with a one-bit ``fire`` wire per
+  event, plus state registers for joins, cycle delays and in-flight
+  handshakes; each event's latch specs become slot registers with
+  bypass wires, its commit specs guarded register writes;
 * register assignments are guarded by their event's ``fire`` wire, which is
   the implicit clock gating the paper credits for leakage savings;
 * no lifetime bookkeeping is emitted -- timing safety was discharged
@@ -21,20 +24,19 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..core.events import (
-    EventKind,
-    RecvBindAction,
-    RegWriteAction,
-    SendDataAction,
-    SyncDir,
-    SyncFlagAction,
-    SyncGuardAction,
+from ..core.events import EventKind, SyncDir
+from ..core.fsmplan import (
+    CommitReg,
+    LatchExpr,
+    LatchFlag,
+    LatchRecv,
+    ProcessPlan,
+    ThreadPlan,
+    build_process_plan,
 )
-from ..core.graph_builder import LatchAction
 from ..lang.channels import Side
 from ..lang.process import Process, System
 from .lowering import endpoint_ports
-from .simfsm import CompiledProcess, CompiledThread, compile_process
 from . import rexpr as rx
 
 _BINOP_SV = {
@@ -170,28 +172,36 @@ class NameMap:
         return self.port(endpoint, message, role)
 
 
-def _slot_widths(cthread: CompiledThread, process: Process) -> Dict[int, int]:
+def _slot_widths(tp: ThreadPlan, plan: ProcessPlan) -> Dict[int, int]:
     widths: Dict[int, int] = {}
-    for ev in cthread.graph.events:
-        for act in ev.actions:
-            if isinstance(act, RecvBindAction):
-                msg = process.get_endpoint(act.endpoint).message(act.message)
-                widths[act.target] = max(
-                    widths.get(act.target, 1), msg.dtype.width
-                )
-            elif isinstance(act, SyncFlagAction):
-                widths[act.target] = max(widths.get(act.target, 1), 1)
-            elif isinstance(act, LatchAction):
-                widths[act.slot] = max(
-                    widths.get(act.slot, 1), act.source.width or 1
-                )
+    for ev in tp.events:
+        for latch in ev.latches:
+            if type(latch) is LatchExpr:
+                width = latch.source.width or 1
+            elif type(latch) is LatchRecv:
+                width = plan.ports[latch.port].width
+            else:   # LatchFlag
+                width = 1
+            widths[latch.slot] = max(widths.get(latch.slot, 1), width)
     return widths
 
 
-def emit_process(process: Process, compiled: Optional[CompiledProcess] = None
+def _latched_value(latch, plan: ProcessPlan, names: NameMap) -> str:
+    """What a latch spec writes into its slot when its event fires."""
+    if type(latch) is LatchExpr:
+        return _sv_expr(latch.source, names)
+    pp = plan.ports[latch.port]
+    if type(latch) is LatchRecv:
+        return names.port(pp.endpoint, pp.message, "data")
+    valid = names.port(pp.endpoint, pp.message, "valid")
+    return f"{valid} & {names.port(pp.endpoint, pp.message, 'ack')}"
+
+
+def emit_process(process: Process, plan: Optional[ProcessPlan] = None
                  ) -> str:
-    """Emit one SystemVerilog module for ``process``."""
-    compiled = compiled or compile_process(process)
+    """Emit one SystemVerilog module for ``process`` from its FSM plan
+    (``plan``, or the plan :func:`build_process_plan` returns)."""
+    plan = plan or build_process_plan(process)
     lines: List[str] = []
     w = lines.append
 
@@ -218,26 +228,26 @@ def emit_process(process: Process, compiled: Optional[CompiledProcess] = None
     send_drivers: Dict[Tuple[str, str], List[Tuple[str, str]]] = {}
     recv_acks: Dict[Tuple[str, str], List[str]] = {}
 
-    for ti, cthread in enumerate(compiled.threads):
+    for ti, tp in enumerate(plan.threads):
         names = NameMap(process, ti)
-        g = cthread.graph
+        events = tp.events
         # reference-count the thread's expression DAG so shared
         # subexpressions are hoisted to wires instead of pasted repeatedly
-        _ref_seen: set = set()
-        for expr in cthread.cond_exprs.values():
-            _count_refs(expr, names, _ref_seen)
-        for _ev in g.events:
-            for _act in _ev.actions:
-                _src = getattr(_act, "source", None)
-                if _src is not None:
-                    _count_refs(_src, names, _ref_seen)
-        w(f"  // ------- thread {ti} ({cthread.kind}): "
-          f"{len(g.events)} events -------")
-        for slot, width in sorted(_slot_widths(cthread, process).items()):
+        ref_seen: set = set()
+        for ev in events:
+            for spec in ev.latches + ev.commits:
+                if getattr(spec, "source", None) is not None:
+                    _count_refs(spec.source, names, ref_seen)
+            for expr in (ev.payload, ev.guard):
+                if expr is not None:
+                    _count_refs(expr, names, ref_seen)
+        w(f"  // ------- thread {ti} ({tp.kind}): "
+          f"{tp.n_events} events -------")
+        for slot, width in sorted(_slot_widths(tp, plan).items()):
             rng = f"[{width - 1}:0] " if width > 1 else ""
             w(f"  logic {rng}{names.slot_q(slot)};")
             w(f"  logic {rng}{names.slot(slot)};")
-        for ev in g.events:
+        for ev in events:
             w(f"  logic {names.fire(ev.eid)};")
             w(f"  logic {names.fired_q(ev.eid)};")
             if ev.kind is EventKind.DELAY and ev.delay > 1:
@@ -249,9 +259,9 @@ def emit_process(process: Process, compiled: Optional[CompiledProcess] = None
             return f"({names.fired_q(eid)} | {names.fire(eid)})"
 
         # fire logic -------------------------------------------------------
-        anchor_fire = names.fire(cthread.anchor)
+        anchor_fire = names.fire(tp.anchor)
         w(f"  logic t{ti}_boot_q;")
-        for ev in g.events:
+        for ev in events:
             preds_done = (
                 " & ".join(done(p) for p in ev.preds) if ev.preds else "1'b1"
             )
@@ -272,9 +282,10 @@ def emit_process(process: Process, compiled: Optional[CompiledProcess] = None
                         f"{ev.delay.bit_length()}'d{ev.delay - 1}) & {pending}"
                     )
             elif ev.kind is EventKind.SYNC:
-                valid = names.port(ev.endpoint, ev.message, "valid")
-                ack = names.port(ev.endpoint, ev.message, "ack")
-                msg = process.get_endpoint(ev.endpoint).message(ev.message)
+                endpoint, message = ev.sync_key
+                valid = names.port(endpoint, message, "valid")
+                ack = names.port(endpoint, message, "ack")
+                msg = process.get_endpoint(endpoint).message(message)
                 sender_dyn = msg.sync_of(msg.sender_side()).is_dynamic
                 recv_dyn = msg.sync_of(msg.sender_side().other).is_dynamic
                 valid_term = valid if sender_dyn else "1'b1"
@@ -287,26 +298,19 @@ def emit_process(process: Process, compiled: Optional[CompiledProcess] = None
                         f"{ack_term}"
                     )
                 active = f"{preds_done} & {pending}"
-                for act in ev.actions:
-                    if isinstance(act, SyncGuardAction):
-                        active = (
-                            f"{active} & ({_sv_expr(act.source, names)})"
-                        )
+                if ev.guard is not None:
+                    active = f"{active} & ({_sv_expr(ev.guard, names)})"
                 if ev.direction is SyncDir.SEND:
-                    for act in ev.actions:
-                        if isinstance(act, SendDataAction):
-                            send_drivers.setdefault(
-                                (ev.endpoint, ev.message), []
-                            ).append((active, _sv_expr(act.source, names)))
+                    if ev.payload is not None:
+                        send_drivers.setdefault(ev.sync_key, []).append(
+                            (active, _sv_expr(ev.payload, names)))
                 else:
-                    recv_acks.setdefault(
-                        (ev.endpoint, ev.message), []
-                    ).append(active)
+                    recv_acks.setdefault(ev.sync_key, []).append(active)
             elif ev.kind is EventKind.BRANCH:
-                cond = cthread.cond_exprs.get(ev.cond_id)
+                cond = ev.cond_expr
                 cond_sv = _sv_expr(cond, names) if cond is not None else "1'b0"
                 if not ev.polarity:
-                    cond_sv = f"~(|{cond_sv})" if False else f"~({cond_sv})"
+                    cond_sv = f"~({cond_sv})"
                 parent_fire = " & ".join(
                     names.fire(p) for p in ev.preds
                 ) or "1'b1"
@@ -322,23 +326,23 @@ def emit_process(process: Process, compiled: Optional[CompiledProcess] = None
         w("  always_ff @(posedge clk_i or negedge rst_ni) begin")
         w("    if (!rst_ni) begin")
         w(f"      t{ti}_boot_q <= 1'b1;")
-        for ev in g.events:
+        for ev in events:
             w(f"      {names.fired_q(ev.eid)} <= 1'b0;")
             if ev.kind is EventKind.DELAY and ev.delay > 1:
                 w(f"      {names.cnt(ev.eid)} <= '0;")
         w("    end else begin")
         w(f"      t{ti}_boot_q <= 1'b0;")
         w(f"      if ({anchor_fire}) begin")
-        for ev in g.events:
+        for ev in events:
             w(f"        {names.fired_q(ev.eid)} <= 1'b0;")
         w("      end else begin")
-        for ev in g.events:
+        for ev in events:
             w(
                 f"        if ({names.fire(ev.eid)}) "
                 f"{names.fired_q(ev.eid)} <= 1'b1;"
             )
         w("      end")
-        for ev in g.events:
+        for ev in events:
             if ev.kind is EventKind.DELAY and ev.delay > 1:
                 preds_done2 = " & ".join(
                     names.fired_q(p) for p in ev.preds
@@ -350,63 +354,29 @@ def emit_process(process: Process, compiled: Optional[CompiledProcess] = None
         w("  end")
         w("")
 
-        # action registers ----------------------------------------------------
+        # slot and register writes of each event: its latches, then its
+        # register writes, in plan (action) order
+        bypass: List[str] = []
         w("  always_ff @(posedge clk_i) begin")
-        for ev in g.events:
-            for act in ev.actions:
-                if isinstance(act, RegWriteAction):
-                    w(
-                        f"    if ({names.fire(ev.eid)}) "
-                        f"{names.reg(act.reg)} <= "
-                        f"{_sv_expr(act.source, names)};"
-                    )
-                elif isinstance(act, RecvBindAction):
-                    data = names.port(act.endpoint, act.message, "data")
-                    w(
-                        f"    if ({names.fire(ev.eid)}) "
-                        f"{names.slot_q(act.target)} <= {data};"
-                    )
-                elif isinstance(act, SyncFlagAction):
-                    v = names.port(act.endpoint, act.message, "valid")
-                    a2 = names.port(act.endpoint, act.message, "ack")
-                    w(
-                        f"    if ({names.fire(ev.eid)}) "
-                        f"{names.slot_q(act.target)} <= {v} & {a2};"
-                    )
-                elif isinstance(act, LatchAction):
-                    w(
-                        f"    if ({names.fire(ev.eid)}) "
-                        f"{names.slot_q(act.slot)} <= "
-                        f"{_sv_expr(act.source, names)};"
-                    )
+        for ev in events:
+            fire = names.fire(ev.eid)
+            for latch in ev.latches:
+                slot = latch.slot
+                value = _latched_value(latch, plan, names)
+                w(f"    if ({fire}) {names.slot_q(slot)} <= {value};")
+                if type(latch) is LatchFlag:
+                    value = f"({value})"
+                bypass.append(f"  assign {names.slot(slot)} = {fire} ? "
+                              f"{value} : {names.slot_q(slot)};")
+            for c in ev.commits:
+                if type(c) is CommitReg:
+                    w(f"    if ({fire}) {names.reg(c.reg)} <= "
+                      f"{_sv_expr(c.source, names)};")
         w("  end")
         w("")
 
         # slot bypass wires: same-cycle visibility of latched data
-        for ev in g.events:
-            for act in ev.actions:
-                if isinstance(act, RecvBindAction):
-                    data = names.port(act.endpoint, act.message, "data")
-                    w(
-                        f"  assign {names.slot(act.target)} = "
-                        f"{names.fire(ev.eid)} ? {data} : "
-                        f"{names.slot_q(act.target)};"
-                    )
-                elif isinstance(act, SyncFlagAction):
-                    v = names.port(act.endpoint, act.message, "valid")
-                    a2 = names.port(act.endpoint, act.message, "ack")
-                    w(
-                        f"  assign {names.slot(act.target)} = "
-                        f"{names.fire(ev.eid)} ? ({v} & {a2}) : "
-                        f"{names.slot_q(act.target)};"
-                    )
-                elif isinstance(act, LatchAction):
-                    w(
-                        f"  assign {names.slot(act.slot)} = "
-                        f"{names.fire(ev.eid)} ? "
-                        f"{_sv_expr(act.source, names)} : "
-                        f"{names.slot_q(act.slot)};"
-                    )
+        lines.extend(bypass)
         w("")
 
         # hoisted shared subexpressions (children precede parents)

@@ -22,10 +22,13 @@ runs cycle by cycle --
   *precise* ``comb_inputs``/``comb_outputs`` sets instead of the
   conservative "every bound wire" hint.
 
-Two backends consume plans today: the reference interpreter in
-:mod:`repro.codegen.simfsm` and the generated-Python backend in
-:mod:`repro.codegen.pysim`.  Both must remain observationally identical;
-the plan is the single source of truth they share.
+The plan is the only compiled artifact.  Four consumers read it: the
+reference interpreter in :mod:`repro.codegen.simfsm`, the generated-Python
+backend in :mod:`repro.codegen.pysim`, the SystemVerilog emitter in
+:mod:`repro.codegen.sysverilog` and the Table 1 cost model in
+:mod:`repro.synth.cost`.  What an event does when it fires is decided
+here once, so the two simulators stay observationally identical and the
+emitted circuit is the one they simulate.
 
 A plan is a pure function of ``(process, do_optimize)``, so
 :func:`build_process_plan` keeps the plans it built in a process-wide
@@ -34,9 +37,9 @@ equal process planned again -- a fresh factory build, the SystemVerilog
 path after the simulation path, a campaign rebuilding its scenario --
 gets the first plan back, skipping graph building, the optimizer and
 planning, and through the plan's ``_backend`` memo the pysim source
-generation too.  A hit's ``plan.process`` is the first equal process;
-only :meth:`ProcessPlan._port` and :func:`build_thread_plan` read it,
-while the plan is built.
+generation too.  A hit's ``plan.process`` is the first equal process, so
+readers take from it only what equal processes share (its name,
+registers and endpoints).
 """
 
 from __future__ import annotations
@@ -66,15 +69,15 @@ from .optimize import optimize
 # latch specs: combinational overlay writes executed when an event fires
 # ---------------------------------------------------------------------------
 class LatchRecv(NamedTuple):
-    """overlay[target] = port.data (the bypass path of a receive)."""
+    """overlay[slot] = port.data (the bypass path of a receive)."""
     port: int
-    target: int
+    slot: int
 
 
 class LatchFlag(NamedTuple):
-    """overlay[target] = 1 iff the handshake transferred this cycle."""
+    """overlay[slot] = 1 iff the handshake transferred this cycle."""
     port: int
-    target: int
+    slot: int
 
 
 class LatchExpr(NamedTuple):
@@ -159,18 +162,18 @@ class ThreadPlan:
     """One thread's executable plan."""
 
     __slots__ = ("index", "kind", "anchor", "events", "n_events",
-                 "cond_exprs", "graph", "delays")
+                 "graph", "delays")
 
     def __init__(self, index: int, kind: str, anchor: int,
-                 events: Tuple[EventPlan, ...],
-                 cond_exprs: Dict[int, rx.RExpr], graph: EventGraph):
+                 events: Tuple[EventPlan, ...], graph: EventGraph):
         self.index = index
         self.kind = kind
         self.anchor = anchor
         self.events = events
         self.n_events = len(events)
-        self.cond_exprs = cond_exprs
-        self.graph = graph   # kept for the SystemVerilog backend and docs
+        #: the optimized event graph: the cost model reads its handshake
+        #: slacks and concrete fire times
+        self.graph = graph
         #: DELAY events with their predecessors -- what the activation
         #: dedup in tick() needs to compute outstanding due-times
         self.delays: Tuple[Tuple[int, Tuple[int, ...], int], ...] = tuple(
@@ -186,13 +189,18 @@ class ProcessPlan:
     """Everything an execution backend needs, and nothing it must re-derive."""
 
     __slots__ = ("process", "name", "optimized", "threads", "ports",
-                 "port_index", "optimize_stats", "_scanned_exprs",
-                 "_backend")
+                 "port_index", "optimize_stats", "reg_masks",
+                 "_scanned_exprs", "_backend")
 
     def __init__(self, process, optimized: bool):
         self.process = process
         self.name = process.name
         self.optimized = optimized
+        #: register name -> width mask applied to every committed write
+        self.reg_masks: Dict[str, int] = {
+            name: (1 << r.dtype.width) - 1
+            for name, r in process.registers.items()
+        }
         self.threads: List[ThreadPlan] = []
         self.ports: List[PortPlan] = []
         self.port_index: Dict[Tuple[str, str], int] = {}
@@ -311,8 +319,7 @@ def build_thread_plan(plan: ProcessPlan, thread, index: int,
             epl.cond_expr = cond_exprs.get(ev.cond_id)
             _register_ready_reads(plan, epl.cond_expr)
         events.append(epl)
-    return ThreadPlan(index, thread.kind, anchor, tuple(events),
-                      cond_exprs, graph)
+    return ThreadPlan(index, thread.kind, anchor, tuple(events), graph)
 
 
 def plan_key(process, do_optimize: bool) -> Optional[str]:
@@ -348,8 +355,9 @@ def build_process_plan(process, do_optimize: bool = True) -> ProcessPlan:
     """Lower every thread of ``process`` to an executable plan, or
     return the plan of an equal process built earlier (thread-safe).
 
-    This is the single entry point both simulation backends compile
-    through; :func:`repro.codegen.simfsm.compile_process` wraps it."""
+    This is the single entry point every plan consumer compiles
+    through; :func:`repro.codegen.simfsm.compile_process` is its public
+    name."""
     return _PLANS.get(plan_key(process, do_optimize),
                       lambda: _plan(process, do_optimize))
 

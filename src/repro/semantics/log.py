@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
-from ..core.events import EventKind
+from ..core.events import EventGraph, EventKind
 from ..core.graph_builder import BuildResult, GraphBuilder
 from ..core.patterns import EndSet
 from ..lang.process import Process
@@ -72,10 +72,9 @@ class ExecutionLog:
                 f"{len(self.mutations)} mutations)")
 
 
-def concrete_times(result: BuildResult, slacks: Dict[int, int],
+def concrete_times(g: EventGraph, slacks: Dict[int, int],
                    branches: Dict[int, bool]) -> List[Optional[int]]:
-    """Concrete fire cycle per event (None = unreached)."""
-    g = result.graph
+    """Concrete fire cycle per event of ``g`` (None = unreached)."""
     times: List[Optional[int]] = []
     for ev in g.events:
         preds = [times[p] for p in ev.preds]
@@ -109,7 +108,7 @@ def concrete_times(result: BuildResult, slacks: Dict[int, int],
     return times
 
 
-def _end_time(end: EndSet, times, result: BuildResult) -> Optional[int]:
+def _end_time(end: EndSet, times, g: EventGraph) -> Optional[int]:
     """Concrete earliest satisfaction of an end set (None = never)."""
     if end.is_eternal:
         return None
@@ -125,9 +124,8 @@ def _end_time(end: EndSet, times, result: BuildResult) -> Optional[int]:
             # descendant of the base event (it may land in the same
             # cycle), or an order-incomparable sync that happens later --
             # the same convention the static oracle uses
-            g = result.graph
             cand = None
-            for s in result.graph.sync_events(
+            for s in g.sync_events(
                 p.duration.endpoint, p.duration.message
             ):
                 t = times[s.eid]
@@ -156,7 +154,7 @@ def sample_log(result: BuildResult, rng: random.Random,
         if ev.kind is EventKind.BRANCH:
             conds.add(ev.cond_id)
     branches = {c: rng.random() < 0.5 for c in conds}
-    times = concrete_times(result, slacks, branches)
+    times = concrete_times(result.graph, slacks, branches)
     log = ExecutionLog(slacks, branches)
 
     for use in result.uses:
@@ -165,8 +163,8 @@ def sample_log(result: BuildResult, rng: random.Random,
         use_start = times[use.window_start]
         if creation is None or use_start is None:
             continue  # this use never happens in the sampled run
-        use_end = _end_time(use.window_end, times, result)
-        avail_end = _end_time(v.end, times, result)
+        use_end = _end_time(use.window_end, times, result.graph)
+        avail_end = _end_time(v.end, times, result.graph)
         regs = {}
         for reg, read_at in v.reg_reads:
             t = times[read_at]
@@ -184,7 +182,7 @@ def sample_log(result: BuildResult, rng: random.Random,
         t = times[send.sync]
         if t is None:
             continue
-        end = _end_time(send.required_end, times, result)
+        end = _end_time(send.required_end, times, result.graph)
         log.sends.append(ConcreteSend(
             (send.endpoint, send.message), t, end, send.context,
         ))

@@ -2,11 +2,13 @@
 
 Two front ends feed one cost model:
 
-* :func:`estimate_compiled` introspects a compiled Anvil process: every
-  runtime expression decomposes into gates, every architectural register,
-  value slot and FSM state bit becomes a flop.  This automatically charges
-  Anvil for its generated FSM -- the source of the small area overheads
-  Table 1 reports.
+* :func:`estimate_compiled` introspects a compiled Anvil process, its
+  :class:`~repro.core.fsmplan.ProcessPlan` (the artifact the simulators
+  run and the SystemVerilog emitter prints): every runtime expression
+  decomposes into gates, every architectural register, value slot and
+  FSM state bit becomes a flop.  This automatically charges Anvil for
+  its generated FSM -- the source of the small area overheads Table 1
+  reports.
 * Hand-written baselines supply a structural inventory (see
   :mod:`repro.synth.baselines`), the way a designer would count a
   hand-optimized RTL module.
@@ -20,14 +22,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..codegen import rexpr as rx
-from ..codegen.simfsm import CompiledProcess
-from ..core.events import (
-    EventKind,
-    RecvBindAction,
-    RegWriteAction,
-    SendDataAction,
-)
-from ..core.graph_builder import LatchAction
+from ..core.events import EventGraph, EventKind
+from ..core.fsmplan import CommitReg, LatchExpr, LatchRecv, ProcessPlan
+from ..semantics.log import concrete_times
 from .gates import LIBRARY, fmax_mhz, gate_area, gate_leakage
 
 
@@ -76,34 +73,25 @@ def _merge(total: Dict[str, int], extra: Dict[str, int]):
         total[g] = total.get(g, 0) + n
 
 
-def _co_cyclic(result_graph, a: int, b: int) -> bool:
+def _co_cyclic(g: EventGraph, a: int, b: int) -> bool:
     """Heuristic (cost model only): two events fire in the same cycle if
     their concrete times agree under several slack/branch samples."""
-    from ..semantics.log import concrete_times
-
-    class _Shim:
-        graph = result_graph
-    shim = _Shim()
-    conds = {
-        ev.cond_id for ev in result_graph.events
-        if ev.kind is EventKind.BRANCH
-    }
+    conds = {ev.cond_id for ev in g.events if ev.kind is EventKind.BRANCH}
     for slack in (0, 1, 2):
         for taken in (True, False):
             slacks = {
-                ev.eid: slack for ev in result_graph.events
+                ev.eid: slack for ev in g.events
                 if ev.kind is EventKind.SYNC and ev.static_slack is None
             }
-            times = concrete_times(shim, slacks, {c: taken for c in conds})
+            times = concrete_times(g, slacks, {c: taken for c in conds})
             ta, tb = times[a], times[b]
             if ta is not None and tb is not None and ta != tb:
                 return False
     return True
 
 
-def estimate_compiled(compiled: CompiledProcess,
-                      name: str = "") -> CostReport:
-    """Cost a compiled Anvil process from its IR.
+def estimate_compiled(plan: ProcessPlan, name: str = "") -> CostReport:
+    """Cost a compiled Anvil process from its FSM plan.
 
     Mirrors what synthesis does to the generated SystemVerilog:
 
@@ -117,11 +105,10 @@ def estimate_compiled(compiled: CompiledProcess,
       cycle it is latched in (same-cycle uses go through the bypass
       wire and the flop is pruned as dead).
     """
-    process = compiled.process
     gates: Dict[str, int] = {}
     flops = 0
 
-    for reg in process.registers.values():
+    for reg in plan.process.registers.values():
         flops += reg.dtype.width
 
     # expressions are DAGs: every memo below is keyed by node identity
@@ -225,10 +212,8 @@ def estimate_compiled(compiled: CompiledProcess,
         _merge(gates, gather(expr))
         return charge_depth(expr)
 
-    for cthread in compiled.threads:
-        g = cthread.graph
-        for expr in cthread.cond_exprs.values():
-            charge(expr)
+    for tp in plan.threads:
+        g = tp.graph
 
         # which slots are read outside their latch cycle?
         slot_readers: Dict[int, set] = {}   # slot -> event ids reading it
@@ -244,19 +229,13 @@ def estimate_compiled(compiled: CompiledProcess,
         # the control states are the distinct time offsets the thread's
         # events occupy within an iteration, plus one wait flag per
         # dynamic handshake.  A steady one-cycle loop costs no state.
-        from ..semantics.log import concrete_times
-
-        class _Shim:
-            graph = g
         conds = {
-            ev.cond_id for ev in g.events
+            ev.cond_id for ev in tp.events
             if ev.kind is EventKind.BRANCH
         }
         offsets = set()
         for taken in (True, False):
-            times = concrete_times(
-                _Shim(), {}, {c: taken for c in conds}
-            )
+            times = concrete_times(g, {}, {c: taken for c in conds})
             offsets.update(t for t in times if t is not None)
         if len(offsets) > 1:
             flops += max((len(offsets) - 1).bit_length(), 1)
@@ -265,31 +244,32 @@ def estimate_compiled(compiled: CompiledProcess,
         # resource-sharing synthesizer merges their operators behind the
         # existing select logic, so they are costed elementwise-max.
         shared_groups: Dict[tuple, list] = {}
-        for ev in g.events:
-            if ev.kind is EventKind.SYNC and ev.static_slack is None:
+        for ev in tp.events:
+            if ev.kind is EventKind.SYNC and \
+                    g.events[ev.eid].static_slack is None:
                 flops += 1          # in-flight handshake state
             _merge(gates, {"and": 1})   # fire wire
-            for act in ev.actions:
-                if isinstance(act, RegWriteAction):
+            for latch in ev.latches:
+                if type(latch) is LatchExpr:
+                    charge(latch.source)
+                    note_reads(latch.source, ev.eid)
+                    slot_latch[latch.slot] = (ev.eid,
+                                              latch.source.width or 1)
+                elif type(latch) is LatchRecv:
+                    slot_latch[latch.slot] = (ev.eid,
+                                                plan.ports[latch.port].width)
+            if ev.payload is not None:
+                shared_groups.setdefault(
+                    ("send",) + ev.sync_key, []
+                ).append(ev.payload)
+                note_reads(ev.payload, ev.eid)
+            for c in ev.commits:
+                if type(c) is CommitReg:
                     shared_groups.setdefault(
-                        ("reg", act.reg), []
-                    ).append(act.source)
-                    note_reads(act.source, ev.eid)
+                        ("reg", c.reg), []
+                    ).append(c.source)
+                    note_reads(c.source, ev.eid)
                     _merge(gates, {"and": 1})   # write enable
-                elif isinstance(act, SendDataAction):
-                    shared_groups.setdefault(
-                        ("send", act.endpoint, act.message), []
-                    ).append(act.source)
-                    note_reads(act.source, ev.eid)
-                elif isinstance(act, LatchAction):
-                    charge(act.source)
-                    note_reads(act.source, ev.eid)
-                    slot_latch[act.slot] = (ev.eid, act.source.width or 1)
-                elif isinstance(act, RecvBindAction):
-                    msg = process.get_endpoint(act.endpoint).message(
-                        act.message
-                    )
-                    slot_latch[act.target] = (ev.eid, msg.dtype.width)
         for key, sources in shared_groups.items():
             demands = []
             for s in sources:
@@ -308,7 +288,7 @@ def estimate_compiled(compiled: CompiledProcess,
             if any(not _co_cyclic(g, latch_eid, r) for r in readers):
                 flops += width
         flops += 1  # boot flag
-    return CostReport(name or process.name, gates, flops, max_depth)
+    return CostReport(name or plan.name, gates, flops, max_depth)
 
 
 def estimate_inventory(name: str, flops: int, gates: Dict[str, int],

@@ -259,7 +259,7 @@ class TestOracleMatchesSemantics:
                 branches = {c: rng.random() < 0.5 for c in g.conditions()}
                 slacks = {eid: rng.randrange(4) for eid in dynamic}
                 case = tuple(sorted(branches.items()))
-                times = concrete_times(built, slacks, branches)
+                times = concrete_times(g, slacks, branches)
                 for ev in g.events:
                     # infinity (unreached) evaluates to None, like the
                     # semantics' unreached events

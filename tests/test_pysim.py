@@ -386,7 +386,7 @@ class TestCompileCache:
             # memo skips this cache) -- the cache must key on the
             # generated source, not object identity
             fsmplan.clear_cache()
-            pysim.backend_for(compile_process(spill_register()).plan)
+            pysim.backend_for(compile_process(spill_register()))
         stats = pysim.cache_stats()
         assert stats["misses"] == 1
         assert stats["hits"] == 2
@@ -396,8 +396,8 @@ class TestCompileCache:
         pysim.clear_cache()
         from repro.anvil_designs.streams import spill_register
 
-        pysim.backend_for(compile_process(spill_register(), True).plan)
-        pysim.backend_for(compile_process(spill_register(), False).plan)
+        pysim.backend_for(compile_process(spill_register(), True))
+        pysim.backend_for(compile_process(spill_register(), False))
         assert pysim.cache_stats()["entries"] == 2
 
     def test_generated_source_is_deterministic(self):

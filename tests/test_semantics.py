@@ -33,7 +33,7 @@ class TestConcreteTimes:
         p.register("r", Logic(4))
         p.loop(cycle(2) >> set_reg("r", read("r") + 1))
         built = GraphBuilder(p, p.threads[0]).build(1)
-        times = concrete_times(built, {}, {})
+        times = concrete_times(built.graph, {}, {})
         assert times[0] == 0          # root
         assert max(t for t in times if t is not None) == 3
 
@@ -45,8 +45,8 @@ class TestConcreteTimes:
         built = GraphBuilder(proc, proc.threads[0]).build(1)
         sync_eids = [e.eid for e in built.graph.events
                      if e.kind.value == "sync"]
-        t0 = concrete_times(built, {eid: 0 for eid in sync_eids}, {})
-        t3 = concrete_times(built, {eid: 3 for eid in sync_eids}, {})
+        t0 = concrete_times(built.graph, {eid: 0 for eid in sync_eids}, {})
+        t3 = concrete_times(built.graph, {eid: 3 for eid in sync_eids}, {})
         last0 = max(t for t in t0 if t is not None)
         last3 = max(t for t in t3 if t is not None)
         assert last3 > last0
@@ -59,7 +59,7 @@ class TestConcreteTimes:
         p.loop(if_(read("r").eq(0), cycle(1), cycle(3)))
         built = GraphBuilder(p, p.threads[0]).build(1)
         conds = {0: True}
-        times = concrete_times(built, {}, conds)
+        times = concrete_times(built.graph, {}, conds)
         assert any(t is None for t in times)  # the untaken arm
 
 

@@ -26,8 +26,8 @@ import json
 
 from repro.anvil_designs import aes, axi, memory, mmu, pipeline, streams, y86
 from repro.codegen.pysim import generate_source
-from repro.codegen.simfsm import compile_process
 from repro.codegen.sysverilog import emit_process
+from repro.core.fsmplan import build_process_plan
 from repro.core.typecheck import check_process
 from repro.harness import figures, table2
 from repro.harness.appendix_a import listing1_child, listing1_child_safe
@@ -60,18 +60,16 @@ def _sha(text: str) -> str:
 def process_digest(factory) -> dict:
     process = factory()
     report = check_process(process)
-    compiled = compile_process(process)
-    plan = compiled.plan
-    cost = estimate_compiled(compiled)
+    plan = build_process_plan(process)
+    cost = estimate_compiled(plan)
     return {
         "ok": report.ok,
         "errors": [f"{type(e).__name__}: {e}" for e in report.errors],
         "notes": report.notes,
         "optimize_stats": [[s.removed, s.passes_run] for s in plan.optimize_stats],
         "pysim_sha256": _sha(generate_source(plan)),
-        "sv_sha256": _sha(emit_process(process, compiled)),
-        "cost": {"flops": cost.flops, "depth": cost.depth,
-                 "gates": cost.gates},
+        "sv_sha256": _sha(emit_process(process, plan)),
+        "cost": {"flops": cost.flops, "depth": cost.depth, "gates": cost.gates},
     }
 
 
