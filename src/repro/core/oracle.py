@@ -455,9 +455,9 @@ class TimingOracle:
         for ev in self.graph.sync_events(endpoint, message):
             if ev.eid == base:
                 continue
-            if self.graph.is_ancestor(ev.eid, base):
+            if self.graph.must_precede(ev.eid, base):
                 continue  # occurs before the base event
-            if guaranteed and not self.graph.is_ancestor(base, ev.eid):
+            if guaranteed and not self.graph.must_precede(base, ev.eid):
                 continue  # not provably after the base event
             out.append(ev.eid)
         result = tuple(out)

@@ -120,10 +120,11 @@ def _end_time(end: EndSet, times, g: EventGraph) -> Optional[int]:
         if p.duration.is_static:
             cand: Optional[int] = base + p.duration.cycles
         else:
-            # the next occurrence *in program order*: a structural
-            # descendant of the base event (it may land in the same
-            # cycle), or an order-incomparable sync that happens later --
-            # the same convention the static oracle uses
+            # the next occurrence *in program order*: a sync the base
+            # event must precede (it may land in the same cycle), or an
+            # unordered sync that happens later -- the same convention
+            # the static oracle uses.  Ancestry through one arm of an
+            # ``if`` orders neither way.
             cand = None
             for s in g.sync_events(
                 p.duration.endpoint, p.duration.message
@@ -131,10 +132,10 @@ def _end_time(end: EndSet, times, g: EventGraph) -> Optional[int]:
                 t = times[s.eid]
                 if t is None or s.eid == p.base:
                     continue
-                if g.is_ancestor(s.eid, p.base):
+                if g.must_precede(s.eid, p.base):
                     continue  # before the base event
-                if not g.is_ancestor(p.base, s.eid) and t <= base:
-                    continue  # incomparable and not after
+                if not g.must_precede(p.base, s.eid) and t <= base:
+                    continue  # unordered and not after
                 cand = t if cand is None else min(cand, t)
         if cand is not None:
             best = cand if best is None else min(best, cand)

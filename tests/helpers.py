@@ -130,6 +130,48 @@ def branch_await_process(which: str) -> Process:
     return p
 
 
+def one_armed_sync_process(which: str) -> Process:
+    """Loops where a message synchronizes on one arm of an ``if`` only,
+    so ancestry does not order it against a dynamic lifetime's end.
+
+    ``"loan"`` (on the left of ``ch``) sends ``addr`` on ``req``, whose
+    lifetime lasts until the next ``nxt``, awaits the send on the
+    then-arm alone, receives ``nxt`` and then bumps ``addr``: on the
+    else-arm ``nxt`` can arrive before ``req`` goes out, and ``addr``
+    changes while ``req`` still holds it.  ``"lifetime"`` (on the right;
+    both messages travel right) receives ``nxt``, awaits it on the
+    then-arm alone, receives ``req`` and stores it three cycles later:
+    on the else-arm ``nxt`` can arrive after ``req`` and end its value
+    before the store.
+    """
+    nxt_side = Side.LEFT if which == "loan" else Side.RIGHT
+    ch = ChannelDef("order_ch", [
+        MessageDef("req", Side.RIGHT, Logic(8), LifetimeSpec.until("nxt")),
+        MessageDef("nxt", nxt_side, Logic(8), LifetimeSpec.static(1))])
+    p = Process("one_armed_" + which)
+    p.register("cnt", Logic(8))
+    bump = set_reg("cnt", read("cnt") + 1)
+    if which == "loan":
+        p.endpoint("ch", ch, Side.LEFT)
+        p.register("addr", Logic(8))
+        p.loop(let("s", send("ch", "req", read("addr")),
+                   let("y", if_(read("cnt").bit(0), var("s"), cycle(1)),
+                       var("y")
+                       >> let("n", recv("ch", "nxt"),
+                              var("n")
+                              >> par(set_reg("addr", read("addr") + 1),
+                                     bump)))))
+        return p
+    p.endpoint("ch", ch, Side.RIGHT)
+    p.register("r", Logic(8))
+    p.loop(let("n", recv("ch", "nxt"),
+               let("y", if_(read("cnt").bit(0), var("n"), cycle(1)),
+                   var("y")
+                   >> let("q", recv("ch", "req"),
+                          cycle(3) >> par(set_reg("r", var("q")), bump)))))
+    return p
+
+
 def port_traces(process: Process, backend: str, do_optimize: bool = True,
                 cycles: int = 45):
     """Every transfer on ``process``'s external ports, as ``{"inp": [(cycle,

@@ -537,8 +537,8 @@ def reference_oracle(g: EventGraph, max_cases: int):
         dur = pattern.duration
         return [ev.eid for ev in g.sync_events(dur.endpoint, dur.message)
                 if ev.eid != pattern.base
-                and not g.is_ancestor(ev.eid, pattern.base)
-                and (not guaranteed or g.is_ancestor(pattern.base, ev.eid))]
+                and not g.must_precede(ev.eid, pattern.base)
+                and (not guaranteed or g.must_precede(pattern.base, ev.eid))]
 
     def end_state(end, case, upper):
         alts, reachable = [], False

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.graph_builder import GraphBuilder
 from repro.core.typecheck import check_process
+from repro.errors import LoanedRegisterMutationError, ValueNotLiveError
 from repro.semantics import (
     check_log,
     concrete_times,
@@ -22,7 +23,7 @@ from repro.semantics import (
     sample_process_logs,
 )
 
-from helpers import top_safe, top_unsafe
+from helpers import one_armed_sync_process, top_safe, top_unsafe
 
 
 class TestConcreteTimes:
@@ -88,6 +89,21 @@ class TestSafetyOracle:
         for factory in (ptw_process, tlb_process):
             logs = sample_process_logs(factory(), samples=20, seed=11)
             assert all(log_is_safe(log) for log in logs)
+
+    @pytest.mark.parametrize("which,error", [
+        ("loan", LoanedRegisterMutationError),
+        ("lifetime", ValueNotLiveError),
+    ])
+    def test_one_armed_syncs_do_not_order_lifetime_ends(self, which, error):
+        """A sync reached through one arm of an ``if`` is neither before
+        nor after a dynamic lifetime's base event: the checker rejects
+        the program, and sampled logs show the unsafe runs."""
+        process = one_armed_sync_process(which)
+        report = check_process(process)
+        assert any(isinstance(e, error) for e in report.errors), \
+            report.errors
+        logs = sample_process_logs(process, samples=250)
+        assert any(check_log(log) for log in logs)
 
 
 @settings(max_examples=40, deadline=None)
