@@ -67,9 +67,7 @@ def _sv_expr(e: rx.RExpr, names: "NameMap") -> str:
         e, (rx.RLit, rx.RReg, rx.RSlot, rx.RReady, rx.RUnit,
             rx.RSlice, rx.RField)
     ):
-        name = f"t{names.thread_idx}_x{len(names.hoisted)}_w"
-        names.hoisted[id(e)] = (name, max(e.width, 1), text)
-        return name
+        return names.hoist(e, text)
     return text
 
 
@@ -97,6 +95,9 @@ def _sv_expr_raw(e: rx.RExpr, names: "NameMap") -> str:
         )
     if isinstance(e, (rx.RSlice, rx.RField)):
         inner = _sv_expr(e.a, names)
+        if not inner.isidentifier():
+            # SystemVerilog part-selects only a name
+            inner = names.hoist(e.a, inner)
         if isinstance(e, rx.RSlice):
             hi, lo = e.hi, e.lo
         else:
@@ -139,6 +140,12 @@ class NameMap:
         self.refcount = {}
         # id(expr) -> (wire name, width, defining text)
         self.hoisted = {}
+
+    def hoist(self, e: rx.RExpr, text: str) -> str:
+        """Name ``e``'s value ``text`` by a wire of ``e``'s width."""
+        name = f"t{self.thread_idx}_x{len(self.hoisted)}_w"
+        self.hoisted[id(e)] = (name, max(e.width, 1), text)
+        return name
 
     def reg(self, name: str) -> str:
         return f"{name}_q"

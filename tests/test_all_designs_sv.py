@@ -22,6 +22,8 @@ from repro.anvil_designs.streams import (
 from repro.anvil_designs.y86 import y86_core
 from repro.codegen.sysverilog import structural_check
 
+from helpers import frontend_digest_tool
+
 ALL_DESIGNS = {
     "fifo": fifo_buffer,
     "spill": spill_register,
@@ -37,6 +39,25 @@ ALL_DESIGNS = {
     "systolic": systolic_array,
     "y86": y86_core,
 }
+
+
+#: these designs and the front-end digest's processes
+SELECT_DESIGNS = {f.__name__: f for f in (
+    *ALL_DESIGNS.values(), *frontend_digest_tool().FACTORIES)}
+
+
+def non_name_selects(sv: str) -> list:
+    """Every part-select in ``sv`` whose operand is not an identifier
+    (a parenthesized expression, a literal or another select), with
+    some text before it."""
+    bad = []
+    for m in re.finditer(r"\S\[", sv):
+        end = start = m.start() + 1
+        while start and (sv[start - 1].isalnum() or sv[start - 1] in "_'"):
+            start -= 1
+        if not sv[start:end].isidentifier():
+            bad.append(sv[max(0, end - 40):end + 8])
+    return bad
 
 
 @pytest.fixture(scope="module")
@@ -103,3 +124,15 @@ def test_deterministic_emission():
     a = to_systemverilog(fifo_buffer())
     b = to_systemverilog(fifo_buffer())
     assert a == b
+
+
+def test_non_name_selects_are_found():
+    assert non_name_selects("a <= x_q[7:0] & y[3];") == []
+    assert len(non_name_selects("a <= (x & y)[7:0] | 8'd5[3] | z[7:0][1];")) \
+        == 3
+
+
+@pytest.mark.parametrize("name", sorted(SELECT_DESIGNS))
+def test_part_selects_apply_only_to_names(name):
+    sv = to_systemverilog(SELECT_DESIGNS[name]())
+    assert non_name_selects(sv) == []

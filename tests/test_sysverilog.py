@@ -171,6 +171,29 @@ class TestTables:
             assert _eval_sv_chain(sv, i) == entries[i]
 
 
+class TestPartSelects:
+    def test_an_expression_is_selected_through_a_wire(self):
+        # SystemVerilog part-selects only a name: the masked operand is
+        # hoisted to a wire of its own width, then selected from
+        names = NameMap(None)
+        masked = rx.RBin("and", rx.RReg("x", 16), rx.RLit(255, 16), 16)
+        assert _sv_expr(rx.RSlice(masked, 7, 0), names) == "t0_x0_w[7:0]"
+        assert list(names.hoisted.values()) == [
+            ("t0_x0_w", 16, "(x_q & 16'd255)")]
+
+    def test_a_select_of_a_select_is_selected_through_a_wire(self):
+        names = NameMap(None)
+        low = rx.RSlice(rx.RReg("x", 16), 11, 0)
+        assert _sv_expr(rx.RSlice(low, 3, 3), names) == "t0_x0_w[3]"
+        assert list(names.hoisted.values()) == [("t0_x0_w", 12, "x_q[11:0]")]
+
+    def test_a_name_is_selected_directly(self):
+        names = NameMap(None)
+        assert _sv_expr(rx.RSlice(rx.RReg("x", 16), 7, 0), names) \
+            == "x_q[7:0]"
+        assert not names.hoisted
+
+
 class TestSystemEmission:
     def test_emit_system_contains_all_modules(self):
         from helpers import cache_channel
