@@ -14,6 +14,7 @@ from repro import (
 )
 from repro.codegen import rexpr as rx
 from repro.codegen.sysverilog import NameMap, _sv_expr, structural_check
+from repro.core.fsmplan import build_process_plan
 from repro.lang.channels import LifetimeSpec, MessageDef, ChannelDef, StaticSync
 from repro.lang.terms import (
     if_,
@@ -58,6 +59,19 @@ class TestModuleShape:
             re.findall(r"assign t0_e(\d+)_fire =", sv_top_safe)
         )
         assert fires == assigns  # every referenced fire wire is driven
+
+    def test_emits_the_plan_it_is_given(self):
+        # the unoptimized plan keeps the events the optimizer merges
+        p = top_safe()
+        fires = {}
+        for do_optimize in (True, False):
+            plan = build_process_plan(p, do_optimize)
+            sv = to_systemverilog(p, plan)
+            fires[do_optimize] = re.findall(r"assign t0_e(\d+)_fire =", sv)
+            assert len(fires[do_optimize]) == plan.threads[0].n_events
+        assert fires[True] == re.findall(r"assign t0_e(\d+)_fire =",
+                                         to_systemverilog(p))
+        assert len(fires[False]) > len(fires[True])
 
     def test_balanced_module_count(self, sv_top_safe):
         c = structural_check(sv_top_safe)
