@@ -192,12 +192,12 @@ def port_traces(process: Process, backend: str, do_optimize: bool = True,
             "out": ends["out"].received.get("m", [])}
 
 
-def frontend_digest_tool():
-    """``tools/frontend_digest.py`` loaded as a module (``tools/`` is not
-    a package)."""
+def tool_module(name: str):
+    """``tools/<name>.py`` loaded as a module (``tools/`` is not a
+    package)."""
     path = pathlib.Path(__file__).resolve().parent.parent / "tools" \
-        / "frontend_digest.py"
-    spec = importlib.util.spec_from_file_location("frontend_digest", path)
+        / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

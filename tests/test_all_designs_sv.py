@@ -22,7 +22,7 @@ from repro.anvil_designs.streams import (
 from repro.anvil_designs.y86 import y86_core
 from repro.codegen.sysverilog import structural_check
 
-from helpers import frontend_digest_tool
+from helpers import tool_module
 
 ALL_DESIGNS = {
     "fifo": fifo_buffer,
@@ -43,7 +43,7 @@ ALL_DESIGNS = {
 
 #: these designs and the front-end digest's processes
 SELECT_DESIGNS = {f.__name__: f for f in (
-    *ALL_DESIGNS.values(), *frontend_digest_tool().FACTORIES)}
+    *ALL_DESIGNS.values(), *tool_module("frontend_digest").FACTORIES)}
 
 
 def non_name_selects(sv: str) -> list:
@@ -136,3 +136,30 @@ def test_non_name_selects_are_found():
 def test_part_selects_apply_only_to_names(name):
     sv = to_systemverilog(SELECT_DESIGNS[name]())
     assert non_name_selects(sv) == []
+
+
+def repeated_hoists(sv: str) -> list:
+    """Every hoisted ``t*_x*_w`` wire whose width and defining text an
+    earlier hoisted wire already has."""
+    wires = re.findall(r"logic (\[\d+:0\] )?(t\d+_x\d+_w);\n"
+                       r"\s*assign \2 = (.*);", sv)
+    seen, repeated = set(), []
+    for width, name, text in wires:
+        if (width, text) in seen:
+            repeated.append(name)
+        seen.add((width, text))
+    return repeated
+
+
+def test_repeated_hoists_are_found():
+    sv = ("  logic [7:0] t0_x0_w;\n  assign t0_x0_w = (a & b);\n"
+          "  logic [7:0] t0_x1_w;\n  assign t0_x1_w = (a & b);\n"
+          "  logic [3:0] t0_x2_w;\n  assign t0_x2_w = (a & b);\n"
+          "  logic t0_x3_w;\n  assign t0_x3_w = (a & b);\n")
+    assert repeated_hoists(sv) == ["t0_x1_w"]
+
+
+@pytest.mark.parametrize("name", sorted(SELECT_DESIGNS))
+def test_equal_hoisted_expressions_share_one_wire(name):
+    sv = to_systemverilog(SELECT_DESIGNS[name]())
+    assert repeated_hoists(sv) == []

@@ -14,7 +14,7 @@ CHANGES.md:
 import json
 import pathlib
 
-from helpers import frontend_digest_tool
+from helpers import tool_module
 from repro.core import fsmplan
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" \
@@ -60,7 +60,7 @@ def test_first_difference_names_the_key_path():
 def test_frontend_digest_matches_the_golden():
     """Cold, then again in the same process, where every plan is a hit
     in the plan cache: both passes must equal the golden."""
-    tool = frontend_digest_tool()
+    tool = tool_module("frontend_digest")
     want = json.loads(GOLDEN.read_text())
     for run in ("cold", "warm"):
         misses = fsmplan.cache_stats()["misses"]

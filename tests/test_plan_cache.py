@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from helpers import frontend_digest_tool
+from helpers import tool_module
 from repro import Logic, Process, SimConfig, cycle, get_registry, read, set_reg
 from repro.codegen.pysim import generate_source
 from repro.codegen.simfsm import AnvilProcessModule
@@ -22,7 +22,7 @@ from repro.compile_cache import CAP
 from repro.core import fsmplan
 from repro.core.fsmplan import build_process_plan, plan_key
 
-FACTORIES = frontend_digest_tool().FACTORIES
+FACTORIES = tool_module("frontend_digest").FACTORIES
 
 
 def _counter(width=8, delay=1, kind="loop"):

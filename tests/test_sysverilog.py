@@ -208,6 +208,25 @@ class TestPartSelects:
         assert not names.hoisted
 
 
+class TestHoisting:
+    def test_equal_nodes_built_apart_share_one_wire(self):
+        names = NameMap(None)
+        a, b = (rx.RBin("and", rx.RReg("x", 16), rx.RLit(255, 16), 16)
+                for _ in range(2))
+        assert names.hoist(a, "(x_q & 16'd255)") == "t0_x0_w"
+        assert names.hoist(b, "(x_q & 16'd255)") == "t0_x0_w"
+        assert _sv_expr(b, names) == "t0_x0_w"
+        assert list(names.wires.values()) == [
+            ("t0_x0_w", 16, "(x_q & 16'd255)")]
+
+    def test_equal_text_at_another_width_gets_a_wire_of_its_own(self):
+        names = NameMap(None)
+        wide = rx.RBin("add", rx.RReg("x", 8), rx.RReg("y", 8), 9)
+        narrow = rx.RBin("add", rx.RReg("x", 8), rx.RReg("y", 8), 8)
+        assert names.hoist(wide, "(x_q + y_q)") == "t0_x0_w"
+        assert names.hoist(narrow, "(x_q + y_q)") == "t0_x1_w"
+
+
 class TestSystemEmission:
     def test_emit_system_contains_all_modules(self):
         from helpers import cache_channel
