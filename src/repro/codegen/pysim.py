@@ -21,6 +21,36 @@ Both backends must stay observationally identical -- same waveforms,
 same toggle counts, same diagnostics; ``tests/test_pysim.py`` pins that
 over randomized workloads of all six design families.
 
+Gate blocks
+-----------
+
+The hardware evaluates every event's fire logic in parallel each
+cycle; the interpreter visits every event of every live activation on
+every settle pass.  A fire function skips, instead, what cannot change
+this pass.  An event's *gates* are its proper dominators (events on
+every path from the root to it) that can stay unresolved after their
+predecessors fired, or die: a branch, a delay of at least one cycle, a
+handshaking (not ``conditional``) sync.  Events are still emitted one by
+one in event order, but each run of consecutive events that share a
+gate ``g`` is nested in ``if g in af or g in fn:``, followed by
+``elif g in dn: dn.update(<the run's events>)``.  Inside the block, the
+predecessor tests that an open gate answers are dropped, and a delay's
+base is its latest predecessor's fire cycle (no event fires before its
+activation starts, so the start cycle never wins).
+
+This is exact.  If ``g`` dominates ``e``, every predecessor of ``e`` is
+``g`` or is dominated by ``g``, so nothing under ``g`` fires or dies
+before ``g`` does: while ``g`` is pending, the skipped events would
+have been pending too, and they never touch ``busy`` or a wire.  When
+``g`` dies, everything under it dies in that same pass, which is what
+the event-by-event code would have added to ``dn``.  Event order is
+kept, so the insertion order of the fire set and the overlay, which
+snapshot images and ``state_sig`` hash, is unchanged (dead sets are
+imaged sorted).  An event nests in at most :data:`MAX_GATE_DEPTH` gate
+blocks, those of its outermost gates, which keeps the source below
+Python's limit of 100 indentation levels; gates past the cap open no
+block, and the events under them test those predecessors as usual.
+
 Caching
 -------
 
@@ -51,6 +81,11 @@ from ..core.fsmplan import (
     ThreadPlan,
 )
 from .rexpr import RLit, RUnit, fit
+
+#: most gate blocks one event of a generated fire function nests in;
+#: with the function body and the four levels an event's own code adds,
+#: the source stays below the tokenizer's limit of 100 indentation levels
+MAX_GATE_DEPTH = 64
 
 
 class _ExprCtx:
@@ -157,122 +192,204 @@ def _emit_latches(em: Emitter, ctx: _ExprCtx, latches):
             em.line(f"_ov[{latch.slot}] = {rendered}")
 
 
+def _is_gate(ep) -> bool:
+    """Whether ``ep`` can stay unresolved after its predecessors fired,
+    or die: a branch, a delay of at least one cycle, a handshaking
+    sync.  Any other event resolves in the pass its predecessors do."""
+    kind = ep.kind
+    return (kind is EventKind.BRANCH
+            or (kind is EventKind.DELAY and ep.delay > 0)
+            or (kind is EventKind.SYNC and not ep.conditional))
+
+
+def gate_chains(tp: ThreadPlan) -> List[Tuple[int, ...]]:
+    """Per event, the gates among its proper dominators, outermost
+    first, at most :data:`MAX_GATE_DEPTH` of them.
+
+    ``d`` dominates ``e`` when every path from the root to ``e`` passes
+    through ``d``.  Plans are numbered topologically, so an event's
+    immediate dominator is the nearest common dominator of its
+    predecessors, found by walking the larger of two ids up its
+    dominator chain until the two meet."""
+    idom: List[int] = []
+    chains: List[Tuple[int, ...]] = []
+    inner: List[Tuple[int, ...]] = []   # chains[e], plus e if a gate
+    for ep in tp.events:
+        preds = ep.preds
+        d = preds[0] if preds else -1
+        for p in preds[1:]:
+            while d != p:
+                if d > p:
+                    d = idom[d]
+                else:
+                    p = idom[p]
+        idom.append(d)
+        chain = inner[d] if d >= 0 else ()
+        chains.append(chain)
+        inner.append(chain + (ep.eid,)
+                     if _is_gate(ep) and len(chain) < MAX_GATE_DEPTH
+                     else chain)
+    return chains
+
+
 def _gen_fire(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
     """The settle-pass body: a straight-line specialization of the
-    interpreter's ``_fire_set`` in event order."""
-    for ep in tp.events:
-        eid = ep.eid
-        kind = ep.kind
-        em.line(f"# e{eid} {kind.value}" +
-                (f" {ep.sync_key[0]}.{ep.sync_key[1]}" if ep.sync_key else ""))
-        if kind is EventKind.ROOT:
-            em.line(f"if {eid} not in af and _st == now:")
-            em.push()
-            em.line(f"fn[{eid}] = now")
-            _emit_latches(em, ctx, ep.latches)
+    interpreter's ``_interp_fire`` in event order, each run of events
+    that share a gate nested in one test of it (see the module
+    docstring)."""
+    opened: Tuple[int, ...] = ()        # open gates, outermost first
+    runs: List[List[int]] = []          # the events inside each of them
+
+    def close(keep: int):
+        # when a gate died this pass, every event in its block dies too
+        while len(runs) > keep:
+            run = runs.pop()
             em.pop()
-            continue
-        preds = ep.preds
-        if kind is EventKind.JOIN_ANY:
-            em.line(f"if {eid} not in af and {eid} not in ad:")
+            em.line(f"elif {opened[len(runs)]} in dn:")
             em.push()
-            fired = " or ".join(
-                f"{p} in af or {p} in fn" for p in preds
-            ) or "False"
-            em.line(f"if {fired}:")
+            em.line(f"dn.update({tuple(run)!r})")
+            em.pop()
+            if runs:
+                runs[-1] += run
+
+    for ep, gates in zip(tp.events, gate_chains(tp)):
+        keep = len(opened)
+        while gates[:keep] != opened[:keep]:
+            keep -= 1
+        close(keep)
+        for g in gates[keep:]:
+            em.line(f"if {g} in af or {g} in fn:")
             em.push()
-            em.line(f"fn[{eid}] = now")
-            _emit_latches(em, ctx, ep.latches)
-            em.pop()
-            dead = " and ".join(
-                f"({p} in ad or {p} in dn)" for p in preds
-            ) or "True"
-            em.line(f"elif {dead}:")
-            em.push()
-            em.line(f"dn.add({eid})")
-            em.pop()
-            em.pop()
-            continue
-        # DELAY / JOIN_ALL / BRANCH / SYNC: need every predecessor
-        em.line(f"if {eid} not in af and {eid} not in ad:")
+            runs.append([])
+        opened = gates
+        if runs:
+            runs[-1].append(ep.eid)
+        _gen_event(em, ctx, ep, gates)
+    close(0)
+
+
+def _gen_event(em: Emitter, ctx: _ExprCtx, ep, fired):
+    """One event's test and effects; its predecessors in ``fired`` (the
+    open gates) are known to have fired and are not tested again."""
+    eid = ep.eid
+    kind = ep.kind
+    em.line(f"# e{eid} {kind.value}" +
+            (f" {ep.sync_key[0]}.{ep.sync_key[1]}" if ep.sync_key else ""))
+    if kind is EventKind.ROOT:
+        em.line(f"if {eid} not in af and _st == now:")
         em.push()
-        pops = 1
-        if preds:
-            dead = " or ".join(f"{p} in ad or {p} in dn" for p in preds)
-            em.line(f"if {dead}:")
-            em.push()
-            em.line(f"dn.add({eid})")
-            em.pop()
-            em.line("elif " + " and ".join(
-                f"({p} in af or {p} in fn)" for p in preds) + ":")
-            em.push()
-            pops += 1
-        if kind is EventKind.DELAY:       # only DELAY needs the cycles
-            em.line("_b = _st")
-            for p in preds:
-                em.line(f"_c = af[{p}] if {p} in af else fn[{p}]")
-                em.line("if _c > _b:")
-                em.push()
-                em.line("_b = _c")
-                em.pop()
-            em.line(f"if _b + {ep.delay} == now:")
-            em.push()
+        em.line(f"fn[{eid}] = now")
+        _emit_latches(em, ctx, ep.latches)
+        em.pop()
+        return
+    preds = [p for p in ep.preds if p not in fired]
+    em.line(f"if {eid} not in af and {eid} not in ad:")
+    em.push()
+    if kind is EventKind.JOIN_ANY:
+        if len(preds) < len(ep.preds):      # an open gate is a predecessor
             em.line(f"fn[{eid}] = now")
             _emit_latches(em, ctx, ep.latches)
             em.pop()
-        elif kind is EventKind.JOIN_ALL:
-            em.line(f"fn[{eid}] = now")
-            _emit_latches(em, ctx, ep.latches)
-        elif kind is EventKind.BRANCH:
-            cond = "0" if ep.cond_expr is None \
-                else _emit_bit(em, ctx, ep.cond_expr)
-            em.line(f"if {cond}:" if ep.polarity else f"if not {cond}:")
+            return
+        fired_test = " or ".join(
+            f"{p} in af or {p} in fn" for p in preds
+        ) or "False"
+        em.line(f"if {fired_test}:")
+        em.push()
+        em.line(f"fn[{eid}] = now")
+        _emit_latches(em, ctx, ep.latches)
+        em.pop()
+        dead = " and ".join(
+            f"({p} in ad or {p} in dn)" for p in preds
+        ) or "True"
+        em.line(f"elif {dead}:")
+        em.push()
+        em.line(f"dn.add({eid})")
+        em.pop()
+        em.pop()
+        return
+    # DELAY / JOIN_ALL / BRANCH / SYNC: need every predecessor
+    pops = 1
+    if preds:
+        dead = " or ".join(f"{p} in ad or {p} in dn" for p in preds)
+        em.line(f"if {dead}:")
+        em.push()
+        em.line(f"dn.add({eid})")
+        em.pop()
+        em.line("elif " + " and ".join(
+            f"({p} in af or {p} in fn)" for p in preds) + ":")
+        em.push()
+        pops += 1
+    if kind is EventKind.DELAY:       # only DELAY needs the cycles
+        # no event fires before its activation starts, so the base is
+        # the latest predecessor's fire cycle
+        cycles = [f"af[{p}] if {p} in af else fn[{p}]"
+                  for p in ep.preds] or ["_st"]
+        em.line(f"_b = {cycles[0]}")
+        for c in cycles[1:]:
+            em.line(f"_c = {c}")
+            em.line("if _c > _b:")
             em.push()
-            em.line(f"fn[{eid}] = now")
-            _emit_latches(em, ctx, ep.latches)
+            em.line("_b = _c")
             em.pop()
-            em.line("else:")
+        em.line(f"if _b + {ep.delay} == now:")
+        em.push()
+        em.line(f"fn[{eid}] = now")
+        _emit_latches(em, ctx, ep.latches)
+        em.pop()
+    elif kind is EventKind.JOIN_ALL:
+        em.line(f"fn[{eid}] = now")
+        _emit_latches(em, ctx, ep.latches)
+    elif kind is EventKind.BRANCH:
+        cond = "0" if ep.cond_expr is None \
+            else _emit_bit(em, ctx, ep.cond_expr)
+        em.line(f"if {cond}:" if ep.polarity else f"if not {cond}:")
+        em.push()
+        em.line(f"fn[{eid}] = now")
+        _emit_latches(em, ctx, ep.latches)
+        em.pop()
+        em.line("else:")
+        em.push()
+        em.line(f"dn.add({eid})")
+        em.pop()
+    elif kind is EventKind.SYNC:
+        pidx = ep.port      # keys busy by port index, not sync_key
+        em.line(f"if {pidx} not in busy:")
+        em.push()
+        em.line(f"busy.add({pidx})")
+        v = ctx.wire(pidx, "valid")
+        a = ctx.wire(pidx, "ack")
+        drive_guarded = ep.guard is not None
+        if drive_guarded:
+            guard = _emit_bit(em, ctx, ep.guard)
+            em.line(f"if {guard}:")
             em.push()
-            em.line(f"dn.add({eid})")
-            em.pop()
-        elif kind is EventKind.SYNC:
-            pidx = ep.port      # keys busy by port index, not sync_key
-            em.line(f"if {pidx} not in busy:")
-            em.push()
-            em.line(f"busy.add({pidx})")
-            v = ctx.wire(pidx, "valid")
-            a = ctx.wire(pidx, "ack")
-            drive_guarded = ep.guard is not None
-            if drive_guarded:
-                guard = _emit_bit(em, ctx, ep.guard)
-                em.line(f"if {guard}:")
-                em.push()
-            if ep.direction is SyncDir.SEND:
-                d = ctx.wire(pidx, "data")
-                em.line(f"{v}.value = 1")
-                if ep.payload is not None:
-                    rendered = _emit_exprs(em, ctx, [ep.payload])[0]
-                    em.line(f"{d}.value = {rendered} & {d}.mask")
-                else:
-                    em.line(f"{d}.value = 0")
+        if ep.direction is SyncDir.SEND:
+            d = ctx.wire(pidx, "data")
+            em.line(f"{v}.value = 1")
+            if ep.payload is not None:
+                rendered = _emit_exprs(em, ctx, [ep.payload])[0]
+                em.line(f"{d}.value = {rendered} & {d}.mask")
             else:
-                em.line(f"{a}.value = 1")
-            if drive_guarded:
-                em.pop()
-            if ep.conditional:
-                em.line(f"fn[{eid}] = now")
-                _emit_latches(em, ctx, ep.latches)
-            else:
-                em.line(f"if {v}.value and {a}.value:")
-                em.push()
-                em.line(f"fn[{eid}] = now")
-                _emit_latches(em, ctx, ep.latches)
-                em.pop()
+                em.line(f"{d}.value = 0")
+        else:
+            em.line(f"{a}.value = 1")
+        if drive_guarded:
             em.pop()
-        else:  # pragma: no cover - exhaustive over EventKind
-            raise AssertionError(kind)
-        for _ in range(pops):
+        if ep.conditional:
+            em.line(f"fn[{eid}] = now")
+            _emit_latches(em, ctx, ep.latches)
+        else:
+            em.line(f"if {v}.value and {a}.value:")
+            em.push()
+            em.line(f"fn[{eid}] = now")
+            _emit_latches(em, ctx, ep.latches)
             em.pop()
+        em.pop()
+    else:  # pragma: no cover - exhaustive over EventKind
+        raise AssertionError(kind)
+    for _ in range(pops):
+        em.pop()
 
 
 def _gen_commit(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):

@@ -280,14 +280,21 @@ class AnvilProcessModule(Module):
                 spawns += 1
                 if spawns > self.MAX_SPAWNS_PER_CYCLE:
                     raise SimulationError(
-                        f"{self.name}: zero-delay loop detected (thread "
-                        f"anchored at e{anchor})"
+                        f"{self.name}: cycle {now}: {self._thread_name(ti)}:"
+                        f" zero-delay loop detected (more than "
+                        f"{self.MAX_SPAWNS_PER_CYCLE} activations spawned "
+                        f"in one cycle, anchored at e{anchor})"
                     )
                 if len(acts) + len(tentative) >= self.MAX_ACTIVATIONS:
                     raise SimulationError(
-                        f"{self.name}: too many concurrent activations"
+                        f"{self.name}: cycle {now}: {self._thread_name(ti)}:"
+                        f" too many concurrent activations (limit "
+                        f"{self.MAX_ACTIVATIONS})"
                     )
                 tentative.append(Activation(now))
+
+    def _thread_name(self, ti: int) -> str:
+        return f"thread {ti} ({self.process.threads[ti].name})"
 
     # -- the reference interpreter ----------------------------------------
     def _apply_latches(self, latches, overlay, env):

@@ -8,6 +8,8 @@ import random
 
 import pytest
 
+from helpers import port_traces, tool_module
+
 from repro import (
     Process,
     Side,
@@ -20,11 +22,23 @@ from repro import (
 from repro.codegen import pysim
 from repro.codegen import rexpr as rx
 from repro.codegen.simfsm import compile_process
+from repro.core.events import EventKind
 from repro.core import fsmplan
 from repro.core.fsmplan import build_process_plan, port_reads, port_writes
-from repro.errors import ContractViolationError
+from repro.errors import ContractViolationError, SimulationError
 from repro.lang.channels import ChannelDef, LifetimeSpec, MessageDef
-from repro.lang.terms import let, read, recv, send, set_reg, var
+from repro.lang.terms import (
+    cycle,
+    if_,
+    let,
+    read,
+    recurse,
+    recv,
+    send,
+    set_reg,
+    unit,
+    var,
+)
 from repro.lang.types import Bundle, Logic
 from repro.rtl.executors import EXECUTORS, JobSpec
 
@@ -370,6 +384,152 @@ class TestBackendEquivalence:
             logs[backend] = ss.module("printer").debug_log
         assert logs["interp"] == logs["pycompiled"]
         assert [v for _c, _f, v in logs["interp"]] == [3, 5, 250]
+
+
+# ---------------------------------------------------------------------------
+# gate blocks: each fire pass tests an event's gates before the event
+# ---------------------------------------------------------------------------
+def _out_channel():
+    return ChannelDef("out_ch", [
+        MessageDef("m", Side.RIGHT, Logic(8), LifetimeSpec.static(1))])
+
+
+def _deep_chain(stages=60):
+    """A loop of ``stages`` ``cycle(1) >> send >> set_reg`` stages: every
+    event but the root is a gate, so gates nest ``3 * stages - 1``
+    deep."""
+    p = Process("deep_chain")
+    p.endpoint("out", _out_channel(), Side.LEFT)
+    p.register("cnt", Logic(8))
+    body = None
+    for _ in range(stages):
+        stage = (cycle(1) >> send("out", "m", read("cnt"))
+                 >> set_reg("cnt", read("cnt") + 1))
+        body = stage if body is None else body >> stage
+    p.loop(body)
+    return p
+
+
+def _dominators(tp):
+    """Per event, its proper dominators by definition: the earlier
+    events whose removal cuts it off from the root."""
+    doms = [set() for _ in tp.events]
+    for d in range(tp.n_events):
+        reached = set()
+        for ep in tp.events:
+            if ep.eid != d and (ep.kind is EventKind.ROOT or any(
+                    p in reached for p in ep.preds)):
+                reached.add(ep.eid)
+        for e in range(d + 1, tp.n_events):
+            if e not in reached:
+                doms[e].add(d)
+    return doms
+
+
+def _can_wait_or_die(ep):
+    return (ep.kind is EventKind.BRANCH
+            or (ep.kind is EventKind.DELAY and ep.delay > 0)
+            or (ep.kind is EventKind.SYNC and not ep.conditional))
+
+
+def _activations(ss, name):
+    return [(a.start, dict(a.fired), sorted(a.dead), dict(a.slots))
+            for acts in ss.module(name)._threads_rt for a in acts]
+
+
+class TestGateBlocks:
+    @pytest.mark.parametrize("factory", tool_module("frontend_digest").FACTORIES,
+                             ids=lambda f: f.__name__)
+    def test_gates_are_the_dominators_that_can_wait_or_die(self, factory):
+        for tp in build_process_plan(factory()).threads:
+            assert pysim.gate_chains(tp) == [
+                tuple(d for d in sorted(doms)
+                      if _can_wait_or_die(tp.events[d]))
+                for doms in _dominators(tp)]
+
+    def test_nesting_is_capped(self):
+        tp = build_process_plan(_deep_chain()).threads[0]
+        chains = pysim.gate_chains(tp)
+        assert tp.n_events == 181
+        assert max(map(len, chains)) == pysim.MAX_GATE_DEPTH
+        # past the cap the deepest events keep the outermost gates
+        assert chains[-1] == chains[pysim.MAX_GATE_DEPTH + 1]
+
+    def test_a_chain_deeper_than_the_cap_runs_as_interpreted(self):
+        # uncapped, its gates would nest past Python's 100-level
+        # indentation limit and the generated source would not compile
+        traces = {backend: port_traces(_deep_chain(), backend, cycles=400)
+                  for backend in BACKENDS}
+        assert len(traces["interp"]["out"]) == 200
+        assert traces["pycompiled"] == traces["interp"]
+
+    def test_a_dead_gate_kills_its_block_in_the_same_pass(self):
+        # one arm of the branch dies in every iteration, and with it the
+        # delay and the send under it: every activation's fired and dead
+        # events must be the interpreter's at every cycle
+        p = Process("gated")
+        p.endpoint("out", _out_channel(), Side.LEFT)
+        p.register("cnt", Logic(8))
+        p.loop(if_(read("cnt").bit(0),
+                   cycle(2) >> send("out", "m", read("cnt")),
+                   cycle(1) >> send("out", "m", read("cnt") + 100))
+               >> set_reg("cnt", read("cnt") + 1))
+        assert "dn.update(" in pysim.generate_source(build_process_plan(p))
+        sims, ends = {}, {}
+        for backend in BACKENDS:
+            system = System()
+            inst = system.add(p)
+            ch = system.expose(inst, "out")
+            sims[backend] = build_simulation(system, backend=backend)
+            ends[backend] = sims[backend].external(ch)
+            ends[backend].always_receive("m")
+        for cyc in range(40):
+            for ss in sims.values():
+                ss.sim.run(1)
+            assert _activations(sims["pycompiled"], "gated") \
+                == _activations(sims["interp"], "gated"), cyc
+        assert {value >= 100 for _c, value in ends["interp"].received["m"]} \
+            == {False, True}
+
+
+# ---------------------------------------------------------------------------
+# runaway threads: the errors name the cycle, the thread and the limit
+# ---------------------------------------------------------------------------
+def _run_until_error(process, backend, cycles=200):
+    system = System()
+    inst = system.add(process)
+    for name in process.endpoints:
+        system.expose(inst, name)
+    ss = build_simulation(system, backend=backend)
+    with pytest.raises(SimulationError) as exc:
+        ss.sim.run(cycles)
+    return ss.sim.cycle, str(exc.value)
+
+
+class TestRunawayThreads:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_zero_delay_loop(self, backend):
+        p = Process("spin")
+        p.loop(unit())
+        cyc, message = _run_until_error(p, backend)
+        assert cyc == 0
+        assert message == (
+            "spin: cycle 0: thread 0 (loop0): zero-delay loop detected "
+            "(more than 16 activations spawned in one cycle, anchored "
+            "at e0)")
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_too_many_concurrent_activations(self, backend):
+        p = Process("pileup")
+        p.endpoint("out", _out_channel(), Side.LEFT)
+        p.register("cnt", Logic(8))
+        p.recursive(cycle(1) >> recurse() >> cycle(100)
+                    >> send("out", "m", read("cnt")))
+        cyc, message = _run_until_error(p, backend)
+        assert cyc == 64
+        assert message == (
+            "pileup: cycle 64: thread 0 (rec0): too many concurrent "
+            "activations (limit 64)")
 
 
 # ---------------------------------------------------------------------------
