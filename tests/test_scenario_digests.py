@@ -8,10 +8,15 @@ activity counts and waveform samples -- as recorded on the reference
 pair (``brute`` engine, ``interp`` backend), and replays it on the fast
 pair (``kernel``, ``pycompiled``).
 
+The two pairs must also agree on the module state (``state_sig``) of
+``anvil_sweep`` and ``y86_sum`` at every cycle boundary up to 150; a
+mismatch names the cycle, the module and the attribute.
+
 ``REPRO_DIGEST_SEEDS`` (say ``1,2,3,4``) adds stimulus seeds the golden
 does not pin: at each, the two pairs must agree on every scenario's
-digest and on its module state (``state_sig``) at cycle 150.  The
-default run reads no extra seed.
+digest and on its module state at cycle 150, and on the state of the
+two scenarios above at every cycle boundary.  The default run reads no
+extra seed.
 
 Regenerate the golden (only when a change is *meant* to alter
 simulation results) on the reference pair::
@@ -27,7 +32,7 @@ import os
 import pytest
 
 from repro.api import SimConfig, get_registry
-from repro.rtl.snapshot import state_sig
+from repro.rtl.snapshot import capture, state_sig
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "scenario_digests.json")
@@ -90,6 +95,34 @@ def _state_and_digest(name, engine, backend, seed):
 def test_fast_path_agrees_with_the_reference_at_unpinned_seeds(seed, name):
     assert _state_and_digest(name, "kernel", "pycompiled", seed) \
         == _state_and_digest(name, "brute", "interp", seed)
+
+
+def _first_difference(ref, fast):
+    """``module.attribute`` of the first plain-data attribute in which
+    two builds of one scenario differ, or ``None``."""
+    for m, a, b in zip(ref.modules, capture(ref).module_state,
+                       capture(fast).module_state):
+        a, b = dict(a), dict(b)
+        for attr in sorted(a.keys() | b.keys()):
+            if a.get(attr) != b.get(attr):
+                return f"{m.name}.{attr}"
+    return None
+
+
+@pytest.mark.parametrize("seed", [SEED, *EXTRA_SEEDS])
+@pytest.mark.parametrize("name", ["anvil_sweep", "y86_sum"])
+def test_fast_path_state_agrees_with_the_reference_at_every_cycle(
+        name, seed):
+    ref = get_registry().build(name, SimConfig(
+        engine="levelized", backend="interp", seed=seed, stim=STIM))
+    fast = get_registry().build(name, SimConfig(
+        engine="kernel", backend="pycompiled", seed=seed, stim=STIM))
+    for cycle in range(151):
+        ref.run(cycle - ref.cycle)
+        fast.run(cycle - fast.cycle)
+        if state_sig(ref) != state_sig(fast):
+            pytest.fail(f"{name}, seed {seed}: module state differs at "
+                        f"cycle {cycle} in {_first_difference(ref, fast)}")
 
 
 if __name__ == "__main__":
