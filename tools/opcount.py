@@ -2,19 +2,18 @@
 
 Run: PYTHONPATH=src python tools/opcount.py SCENARIO [--cycles N]
 
-Builds a registry scenario (kernel engine and pycompiled backend unless
-``--engine``/``--backend`` say otherwise), runs ``--warmup`` cycles
-untraced so that kernel and pysim compilation stay out of the count,
-then runs ``--cycles`` cycles under ``sys.settrace`` with opcode events
-on every frame and counts the bytecodes each code object executes.  The
-trace is removed afterwards (any earlier one is put back), also when
-the run raises.
+Builds a registry scenario on the kernel engine and the pycompiled
+backend (seed 0), runs ``WARMUP`` cycles untraced so that kernel and
+pysim compilation stay out of the count, then runs ``--cycles`` cycles
+under ``sys.settrace`` with opcode events on every frame and counts the
+bytecodes each code object executes.  The trace is removed afterwards
+(any earlier one is put back), also when the run raises.
 
 The count does not move with machine load, so it is the per-cycle proxy
 to quote beside wall-clock benchmarks.  It does not replace them: a C
 call and a cheap bytecode count the same.  Rows, per cycle: the
 generated pysim fire functions, the generated pysim commit functions,
-the cycle kernel, the ``--top`` Python functions that execute most of
+the cycle kernel, the ``TOP`` Python functions that execute most of
 the rest (by qualified name), everything else, and the total; the rows
 above the total sum to it.
 """
@@ -30,6 +29,8 @@ COMMIT = "generated commit"
 KERNEL = "cycle kernel"
 OTHER = "other"
 TOTAL = "total"
+WARMUP = 20
+TOP = 8
 
 
 def layer_of(code) -> str:
@@ -68,7 +69,7 @@ def count_opcodes(sim, cycles: int) -> Counter:
     return counts
 
 
-def per_cycle(counts: Counter, cycles: int, top: int = 8) -> list:
+def per_cycle(counts: Counter, cycles: int, top: int = TOP) -> list:
     """``(row, bytecodes per cycle)`` pairs: the three generated layers,
     the ``top`` busiest other functions, ``other`` and ``total``."""
     layers = Counter()
@@ -86,20 +87,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("scenario")
     ap.add_argument("--cycles", type=int, default=200)
-    ap.add_argument("--warmup", type=int, default=20)
-    ap.add_argument("--engine", default="kernel")
-    ap.add_argument("--backend", default="pycompiled")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--top", type=int, default=8)
     args = ap.parse_args(argv)
-    config = SimConfig(engine=args.engine, backend=args.backend, seed=args.seed)
+    config = SimConfig(engine="kernel", backend="pycompiled", seed=0)
     sim = get_registry().build(args.scenario, config)
-    sim.run(args.warmup)
-    rows = per_cycle(count_opcodes(sim, args.cycles), args.cycles, args.top)
+    sim.run(WARMUP)
+    rows = per_cycle(count_opcodes(sim, args.cycles), args.cycles)
     print(
         f"{args.scenario}: bytecodes per cycle over {args.cycles} cycles "
-        f"({args.engine}/{args.backend}, seed {args.seed}, "
-        f"after {args.warmup} warm-up cycles)"
+        f"(kernel/pycompiled, seed 0, after {WARMUP} warm-up cycles)"
     )
     total = rows[-1][1] or 1.0
     for name, n in rows:
