@@ -5,13 +5,12 @@ process's :class:`~repro.core.fsmplan.ProcessPlan` on every settle
 iteration of every cycle -- generic dispatch on event kinds, recursive
 ``RExpr.eval`` per expression node.  This module removes all of that
 per-cycle interpretation: from the plan it emits straight-line Python
-source -- one specialized **fire** function per thread (the settle-pass
-body: compute the events firing this cycle, drive handshake wires,
-populate the same-cycle overlay) and, for a thread with register writes
-or prints, one specialized **commit** function (the clock-edge body:
-those writes and prints, each event one evaluation site; the shared
-tick commits the fire set and overlay) -- with every runtime expression
-lowered to an inline Python expression by
+source for the process's whole cycle step -- one **settle** function
+``_EVAL(m)`` (every thread's fire body: compute the events firing this
+cycle, drive handshake wires, populate the same-cycle overlay) and one
+**clock-edge** function ``_TICK(m)`` (commit each thread's fire sets,
+register writes and prints) -- with every runtime expression lowered to
+an inline Python expression by
 :meth:`~repro.codegen.rexpr.RExpr.to_python`.  The source is
 ``compile()``d and ``exec``'d once per distinct plan and cached, so
 harness sweeps that rebuild the same design row after row never pay
@@ -26,9 +25,9 @@ Gate blocks
 
 The hardware evaluates every event's fire logic in parallel each
 cycle; the interpreter visits every event of every live activation on
-every settle pass.  A fire function skips, instead, what cannot change
-this pass.  An event's *gates* are its proper dominators (events on
-every path from the root to it) that can stay unresolved after their
+every settle pass.  A generated fire body skips, instead, what cannot
+change this pass.  An event's *gates* are its proper dominators (events
+on every path from the root to it) that can stay unresolved after their
 predecessors fired, or die: a branch, a delay of at least one cycle, a
 handshaking (not ``conditional``) sync.  Events are still emitted one by
 one in event order, but each run of consecutive events that share a
@@ -51,6 +50,35 @@ blocks, those of its outermost gates, which keeps the source below
 Python's limit of 100 indentation levels; gates past the cap open no
 block, and the events under them test those predecessors as usual.
 
+Cycle step
+----------
+
+:class:`~repro.codegen.simfsm.AnvilProcessModule` binds the two
+functions as the instance's ``eval_comb`` and ``tick``.  ``_EVAL``
+binds the cycle, the register file, the thread lists and the port wires
+its fire bodies use once per call, releases the handshake outputs, then
+per thread walks ``chain(acts, tentative)`` with the thread's gate-nested
+fire body inlined in the loop, so an activation binds only its slots,
+fired and dead sets, start cycle, ``fn``, ``dn`` and overlay.  It stores
+the pass as ``act.cache`` and spawns at the anchor, with the
+interpreter's runaway limits.  ``_TICK`` merges each activation's cached
+pass, runs the thread's commit body inline (each register write masked
+to its register's width by a constant, in a local ``_rw`` dict), marks
+the spawn, retires finished activations (``_dedup`` when more than one
+is live) and applies every write with one ``m.regs.update``.
+
+A cache is stale only when something moved the module's ``cycle``
+between settle and tick -- a fault on that attribute.  ``_TICK`` then
+re-fires that activation with the reference ``_interp_fire``, which is
+exact: the suites pin the interpreter's fire pass bit-identical to the
+generated one, so the fire body is emitted once.  The rare paths stay
+shared with the interpreter: ``_start`` (the first evaluation),
+``_runaway`` (both runaway errors), ``_dedup`` and ``_state_key``.  A
+bound method is not plain data, so snapshots, ``state_sig`` and
+``matches`` skip the installed step, and a pycompiled module holds no
+plain-data attribute that an interpreted one lacks: a checkpoint of one
+restores on the other.
+
 Caching
 -------
 
@@ -69,6 +97,7 @@ resets the cache (tests).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Tuple
 
 from ..compile_cache import Emitter, SourceCache, source_key
@@ -82,9 +111,10 @@ from ..core.fsmplan import (
 )
 from .rexpr import RLit, RUnit, fit
 
-#: most gate blocks one event of a generated fire function nests in;
-#: with the function body and the four levels an event's own code adds,
-#: the source stays below the tokenizer's limit of 100 indentation levels
+#: most gate blocks one event of a generated fire body nests in; with
+#: the function body, the activation loop and the four levels an event's
+#: own code adds (1 + 1 + 64 + 4 = 70), the source stays below the
+#: tokenizer's limit of 100 indentation levels
 MAX_GATE_DEPTH = 64
 
 
@@ -395,7 +425,10 @@ def _gen_event(em: Emitter, ctx: _ExprCtx, ep, fired):
 def _gen_commit(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
     """The clock-edge body: the register writes and debug prints of
     every event in the settled fire set, in event order, each event one
-    evaluation site."""
+    evaluation site.  A write lands in ``_rw`` masked to its register's
+    width (a constant, dropped where the value cannot carry a bit past
+    it)."""
+    masks = ctx.plan.reg_masks
     for ep in tp.events:
         if not ep.commits:
             continue
@@ -405,25 +438,130 @@ def _gen_commit(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
             c.source for c in ep.commits if c.source is not None]))
         for c in ep.commits:
             if type(c) is CommitReg:
-                em.line(f"_rw.append(({c.reg!r}, {next(values)}))")
+                em.line(f"_rw[{c.reg!r}] = " + fit(
+                    next(values), c.source.bits, masks[c.reg].bit_length()))
                 continue
             # CommitPrint
             em.line(f"_v = {next(values) if c.source is not None else None}")
-            em.line(f"m.debug_log.append((m.cycle, {c.fmt!r}, _v))")
+            em.line(f"m.debug_log.append((now, {c.fmt!r}, _v))")
             em.line("if m.print_debug:")
             em.push()
             em.line('_sfx = "" if _v is None else f" {_v:#x}"')
-            em.line(f'print(f"[{{m.cycle}}] {{m.name}}: " + {c.fmt!r}'
+            em.line(f'print(f"[{{now}}] {{m.name}}: " + {c.fmt!r}'
                     " + _sfx)")
             em.pop()
         em.pop()
 
 
-def _function(name: str, args: str, prologue: List[str], ctx: _ExprCtx,
+def _gen_eval_thread(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
+    """One thread's settle pass: the fire body of each live activation,
+    then of each activation spawned while the loop runs (the walk over
+    ``tentative`` sees them), with the spawn check."""
+    fire = Emitter()
+    fire.push()         # inside the activation loop
+    _gen_fire(fire, ctx, tp)
+    text = "\n".join(fire.lines)
+    ti = tp.index
+    em.line(f"acts = _rt[{ti}]")
+    em.line(f"tentative = _tt[{ti}]")
+    em.line("tentative.clear()")
+    if "busy" in text:
+        em.line("busy = set()")
+    em.line("spawns = 0")
+    em.line("for act in chain(acts, tentative):")
+    em.push()
+    if "_sl." in text:
+        em.line("_sl = act.slots")
+    for line in ("af = act.fired", "ad = act.dead", "_st = act.start",
+                 "fn = {}", "dn = set()", "_ov = {}"):
+        em.line(line)
+    em.lines += fire.lines
+    em.line("act.cache = (now, fn, dn, _ov)")
+    em.line(f"if act.spawned or not ({tp.anchor} in fn "
+            f"or {tp.anchor} in af):")
+    em.push()
+    em.line("continue")
+    em.pop()
+    em.line("spawns += 1")
+    em.line("if (spawns > m.MAX_SPAWNS_PER_CYCLE"
+            " or len(acts) + len(tentative) >= m.MAX_ACTIVATIONS):")
+    em.push()
+    em.line(f"m._runaway({ti}, spawns)")
+    em.pop()
+    em.line("tentative.append(Activation(now))")
+    em.pop()
+
+
+def _gen_tick_thread(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
+    """One thread's clock edge: merge each activation's cached settle
+    pass (re-firing it with the reference interpreter when the cache is
+    stale), commit it, mark the spawn, retire finished activations."""
+    commit = Emitter()
+    commit.push()       # inside the activation loop's ``if fn:``
+    commit.push()
+    _gen_commit(commit, ctx, tp)
+    ti = tp.index
+    em.line(f"acts = _rt[{ti}]")
+    em.line(f"tentative = _tt[{ti}]")
+    em.line("if tentative:")
+    em.push()
+    em.line("acts.extend(tentative)")
+    em.line("tentative.clear()")
+    em.pop()
+    em.line("busy = None")
+    em.line("live = []")
+    em.line("for act in acts:")
+    em.push()
+    em.line("_ca = act.cache")
+    em.line("act.cache = None")
+    em.line("if _ca is not None and _ca[0] == now:")
+    em.push()
+    em.line("_, fn, dn, _ov = _ca")
+    em.pop()
+    em.line("else:   # a fault moved m.cycle since the settle pass")
+    em.push()
+    em.line("if busy is None:")
+    em.push()
+    em.line("busy = set()")
+    em.pop()
+    em.line(f"fn, dn, _ov = m._interp_fire(m.plan.threads[{ti}], act, busy)")
+    em.pop()
+    em.line("if dn:")
+    em.push()
+    em.line("act.dead.update(dn)")
+    em.pop()
+    em.line("if fn:")
+    em.push()
+    em.line("act.fired.update(fn)")
+    if any("_sl." in line for line in commit.lines):
+        em.line("_sl = act.slots")
+        em.line("_sl.update(_ov)")
+    else:
+        em.line("act.slots.update(_ov)")
+    em.lines += commit.lines
+    em.line(f"if {tp.anchor} in fn:")
+    em.push()
+    em.line("act.spawned = True")
+    em.pop()
+    em.pop()
+    em.line(f"if len(act.fired) + len(act.dead) != {tp.n_events}:")
+    em.push()
+    em.line("live.append(act)")
+    em.pop()
+    em.pop()
+    em.line(f"_rt[{ti}] = (m._dedup(m.plan.threads[{ti}], live)"
+            " if len(live) > 1 else live)")
+
+
+def _function(name: str, prologue: List[str], ctx: _ExprCtx,
               body: List[str], epilogue: Tuple[str, ...] = ()) -> str:
-    """A generated function: prologue, one unpack of the port wires
-    the body uses (``_`` for the rest), body, epilogue."""
-    lines = [f"def {name}({args}):"] + [f"    {line}" for line in prologue]
+    """A generated ``name(m)``: prologue, the register file if the body
+    or epilogue uses it, one unpack of the port wires the body uses
+    (``_`` for the rest), body, epilogue."""
+    lines = [f"def {name}(m):"] + [f"    {line}" for line in prologue]
+    text = "\n".join(body + list(epilogue))
+    if "_r[" in text or "_r." in text:
+        lines.append("    _r = m.regs")
     if ctx.used_wires:
         names = [f"_w{p}{r}" for p in range(len(ctx.plan.ports))
                  for r in "dva"]
@@ -433,61 +571,53 @@ def _function(name: str, args: str, prologue: List[str], ctx: _ExprCtx,
 
 
 def generate_source(plan: ProcessPlan) -> str:
-    """Deterministically render ``plan`` as a Python module defining
-    ``_FIRE`` and ``_COMMIT`` tuples (one entry per thread; ``None`` in
-    ``_COMMIT`` for a thread without register writes or prints)."""
+    """Deterministically render ``plan`` as a Python module defining the
+    process's cycle step: ``_EVAL(m)``, the settle pass, and
+    ``_TICK(m)``, the clock edge (see the module docstring)."""
     ctx = _ExprCtx(plan)
-    chunks: List[str] = []
     header = [
         f"# pysim backend for process {plan.name!r} "
         f"(optimized={plan.optimized})",
         f"# {len(plan.threads)} thread(s), {len(plan.ports)} port(s)",
     ]
-    fire_names = []
-    commit_names = []
+    em = Emitter()
     for tp in plan.threads:
-        em = Emitter()
-        ctx.used_wires = set()
-        _gen_fire(em, ctx, tp)
-        name = f"_t{tp.index}_fire"
-        fire_names.append(name)
-        chunks.append(_function(
-            name, "m, act, busy",
-            ["now = m.cycle", "_r = m.regs", "_sl = act.slots",
-             "af = act.fired", "ad = act.dead", "_st = act.start",
-             "fn = {}", "dn = set()", "_ov = {}"],
-            ctx, em.lines, ("return fn, dn, _ov",)))
-        if not any(ep.commits for ep in tp.events):
-            commit_names.append("None")
-            continue
-        em = Emitter()
-        ctx.used_wires = set()
-        _gen_commit(em, ctx, tp)
-        name = f"_t{tp.index}_commit"
-        commit_names.append(name)
-        chunks.append(_function(
-            name, "m, act, fn, _ov",
-            ["_r = m.regs", "_sl = act.slots", "_rw = m._reg_writes"],
-            ctx, em.lines))
+        em.line(f"# thread {tp.index} ({tp.kind})")
+        _gen_eval_thread(em, ctx, tp)
+    settle = _function(
+        "_EVAL",
+        ["if not m._started:", "    m._start()",
+         "for _w in m._release_wires:", "    _w.value = 0",
+         "now = m.cycle", "_rt = m._threads_rt", "_tt = m._tentative"],
+        ctx, em.lines)
+    em = Emitter()
+    ctx.used_wires = set()
+    for tp in plan.threads:
+        em.line(f"# thread {tp.index} ({tp.kind})")
+        _gen_tick_thread(em, ctx, tp)
+    writes = any(type(c) is CommitReg for tp in plan.threads
+                 for ep in tp.events for c in ep.commits)
+    edge = _function(
+        "_TICK",
+        ["now = m.cycle", "_rt = m._threads_rt", "_tt = m._tentative"]
+        + (["_rw = {}"] if writes else []),
+        ctx, em.lines,
+        (("if _rw:", "    _r.update(_rw)") if writes else ())
+        + ("m.cycle = now + 1",))
     consts = [f"{name} = {value!r}" for name, value in ctx.const_order]
-    footer = [
-        f"_FIRE = ({', '.join(fire_names)}{',' if fire_names else ''})",
-        f"_COMMIT = ({', '.join(commit_names)}"
-        f"{',' if commit_names else ''})",
-    ]
-    return "\n".join(header + consts + [""] +
-                      ["\n\n".join(chunks)] + [""] + footer) + "\n"
+    return "\n".join(header + consts + [""] + [settle, "", edge]) + "\n"
 
 
 class PyBackend:
-    """A compiled plan: per-thread fire/commit functions + their source."""
+    """A compiled plan: its cycle step (``eval`` for the settle pass,
+    ``tick`` for the clock edge, each taking the module) and source."""
 
-    __slots__ = ("source", "fire", "commit")
+    __slots__ = ("source", "eval", "tick")
 
-    def __init__(self, source: str, fire: Tuple, commit: Tuple):
+    def __init__(self, source: str, eval, tick):
         self.source = source
-        self.fire = fire
-        self.commit = commit
+        self.eval = eval
+        self.tick = tick
 
 
 _CACHE = SourceCache()
@@ -519,6 +649,9 @@ def backend_for(plan: ProcessPlan) -> PyBackend:
 
 
 def _compile(source: str, name: str) -> PyBackend:
-    ns: Dict[str, object] = {}
+    # imported here so the front end can generate source without the rtl
+    from .simfsm import Activation
+
+    ns: Dict[str, object] = {"Activation": Activation, "chain": chain}
     exec(compile(source, f"<pysim:{name}>", "exec"), ns)
-    return PyBackend(source, tuple(ns["_FIRE"]), tuple(ns["_COMMIT"]))
+    return PyBackend(source, ns["_EVAL"], ns["_TICK"])

@@ -13,10 +13,14 @@ split into three layers:
 2. :class:`AnvilProcessModule` owns the run-time state -- activations,
    per-activation slots, the register file, handshake ports -- and the
    **reference interpreter** that walks the plan cycle by cycle;
-3. ``backend="pycompiled"`` swaps the interpreter's per-thread fire and
-   commit steps for functions generated, ``compile()``d and ``exec``'d
-   from the same plan by :mod:`repro.codegen.pysim` -- semantically
-   identical, several times faster.
+3. ``backend="pycompiled"`` replaces the module's ``eval_comb`` and
+   ``tick`` with the process's cycle step, generated, ``compile()``d
+   and ``exec``'d from the same plan by :mod:`repro.codegen.pysim` --
+   semantically identical, several times faster.  The rare paths stay
+   here and are shared: the first evaluation (``_start``), the runaway
+   errors (``_runaway``), activation dedup (``_dedup``, ``_state_key``)
+   and the re-fire of an activation whose settle cache went stale
+   (``_interp_fire``).
 
 Execution semantics (identical across backends):
 
@@ -35,8 +39,8 @@ which is why the generated hardware carries no lifetime bookkeeping.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import chain
+from types import MethodType
 from typing import Dict, List, Optional, Tuple
 
 from ..core.events import EventKind, SyncDir
@@ -126,14 +130,17 @@ class Activation:
 class AnvilProcessModule(Module):
     """Run-time instance of a compiled process.
 
-    ``backend`` selects how the per-thread fire (settle pass) and commit
-    (clock edge) steps execute: ``"interp"`` walks the plan with the
-    reference interpreter; ``"pycompiled"`` calls the generated-Python
-    functions from :mod:`repro.codegen.pysim`.  Everything else --
-    activation bookkeeping, spawning, deduplication, retirement -- is
-    shared, so the two backends are observationally identical.  The
-    choice lives only in the installed dispatch, never in module state,
-    so snapshots, prefix keys and campaign digests do not depend on it.
+    ``backend`` selects how the cycle step executes: ``"interp"`` runs
+    the class's ``eval_comb`` and ``tick``, which walk the plan with the
+    reference interpreter; ``"pycompiled"`` binds the process's
+    generated ``_EVAL``/``_TICK`` from :mod:`repro.codegen.pysim` as the
+    instance's ``eval_comb`` and ``tick``.  Both keep the same state in
+    the same attributes and share the rare paths -- ``_start``,
+    ``_runaway``, ``_dedup``, and ``_interp_fire`` for a stale settle
+    cache -- so the two backends are observationally identical.  The
+    choice lives only in the bound methods, which are not plain data,
+    never in module state, so snapshots, prefix keys and campaign
+    digests do not depend on it.
     """
 
     MAX_ACTIVATIONS = 64
@@ -163,6 +170,8 @@ class AnvilProcessModule(Module):
         self._tentative: List[List[Activation]] = [
             [] for _ in self.plan.threads
         ]
+        # the interpreter's register writes of one clock edge (the
+        # generated tick keeps its own locally): empty between cycles
         self._reg_writes: List[Tuple[str, int]] = []
         self._started = False
         # flat port-wire table: [data, valid, ack] per plan port, filled
@@ -173,19 +182,11 @@ class AnvilProcessModule(Module):
         if backend == "pycompiled":
             from .pysim import backend_for
 
+            # the generated cycle step, bound to this instance; a bound
+            # method is not plain data, so snapshots skip it
             be = backend_for(self.plan)
-            self._fire = [partial(f, self) for f in be.fire]
-            commits = [partial(c, self) if c else None for c in be.commit]
-        else:
-            self._fire = [partial(self._interp_fire, tp)
-                          for tp in self.plan.threads]
-            commits = [partial(self._interp_commit, tp)
-                       if any(e.commits for e in tp.events) else None
-                       for tp in self.plan.threads]
-        # per thread, tick's (fire, commit) steps, commit None for a
-        # thread without register writes or prints; a pair holding a
-        # partial is never plain data, so snapshots skip it
-        self._edge = list(zip(self._fire, commits))
+            self.eval_comb = MethodType(be.eval, self)
+            self.tick = MethodType(be.tick, self)
 
     # -- wiring -----------------------------------------------------------
     def bind_endpoint(self, endpoint: str, side: Side,
@@ -255,10 +256,7 @@ class AnvilProcessModule(Module):
     # children appended while it runs.
     def eval_comb(self):
         if not self._started:
-            for ti in range(len(self.plan.threads)):
-                if not self._threads_rt[ti]:
-                    self._threads_rt[ti].append(Activation(0))
-            self._started = True
+            self._start()
         # release our handshake outputs, then re-drive below
         for w in self._release_wires:
             w.value = 0
@@ -267,34 +265,47 @@ class AnvilProcessModule(Module):
             acts = self._threads_rt[ti]
             tentative = self._tentative[ti]
             tentative.clear()
-            fire = self._fire[ti]
             anchor = tp.anchor
             busy: set = set()
             spawns = 0
             for act in chain(acts, tentative):
-                fired_now, dead_now, overlay = fire(act, busy)
+                fired_now, dead_now, overlay = self._interp_fire(
+                    tp, act, busy)
                 act.cache = (now, fired_now, dead_now, overlay)
                 if act.spawned or not (anchor in fired_now
                                        or anchor in act.fired):
                     continue
                 spawns += 1
-                if spawns > self.MAX_SPAWNS_PER_CYCLE:
-                    raise SimulationError(
-                        f"{self.name}: cycle {now}: {self._thread_name(ti)}:"
-                        f" zero-delay loop detected (more than "
-                        f"{self.MAX_SPAWNS_PER_CYCLE} activations spawned "
-                        f"in one cycle, anchored at e{anchor})"
-                    )
-                if len(acts) + len(tentative) >= self.MAX_ACTIVATIONS:
-                    raise SimulationError(
-                        f"{self.name}: cycle {now}: {self._thread_name(ti)}:"
-                        f" too many concurrent activations (limit "
-                        f"{self.MAX_ACTIVATIONS})"
-                    )
+                if (spawns > self.MAX_SPAWNS_PER_CYCLE
+                        or len(acts) + len(tentative)
+                        >= self.MAX_ACTIVATIONS):
+                    self._runaway(ti, spawns)
                 tentative.append(Activation(now))
 
-    def _thread_name(self, ti: int) -> str:
-        return f"thread {ti} ({self.process.threads[ti].name})"
+    def _start(self):
+        """The first evaluation: every thread starts an activation at
+        cycle 0."""
+        for acts in self._threads_rt:
+            if not acts:
+                acts.append(Activation(0))
+        self._started = True
+
+    def _runaway(self, ti: int, spawns: int):
+        """Raise thread ``ti``'s runaway error: more than
+        ``MAX_SPAWNS_PER_CYCLE`` spawns this cycle, else
+        ``MAX_ACTIVATIONS`` activations live."""
+        where = (f"{self.name}: cycle {self.cycle}: thread {ti} "
+                 f"({self.process.threads[ti].name}):")
+        if spawns > self.MAX_SPAWNS_PER_CYCLE:
+            raise SimulationError(
+                f"{where} zero-delay loop detected (more than "
+                f"{self.MAX_SPAWNS_PER_CYCLE} activations spawned in one "
+                f"cycle, anchored at e{self.plan.threads[ti].anchor})"
+            )
+        raise SimulationError(
+            f"{where} too many concurrent activations (limit "
+            f"{self.MAX_ACTIVATIONS})"
+        )
 
     # -- the reference interpreter ----------------------------------------
     def _apply_latches(self, latches, overlay, env):
@@ -315,7 +326,8 @@ class AnvilProcessModule(Module):
         """Compute events firing *this* cycle for one activation and drive
         handshake wires for active syncs.  Pure function of settled state;
         re-run every settle iteration (permanent state only commits at the
-        clock edge)."""
+        clock edge).  The generated tick calls it too, for an activation
+        whose settle cache is stale."""
         now = self.cycle
         fired_now: Dict[int, int] = {}
         dead_now: set = set()
@@ -430,13 +442,15 @@ class AnvilProcessModule(Module):
         return fired_now, dead_now, overlay
 
     def _interp_commit(self, tp: ThreadPlan, act: Activation,
-                       fired_now: Dict[int, int], overlay: Dict[int, int]):
-        # tick() has merged the overlay into the slots already
-        env = rx.REnv(self.regs, act.slots, self._ready)
+                       fired_now: Dict[int, int]):
+        env = None
         now = self.cycle
         events = tp.events
         for eid in fired_now:
             for c in events[eid].commits:
+                if env is None:
+                    # tick() has merged the overlay into the slots already
+                    env = rx.REnv(self.regs, act.slots, self._ready)
                 if type(c) is CommitReg:
                     self._reg_writes.append((c.reg, c.source.eval(env)))
                 else:   # CommitPrint
@@ -451,10 +465,10 @@ class AnvilProcessModule(Module):
 
     # -- clock edge ---------------------------------------------------------
     def tick(self):
-        """Commit each activation's settled fire pass (both backends):
-        its dead and fired events, its overlay into its slots (every
-        slot a fired event writes is there, at its final value), then
-        the thread's commit step for register writes and prints."""
+        """Commit each activation's settled fire pass: its dead and
+        fired events, its overlay into its slots (every slot a fired
+        event writes is there, at its final value), then its register
+        writes and prints."""
         now = self.cycle
         for ti, tp in enumerate(self.plan.threads):
             acts = self._threads_rt[ti]
@@ -462,7 +476,6 @@ class AnvilProcessModule(Module):
             if tentative:
                 acts.extend(tentative)
                 tentative.clear()
-            fire, commit = self._edge[ti]
             n_events = tp.n_events
             anchor = tp.anchor
             busy: set = set()
@@ -475,14 +488,14 @@ class AnvilProcessModule(Module):
                     # fire set on the settled wires; reuse it
                     _cyc, fired_now, dead_now, overlay = cache
                 else:
-                    fired_now, dead_now, overlay = fire(act, busy)
+                    fired_now, dead_now, overlay = self._interp_fire(
+                        tp, act, busy)
                 if dead_now:
                     act.dead.update(dead_now)
                 if fired_now:
                     act.fired.update(fired_now)
                     act.slots.update(overlay)
-                    if commit is not None:
-                        commit(act, fired_now, overlay)
+                    self._interp_commit(tp, act, fired_now)
                     if anchor in fired_now:
                         act.spawned = True
                 if len(act.fired) + len(act.dead) != n_events:
@@ -599,12 +612,15 @@ class ExternalEndpoint(Module):
             self._sender_memo[message] = hit
         return hit
 
-    def send(self, message: str, value: int):
+    def send(self, message: str, *values: int):
+        """Queue ``values`` on ``message``, in order (none: queue
+        nothing)."""
         if not self._is_sender(message):
             raise ContractViolationError(
                 f"{self.name} is not the sender of {message!r}"
             )
-        self._send_queues.setdefault(message, []).append(value)
+        if values:
+            self._send_queues.setdefault(message, []).extend(values)
 
     def always_receive(self, message: str, enabled: bool = True):
         if self._is_sender(message):

@@ -81,8 +81,7 @@ def _attach_anvil(sim: Simulator, process, stimuli: Dict[str, dict],
     for ep, spec in stimuli.items():
         ext = ss.external(chans[ep])
         for msg, maker in spec.get("send", {}).items():
-            for _ in range(stim):
-                ext.send(msg, maker(rng))
+            ext.send(msg, *[maker(rng) for _ in range(stim)])
         for msg in spec.get("recv", ()):
             ext.always_receive(msg)
             port = ext.ports[msg]
@@ -447,15 +446,17 @@ def anvil_mmu(engine: str = "levelized", seed: int = 0,
     sim.watch(host.ports["res"].data, f"{sim.name}.anvil_tlb.host.res.data")
     sim.watch(host.ports["res"].valid,
               f"{sim.name}.anvil_tlb.host.res.valid")
-    for _ in range(stim):
-        host.send("req", rng.choice((0, 3, 6, 9, 12, 1)))
+    host.send("req", *[rng.choice((0, 3, 6, 9, 12, 1))
+                       for _ in range(stim)])
     mem = ss.external(mem_ch)
     mem.always_receive("req")
-    for _ in range(stim):
+
+    def pte():
         # random PTEs biased towards valid leaves so walks terminate
-        pte = rng.randrange(1 << 12) << 4
-        pte |= PTE_VALID | (PTE_LEAF if rng.random() < 0.7 else 0)
-        mem.send("res", pte)
+        return (rng.randrange(1 << 12) << 4 | PTE_VALID
+                | (PTE_LEAF if rng.random() < 0.7 else 0))
+
+    mem.send("res", *[pte() for _ in range(stim)])
     return sim
 
 

@@ -236,9 +236,10 @@ class TestScenarioRegistry:
         assert sim.engine == "brute"
         anvil = [m for m in sim.modules if hasattr(m, "plan")]
         assert anvil
-        for m in anvil:      # the generated-Python dispatch is installed
-            fire = pysim.backend_for(m.plan).fire
-            assert [f.func for f in m._fire] == list(fire)
+        for m in anvil:      # the generated cycle step is installed
+            be = pysim.backend_for(m.plan)
+            assert m.eval_comb.__func__ is be.eval
+            assert m.tick.__func__ is be.tick
 
 
 # ---------------------------------------------------------------------------

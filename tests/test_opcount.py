@@ -22,7 +22,7 @@ def test_the_rows_sum_to_the_total():
     before = sys.gettrace()
     rows = opcount.per_cycle(opcount.count_opcodes(_sim(), 20), 20, top=3)
     names = [name for name, _n in rows]
-    assert names[:3] == [opcount.FIRE, opcount.COMMIT, opcount.KERNEL]
+    assert names[:3] == [opcount.SETTLE, opcount.EDGE, opcount.KERNEL]
     assert names[-2:] == [opcount.OTHER, opcount.TOTAL]
     assert len(rows) == 3 + 3 + 2
     assert all(n > 0 for _name, n in rows[:3])
@@ -48,6 +48,6 @@ def test_main_prints_one_row_per_layer(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("anvil_streams: bytecodes per cycle over 5")
     names = [line.split("%  ")[1] for line in out[1:]]
-    assert names[:3] == [opcount.FIRE, opcount.COMMIT, opcount.KERNEL]
+    assert names[:3] == [opcount.SETTLE, opcount.EDGE, opcount.KERNEL]
     assert names[-2:] == [opcount.OTHER, opcount.TOTAL]
     assert len(names) <= 3 + opcount.TOP + 2

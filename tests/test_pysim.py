@@ -21,11 +21,12 @@ from repro import (
 )
 from repro.codegen import pysim
 from repro.codegen import rexpr as rx
-from repro.codegen.simfsm import compile_process
+from repro.codegen.simfsm import AnvilProcessModule, compile_process
 from repro.core.events import EventKind
 from repro.core import fsmplan
 from repro.core.fsmplan import build_process_plan, port_reads, port_writes
 from repro.errors import ContractViolationError, SimulationError
+from repro.inject import Fault, FaultInjector
 from repro.lang.channels import ChannelDef, LifetimeSpec, MessageDef
 from repro.lang.terms import (
     cycle,
@@ -41,6 +42,7 @@ from repro.lang.terms import (
 )
 from repro.lang.types import Bundle, Logic
 from repro.rtl.executors import EXECUTORS, JobSpec
+from repro.rtl.snapshot import state_sig
 
 BACKENDS = ("interp", "pycompiled")
 
@@ -384,6 +386,76 @@ class TestBackendEquivalence:
             logs[backend] = ss.module("printer").debug_log
         assert logs["interp"] == logs["pycompiled"]
         assert [v for _c, _f, v in logs["interp"]] == [3, 5, 250]
+
+
+class TestExternalSend:
+    def test_one_send_of_many_values_queues_what_single_sends_queue(self):
+        ends = []
+        for batched in (False, True):
+            sys_ = System()
+            ch = sys_.expose(sys_.add(_echo_process()), "host")
+            ext = build_simulation(sys_).external(ch)
+            if batched:
+                ext.send("req", 3, 1, 4)
+                ext.send("req", 1, 5)
+            else:
+                for v in (3, 1, 4, 1, 5):
+                    ext.send("req", v)
+            ends.append(ext)
+        assert ends[0]._send_queues == ends[1]._send_queues \
+            == {"req": [3, 1, 4, 1, 5]}
+
+    def test_an_empty_send_queues_nothing(self):
+        sys_ = System()
+        ch = sys_.expose(sys_.add(_echo_process()), "host")
+        ext = build_simulation(sys_).external(ch)
+        ext.send("req")
+        assert ext._send_queues == {}
+        ext.send("req", 7)
+        ext.send("req")
+        assert ext._send_queues == {"req": [7]}
+        with pytest.raises(ContractViolationError):
+            ext.send("res")     # the process sends res, not us
+
+
+# ---------------------------------------------------------------------------
+# a stale settle cache: the generated clock edge re-fires with the
+# reference interpreter
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("name,module", [
+    ("anvil_memory", "anvil_cached_memory"),
+    ("anvil_pipeline", "anvil_alu"),
+])
+def test_a_stale_cache_refires_like_the_reference(name, module,
+                                                  monkeypatch):
+    # a flip of the module's cycle between settle and tick leaves every
+    # activation's cached settle pass a cycle behind; the generated tick
+    # must re-fire those activations exactly as the interpreter's does
+    sims = {
+        "interp": _build(name, engine="levelized", backend="interp",
+                         stim=400),
+        "pycompiled": _build(name, engine="kernel", backend="pycompiled",
+                             stim=400),
+    }
+    compiled = set(map(id, sims["pycompiled"].modules))
+    refires = []
+    reference_fire = AnvilProcessModule._interp_fire
+
+    def counted(self, tp, act, busy):
+        if id(self) in compiled:
+            refires.append(self.cycle)
+        return reference_fire(self, tp, act, busy)
+
+    monkeypatch.setattr(AnvilProcessModule, "_interp_fire", counted)
+    fault = Fault("transient_bitflip", module, "cycle", 40, bit=0)
+    injectors = [FaultInjector(fault).arm(sim) for sim in sims.values()]
+    for cyc in range(1, 121):
+        for sim in sims.values():
+            sim.run(1)
+        assert state_sig(sims["pycompiled"]) == state_sig(sims["interp"]), \
+            cyc
+    assert [i.fired for i in injectors] == [1, 1]
+    assert refires and set(refires) == {41}
 
 
 # ---------------------------------------------------------------------------

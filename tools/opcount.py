@@ -12,10 +12,10 @@ bytecodes each code object executes.  The trace is removed afterwards
 The count does not move with machine load, so it is the per-cycle proxy
 to quote beside wall-clock benchmarks.  It does not replace them: a C
 call and a cheap bytecode count the same.  Rows, per cycle: the
-generated pysim fire functions, the generated pysim commit functions,
-the cycle kernel, the ``TOP`` Python functions that execute most of
-the rest (by qualified name), everything else, and the total; the rows
-above the total sum to it.
+generated pysim settle passes (``_EVAL``), the generated pysim clock
+edges (``_TICK``), the cycle kernel, the ``TOP`` Python functions that
+execute most of the rest (by qualified name), everything else, and the
+total; the rows above the total sum to it.
 """
 
 import argparse
@@ -24,8 +24,8 @@ from collections import Counter
 
 from repro.api import SimConfig, get_registry
 
-FIRE = "generated fire"
-COMMIT = "generated commit"
+SETTLE = "generated settle"
+EDGE = "generated clock edge"
 KERNEL = "cycle kernel"
 OTHER = "other"
 TOTAL = "total"
@@ -37,7 +37,7 @@ def layer_of(code) -> str:
     """The row a code object is charged to: a generated layer, or its
     qualified name."""
     if code.co_filename.startswith("<pysim:"):
-        return FIRE if code.co_name.endswith("_fire") else COMMIT
+        return SETTLE if code.co_name == "_EVAL" else EDGE
     if code.co_filename == "<cycle-kernel>":
         return KERNEL
     return code.co_qualname
@@ -75,7 +75,7 @@ def per_cycle(counts: Counter, cycles: int, top: int = TOP) -> list:
     layers = Counter()
     for code, n in counts.items():
         layers[layer_of(code)] += n
-    rows = [(name, layers.pop(name, 0)) for name in (FIRE, COMMIT, KERNEL)]
+    rows = [(name, layers.pop(name, 0)) for name in (SETTLE, EDGE, KERNEL)]
     rest = sorted(layers.items(), key=lambda row: (-row[1], row[0]))
     rows += rest[:top]
     rows.append((OTHER, sum(n for _, n in rest[top:])))
