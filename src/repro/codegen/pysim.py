@@ -101,14 +101,8 @@ from itertools import chain
 from typing import Dict, List, Tuple
 
 from ..compile_cache import Emitter, SourceCache, source_key
-from ..core.events import EventKind, SyncDir
-from ..core.fsmplan import (
-    CommitReg,
-    LatchFlag,
-    LatchRecv,
-    ProcessPlan,
-    ThreadPlan,
-)
+from ..core.events import CommitReg, EventKind, LatchFlag, LatchRecv, SyncDir
+from ..core.fsmplan import ProcessPlan, ThreadPlan
 from .rexpr import RLit, RUnit, fit
 
 #: most gate blocks one event of a generated fire body nests in; with
@@ -207,14 +201,14 @@ def _emit_bit(em: Emitter, ctx: _ExprCtx, expr) -> str:
     return fit(_emit_exprs(em, ctx, [expr])[0], expr.bits, 1)
 
 
-def _emit_latches(em: Emitter, ctx: _ExprCtx, latches):
-    for latch in latches:
+def _emit_latches(em: Emitter, ctx: _ExprCtx, ep):
+    for latch in ep.latches:     # a recv or flag latches ep's handshake
         if type(latch) is LatchRecv:
             em.line(f"_ov[{latch.slot}] = "
-                    f"{ctx.wire(latch.port, 'data')}.value")
+                    f"{ctx.wire(ep.port, 'data')}.value")
         elif type(latch) is LatchFlag:
-            v = ctx.wire(latch.port, "valid")
-            a = ctx.wire(latch.port, "ack")
+            v = ctx.wire(ep.port, "valid")
+            a = ctx.wire(ep.port, "ack")
             em.line(f"_ov[{latch.slot}] = "
                     f"1 if ({v}.value and {a}.value) else 0")
         else:   # LatchExpr
@@ -304,12 +298,13 @@ def _gen_event(em: Emitter, ctx: _ExprCtx, ep, fired):
     eid = ep.eid
     kind = ep.kind
     em.line(f"# e{eid} {kind.value}" +
-            (f" {ep.sync_key[0]}.{ep.sync_key[1]}" if ep.sync_key else ""))
+            (f" {ep.endpoint}.{ep.message}" if kind is EventKind.SYNC
+             else ""))
     if kind is EventKind.ROOT:
         em.line(f"if {eid} not in af and _st == now:")
         em.push()
         em.line(f"fn[{eid}] = now")
-        _emit_latches(em, ctx, ep.latches)
+        _emit_latches(em, ctx, ep)
         em.pop()
         return
     preds = [p for p in ep.preds if p not in fired]
@@ -318,7 +313,7 @@ def _gen_event(em: Emitter, ctx: _ExprCtx, ep, fired):
     if kind is EventKind.JOIN_ANY:
         if len(preds) < len(ep.preds):      # an open gate is a predecessor
             em.line(f"fn[{eid}] = now")
-            _emit_latches(em, ctx, ep.latches)
+            _emit_latches(em, ctx, ep)
             em.pop()
             return
         fired_test = " or ".join(
@@ -327,7 +322,7 @@ def _gen_event(em: Emitter, ctx: _ExprCtx, ep, fired):
         em.line(f"if {fired_test}:")
         em.push()
         em.line(f"fn[{eid}] = now")
-        _emit_latches(em, ctx, ep.latches)
+        _emit_latches(em, ctx, ep)
         em.pop()
         dead = " and ".join(
             f"({p} in ad or {p} in dn)" for p in preds
@@ -365,25 +360,25 @@ def _gen_event(em: Emitter, ctx: _ExprCtx, ep, fired):
         em.line(f"if _b + {ep.delay} == now:")
         em.push()
         em.line(f"fn[{eid}] = now")
-        _emit_latches(em, ctx, ep.latches)
+        _emit_latches(em, ctx, ep)
         em.pop()
     elif kind is EventKind.JOIN_ALL:
         em.line(f"fn[{eid}] = now")
-        _emit_latches(em, ctx, ep.latches)
+        _emit_latches(em, ctx, ep)
     elif kind is EventKind.BRANCH:
         cond = "0" if ep.cond_expr is None \
             else _emit_bit(em, ctx, ep.cond_expr)
         em.line(f"if {cond}:" if ep.polarity else f"if not {cond}:")
         em.push()
         em.line(f"fn[{eid}] = now")
-        _emit_latches(em, ctx, ep.latches)
+        _emit_latches(em, ctx, ep)
         em.pop()
         em.line("else:")
         em.push()
         em.line(f"dn.add({eid})")
         em.pop()
     elif kind is EventKind.SYNC:
-        pidx = ep.port      # keys busy by port index, not sync_key
+        pidx = ep.port
         em.line(f"if {pidx} not in busy:")
         em.push()
         em.line(f"busy.add({pidx})")
@@ -408,12 +403,12 @@ def _gen_event(em: Emitter, ctx: _ExprCtx, ep, fired):
             em.pop()
         if ep.conditional:
             em.line(f"fn[{eid}] = now")
-            _emit_latches(em, ctx, ep.latches)
+            _emit_latches(em, ctx, ep)
         else:
             em.line(f"if {v}.value and {a}.value:")
             em.push()
             em.line(f"fn[{eid}] = now")
-            _emit_latches(em, ctx, ep.latches)
+            _emit_latches(em, ctx, ep)
             em.pop()
         em.pop()
     else:  # pragma: no cover - exhaustive over EventKind

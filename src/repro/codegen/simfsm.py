@@ -43,11 +43,8 @@ from itertools import chain
 from types import MethodType
 from typing import Dict, List, Optional, Tuple
 
-from ..core.events import EventKind, SyncDir
+from ..core.events import CommitReg, EventKind, LatchFlag, LatchRecv, SyncDir
 from ..core.fsmplan import (
-    CommitReg,
-    LatchFlag,
-    LatchRecv,
     ProcessPlan,
     ThreadPlan,
     build_process_plan,
@@ -308,14 +305,14 @@ class AnvilProcessModule(Module):
         )
 
     # -- the reference interpreter ----------------------------------------
-    def _apply_latches(self, latches, overlay, env):
+    def _apply_latches(self, ev, overlay, env):
         pw = self._pw
-        for latch in latches:
+        base = 3 * ev.port      # a recv or flag latches its own handshake
+        for latch in ev.latches:
             t = type(latch)
             if t is LatchRecv:
-                overlay[latch.slot] = pw[3 * latch.port].value
+                overlay[latch.slot] = pw[base].value
             elif t is LatchFlag:
-                base = 3 * latch.port
                 overlay[latch.slot] = (
                     1 if (pw[base + 1].value and pw[base + 2].value) else 0
                 )
@@ -350,7 +347,7 @@ class AnvilProcessModule(Module):
                 if start == now:
                     fired_now[eid] = now
                     if epl.latches:
-                        self._apply_latches(epl.latches, overlay, env)
+                        self._apply_latches(epl, overlay, env)
                 continue
             preds = epl.preds
             if kind is EventKind.JOIN_ANY:
@@ -368,7 +365,7 @@ class AnvilProcessModule(Module):
                 if ready:
                     fired_now[eid] = now
                     if epl.latches:
-                        self._apply_latches(epl.latches, overlay, env)
+                        self._apply_latches(epl, overlay, env)
                 elif not alive:
                     dead_now.add(eid)
                 continue
@@ -398,12 +395,12 @@ class AnvilProcessModule(Module):
                 if base + epl.delay == now:
                     fired_now[eid] = now
                     if epl.latches:
-                        self._apply_latches(epl.latches, overlay, env)
+                        self._apply_latches(epl, overlay, env)
                 continue
             if kind is EventKind.JOIN_ALL:
                 fired_now[eid] = now
                 if epl.latches:
-                    self._apply_latches(epl.latches, overlay, env)
+                    self._apply_latches(epl, overlay, env)
                 continue
             if kind is EventKind.BRANCH:
                 expr = epl.cond_expr
@@ -411,16 +408,16 @@ class AnvilProcessModule(Module):
                 if bool(cond) == epl.polarity:
                     fired_now[eid] = now
                     if epl.latches:
-                        self._apply_latches(epl.latches, overlay, env)
+                        self._apply_latches(epl, overlay, env)
                 else:
                     dead_now.add(eid)
                 continue
             # SYNC
-            key = epl.sync_key
-            if key in busy:
+            port = epl.port
+            if port in busy:
                 continue  # an older activation owns the handshake
-            busy.add(key)
-            base3 = 3 * epl.port
+            busy.add(port)
+            base3 = 3 * port
             guard = 1 if epl.guard is None else epl.guard.eval(env) & 1
             if epl.direction is SyncDir.SEND:
                 if guard:
@@ -438,7 +435,7 @@ class AnvilProcessModule(Module):
                                    and pw[base3 + 2].value):
                 fired_now[eid] = now
                 if epl.latches:
-                    self._apply_latches(epl.latches, overlay, env)
+                    self._apply_latches(epl, overlay, env)
         return fired_now, dead_now, overlay
 
     def _interp_commit(self, tp: ThreadPlan, act: Activation,

@@ -8,8 +8,8 @@ Each Anvil process becomes one synthesizable SystemVerilog module:
 * the process's FSM plan (:mod:`repro.core.fsmplan`, the artifact both
   simulators run) lowers to an FSM with a one-bit ``fire`` wire per
   event, plus state registers for joins, cycle delays and in-flight
-  handshakes; each event's latch specs become slot registers with
-  bypass wires, its commit specs guarded register writes;
+  handshakes; each event's latches become slot registers with bypass
+  wires, its register commits guarded register writes;
 * register assignments are guarded by their event's ``fire`` wire, which is
   the implicit clock gating the paper credits for leakage savings;
 * no lifetime bookkeeping is emitted -- timing safety was discharged
@@ -24,16 +24,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..core.events import EventKind, SyncDir
-from ..core.fsmplan import (
+from ..core.events import (
     CommitReg,
+    EventKind,
     LatchExpr,
     LatchFlag,
     LatchRecv,
-    ProcessPlan,
-    ThreadPlan,
-    build_process_plan,
+    SyncDir,
 )
+from ..core.fsmplan import ProcessPlan, ThreadPlan, build_process_plan
 from ..lang.channels import Side
 from ..lang.process import Process, System
 from .lowering import endpoint_ports
@@ -194,18 +193,19 @@ def _slot_widths(tp: ThreadPlan, plan: ProcessPlan) -> Dict[int, int]:
             if type(latch) is LatchExpr:
                 width = latch.source.width or 1
             elif type(latch) is LatchRecv:
-                width = plan.ports[latch.port].width
+                width = plan.ports[ev.port].width
             else:   # LatchFlag
                 width = 1
             widths[latch.slot] = max(widths.get(latch.slot, 1), width)
     return widths
 
 
-def _latched_value(latch, plan: ProcessPlan, names: NameMap) -> str:
-    """What a latch spec writes into its slot when its event fires."""
+def _latched_value(latch, ev, plan: ProcessPlan, names: NameMap) -> str:
+    """What a latch record writes into its slot when its event ``ev``
+    fires (a recv or flag latches ``ev``'s own handshake)."""
     if type(latch) is LatchExpr:
         return _sv_expr(latch.source, names)
-    pp = plan.ports[latch.port]
+    pp = plan.ports[ev.port]
     if type(latch) is LatchRecv:
         return names.port(pp.endpoint, pp.message, "data")
     valid = names.port(pp.endpoint, pp.message, "valid")
@@ -377,7 +377,7 @@ def emit_process(process: Process, plan: Optional[ProcessPlan] = None
             fire = names.fire(ev.eid)
             for latch in ev.latches:
                 slot = latch.slot
-                value = _latched_value(latch, plan, names)
+                value = _latched_value(latch, ev, plan, names)
                 w(f"    if ({fire}) {names.slot_q(slot)} <= {value};")
                 if type(latch) is LatchFlag:
                     value = f"({value})"

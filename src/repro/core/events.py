@@ -17,16 +17,24 @@ JOIN_ANY  the earliest reached predecessor (orange edges, label ``⊕``)
 JOIN_ALL  the latest predecessor (label ``#0``)
 ========= ===========================================================
 
-Each event additionally carries *actions* (register mutations, message
-sends/receives, debug prints) used by FSM lowering, so the graph is the
-single IR shared by the type checker and the code generator, as in the
-paper's compiler (Section 6).
+Each event additionally carries its *effects*, as in the paper's compiler
+(Section 6): **latches** (the overlay writes of received data, sync
+success flags and branch conditions), **commits** (register writes and
+debug prints, made at the clock edge), a sync's ``payload`` and
+``guard``, and a branch's ``cond_expr``.  The graph builder records them,
+the optimizer carries them through merges, and FSM planning
+(:mod:`repro.core.fsmplan`) gives each sync its ``port``; every backend
+then reads them off the event, so the graph is the single IR shared by
+the type checker and the code generator.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, List, NamedTuple, Optional, Sequence,
+                    Tuple)
+
+from ..codegen.rexpr import RExpr
 
 
 class EventKind(enum.Enum):
@@ -43,90 +51,41 @@ class SyncDir(enum.Enum):
     RECV = "recv"
 
 
-class Action:
-    """Side effect attached to an event, executed when the event fires."""
-
-    __slots__ = ()
-
-
-class RegWriteAction(Action):
-    """Schedule ``reg <- value_of(source)`` at this event (visible next cycle)."""
-
-    __slots__ = ("reg", "source")
-
-    def __init__(self, reg: str, source):
-        self.reg = reg
-        self.source = source
-
-    def __repr__(self):
-        return f"RegWrite({self.reg})"
+# ---------------------------------------------------------------------------
+# latches: overlay writes made when an event fires (combinationally visible
+# in the firing cycle, committed into the activation's slots at the edge)
+# ---------------------------------------------------------------------------
+class LatchRecv(NamedTuple):
+    """overlay[slot] = data of the event's own handshake (a receive's
+    bypass path)."""
+    slot: int
 
 
-class SendDataAction(Action):
-    """Drive the data (and valid) lines of ``endpoint.message`` from this event."""
-
-    __slots__ = ("endpoint", "message", "source")
-
-    def __init__(self, endpoint: str, message: str, source):
-        self.endpoint = endpoint
-        self.message = message
-        self.source = source
-
-    def __repr__(self):
-        return f"SendData({self.endpoint}.{self.message})"
+class LatchFlag(NamedTuple):
+    """overlay[slot] = 1 iff the event's own handshake transferred this
+    cycle (the success bit of a try_send/try_recv)."""
+    slot: int
 
 
-class RecvBindAction(Action):
-    """Latch the received data of ``endpoint.message`` into a value slot."""
-
-    __slots__ = ("endpoint", "message", "target")
-
-    def __init__(self, endpoint: str, message: str, target):
-        self.endpoint = endpoint
-        self.message = message
-        self.target = target
-
-    def __repr__(self):
-        return f"RecvBind({self.endpoint}.{self.message})"
+class LatchExpr(NamedTuple):
+    """overlay[slot] = eval(source) (a branch condition)."""
+    slot: int
+    source: RExpr
 
 
-class SyncFlagAction(Action):
-    """Latch whether this event's handshake actually transferred (the
-    success bit of a non-blocking try_send/try_recv)."""
-
-    __slots__ = ("endpoint", "message", "target")
-
-    def __init__(self, endpoint: str, message: str, target):
-        self.endpoint = endpoint
-        self.message = message
-        self.target = target
-
-    def __repr__(self):
-        return f"SyncFlag({self.endpoint}.{self.message})"
+# ---------------------------------------------------------------------------
+# commits: clock-edge effects of a fired event
+# ---------------------------------------------------------------------------
+class CommitReg(NamedTuple):
+    """reg <- eval(source), visible the next cycle."""
+    reg: str
+    source: RExpr
 
 
-class SyncGuardAction(Action):
-    """Gate a conditional synchronization: valid/ack only asserted while
-    the guard expression evaluates true."""
-
-    __slots__ = ("source",)
-
-    def __init__(self, source):
-        self.source = source
-
-    def __repr__(self):
-        return "SyncGuard"
-
-
-class DebugPrintAction(Action):
-    __slots__ = ("fmt", "source")
-
-    def __init__(self, fmt: str, source=None):
-        self.fmt = fmt
-        self.source = source
-
-    def __repr__(self):
-        return f"DebugPrint({self.fmt!r})"
+class CommitPrint(NamedTuple):
+    """Log ``fmt`` (with eval(source), if any) at the clock edge."""
+    fmt: str
+    source: Optional[RExpr]
 
 
 class Event:
@@ -144,8 +103,13 @@ class Event:
         "conditional",
         "cond_id",
         "polarity",
-        "actions",
         "note",
+        "latches",
+        "commits",
+        "payload",
+        "guard",
+        "cond_expr",
+        "port",
     )
 
     def __init__(
@@ -174,8 +138,16 @@ class Event:
         self.conditional = conditional
         self.cond_id = cond_id
         self.polarity = polarity
-        self.actions: List[Action] = []
         self.note = note
+        #: LatchRecv / LatchFlag / LatchExpr records, in overlay order
+        self.latches: List[tuple] = []
+        #: CommitReg / CommitPrint records, in commit order
+        self.commits: List[tuple] = []
+        self.payload: Optional[RExpr] = None    # SYNC SEND: data driven
+        self.guard: Optional[RExpr] = None      # SYNC: valid/ack gate
+        self.cond_expr: Optional[RExpr] = None  # BRANCH: latched condition
+        #: SYNC: index in the process plan's port table, set by planning
+        self.port = -1
 
     @property
     def sync_key(self) -> Tuple[str, str]:

@@ -5,15 +5,12 @@ it needs one more lowering step.  A :class:`ProcessPlan` is that step's
 output: a frozen, backend-neutral description of how a compiled process
 runs cycle by cycle --
 
-* per-thread event firing order (graphs are built in topological order,
-  so plan order *is* evaluation order), with every event's predecessor
-  list, delay, branch condition and handshake role pre-resolved;
-* per-event **latch specs** (the combinational overlay writes: received
-  data, sync success flags, latched expressions) and **commit specs**
-  (register writes and debug prints; the clock edge commits slots by
-  merging the overlay), extracted once from the action lists so no
-  backend ever runs ``isinstance`` over
-  :class:`~repro.core.events.Action` objects in its inner loop;
+* per-thread event firing order: the optimized graph's own events
+  (graphs are built in topological order, so plan order *is* evaluation
+  order), each carrying the latches, commits, payload, guard and branch
+  condition the graph builder recorded on it
+  (:class:`~repro.core.events.Event`), and each sync the index of its
+  handshake in the port table;
 * the **port table**: every ``(endpoint, message)`` pair the process
   actually synchronizes on or queries readiness of, with its
   sender/receiver role -- the exact combinational sensitivity of the
@@ -26,9 +23,10 @@ The plan is the only compiled artifact.  Four consumers read it: the
 reference interpreter in :mod:`repro.codegen.simfsm`, the generated-Python
 backend in :mod:`repro.codegen.pysim`, the SystemVerilog emitter in
 :mod:`repro.codegen.sysverilog` and the Table 1 cost model in
-:mod:`repro.synth.cost`.  What an event does when it fires is decided
-here once, so the two simulators stay observationally identical and the
-emitted circuit is the one they simulate.
+:mod:`repro.synth.cost`.  All four read what an event does when it
+fires off the same :class:`~repro.core.events.Event`, so the two
+simulators stay observationally identical and the emitted circuit is the
+one they simulate.
 
 A plan is a pure function of ``(process, do_optimize)``, so
 :func:`build_process_plan` keeps the plans it built in a process-wide
@@ -46,57 +44,13 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..codegen import rexpr as rx
 from ..compile_cache import SourceCache
-from .events import (
-    DebugPrintAction,
-    EventGraph,
-    EventKind,
-    RecvBindAction,
-    RegWriteAction,
-    SendDataAction,
-    SyncDir,
-    SyncFlagAction,
-    SyncGuardAction,
-)
-from .graph_builder import GraphBuilder, LatchAction
+from .events import EventGraph, EventKind
+from .graph_builder import GraphBuilder
 from .optimize import optimize
-
-
-# ---------------------------------------------------------------------------
-# latch specs: combinational overlay writes executed when an event fires
-# ---------------------------------------------------------------------------
-class LatchRecv(NamedTuple):
-    """overlay[slot] = port.data (the bypass path of a receive)."""
-    port: int
-    slot: int
-
-
-class LatchFlag(NamedTuple):
-    """overlay[slot] = 1 iff the handshake transferred this cycle."""
-    port: int
-    slot: int
-
-
-class LatchExpr(NamedTuple):
-    """overlay[slot] = eval(source) (let bindings, branch conditions)."""
-    slot: int
-    source: rx.RExpr
-
-
-# ---------------------------------------------------------------------------
-# commit specs: clock-edge effects of a fired event
-# ---------------------------------------------------------------------------
-class CommitReg(NamedTuple):
-    reg: str
-    source: rx.RExpr
-
-
-class CommitPrint(NamedTuple):
-    fmt: str
-    source: Optional[rx.RExpr]
 
 
 class PortPlan:
@@ -126,38 +80,6 @@ class PortPlan:
         return f"PortPlan(#{self.index} {self.endpoint}.{self.message} {role})"
 
 
-class EventPlan:
-    """One event, fully resolved for execution."""
-
-    __slots__ = ("eid", "kind", "preds", "delay", "conditional", "cond_id",
-                 "polarity", "direction", "port", "sync_key", "guard",
-                 "payload", "latches", "commits", "cond_expr")
-
-    def __init__(self, eid: int, kind: EventKind, preds: Tuple[int, ...],
-                 delay: int = 0, conditional: bool = False,
-                 cond_id: int = -1, polarity: bool = True,
-                 direction: Optional[SyncDir] = None, port: int = -1,
-                 sync_key: Optional[Tuple[str, str]] = None):
-        self.eid = eid
-        self.kind = kind
-        self.preds = preds
-        self.delay = delay
-        self.conditional = conditional
-        self.cond_id = cond_id
-        self.polarity = polarity
-        self.direction = direction
-        self.port = port
-        self.sync_key = sync_key
-        self.guard: Optional[rx.RExpr] = None      # SYNC only; last wins
-        self.payload: Optional[rx.RExpr] = None    # SYNC SEND only
-        self.latches: Tuple = ()
-        self.commits: Tuple = ()
-        self.cond_expr: Optional[rx.RExpr] = None  # BRANCH only
-
-    def __repr__(self):
-        return f"EventPlan(e{self.eid} {self.kind.value})"
-
-
 class ThreadPlan:
     """One thread's executable plan."""
 
@@ -165,20 +87,20 @@ class ThreadPlan:
                  "graph", "delays")
 
     def __init__(self, index: int, kind: str, anchor: int,
-                 events: Tuple[EventPlan, ...], graph: EventGraph):
+                 graph: EventGraph):
         self.index = index
         self.kind = kind
         self.anchor = anchor
-        self.events = events
-        self.n_events = len(events)
-        #: the optimized event graph: the cost model reads its handshake
-        #: slacks and concrete fire times
+        self.events = tuple(graph.events)
+        self.n_events = len(self.events)
+        #: the optimized event graph: the cost model reads its concrete
+        #: fire times
         self.graph = graph
         #: DELAY events with their predecessors -- what the activation
         #: dedup in tick() needs to compute outstanding due-times
         self.delays: Tuple[Tuple[int, Tuple[int, ...], int], ...] = tuple(
             (e.eid, e.preds, e.delay)
-            for e in events if e.kind is EventKind.DELAY
+            for e in self.events if e.kind is EventKind.DELAY
         )
 
     def __repr__(self):
@@ -233,18 +155,6 @@ class ProcessPlan:
                 f"{len(self.ports)} ports)")
 
 
-def _collect_cond_exprs(graph: EventGraph) -> Dict[int, rx.RExpr]:
-    """Map each branch condition id to the slot its latch writes (the
-    slot overlay makes the latched value combinationally visible in the
-    latching cycle, surviving optimizer merges)."""
-    out: Dict[int, rx.RExpr] = {}
-    for ev in graph.events:
-        for act in ev.actions:
-            if isinstance(act, LatchAction) and act.cond_id >= 0:
-                out[act.cond_id] = rx.RSlot(act.slot, 1, f"c{act.cond_id}")
-    return out
-
-
 def _register_ready_reads(plan: ProcessPlan, expr: Optional[rx.RExpr]):
     """Readiness queries are combinational reads of the counterpart's
     handshake wire; they belong in the port table even without a sync."""
@@ -263,46 +173,6 @@ def _register_ready_reads(plan: ProcessPlan, expr: Optional[rx.RExpr]):
         stack.extend(node.children())
 
 
-def _extract_event(plan: ProcessPlan, ev) -> EventPlan:
-    ep = EventPlan(
-        ev.eid, ev.kind, ev.preds, delay=ev.delay,
-        conditional=ev.conditional, cond_id=ev.cond_id,
-        polarity=ev.polarity, direction=ev.direction,
-    )
-    if ev.kind is EventKind.SYNC:
-        pp = plan._port(ev.endpoint, ev.message)
-        pp.drives = True
-        ep.port = pp.index
-        ep.sync_key = pp.key
-    latches: List = []
-    commits: List = []
-    for act in ev.actions:
-        if isinstance(act, RecvBindAction):
-            pp = plan._port(act.endpoint, act.message)
-            latches.append(LatchRecv(pp.index, act.target))
-        elif isinstance(act, SyncFlagAction):
-            pp = plan._port(act.endpoint, act.message)
-            latches.append(LatchFlag(pp.index, act.target))
-        elif isinstance(act, LatchAction):
-            latches.append(LatchExpr(act.slot, act.source))
-            _register_ready_reads(plan, act.source)
-        elif isinstance(act, RegWriteAction):
-            commits.append(CommitReg(act.reg, act.source))
-            _register_ready_reads(plan, act.source)
-        elif isinstance(act, SendDataAction):
-            ep.payload = act.source          # driven combinationally
-            _register_ready_reads(plan, act.source)
-        elif isinstance(act, SyncGuardAction):
-            ep.guard = act.source
-            _register_ready_reads(plan, act.source)
-        elif isinstance(act, DebugPrintAction):
-            commits.append(CommitPrint(act.fmt, act.source))
-            _register_ready_reads(plan, act.source)
-    ep.latches = tuple(latches)
-    ep.commits = tuple(commits)
-    return ep
-
-
 def build_thread_plan(plan: ProcessPlan, thread, index: int,
                       do_optimize: bool) -> ThreadPlan:
     result = GraphBuilder(plan.process, thread).build(iterations=1)
@@ -311,15 +181,16 @@ def build_thread_plan(plan: ProcessPlan, thread, index: int,
         graph, mapping, stats = optimize(graph)
         anchor = mapping.get(anchor, anchor)
         plan.optimize_stats.append(stats)
-    cond_exprs = _collect_cond_exprs(graph)
-    events = []
     for ev in graph.events:
-        epl = _extract_event(plan, ev)
-        if ev.kind is EventKind.BRANCH:
-            epl.cond_expr = cond_exprs.get(ev.cond_id)
-            _register_ready_reads(plan, epl.cond_expr)
-        events.append(epl)
-    return ThreadPlan(index, thread.kind, anchor, tuple(events), graph)
+        if ev.kind is EventKind.SYNC:
+            pp = plan._port(ev.endpoint, ev.message)
+            pp.drives = True
+            ev.port = pp.index
+        for spec in ev.latches + ev.commits:
+            _register_ready_reads(plan, getattr(spec, "source", None))
+        for expr in (ev.payload, ev.guard, ev.cond_expr):
+            _register_ready_reads(plan, expr)
+    return ThreadPlan(index, thread.kind, anchor, graph)
 
 
 def plan_key(process, do_optimize: bool) -> Optional[str]:

@@ -27,16 +27,14 @@ from ..lang import terms as T
 from ..lang.process import Process, Thread
 from ..lang.types import Bundle, DataType, Logic
 from .events import (
-    Action,
-    DebugPrintAction,
+    CommitPrint,
+    CommitReg,
     EventGraph,
     EventKind,
-    RecvBindAction,
-    RegWriteAction,
-    SendDataAction,
+    LatchExpr,
+    LatchFlag,
+    LatchRecv,
     SyncDir,
-    SyncFlagAction,
-    SyncGuardAction,
 )
 from .patterns import Duration, EndSet
 
@@ -48,22 +46,6 @@ def _static_slack(msg) -> Optional[int]:
     if msg.left_sync.is_dynamic or msg.right_sync.is_dynamic:
         return None
     return 0
-
-
-class LatchAction(Action):
-    """Latch a combinational value into a per-activation slot when the
-    event fires (used for branch conditions; ``cond_id`` identifies which
-    branch condition the slot decides, -1 for plain latches)."""
-
-    __slots__ = ("slot", "source", "cond_id")
-
-    def __init__(self, slot: int, source: rx.RExpr, cond_id: int = -1):
-        self.slot = slot
-        self.source = source
-        self.cond_id = cond_id
-
-    def __repr__(self):
-        return f"Latch(slot{self.slot})"
 
 
 class Value:
@@ -442,7 +424,7 @@ class GraphBuilder:
             static_slack=_static_slack(msg),
         )
         slot = self._new_slot()
-        sync.actions.append(RecvBindAction(term.endpoint, term.message, slot))
+        sync.latches.append(LatchRecv(slot))
         dur = self._contract_duration(term.endpoint, term.message)
         val = Value(
             sync.eid,
@@ -471,9 +453,7 @@ class GraphBuilder:
             direction=SyncDir.SEND,
             static_slack=_static_slack(msg),
         )
-        sync.actions.append(
-            SendDataAction(term.endpoint, term.message, prexpr)
-        )
+        sync.payload = prexpr
         dur = self._contract_duration(term.endpoint, term.message)
         required = EndSet.single(sync.eid, dur)
         ctx = f"send {term.endpoint}.{term.message}"
@@ -509,18 +489,14 @@ class GraphBuilder:
             direction=SyncDir.SEND,
             static_slack=0, conditional=True,
         )
-        sync.actions.append(
-            SendDataAction(term.endpoint, term.message, prexpr)
-        )
+        sync.payload = prexpr
         if guard_val is not None:
-            sync.actions.append(SyncGuardAction(guard_val.rexpr))
+            sync.guard = guard_val.rexpr
             self._use(guard_val, pc,
                       EndSet.single(sync.eid, Duration.static(1)),
                       f"try_send guard {term.endpoint}.{term.message}")
         flag_slot = self._new_slot()
-        sync.actions.append(
-            SyncFlagAction(term.endpoint, term.message, flag_slot)
-        )
+        sync.latches.append(LatchFlag(flag_slot))
         dur = self._contract_duration(term.endpoint, term.message)
         required = EndSet.single(sync.eid, dur)
         ctx = f"try_send {term.endpoint}.{term.message}"
@@ -561,18 +537,14 @@ class GraphBuilder:
             static_slack=0, conditional=True,
         )
         if guard_val is not None:
-            sync.actions.append(SyncGuardAction(guard_val.rexpr))
+            sync.guard = guard_val.rexpr
             self._use(guard_val, start,
                       EndSet.single(sync.eid, Duration.static(1)),
                       f"try_recv guard {term.endpoint}.{term.message}")
         data_slot = self._new_slot()
         flag_slot = self._new_slot()
-        sync.actions.append(
-            RecvBindAction(term.endpoint, term.message, data_slot)
-        )
-        sync.actions.append(
-            SyncFlagAction(term.endpoint, term.message, flag_slot)
-        )
+        sync.latches.append(LatchRecv(data_slot))
+        sync.latches.append(LatchFlag(flag_slot))
         dtype = Bundle([("data", msg.dtype), ("valid", Logic(1))])
         rexpr = rx.RBundle(dtype, {
             "data": rx.RSlot(data_slot, msg.dtype.width,
@@ -608,7 +580,7 @@ class GraphBuilder:
         self.result.mutations.append(
             MutationRecord(term.reg, vc, self._iter_tag + ctx)
         )
-        self.graph[vc].actions.append(RegWriteAction(term.reg, rexpr))
+        self.graph[vc].commits.append(CommitReg(term.reg, rexpr))
         done = self.graph.add(EventKind.DELAY, (vc,), delay=1,
                               note=f"set {term.reg} done")
         return done.eid, self._unit(done.eid)
@@ -638,13 +610,14 @@ class GraphBuilder:
         self._use(cval, cc, EndSet.single(cc, Duration.static(1)), "if cond")
         cond_id = self._new_cond()
         cond_slot = self._new_slot()
-        self.graph[cc].actions.append(
-            LatchAction(cond_slot, cval.rexpr, cond_id)
-        )
+        self.graph[cc].latches.append(LatchExpr(cond_slot, cval.rexpr))
         bt = self.graph.add(EventKind.BRANCH, (cc,), cond_id=cond_id,
                             polarity=True)
         bf = self.graph.add(EventKind.BRANCH, (cc,), cond_id=cond_id,
                             polarity=False)
+        # both arms test the latched slot, which the overlay makes
+        # visible in the latching cycle
+        bt.cond_expr = bf.cond_expr = rx.RSlot(cond_slot, 1, f"c{cond_id}")
         tc, tval = self._visit(term.then, bt.eid, env)
         if term.els is not None:
             ec, eval2 = self._visit(term.els, bf.eid, env)
@@ -669,7 +642,7 @@ class GraphBuilder:
             arg_expr = aval.rexpr
             self._use(aval, at, EndSet.single(at, Duration.static(1)),
                       "dprint")
-        self.graph[at].actions.append(DebugPrintAction(term.fmt, arg_expr))
+        self.graph[at].commits.append(CommitPrint(term.fmt, arg_expr))
         return at, self._unit(at)
 
     def _visit_Recurse(self, term: T.Recurse, at, env):

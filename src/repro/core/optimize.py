@@ -14,7 +14,7 @@ four passes of the paper:
     a bit test on :class:`~repro.core.events.EventGraph`, so the optimizer
     queries no timing oracle.
 (c) **Shift branch joins** -- when both sides of a branch end in an
-    action-free ``#N`` delay, join first and delay once after.
+    effect-free ``#N`` delay, join first and delay once after.
 (d) **Remove branch joins** -- a join of two empty branches collapses into
     the branching event itself.
 
@@ -51,14 +51,18 @@ class OptimizeStats:
 
 
 def _copy(graph: EventGraph, ev: Event, preds) -> Event:
-    """Add a copy of ``ev``, actions included, to ``graph`` over ``preds``."""
+    """Add a copy of ``ev``, effects included, to ``graph`` over ``preds``."""
     copy = graph.add(
         ev.kind, preds, delay=ev.delay, endpoint=ev.endpoint,
         message=ev.message, direction=ev.direction,
         static_slack=ev.static_slack, conditional=ev.conditional,
         cond_id=ev.cond_id, polarity=ev.polarity, note=ev.note,
     )
-    copy.actions.extend(ev.actions)
+    copy.latches.extend(ev.latches)
+    copy.commits.extend(ev.commits)
+    copy.payload = ev.payload
+    copy.guard = ev.guard
+    copy.cond_expr = ev.cond_expr
     return copy
 
 
@@ -67,8 +71,8 @@ def _rebuild(graph: EventGraph, redirect: Dict[int, int],
     """Rebuild the graph applying a redirect map and dropping events.
 
     ``redirect[x] = y`` means every reference to ``x`` becomes ``y`` (after
-    chasing chains); dropped events' actions are moved to their redirect
-    target.
+    chasing chains); a redirected event's latches and commits are
+    appended, in order, to its target's (no pass redirects a sync).
     """
 
     def resolve(eid: int) -> int:
@@ -91,11 +95,12 @@ def _rebuild(graph: EventGraph, redirect: Dict[int, int],
             if np is not None and np not in preds:
                 preds.append(np)
         mapping[ev.eid] = _copy(new, ev, preds).eid
-    # migrate actions of merged events
+    # migrate the effects of merged events
     for eid, target in redirect.items():
         tgt = mapping.get(resolve(eid))
         if tgt is not None:
-            new[tgt].actions.extend(graph[eid].actions)
+            new[tgt].latches.extend(graph[eid].latches)
+            new[tgt].commits.extend(graph[eid].commits)
         mapping[eid] = tgt if tgt is not None else 0
     for eid in drop:
         if eid not in mapping:
@@ -174,7 +179,7 @@ def pass_unbalanced_joins(graph: EventGraph):
 
 def pass_shift_branch_joins(graph: EventGraph):
     """(c) join-then-delay instead of delay-then-join when both branch arms
-    end in an identical, action-free ``#N`` delay."""
+    end in an identical, effect-free ``#N`` delay."""
     for ev in graph.events:
         if ev.kind is not EventKind.JOIN_ANY or len(ev.preds) != 2:
             continue
@@ -183,7 +188,7 @@ def pass_shift_branch_joins(graph: EventGraph):
             continue
         if a.delay != b.delay or a.delay == 0:
             continue
-        if a.actions or b.actions:
+        if a.latches or a.commits or b.latches or b.commits:
             continue
         if len(graph.successors(a.eid)) != 1 or len(graph.successors(b.eid)) != 1:
             continue
@@ -210,7 +215,8 @@ def pass_shift_branch_joins(graph: EventGraph):
                     note="shifted join",
                 )
                 delay = new.add(EventKind.DELAY, (join.eid,), delay=a.delay)
-                delay.actions.extend(ev.actions)
+                delay.latches.extend(ev.latches)
+                delay.commits.extend(ev.commits)
                 mapping[ev.eid] = delay.eid
                 mapping[a.eid] = join.eid
                 mapping[b.eid] = join.eid
@@ -229,7 +235,7 @@ def pass_remove_branch_joins(graph: EventGraph):
         a, b = graph[ev.preds[0]], graph[ev.preds[1]]
         if a.kind is not EventKind.BRANCH or b.kind is not EventKind.BRANCH:
             continue
-        if a.actions or b.actions:
+        if a.latches or a.commits or b.latches or b.commits:
             continue
         if a.preds != b.preds or len(a.preds) != 1:
             continue

@@ -22,8 +22,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..codegen import rexpr as rx
-from ..core.events import EventGraph, EventKind
-from ..core.fsmplan import CommitReg, LatchExpr, LatchRecv, ProcessPlan
+from ..core.events import (CommitReg, EventGraph, EventKind, LatchExpr,
+                           LatchRecv)
+from ..core.fsmplan import ProcessPlan
 from ..semantics.log import concrete_times
 from .gates import LIBRARY, fmax_mhz, gate_area, gate_leakage
 
@@ -245,8 +246,7 @@ def estimate_compiled(plan: ProcessPlan, name: str = "") -> CostReport:
         # existing select logic, so they are costed elementwise-max.
         shared_groups: Dict[tuple, list] = {}
         for ev in tp.events:
-            if ev.kind is EventKind.SYNC and \
-                    g.events[ev.eid].static_slack is None:
+            if ev.kind is EventKind.SYNC and ev.static_slack is None:
                 flops += 1          # in-flight handshake state
             _merge(gates, {"and": 1})   # fire wire
             for latch in ev.latches:
@@ -257,7 +257,7 @@ def estimate_compiled(plan: ProcessPlan, name: str = "") -> CostReport:
                                               latch.source.width or 1)
                 elif type(latch) is LatchRecv:
                     slot_latch[latch.slot] = (ev.eid,
-                                                plan.ports[latch.port].width)
+                                              plan.ports[ev.port].width)
             if ev.payload is not None:
                 shared_groups.setdefault(
                     ("send",) + ev.sync_key, []

@@ -156,13 +156,13 @@ class TestBranchJoins:
         assert mapping[j.eid] == mapping[r.eid]
 
     def test_keeps_join_with_actions_in_branches(self):
-        from repro.core.events import RegWriteAction
+        from repro.core.events import CommitReg
         from repro.codegen.rexpr import RLit
         g = EventGraph()
         r = g.root()
         bt = g.add(EventKind.BRANCH, (r.eid,), cond_id=0, polarity=True)
         bf = g.add(EventKind.BRANCH, (r.eid,), cond_id=0, polarity=False)
-        bt.actions.append(RegWriteAction("r", RLit(1, 1)))
+        bt.commits.append(CommitReg("r", RLit(1, 1)))
         g.add(EventKind.JOIN_ANY, (bt.eid, bf.eid))
         _, _, removed = pass_remove_branch_joins(g)
         assert removed == 0
@@ -208,13 +208,13 @@ class TestOptimizePipeline:
         assert len(opt) == len(g)
 
     def test_actions_preserved_across_merge(self):
-        from repro.core.events import RegWriteAction
+        from repro.core.events import CommitReg
         from repro.codegen.rexpr import RLit
         g = EventGraph()
         r = g.root()
         a = g.add(EventKind.DELAY, (r.eid,), delay=1)
         b = g.add(EventKind.DELAY, (r.eid,), delay=1)
-        b.actions.append(RegWriteAction("x", RLit(1, 1)))
+        b.commits.append(CommitReg("x", RLit(1, 1)))
         opt, mapping, stats = optimize(g)
-        total_actions = sum(len(e.actions) for e in opt.events)
+        total_actions = sum(len(e.commits) for e in opt.events)
         assert total_actions == 1
