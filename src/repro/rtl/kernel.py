@@ -494,19 +494,21 @@ def generate_source(plan: KernelPlan) -> str:
 # compilation + cache
 # ---------------------------------------------------------------------------
 class CycleKernel:
-    """A compiled cycle kernel: the generated runner and its source."""
+    """A compiled cycle kernel: the generated runner, its source and the
+    source's compile-cache key."""
 
-    __slots__ = ("source", "fn")
+    __slots__ = ("key", "source", "fn")
 
-    def __init__(self, source: str, fn):
+    def __init__(self, key: str, source: str, fn):
+        self.key = key
         self.source = source
         self.fn = fn
 
 
-def _compile(source: str) -> CycleKernel:
+def _compile(key: str, source: str) -> CycleKernel:
     ns: Dict[str, object] = {"_SE": SimulationError}
     exec(compile(source, "<cycle-kernel>", "exec"), ns)
-    return CycleKernel(source, ns["_KERNEL"])
+    return CycleKernel(key, source, ns["_KERNEL"])
 
 
 _CACHE = SourceCache()
@@ -524,7 +526,8 @@ def kernel_for(plan: KernelPlan) -> Optional[CycleKernel]:
     if plan.unsupported:
         return None
     source = generate_source(plan)
-    return _CACHE.get(source_key(source), lambda: _compile(source))
+    key = source_key(source)
+    return _CACHE.get(key, lambda: _compile(key, source))
 
 
 def topology_shape(sim) -> Optional[str]:
@@ -532,21 +535,14 @@ def topology_shape(sim) -> Optional[str]:
     with equal digests generate identical kernels.  ``None`` when the
     shape has no kernel (unsupported plan).
 
-    The digest is the compile cache's key for the kernel source,
-    memoized per simulator against the scheduler's rebuild token and
-    the watched-signal count so repeated fingerprinting (checkpoint
-    prefix keys, :func:`fast_path_ready`) doesn't re-render the source.
+    The digest is the compile cache's key for the kernel source, read
+    off the kernel the simulator keeps for its fast path (compiled once
+    per topology and watched-signal count), so repeated fingerprinting
+    (checkpoint prefix keys) neither re-renders nor recompiles it.
     """
-    sch = sim.scheduler
-    sch._ensure_built()
-    token = (sch._topo_key, len(sim.waveform._watched))
-    cached = getattr(sim, "_shape_cache", None)
-    if cached is not None and cached[0] == token:
-        return cached[1]
-    plan = build_plan(sim)
-    digest = None if plan.unsupported else source_key(generate_source(plan))
-    sim._shape_cache = (token, digest)
-    return digest
+    sim.scheduler._ensure_built()
+    kern = sim._compiled_kernel()
+    return None if kern is None else kern.key
 
 
 def fast_path_ready(sim) -> bool:
@@ -554,9 +550,9 @@ def fast_path_ready(sim) -> bool:
     ``run()`` call without an interpreted fallback cycle.
 
     This is the entry check of
-    :meth:`~repro.rtl.simulator.Simulator._kernel_advance` made
-    inspectable: no monitors, scheduler built with no
-    pending prime or dirty set, and a supported topology.  The
+    :meth:`~repro.rtl.simulator.Simulator._kernel_advance` itself: no
+    monitors, no armed inject hook, scheduler built with no pending
+    prime or dirty set, and a supported topology.  The
     checkpoint layer (:mod:`repro.rtl.snapshot`) restores the scheduler
     columns the generated code rebinds its flat locals from at every
     entry, so a restored simulator must report ready whenever the
@@ -564,10 +560,4 @@ def fast_path_ready(sim) -> bool:
     invariant so restores never silently degrade ``engine="kernel"``
     runs to the per-cycle interpreter.
     """
-    if sim._monitors:
-        return False
-    sch = sim.scheduler
-    sch._ensure_built()
-    if sch._needs_prime or sch._changed:
-        return False
-    return topology_shape(sim) is not None
+    return sim._fast_path() is not None

@@ -81,11 +81,12 @@ class Simulator:
         # hook needs every cycle); it re-arms when the hook disarms.
         self._inject_hook: Optional[Callable[["Simulator"], None]] = None
         self._prev_values: Dict[int, int] = {}   # brute engine only
-        # kernel engine only: the compiled cycle kernel for the current
-        # (topology, watch count) pair.  None means no usable kernel --
-        # either never compiled or the topology is unsupported; the
-        # distinction lives in _kernel_key, which matching prevents a
-        # re-plan until the topology or watch count changes
+        # the compiled cycle kernel for the current (topology, watch
+        # count) pair, read by the kernel engine's fast path and by
+        # kernel.topology_shape.  None means no usable kernel -- either
+        # never compiled or the topology is unsupported; the distinction
+        # lives in _kernel_key, which matching prevents a re-plan until
+        # the topology or watch count changes
         self._kernel = None
         self._kernel_key = None
 
@@ -226,22 +227,7 @@ class Simulator:
         kernel; returns ``(cycles completed, stop fired)`` -- ``(0,
         False)`` when the fast path cannot engage and the caller falls
         back to :meth:`step`."""
-        if self._monitors or self._inject_hook is not None:
-            return 0, False
-        sch = self.scheduler
-        sch._ensure_built()
-        if sch._needs_prime or sch._changed:
-            # an unprimed activity baseline (first cycle after build)
-            # or changed wires pending from a standalone settle() --
-            # the interpreted commit owns those paths
-            return 0, False
-        key = (sch._topo_key, len(self.waveform._watched))
-        if self._kernel_key != key:
-            from .kernel import build_plan, kernel_for
-
-            self._kernel = kernel_for(build_plan(self))
-            self._kernel_key = key
-        kern = self._kernel
+        kern = self._fast_path()
         if kern is None:
             return 0, False
         # late watches: pad once here so the kernel's per-cycle sample
@@ -249,7 +235,33 @@ class Simulator:
         for _label, _wire, series in self.waveform._watched:
             if len(series) < self.cycle:
                 series.extend([0] * (self.cycle - len(series)))
-        return kern.fn(self, sch, cycles, stop)
+        return kern.fn(self, self.scheduler, cycles, stop)
+
+    def _fast_path(self):
+        """The compiled cycle kernel the next :meth:`run` enters, or
+        ``None`` when the fast path cannot engage: monitors and an
+        armed inject hook need every cycle, and an unprimed activity
+        baseline (first cycle after build) or changed wires pending
+        from a standalone settle() belong to the interpreted commit."""
+        if self._monitors or self._inject_hook is not None:
+            return None
+        sch = self.scheduler
+        sch._ensure_built()
+        if sch._needs_prime or sch._changed:
+            return None
+        return self._compiled_kernel()
+
+    def _compiled_kernel(self):
+        """The kernel of the current topology and watch count (``None``
+        when the topology is unsupported), compiled once per pair; the
+        scheduler must be built."""
+        key = (self.scheduler._topo_key, len(self.waveform._watched))
+        if self._kernel_key != key:
+            from .kernel import build_plan, kernel_for
+
+            self._kernel = kernel_for(build_plan(self))
+            self._kernel_key = key
+        return self._kernel
 
     def snapshot(self):
         """Capture the complete cycle-boundary state (wire values,

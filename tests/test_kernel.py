@@ -401,6 +401,22 @@ class TestStopPredicate:
             == outcomes["brute"]
         assert outcomes["kernel"][1] == 4
 
+    def test_fast_path_is_not_ready_while_an_inject_hook_is_armed(self):
+        from repro.inject import Fault, FaultInjector
+
+        sim = _build("streams", stim=200, engine="kernel",
+                     backend="pycompiled")
+        sim.run(5)
+        assert kernel.fast_path_ready(sim)
+        injector = FaultInjector(Fault(
+            kind="transient_bitflip", module="st_src", target="st.a.data",
+            cycle=50)).arm(sim)
+        # the readiness check and the kernel entry agree: neither engages
+        assert not kernel.fast_path_ready(sim)
+        assert sim._kernel_advance(10) == (0, False)
+        injector.disarm()
+        assert kernel.fast_path_ready(sim)
+
     def test_fast_path_stays_ready_after_a_stopped_kernel_run(self):
         sim = _build("streams", seed=1, stim=200, engine="kernel")
         sim.run(5)
