@@ -297,9 +297,6 @@ def _gen_event(em: Emitter, ctx: _ExprCtx, ep, fired):
     open gates) are known to have fired and are not tested again."""
     eid = ep.eid
     kind = ep.kind
-    em.line(f"# e{eid} {kind.value}" +
-            (f" {ep.endpoint}.{ep.message}" if kind is EventKind.SYNC
-             else ""))
     if kind is EventKind.ROOT:
         em.line(f"if {eid} not in af and _st == now:")
         em.push()
