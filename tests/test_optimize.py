@@ -86,6 +86,31 @@ class TestUnbalancedJoins:
         assert removed == 1
         assert mapping[j.eid] == mapping[s.eid]
 
+    def test_merged_join_appends_its_effects_after_the_syncs(self):
+        """The join's latches and commits follow the sync's, in order:
+        latch order is the overlay's insertion order, which state
+        images hash."""
+        from repro.codegen.rexpr import RLit
+        from repro.core.events import (CommitPrint, CommitReg, LatchExpr,
+                                       LatchRecv)
+        g = EventGraph()
+        r = g.root()
+        s = g.add(EventKind.SYNC, (r.eid,), endpoint="e", message="m",
+                  direction=SyncDir.RECV)
+        s.latches.append(LatchRecv(0))
+        s.commits.append(CommitPrint("got", None))
+        j = g.add(EventKind.JOIN_ALL, (r.eid, s.eid))
+        cond, value = RLit(1, 1), RLit(7, 8)
+        j.latches.append(LatchExpr(1, cond))
+        j.commits.append(CommitReg("x", value))
+        new, mapping, removed = pass_unbalanced_joins(g)
+        assert removed == 1
+        merged = new[mapping[j.eid]]
+        assert merged.kind is EventKind.SYNC
+        assert merged.latches == [LatchRecv(0), LatchExpr(1, cond)]
+        assert merged.commits == [CommitPrint("got", None),
+                                  CommitReg("x", value)]
+
     def test_keeps_join_whose_pred_is_an_ancestor_on_one_arm_only(self):
         """The sync is an ancestor of the any-join through the true arm
         only: on the false arm the any-join fires without it."""
