@@ -7,9 +7,9 @@ split into three layers:
 
 1. :func:`compile_process` lowers a process into a backend-neutral
    **FSM plan** (:class:`repro.core.fsmplan.ProcessPlan`: per-thread
-   firing order, latch/commit specs, the exact handshake sensitivity
-   sets), the one compiled artifact the simulators, the SystemVerilog
-   emitter and the cost model all read;
+   firing order over events that carry their latches and commits, the
+   exact handshake sensitivity sets), the one compiled artifact the
+   simulators, the SystemVerilog emitter and the cost model all read;
 2. :class:`AnvilProcessModule` owns the run-time state -- activations,
    per-activation slots, the register file, handshake ports -- and the
    **reference interpreter** that walks the plan cycle by cycle;
