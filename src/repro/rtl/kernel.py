@@ -19,9 +19,10 @@ everything bound to locals --
 * straight-line ``eval_comb`` calls in level order for singleton groups,
   each followed by inline output-change checks against the scheduler's
   value table (recording changed wires for the activity commit);
-* a bounded local re-evaluation loop only for blocks that feed
-  themselves, and a local fixpoint loop only for genuine multi-module
-  SCCs (with intra-group dirty flags resolved to individual locals);
+* a bounded local fixpoint loop for each strongly connected group of
+  modules (SCC), with intra-group dirty flags resolved to individual
+  locals; a block that reads one of its own outputs is a one-member
+  SCC.  These are the plan's two step kinds;
 * a fused incremental toggle-accounting pass over exactly the wires
   that changed this cycle (``prev -> settled``, same arithmetic as
   :meth:`~repro.rtl.scheduler.CombScheduler.commit_activity`);
@@ -45,6 +46,10 @@ interpreted cycle whenever the fast path cannot apply:
 * a module with undeclared ``comb_outputs()`` (the scheduler must then
   scan every wire after every evaluation -- exactly the cost the kernel
   exists to remove), reported as an unsupported plan;
+* catch-all wires: tracked wires that no module lists in
+  ``comb_outputs()`` (a lone test-bench sink whose inputs are poked
+  between runs), which only the interpreted settle rescans, also
+  reported as an unsupported plan;
 * monitors registered or a fault-injection hook armed (both observe
   between settle and tick; the kernel has no per-cycle callout),
   checked at entry and, for monitors, per cycle;
@@ -81,7 +86,7 @@ Caching
 
 Generated source is a pure function of the topology *shape* -- group
 structure, per-block output scan indices, intra-group reader edges,
-catch-all indices, tick overrides and the watched-signal count -- so
+tick overrides and the watched-signal count -- so
 the compile cache (:class:`~repro.compile_cache.SourceCache`, shared
 with :mod:`repro.codegen.pysim`) is keyed by the SHA-256 of the source
 itself.  Two simulators of the same scenario (a harness sweep
@@ -92,10 +97,10 @@ rebuilding row after row, a server worker) compile once;
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from ..compile_cache import Emitter, SourceCache, source_key
-from ..errors import SimulationError
 
 __all__ = [
     "KernelPlan",
@@ -103,7 +108,6 @@ __all__ = [
     "build_plan",
     "generate_source",
     "kernel_for",
-    "topology_shape",
     "fast_path_ready",
     "cache_stats",
     "clear_cache",
@@ -119,22 +123,20 @@ class KernelPlan:
     topology shapes share one compilation.
     """
 
-    __slots__ = ("n_modules", "steps", "catch_all", "tick_idx",
-                 "n_watched", "unsupported")
+    __slots__ = ("n_modules", "steps", "tick_idx", "n_watched",
+                 "unsupported")
 
     def __init__(self, n_modules: int,
                  steps: List[tuple],
-                 catch_all: Tuple[int, ...],
                  tick_idx: Tuple[int, ...],
                  n_watched: int,
                  unsupported: Optional[str] = None):
         self.n_modules = n_modules
         #: evaluation steps in level order; each is one of
-        #:   ("single", mi, ((wi, self_dirty), ...))
-        #:   ("loop",   mi, ((wi, self_dirty), ...))
+        #:   ("single", mi, (wi, ...))
         #:   ("scc",    (mi, ...), {mi: ((wi, (in-group readers...)), ...)})
+        #: a block that reads one of its own outputs is a one-member scc
         self.steps = steps
-        self.catch_all = catch_all
         self.tick_idx = tick_idx
         self.n_watched = n_watched
         #: human-readable reason the fast path cannot apply, or None
@@ -155,11 +157,20 @@ def build_plan(sim) -> KernelPlan:
     if sch._undeclared_writers:
         bad = [m.name for m in sim.modules if m.comb_outputs() is None]
         return KernelPlan(
-            n_mod, [], (), (), n_watched,
+            n_mod, [], (), n_watched,
             unsupported=(
                 "module(s) without comb_outputs() hints: "
                 f"{bad[:4]!r} -- the kernel needs a fully-hinted "
                 f"topology (every wire's writer known at build time)"
+            ),
+        )
+    if sch._catch_all:
+        return KernelPlan(
+            n_mod, [], (), n_watched,
+            unsupported=(
+                f"{len(sch._catch_all)} catch-all wire(s) -- tracked "
+                f"wires no module lists in comb_outputs(), which only "
+                f"the interpreted settle rescans"
             ),
         )
 
@@ -169,15 +180,11 @@ def build_plan(sim) -> KernelPlan:
 
     steps: List[tuple] = []
     for group in sch._groups:
-        if len(group) == 1:
-            mi = group[0]
-            scan = tuple(
-                (wi, self_mark[mi] and mi in readers[wi])
-                for wi in scan_idx[mi]
-            )
-            kind = "loop" if any(sd for _wi, sd in scan) else "single"
-            steps.append((kind, mi, scan))
+        if len(group) == 1 and not self_mark[group[0]]:
+            steps.append(("single", group[0], scan_idx[group[0]]))
         else:
+            # a multi-module SCC, or a block that reads one of its own
+            # outputs (a one-member SCC)
             members = sorted(group)
             in_group = set(members)
             body = {}
@@ -194,8 +201,7 @@ def build_plan(sim) -> KernelPlan:
         mi for mi, m in enumerate(sim.modules)
         if type(m).tick is not Module.tick
     )
-    catch_all = tuple(wi for _w, wi in sch._catch_all)
-    return KernelPlan(n_mod, steps, catch_all, tick_idx, n_watched)
+    return KernelPlan(n_mod, steps, tick_idx, n_watched)
 
 
 # ---------------------------------------------------------------------------
@@ -208,25 +214,20 @@ def _fused_wires(plan: KernelPlan) -> set:
     can happen right there, against a local mirror of the previous
     settled value, with no changed-list and no commit pass -- iff the
     scan provably runs exactly once per cycle: the wire has exactly one
-    writer, that writer is a plain singleton block, and no catch-all
-    restart can re-run the pass.  Everything else (self-feeding blocks,
-    SCC members, multi-writer wires, catch-all wires) may see the wire
-    change several times per settle, where only the final value counts.
+    writer, and that writer is a singleton block.  Everything else (SCC
+    members, self-feeding blocks among them, and multi-writer wires)
+    may see the wire change several times per settle, where only the
+    final value counts.
     """
-    if plan.catch_all:
-        return set()
-    writers: Dict[int, int] = {}
+    writers: Counter = Counter()
     single_out: set = set()
     for step in plan.steps:
         if step[0] == "scc":
             for scans in step[2].values():
-                for wi, _r in scans:
-                    writers[wi] = writers.get(wi, 0) + 1
+                writers.update(wi for wi, _r in scans)
         else:
-            for wi, _sd in step[2]:
-                writers[wi] = writers.get(wi, 0) + 1
-                if step[0] == "single":
-                    single_out.add(wi)
+            writers.update(step[2])
+            single_out.update(step[2])
     return {wi for wi in single_out if writers[wi] == 1}
 
 
@@ -263,34 +264,12 @@ def _emit_pass(em: Emitter, plan: KernelPlan, fused: set) -> int:
     unconditional (straight-line) evaluations, for the eval counter."""
     n_plain = 0
     for step in plan.steps:
-        kind = step[0]
-        if kind == "single":
+        if step[0] == "single":
             _kind, mi, scan = step
             n_plain += 1
             em.line(f"_e{mi}()")
-            for wi, _sd in scan:
+            for wi in scan:
                 _emit_scan(em, wi, fused)
-        elif kind == "loop":
-            _kind, mi, scan = step
-            em.line(f"# block {mi} feeds itself: bounded local re-eval")
-            em.line("_d = 1")
-            em.line("_i = 0")
-            em.line("while _d:")
-            em.push()
-            em.line("_i += 1")
-            em.line("if _i > _mx:")
-            em.push()
-            # the diagnostic reads sim.cycle; sync it before raising
-            # (the finally block only runs after the error is built)
-            em.line("sim.cycle = cyc")
-            em.line(f"raise _err([{mi}])")
-            em.pop()
-            em.line("_d = 0")
-            em.line(f"_e{mi}()")
-            em.line("_ev += 1")
-            for wi, sd in scan:
-                _emit_scan(em, wi, fused, ("_d",) if sd else ())
-            em.pop()
         else:   # scc
             _kind, members, body = step
             mlist = ", ".join(str(mi) for mi in members)
@@ -318,54 +297,30 @@ def _emit_pass(em: Emitter, plan: KernelPlan, fused: set) -> int:
             em.pop()
             em.line("else:")
             em.push()
+            if len(members) == 1:
+                # a block feeding itself gets the levelized engine's
+                # singleton bound: _mx evaluations, and an error only
+                # when the last one left it dirty
+                em.line(f"if {anyd}:")
+                em.push()
+            # the diagnostic reads sim.cycle; sync it before raising
+            # (the finally block only runs after the error is built)
             em.line("sim.cycle = cyc")
             em.line(f"raise _err([{mlist}])")
             em.pop()
+            if len(members) == 1:
+                em.pop()
     return n_plain
 
 
 def _emit_cycle_body(em: Emitter, plan: KernelPlan, fused: set,
                      dynamic: bool):
-    """One full simulated cycle: catch-all outer loop (when needed)
-    around the settle pass, the end-of-settle activity commit, waveform
-    sampling, the tick sweep, and the cycle counters."""
-    if plan.catch_all:
-        # wires with no declared writer can change only between kernel
-        # cycles (test-bench pokes before entry, undisciplined tick
-        # writes): scan them before the pass, and re-run the pass while
-        # the scan keeps hitting -- the levelized engine's outer
-        # settle loop, specialized
-        em.line("for _p in range(_mx):")
-        em.push()
-        em.line("_hit = 0")
-        for wi in plan.catch_all:
-            em.line(f"_x = _w{wi}.value")
-            em.line(f"if _x != values[{wi}]:")
-            em.push()
-            em.line(f"values[{wi}] = _x")
-            em.line(f"chg_app({wi})")
-            em.line("_hit = 1")
-            em.pop()
-        em.line("if _p and not _hit:")
-        em.push()
-        em.line("break")
-        em.pop()
-        n_plain = _emit_pass(em, plan, fused)
-        if n_plain:
-            em.line(f"_ev += {n_plain}")
-        em.pop()
-        em.line("else:")
-        em.push()
-        em.line("raise _SE(")
-        em.push()
-        em.line("f\"combinational logic did not settle in {_mx} \"")
-        em.line("f\"iterations at cycle {cyc}\")")
-        em.pop()
-        em.pop()
-    else:
-        n_plain = _emit_pass(em, plan, fused)
-        if n_plain:
-            em.line(f"_ev += {n_plain}")
+    """One full simulated cycle: the settle pass, the end-of-settle
+    activity commit, waveform sampling, the tick sweep, and the cycle
+    counters."""
+    n_plain = _emit_pass(em, plan, fused)
+    if n_plain:
+        em.line(f"_ev += {n_plain}")
     if dynamic:
         # end-of-settle commit: prev -> settled for the wires that may
         # change more than once per settle (fused sites already
@@ -398,7 +353,7 @@ def generate_source(plan: KernelPlan) -> str:
     ``stop`` is ``None`` or a zero-argument predicate checked after
     every completed cycle, with ``sim.cycle`` already synced to the
     boundary it observes."""
-    scanned_set = set(plan.catch_all)
+    scanned_set = set()
     eval_idx = []
     for step in plan.steps:
         if step[0] == "scc":
@@ -407,14 +362,13 @@ def generate_source(plan: KernelPlan) -> str:
                 scanned_set.update(wi for wi, _r in scans)
         else:
             eval_idx.append(step[1])
-            scanned_set.update(wi for wi, _sd in step[2])
+            scanned_set.update(step[2])
     fused = _fused_wires(plan)
     dynamic = bool(scanned_set - fused)
 
     head = [
         f"# cycle kernel: {plan.n_modules} module(s), "
         f"{len(scanned_set)} scanned wire(s) ({len(fused)} fused), "
-        f"{len(plan.catch_all)} catch-all wire(s), "
         f"{plan.n_watched} watched signal(s)",
         "def _KERNEL(sim, sch, n, stop):",
     ]
@@ -432,7 +386,7 @@ def generate_source(plan: KernelPlan) -> str:
         em.line(f"_e{mi} = mods[{mi}].eval_comb")
     for wi in sorted(scanned_set):
         em.line(f"_w{wi} = wires[{wi}]")
-    for wi in sorted(scanned_set - set(plan.catch_all)):
+    for wi in sorted(scanned_set):
         # local mirror of the wire's last seen value: the previous
         # settled value for fused sites, the live value table for
         # dynamic ones (values == prev at entry -- the wrapper bails on
@@ -506,7 +460,7 @@ class CycleKernel:
 
 
 def _compile(key: str, source: str) -> CycleKernel:
-    ns: Dict[str, object] = {"_SE": SimulationError}
+    ns: Dict[str, object] = {}
     exec(compile(source, "<cycle-kernel>", "exec"), ns)
     return CycleKernel(key, source, ns["_KERNEL"])
 
@@ -528,21 +482,6 @@ def kernel_for(plan: KernelPlan) -> Optional[CycleKernel]:
     source = generate_source(plan)
     key = source_key(source)
     return _CACHE.get(key, lambda: _compile(key, source))
-
-
-def topology_shape(sim) -> Optional[str]:
-    """The digest identifying ``sim``'s topology *shape*: simulators
-    with equal digests generate identical kernels.  ``None`` when the
-    shape has no kernel (unsupported plan).
-
-    The digest is the compile cache's key for the kernel source, read
-    off the kernel the simulator keeps for its fast path (compiled once
-    per topology and watched-signal count), so repeated fingerprinting
-    (checkpoint prefix keys) neither re-renders nor recompiles it.
-    """
-    sim.scheduler._ensure_built()
-    kern = sim._compiled_kernel()
-    return None if kern is None else kern.key
 
 
 def fast_path_ready(sim) -> bool:

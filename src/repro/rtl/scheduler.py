@@ -43,6 +43,7 @@ cheap topology fingerprint check, so late wiring (``Module.adopt`` after
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
@@ -55,6 +56,9 @@ class CombScheduler:
         self.sim = sim
         self._stale = True
         self._topo_key: Optional[tuple] = None
+        # _topo_key answers "did the topology change?", the signature
+        # "what is it?" (snapshots, checkpoint prefix keys)
+        self._sig: Optional[str] = None
         # wire registry (parallel lists indexed by wire index)
         self._wires: List = []
         self._values: List[int] = []
@@ -209,6 +213,26 @@ class CombScheduler:
         self._changed = {wi for wi in self._changed if wi < n_wire}
         self._stale = False
         self._topo_key = self._fingerprint()
+        self._sig = None
+
+    def signature(self) -> str:
+        """SHA-256 over each module's type and name and the names of the
+        wires it tracks and declares in ``comb_inputs()`` and
+        ``comb_outputs()`` (the declarations carry the connectivity).
+        Names, not identities, so equal builds agree across engines,
+        backends and processes.  Kept until the next rebuild."""
+        self._ensure_built()
+        if self._sig is None:
+            h = hashlib.sha256()
+            for m in self.sim.modules:
+                h.update(f"{type(m).__name__}\0{m.name}\0".encode())
+                for wires in (m.wires(), m.comb_inputs(), m.comb_outputs()):
+                    # \x03 marks an undeclared (None) list
+                    h.update(b"\x03" if wires is None else b"".join(
+                        w.name.encode() + b"\x01" for w in wires))
+                    h.update(b"\x02")
+            self._sig = h.hexdigest()
+        return self._sig
 
     # -- introspection -----------------------------------------------------
     def levels(self) -> List[List[str]]:

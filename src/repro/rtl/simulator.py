@@ -21,8 +21,9 @@ Three settle engines are available:
   and no per-cycle method dispatch -- ``run(n, stop=...)`` checks its
   stop predicate inside that loop.  Falls back to the levelized
   per-cycle path automatically whenever the fast path cannot apply
-  (monitors, an armed inject hook, ``step``, unhinted modules, mid-run
-  ``add``) -- observables are bit-identical either way.
+  (monitors, an armed inject hook, ``step``, unhinted modules,
+  catch-all wires, mid-run ``add``) -- observables are bit-identical
+  either way.
 * ``engine="brute"`` -- the original bounded fixpoint that re-evaluates
   every module and snapshots every wire per iteration.  Kept as the
   semantic reference: the equivalence tests pin the other engines
@@ -82,11 +83,12 @@ class Simulator:
         self._inject_hook: Optional[Callable[["Simulator"], None]] = None
         self._prev_values: Dict[int, int] = {}   # brute engine only
         # the compiled cycle kernel for the current (topology, watch
-        # count) pair, read by the kernel engine's fast path and by
-        # kernel.topology_shape.  None means no usable kernel -- either
-        # never compiled or the topology is unsupported; the distinction
-        # lives in _kernel_key, which matching prevents a re-plan until
-        # the topology or watch count changes
+        # count) pair, read only by the kernel engine's fast path, so
+        # the other engines never compile one.  None means no usable
+        # kernel -- either never compiled or the topology is
+        # unsupported; the distinction lives in _kernel_key, which
+        # matching prevents a re-plan until the topology or watch count
+        # changes
         self._kernel = None
         self._kernel_key = None
 
@@ -240,22 +242,18 @@ class Simulator:
     def _fast_path(self):
         """The compiled cycle kernel the next :meth:`run` enters, or
         ``None`` when the fast path cannot engage: monitors and an
-        armed inject hook need every cycle, and an unprimed activity
+        armed inject hook need every cycle, an unprimed activity
         baseline (first cycle after build) or changed wires pending
-        from a standalone settle() belong to the interpreted commit."""
+        from a standalone settle() belong to the interpreted commit,
+        and an unsupported topology has no kernel.  The kernel is
+        compiled once per (topology, watch count) pair."""
         if self._monitors or self._inject_hook is not None:
             return None
         sch = self.scheduler
         sch._ensure_built()
         if sch._needs_prime or sch._changed:
             return None
-        return self._compiled_kernel()
-
-    def _compiled_kernel(self):
-        """The kernel of the current topology and watch count (``None``
-        when the topology is unsupported), compiled once per pair; the
-        scheduler must be built."""
-        key = (self.scheduler._topo_key, len(self.waveform._watched))
+        key = (sch._topo_key, len(self.waveform._watched))
         if self._kernel_key != key:
             from .kernel import build_plan, kernel_for
 

@@ -35,15 +35,15 @@ Snapshots contain only plain data, so they pickle across the process
 pool and into checkpoint files (:func:`save_checkpoint`).
 
 The :class:`CheckpointStore` is the incremental-re-simulation tier on
-top: checkpoints are content-addressed by *prefix key* -- topology
-fingerprint (:func:`repro.rtl.kernel.topology_shape`) + stimulus-prefix
-hash + cycle -- so a re-run whose (topology, stimulus) matches a prior
-run restores the longest checkpointed prefix and simulates only the
-tail.  Prefix
-sharing is valid across *cycle counts* of one deterministic build
-(scenario, seed, stim), not across stimulus edits: scenario builders
-consume one shared RNG at build time, so any stimulus knob change
-re-deals the whole deck.
+top: checkpoints are content-addressed by *prefix key* -- the
+scheduler's topology signature (which :func:`restore` checks too) +
+stimulus-prefix hash + initial-state hash, stored per cycle -- so a
+re-run whose (topology, stimulus) matches a prior run restores the
+longest checkpointed prefix and simulates only the tail.
+Prefix sharing is valid across *cycle counts* of one deterministic
+build (scenario, seed, stim), not across stimulus edits: scenario
+builders consume one shared RNG at build time, so any stimulus knob
+change re-deals the whole deck.
 """
 
 from __future__ import annotations
@@ -65,8 +65,10 @@ from ..errors import SimulationError
 #: (2: endpoint send queues keep their consumed entries, read through
 #: the ``len(sent[m])`` cursor; activations lost ``retired``;
 #: 3: module attributes are pickle images;
-#: 4: an activation's dead events are imaged in sorted order)
-SNAPSHOT_VERSION = 4
+#: 4: an activation's dead events are imaged in sorted order;
+#: 5: ``sig`` also covers each module's declared comb inputs and
+#: outputs)
+SNAPSHOT_VERSION = 5
 
 
 # ---------------------------------------------------------------------------
@@ -162,19 +164,11 @@ class _Images(pickle.Pickler):
 # snapshot capture / restore
 # ---------------------------------------------------------------------------
 def structure_sig(sim) -> str:
-    """SHA-256 over the module/wire identity of ``sim``: restore refuses
-    a snapshot whose structure does not match the target simulator."""
-    h = hashlib.sha256()
-    for m in sim.modules:
-        h.update(type(m).__name__.encode("utf-8"))
-        h.update(b"\x00")
-        h.update(m.name.encode("utf-8"))
-        h.update(b"\x00")
-        for w in m.wires():
-            h.update(w.name.encode("utf-8"))
-            h.update(b"\x01")
-        h.update(b"\x02")
-    return h.hexdigest()
+    """``sim``'s topology signature (module types and names, tracked
+    wire names, declared comb inputs and outputs), kept by its
+    scheduler per build: restore refuses a snapshot whose signature
+    does not match the target simulator's."""
+    return sim.scheduler.signature()
 
 
 @dataclass
@@ -250,8 +244,9 @@ def restore(sim, snap: Snapshot) -> None:
     if structure_sig(sim) != snap.sig:
         raise SimulationError(
             f"snapshot does not match simulator {sim.name!r}: the "
-            f"module/wire structure differs (was the snapshot taken "
-            f"from a different scenario, seed or backend?)"
+            f"module/wire structure or its declared connectivity "
+            f"differs (was the snapshot taken from a different "
+            f"scenario, seed or backend?)"
         )
     if len(sch._wires) != len(snap.values):
         raise SimulationError(
@@ -392,42 +387,23 @@ def stimulus_key(scenario: str, config) -> str:
     return _sha([scenario, config.seed, config.stim])
 
 
-def topology_key(scenario: str, config, sim=None) -> str:
-    """Topology fingerprint: the kernel-source digest from
-    :func:`repro.rtl.kernel.topology_shape` when the topology has one
-    (engine/backend-independent -- the equivalence suites pin them
-    bit-identical), else a builder-identity fallback."""
-    digest = None
-    if sim is not None:
-        from .kernel import topology_shape
-
-        digest = topology_shape(sim)
-    if digest is None:
-        digest = f"builder:{scenario}:{config.engine}:{config.backend}"
-    return digest
-
-
 def state_sig(sim) -> str:
     """SHA-256 over the simulator's current plain-data module state.
     Computed on a freshly built simulator this fingerprints the entire
     stimulus content (builders precompute queues/tables at build time),
-    which the shape-only topology digest cannot see."""
+    which the topology signature cannot see."""
     blob = pickle.dumps(tuple(map(_Images().module_state, sim.modules)),
                         protocol=_PROTOCOL)
     return hashlib.sha256(blob).hexdigest()
 
 
-def prefix_key(scenario: str, config, sim=None) -> str:
-    """Content address of a run prefix: topology fingerprint +
-    stimulus-prefix hash (+ the built simulator's initial-state
-    fingerprint when available).  Cycle count deliberately excluded --
-    that is what lets a longer re-run restore a shorter run's
-    checkpoint."""
-    material = ["prefix", topology_key(scenario, config, sim),
-                stimulus_key(scenario, config)]
-    if sim is not None:
-        material.append(state_sig(sim))
-    return _sha(material)
+def prefix_key(scenario: str, config, sim) -> str:
+    """Content address of a run prefix: the built simulator's topology
+    signature + stimulus-prefix hash + initial-state fingerprint.
+    Cycle count deliberately excluded -- that is what lets a longer
+    re-run restore a shorter run's checkpoint."""
+    return _sha(["prefix", structure_sig(sim),
+                 stimulus_key(scenario, config), state_sig(sim)])
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ observables against the brute and levelized references across every
 registry scenario, backend and executor; the in-kernel stop predicate
 of ``run(n, stop=...)`` pinned to a ``step()``-by-step reference;
 explicit coverage of the bail-out paths (monitors, mid-run ``add``,
-unhinted simulators); the compile cache; and the waveform
+unhinted simulators, catch-all wires) and of self-feeding blocks
+(one-member SCCs); the compile cache; and the waveform
 render/watch and order-sensitive topology fingerprint fixes."""
 
 import pytest
@@ -121,6 +122,39 @@ class _Hinted(Module):
         pass
 
 
+class _SelfFeeding(Module):
+    """``out`` steps once per evaluation toward this cycle's entry of
+    ``targets``; from ``oscillate_from`` on it toggles instead and never
+    settles."""
+
+    def __init__(self, name, targets=(0, 7, 3, 10, 6, 2, 9, 5, 1, 8, 4),
+                 oscillate_from=None):
+        super().__init__(name)
+        self.out = self.wire("out", 4)
+        self.targets = targets
+        self.target = targets[0]
+        self.count = 0
+        self.oscillate_from = oscillate_from
+
+    def comb_inputs(self):
+        return (self.out,)
+
+    def comb_outputs(self):
+        return (self.out,)
+
+    def eval_comb(self):
+        v = self.out.value
+        if self.oscillate_from is not None \
+                and self.count >= self.oscillate_from:
+            self.out.set(v ^ 1)
+        elif v != self.target:
+            self.out.set(v + 1 if v < self.target else v - 1)
+
+    def tick(self):
+        self.count += 1
+        self.target = self.targets[self.count % len(self.targets)]
+
+
 class TestBailouts:
     def test_monitors_fall_back_to_interpreted_cycles(self):
         seen = []
@@ -182,7 +216,10 @@ class TestBailouts:
 
     def test_external_pokes_between_runs_absorbed(self):
         # test benches poke wires between run() calls; the kernel must
-        # see them exactly as the interpreted engines do
+        # see them exactly as the interpreted engines do.  A lone sink
+        # leaves the port's valid and data as catch-all wires (no
+        # module declares them), which only the interpreted settle
+        # rescans, so the kernel engine runs interpreted cycles
         states = {}
         for engine in ("levelized", "kernel"):
             sim = Simulator(engine=engine)
@@ -190,11 +227,69 @@ class TestBailouts:
             sink = PortSink("sink", port)
             sim.add(sink)
             sim.run(4)
+            assert not kernel.fast_path_ready(sim)
+            assert "2 catch-all wire(s)" in kernel.build_plan(
+                sim).unsupported
             port.data.set(0x5A)
             port.valid.set(1)
             sim.run(4)
             states[engine] = (_state(sim), sink.values())
         assert states["kernel"] == states["levelized"]
+        assert states["kernel"][1] == [0x5A] * 4
+
+    def test_a_block_feeding_itself_is_a_one_member_scc(self):
+        # out climbs one step per evaluation toward a target that jumps
+        # every cycle: a block that reads its own output and settles in
+        # a data-dependent number of evaluations
+        states = {}
+        for engine in ENGINES:
+            sim = Simulator("self", engine=engine)
+            climber = sim.add(_SelfFeeding("climb"))
+            sim.add(_Hinted("inc", climber.out))
+            sim.watch(climber.out, "climb.out")
+            sim.run(1)
+            if engine == "kernel":
+                assert kernel.fast_path_ready(sim)
+                assert [step[0] for step in kernel.build_plan(
+                    sim).steps] == ["scc", "single"]
+            sim.run(59)
+            states[engine] = (_state(sim), sim.scheduler.eval_count)
+        assert states["kernel"] == states["levelized"]
+        # brute keeps no eval count
+        assert states["kernel"][0] == states["brute"][0]
+        assert states["kernel"][1] > 60
+
+    @pytest.mark.parametrize("jump, settles", [(3, True), (4, False)])
+    def test_a_block_feeding_itself_gets_the_singleton_bound(
+            self, jump, settles):
+        # at max_settle_iters=4 a climb of 3 takes four evaluations,
+        # the last one quiet, which the levelized engine's singleton
+        # bound accepts; a climb of 4 exceeds it
+        outcomes = {}
+        for engine in ("levelized", "kernel"):
+            sim = Simulator("bound", max_settle_iters=4, engine=engine)
+            sim.add(_SelfFeeding("climb", targets=(0, jump)))
+            try:
+                sim.run(12)
+                outcomes[engine] = (sim.cycle, _state(sim),
+                                    sim.scheduler.eval_count)
+            except SimulationError as exc:
+                outcomes[engine] = (sim.cycle, str(exc))
+        assert outcomes["kernel"] == outcomes["levelized"]
+        assert (outcomes["kernel"][0] == 12) == settles
+
+    def test_a_block_feeding_itself_that_oscillates_is_diagnosed(self):
+        messages = {}
+        for engine in ("levelized", "kernel"):
+            sim = Simulator("self", engine=engine)
+            sim.add(_SelfFeeding("climb", oscillate_from=10))
+            with pytest.raises(SimulationError) as exc:
+                sim.run(30)
+            messages[engine] = (sim.cycle, str(exc.value))
+        assert messages["kernel"] == messages["levelized"]
+        assert messages["kernel"][0] == 10
+        assert "combinational loop" in messages["kernel"][1]
+        assert "climb.out" in messages["kernel"][1]
 
     def test_combinational_loop_diagnosed_inside_the_kernel(self):
         # two cross-coupled hinted inverters: a genuine SCC that

@@ -17,10 +17,12 @@ import pickle
 
 import pytest
 
-from repro import Session, SimConfig, get_registry
+from repro import Module, Session, SimConfig, Simulator, get_registry
 from repro.__main__ import main as cli_main
+from repro.api import run_scenario
 from repro.codegen.simfsm import Activation, _SlotView
 from repro.errors import SimulationError
+from repro.rtl import kernel
 from repro.rtl import snapshot as snap_mod
 from repro.rtl.kernel import fast_path_ready
 from repro.rtl.simulator import ENGINES, advance
@@ -35,6 +37,7 @@ from repro.rtl.snapshot import (
     restore,
     save_checkpoint,
     state_sig,
+    structure_sig,
 )
 
 ALL_SCENARIOS = get_registry().names()
@@ -472,6 +475,68 @@ class TestCheckpointStore:
                                     get_registry().build(name, cfg)))
         assert len(keys) == 1
 
+    @pytest.mark.parametrize("engine", ["levelized", "brute"])
+    def test_checkpointed_runs_off_the_kernel_compile_no_kernel(
+            self, engine):
+        # naming the prefix reads the scheduler's signature, so only
+        # the kernel engine ever compiles a cycle kernel
+        kernel.clear_cache()
+        before = kernel.cache_stats()
+        result = run_scenario("streams", SimConfig(
+            engine=engine, cycles=60, stim=200, checkpoint_every=20))
+        assert result.diagnostics["checkpoints_stored"] == 3
+        assert kernel.cache_stats() == before
+
+
+class _Follower(Module):
+    """``out`` follows wire ``a``, or ``b`` when ``follow_b``: which one
+    is structure (a wire attribute), so the module state is equal."""
+
+    def __init__(self, name, follow_b=False):
+        super().__init__(name)
+        a = self.wire("a", 4)
+        b = self.wire("b", 4)
+        self.out = self.wire("out", 4)
+        self.src = b if follow_b else a
+
+    def comb_inputs(self):
+        return (self.src,)
+
+    def comb_outputs(self):
+        return (self.out,)
+
+    def eval_comb(self):
+        self.out.set(self.src.value)
+
+
+class TestTopologySignature:
+    def _sim(self, follow_b=False):
+        sim = Simulator("follow")
+        sim.add(_Follower("f", follow_b))
+        return sim
+
+    def test_declared_connectivity_separates_equal_names(self):
+        # equal module types, module names and wire names; only the
+        # declared comb input differs
+        a, b = self._sim(), self._sim(follow_b=True)
+        a.run(3)
+        b.run(3)
+        assert state_sig(a) == state_sig(b)
+        assert structure_sig(a) != structure_sig(b)
+        cfg = SimConfig()
+        assert prefix_key("follow", cfg, a) != prefix_key("follow", cfg, b)
+        with pytest.raises(SimulationError, match="connectivity"):
+            b.restore(a.snapshot())
+        assert structure_sig(self._sim()) == structure_sig(a)
+
+    def test_add_changes_the_signature(self):
+        sim = self._sim()
+        before = structure_sig(sim)
+        sim.run(2)
+        assert structure_sig(sim) == before
+        sim.add(_Follower("g"))
+        assert structure_sig(sim) != before
+
 
 # ---------------------------------------------------------------------------
 # warm prefixes through the public surface
@@ -686,9 +751,10 @@ class TestSnapshotErrors:
         with pytest.raises(SimulationError, match="structure"):
             other.restore(donor.snapshot())
 
-    # SNAPSHOT_VERSION - 1 is the layout that imaged an activation's
-    # dead set in iteration order: its images still unpickle, so only
-    # the version check refuses it
+    # SNAPSHOT_VERSION - 1 is the layout whose sig left out the
+    # declared comb inputs and outputs: its images still unpickle, and
+    # the version check refuses it before the signature check could
+    # blame the structure
     @pytest.mark.parametrize("delta", [1, -1])
     def test_restore_rejects_unknown_versions(self, delta):
         sim = _build("streams", cycles=50, stim=200)
