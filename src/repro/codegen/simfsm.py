@@ -550,17 +550,6 @@ class AnvilProcessModule(Module):
             a.spawned,
         )
 
-    def reset(self):
-        self.regs = {
-            r.name: r.init for r in self.process.registers.values()
-        }
-        self._threads_rt = [[] for _ in self.plan.threads]
-        self._tentative = [[] for _ in self.plan.threads]
-        self._reg_writes = []
-        self.cycle = 0
-        self._started = False
-        self.debug_log = []
-
 
 class ExternalEndpoint(Module):
     """Test-bench driver for the far side of an exposed channel.

@@ -319,7 +319,3 @@ class AesCore(Module):
                 )
                 self.state = self.IDLE
         self.cycle += 1
-
-    def reset(self):
-        self.state = self.IDLE
-        self.latencies = []

@@ -93,11 +93,6 @@ class RegFileSlave(Module):
         elif self.rstate == self.R_RESP and p.r.fires:
             self.rstate = self.R_IDLE
 
-    def reset(self):
-        self.mem = {}
-        self.wstate = self.W_IDLE
-        self.rstate = self.R_IDLE
-
 
 class AxiLiteDemux(Module):
     """1 master -> N slaves, selected by the top address bits."""
@@ -195,10 +190,6 @@ class AxiLiteDemux(Module):
             self.rstate = self.R_RESP
         elif self.rstate == self.R_RESP and m.r.fires:
             self.rstate = self.R_IDLE
-
-    def reset(self):
-        self.wstate = self.W_IDLE
-        self.rstate = self.R_IDLE
 
 
 class AxiLiteMux(Module):
@@ -323,11 +314,6 @@ class AxiLiteMux(Module):
                 self.masters[self.rgrant].r.fires:
             self.rrr = (self.rgrant + 1) % len(self.masters)
             self.rstate = self.R_IDLE
-
-    def reset(self):
-        self.wstate = self.W_IDLE
-        self.rstate = self.R_IDLE
-        self.grants = []
 
 
 class AxiMasterDriver(Module):

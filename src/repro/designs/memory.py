@@ -59,10 +59,6 @@ class RawMemory(Module):
             if self._busy == 0:
                 self._result = self.contents(self._pending)
 
-    def reset(self):
-        self._busy = 0
-        self._result = None
-
 
 class NaiveTop(Module):
     """Figure 1's ``Top``: toggles ``req`` every cycle, expects the output
@@ -150,10 +146,6 @@ class HandshakeMemory(Module):
                 self._result = self.lookup(self._pending)
                 self._have_result = True
 
-    def reset(self):
-        self._busy = 0
-        self._have_result = False
-
 
 class CachedMemory(Module):
     """Memory front-end with a small direct-mapped cache: hits respond
@@ -232,9 +224,3 @@ class CachedMemory(Module):
             (addr, "hit" if self._was_hit else "miss",
              self.cycle - self._req_cycle + 1)
         )
-
-    def reset(self):
-        self.tags = [None] * self.lines
-        self._busy = 0
-        self._have_result = False
-        self.latencies = []

@@ -144,10 +144,6 @@ class PageTableWalker(Module):
                 self.state = self.IDLE
         self.cycle += 1
 
-    def reset(self):
-        self.state = self.IDLE
-        self.walk_lengths = []
-
 
 class Tlb(Module):
     """Baseline TLB: fully-associative, FIFO replacement; hit responds
@@ -232,9 +228,3 @@ class Tlb(Module):
                 )
                 self.state = self.IDLE
         self.cycle += 1
-
-    def reset(self):
-        self.tags = [None] * self.entries
-        self.state = self.IDLE
-        self.hits = self.misses = 0
-        self.latencies = []

@@ -72,9 +72,6 @@ class PipelinedAlu(Module):
         else:
             self.s1_valid = False
 
-    def reset(self):
-        self.s1_valid = self.out_valid = False
-
 
 class SystolicArray2x2(Module):
     """2x2 weight-stationary systolic array computing, per input vector
@@ -129,9 +126,6 @@ class SystolicArray2x2(Module):
             self.s1_valid = True
         else:
             self.s1_valid = False
-
-    def reset(self):
-        self.s1_valid = self.out_valid = False
 
 
 def systolic_reference(weights, x0: int, x1: int) -> Tuple[int, int]:

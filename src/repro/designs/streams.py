@@ -70,10 +70,6 @@ class FifoBuffer(Module):
             self.rptr = (self.rptr + 1) % self.depth
         self.cnt += int(push) - int(pop)
 
-    def reset(self):
-        self.mem = [0] * self.depth
-        self.rptr = self.wptr = self.cnt = 0
-
 
 class SpillRegister(Module):
     """Two-slot skid buffer (``spill_register``): breaks the ready path
@@ -124,10 +120,6 @@ class SpillRegister(Module):
         else:
             self.o_data, self.o_valid = o2_data, o2_valid
             self.s_valid = s2_valid
-
-    def reset(self):
-        self.o_valid = self.s_valid = False
-        self.o_data = self.s_data = 0
 
 
 class PassthroughStreamFifo(Module):
@@ -213,10 +205,3 @@ class PassthroughStreamFifo(Module):
                 self.rptr = (self.rptr + 1) % self.depth
                 self.cnt -= 1
         self.cycle += 1
-
-    def reset(self):
-        self.mem = [0] * self.depth
-        self.rptr = self.wptr = self.cnt = 0
-        self.overflows = 0
-        self.assertions = []
-        self.cycle = 0

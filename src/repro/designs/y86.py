@@ -99,9 +99,6 @@ class Y86PipelineCpu(Module):
         self.loaduse_stalls = 0
         self.mispredict_squashes = 0
         self.ret_bubbles = 0
-        self._init_state()
-
-    def _init_state(self) -> None:
         self.memory = bytearray(self.mem_size)
         self.memory[:len(self._image)] = self._image
         self.registers = [0] * 16          # index 15 = RNONE, reads 0
@@ -115,12 +112,6 @@ class Y86PipelineCpu(Module):
         self.E = _bubble()
         self.M = _bubble()
         self.W = _bubble()
-
-    def reset(self) -> None:
-        self._init_state()
-        self.loaduse_stalls = 0
-        self.mispredict_squashes = 0
-        self.ret_bubbles = 0
 
     # -- scheduler hints ----------------------------------------------
     def comb_inputs(self):
@@ -493,8 +484,3 @@ class Y86MemoryServer(Module):
                 blob = bytes(self.memory[addr:addr + 8]).ljust(8, b"\0")
                 self._dword = int.from_bytes(blob, "little")
             self._dhave = True
-
-    def reset(self):
-        self.memory = bytearray(self.mem_size)
-        self.memory[:len(self._image)] = self._image
-        self._ihave = self._dhave = False

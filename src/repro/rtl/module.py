@@ -69,8 +69,5 @@ class Module:
     def tick(self):
         """Clock edge: update registers from settled wire values."""
 
-    def reset(self):
-        """Return to the power-on state (optional)."""
-
     def __repr__(self):
         return f"{type(self).__name__}({self.name!r})"

@@ -104,15 +104,21 @@ class TestHazards:
         assert cpu.arch_state().stat == SHLT
 
     def test_counters_reset_with_the_module(self):
+        # the power-on state is the cycle-0 snapshot: restoring it
+        # resets the counters with the rest of the module, the wires
+        # and the scheduler
         prog = assemble("    irmovq stack, %rsp\n    call f\n    halt\n"
                         "f:\n    ret\n" + _TAIL)
         sim = Simulator("y86_reset")
         cpu = sim.add(Y86PipelineCpu("cpu", prog.image))
+        power_on = sim.snapshot()
+        fresh = cpu.arch_state()
         run_to_halt(sim, cpu)
         assert cpu.ret_bubbles > 0
-        cpu.reset()
+        sim.restore(power_on)
         assert _counters(cpu) == (0, 0, 0)
         assert not cpu.halted
+        assert cpu.arch_state() == fresh
 
     def test_hazard_counters_agree_across_engines(self):
         source = sum_program(CSAPP_QUADS)
