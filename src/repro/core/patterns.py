@@ -1,4 +1,4 @@
-"""Durations, event patterns, lifetimes and loan times (Section 5.1/5.2).
+"""Durations, event patterns and lifetime ends (Section 5.1/5.2).
 
 A *duration* ``p`` is either a fixed number of cycles ``#k`` or a dynamic
 operation ``pi.m`` (the sending/receiving of a message).  An *event pattern*
@@ -9,7 +9,7 @@ match of a set of patterns; the empty set denotes an eternal lifetime
 
 A *loan time* of a register is a collection of intervals during which the
 register must not be mutated because a signal or an in-flight message sources
-its value from it.
+its value from it; :class:`repro.core.typecheck.Loan` records one interval.
 """
 
 from __future__ import annotations
@@ -136,52 +136,3 @@ class EndSet:
             return "inf"
         return "{" + ", ".join(map(repr, self.patterns)) + "}"
 
-
-class Lifetime:
-    """``[start, end)`` with ``start`` an event id and ``end`` an
-    :class:`EndSet`."""
-
-    __slots__ = ("start", "end")
-
-    def __init__(self, start: int, end: EndSet):
-        self.start = start
-        self.end = end
-
-    @staticmethod
-    def eternal(start: int) -> "Lifetime":
-        return Lifetime(start, EndSet.eternal())
-
-    def __repr__(self):
-        return f"[e{self.start}, {self.end})"
-
-
-class Loan:
-    """A loan interval on a register: the register must stay unchanged in
-    ``[start, end)``.  ``reason`` documents which use created the loan (for
-    error messages)."""
-
-    __slots__ = ("register", "start", "end", "reason")
-
-    def __init__(self, register: str, start: int, end: EndSet, reason: str):
-        self.register = register
-        self.start = start
-        self.end = end
-        self.reason = reason
-
-    def __repr__(self):
-        return f"Loan({self.register}, [e{self.start}, {self.end}), {self.reason!r})"
-
-
-class Mutation:
-    """A register mutation starting at event ``at`` (completing one cycle
-    later)."""
-
-    __slots__ = ("register", "at", "reason")
-
-    def __init__(self, register: str, at: int, reason: str = ""):
-        self.register = register
-        self.at = at
-        self.reason = reason
-
-    def __repr__(self):
-        return f"Mutation({self.register} @ e{self.at})"

@@ -27,37 +27,6 @@ class Wire:
     def set(self, value: int):
         self.value = value & self.mask
 
-    def get(self) -> int:
-        return self.value
-
-    @property
-    def bool(self) -> bool:
-        return bool(self.value)
-
     def __repr__(self):
         return f"Wire({self.name}={self.value:#x}/{self.width}b)"
 
-
-class WireBundle:
-    """A dict-like group of wires (e.g. one message's data/valid/ack)."""
-
-    def __init__(self, prefix: str):
-        self.prefix = prefix
-        self.wires = {}
-
-    def add(self, name: str, width: int = 1) -> Wire:
-        w = Wire(f"{self.prefix}.{name}", width)
-        self.wires[name] = w
-        return w
-
-    def __getitem__(self, name: str) -> Wire:
-        return self.wires[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.wires
-
-    def values(self):
-        return self.wires.values()
-
-    def __repr__(self):
-        return f"WireBundle({self.prefix}, {list(self.wires)})"
