@@ -111,8 +111,7 @@ class ProcessPlan:
     """Everything an execution backend needs, and nothing it must re-derive."""
 
     __slots__ = ("process", "name", "optimized", "threads", "ports",
-                 "port_index", "optimize_stats", "reg_masks",
-                 "_scanned_exprs", "_backend")
+                 "port_index", "optimize_stats", "reg_masks", "_backend")
 
     def __init__(self, process, optimized: bool):
         self.process = process
@@ -127,10 +126,6 @@ class ProcessPlan:
         self.ports: List[PortPlan] = []
         self.port_index: Dict[Tuple[str, str], int] = {}
         self.optimize_stats: List = []
-        # expression nodes already scanned for readiness reads -- shared
-        # subexpression DAGs (e.g. AES xtime chains) must be walked as
-        # DAGs, not trees, or extraction goes exponential
-        self._scanned_exprs: set = set()
         # per-plan memo of the generated-Python backend (set by
         # repro.codegen.pysim.backend_for), so repeat instantiation of
         # one compiled process skips even the source regeneration
@@ -155,12 +150,13 @@ class ProcessPlan:
                 f"{len(self.ports)} ports)")
 
 
-def _register_ready_reads(plan: ProcessPlan, expr: Optional[rx.RExpr]):
+def _register_ready_reads(plan: ProcessPlan, expr: Optional[rx.RExpr],
+                          seen: set):
     """Readiness queries are combinational reads of the counterpart's
-    handshake wire; they belong in the port table even without a sync."""
+    handshake wire; they belong in the port table even without a sync.
+    ``seen`` holds the ids of the nodes already scanned."""
     if expr is None:
         return
-    seen = plan._scanned_exprs
     stack = [expr]
     while stack:
         node = stack.pop()
@@ -181,15 +177,19 @@ def build_thread_plan(plan: ProcessPlan, thread, index: int,
         graph, mapping, stats = optimize(graph)
         anchor = mapping.get(anchor, anchor)
         plan.optimize_stats.append(stats)
+    # expression nodes already scanned for readiness reads -- shared
+    # subexpression DAGs (e.g. AES xtime chains) must be walked as
+    # DAGs, not trees, or extraction goes exponential
+    seen: set = set()
     for ev in graph.events:
         if ev.kind is EventKind.SYNC:
             pp = plan._port(ev.endpoint, ev.message)
             pp.drives = True
             ev.port = pp.index
         for spec in ev.latches + ev.commits:
-            _register_ready_reads(plan, getattr(spec, "source", None))
+            _register_ready_reads(plan, getattr(spec, "source", None), seen)
         for expr in (ev.payload, ev.guard, ev.cond_expr):
-            _register_ready_reads(plan, expr)
+            _register_ready_reads(plan, expr, seen)
     return ThreadPlan(index, thread.kind, anchor, graph)
 
 
