@@ -240,8 +240,9 @@ def _emit_scan(em: Emitter, wi: int, fused: set, dirty_targets=()):
     and one compare.  Fused sites account toggles immediately (their
     mirror is the previous *settled* value); dynamic sites additionally
     fold into the scheduler's value table and the changed list for the
-    end-of-settle commit, and re-dirty ``dirty_targets`` (the writer's
-    own flag, or SCC members).
+    end-of-settle commit, and re-dirty ``dirty_targets`` (the flags of
+    the wire's readers in the writer's SCC, the writer's own when it
+    feeds itself).
     """
     em.line(f"if _w{wi}.value != _p{wi}:")
     em.push()
