@@ -15,6 +15,7 @@ from repro.anvil_designs.streams import (
     passthrough_stream_fifo,
     spill_register,
 )
+from repro import compile_cache
 from repro.codegen.simfsm import compile_process
 from repro.codegen.sysverilog import emit_process
 from repro.core import fsmplan
@@ -51,7 +52,11 @@ def test_benchmark_compile(benchmark, name):
         fsmplan.clear_cache()        # time planning, not a plan-cache hit
         return compile_process(proc)
 
-    benchmark(cold)
+    compile_cache.set_disk_dir(None)     # nor a load from the disk tier
+    try:
+        benchmark(cold)
+    finally:
+        compile_cache.reset_disk_dir()
 
 
 @pytest.mark.parametrize("name", ["fifo", "ptw"])

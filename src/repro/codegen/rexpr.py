@@ -41,6 +41,13 @@ class REnv:
 
 
 class RExpr:
+    # every expression class declares its attributes as slots: pickle
+    # then neither makes nor reads an instance __dict__, so writing a
+    # plan to the compile cache's disk tier leaves the live plan's
+    # attribute reads as fast as before, and a plan loaded from it
+    # reads as fast as one just built (both matter to the interpreter)
+    __slots__ = ()
+
     width: int = 1
     #: bound on the bit length of eval()'s result (at most width, 1 for
     #: a truth value), so to_python masks only where a bit can be cut
@@ -74,6 +81,8 @@ class RExpr:
 
 
 class RUnit(RExpr):
+    __slots__ = ()
+
     width = 0
     bits = 0
 
@@ -88,6 +97,8 @@ class RUnit(RExpr):
 
 
 class RLit(RExpr):
+    __slots__ = ("value", "width", "bits")
+
     def __init__(self, value: int, width: int):
         self.width = max(width, 1)
         self.value = mask(value, self.width)
@@ -104,6 +115,8 @@ class RLit(RExpr):
 
 
 class RReg(RExpr):
+    __slots__ = ("name", "width", "bits")
+
     def __init__(self, name: str, width: int):
         self.name = name
         self.width = self.bits = width
@@ -121,6 +134,8 @@ class RReg(RExpr):
 class RSlot(RExpr):
     """A per-activation storage slot (latched receive data, let bindings,
     branch conditions)."""
+
+    __slots__ = ("slot", "width", "bits", "note")
 
     def __init__(self, slot: int, width: int, note: str = ""):
         self.slot = slot
@@ -193,6 +208,8 @@ def _bin_bits(op: str, a: RExpr, b: RExpr) -> Optional[int]:
 
 
 class RBin(RExpr):
+    __slots__ = ("op", "a", "b", "width", "bits")
+
     def __init__(self, op: str, a: RExpr, b: RExpr, width: int):
         self.op = op
         self.a = a
@@ -292,6 +309,8 @@ class RBin(RExpr):
 
 
 class RUn(RExpr):
+    __slots__ = ("op", "a", "width", "bits")
+
     def __init__(self, op: str, a: RExpr, width: int):
         self.op = op
         self.a = a
@@ -353,6 +372,8 @@ def _field_python(ctx, node) -> str:
 
 
 class RSlice(RExpr):
+    __slots__ = ("a", "hi", "lo", "width", "bits")
+
     def __init__(self, a: RExpr, hi: int, lo: int):
         self.a = a
         self.hi = hi
@@ -374,6 +395,8 @@ class RSlice(RExpr):
 
 
 class RField(RExpr):
+    __slots__ = ("a", "dtype", "name", "lo", "width", "bits")
+
     def __init__(self, a: RExpr, dtype: Bundle, name: str):
         lo, w = dtype.field_range(name)
         self.a = a
@@ -397,6 +420,8 @@ class RField(RExpr):
 
 
 class RBundle(RExpr):
+    __slots__ = ("dtype", "fields", "width", "bits")
+
     def __init__(self, dtype: Bundle, fields: Dict[str, RExpr]):
         self.dtype = dtype
         self.fields = fields
@@ -428,6 +453,8 @@ class RBundle(RExpr):
 
 
 class RMux(RExpr):
+    __slots__ = ("cond", "a", "b", "width", "bits")
+
     def __init__(self, cond: RExpr, a: RExpr, b: RExpr, width: int):
         self.cond = cond
         self.a = a
@@ -463,6 +490,8 @@ class RTable(RExpr):
     """Combinational lookup table (LUT/ROM); index truncated to the table
     size.  Gate cost models LUT mapping: one 4-input LUT cell per 4 bits of
     table content."""
+
+    __slots__ = ("index", "entries", "width", "bits", "_idx_bits")
 
     def __init__(self, index: RExpr, entries, width: int):
         self.index = index
@@ -501,6 +530,8 @@ class RTable(RExpr):
 
 
 class RReady(RExpr):
+    __slots__ = ("endpoint", "message")
+
     width = 1
 
     def __init__(self, endpoint: str, message: str):

@@ -37,7 +37,9 @@ gets the first plan back, skipping graph building, the optimizer and
 planning, and through the plan's ``_backend`` memo the pysim source
 generation too.  A hit's ``plan.process`` is the first equal process, so
 readers take from it only what equal processes share (its name,
-registers and endpoints).
+registers and endpoints).  The cache's disk tier keeps each plan's
+pickle, so a fresh interpreter loads a plan an earlier one built; its
+``plan.process`` is then the unpickled copy of the first equal process.
 """
 
 from __future__ import annotations
@@ -214,23 +216,28 @@ def _plan(process, do_optimize: bool) -> ProcessPlan:
     return plan
 
 
-_PLANS = SourceCache()
+# a plan is pickled as it leaves _plan, before anyone can set its
+# backend memo, so the image never holds generated code
+_PLANS = SourceCache("plan", lambda plan: pickle.dumps(plan, protocol=5))
 
 #: plan-cache counters (``hits``/``misses``/``entries``/``evictions``;
-#: a process without a key counts a miss) and their reset (tests)
+#: a process without a key counts a miss; ``disk_hits``/
+#: ``disk_misses``/``disk_rejected`` of the disk tier) and their reset
+#: (tests)
 cache_stats = _PLANS.stats
 clear_cache = _PLANS.clear
 
 
 def build_process_plan(process, do_optimize: bool = True) -> ProcessPlan:
     """Lower every thread of ``process`` to an executable plan, or
-    return the plan of an equal process built earlier (thread-safe).
+    return the plan of an equal process built earlier (thread-safe),
+    in this interpreter or, through the disk tier, in an earlier one.
 
     This is the single entry point every plan consumer compiles
     through; :func:`repro.codegen.simfsm.compile_process` is its public
     name."""
     return _PLANS.get(plan_key(process, do_optimize),
-                      lambda: _plan(process, do_optimize))
+                      lambda: _plan(process, do_optimize), pickle.loads)
 
 
 # ---------------------------------------------------------------------------

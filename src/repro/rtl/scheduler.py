@@ -335,11 +335,18 @@ class CombScheduler:
         )
 
     def _loop_error(self, group: List[int]) -> SimulationError:
-        """Diagnose a non-settling group: evaluate each member once more
-        and report which wires are still changing."""
+        """Diagnose a non-settling group: name its wires that moved off
+        their last settled value this cycle, and those still changing
+        when each member is evaluated once more (that evaluation may
+        happen to settle the group)."""
         modules = self.sim.modules
         values = self._values
+        prev = self._prev_settled
         unstable: set = set()
+        for mi in group:
+            for _w, wi in self._scan[mi]:
+                if prev[wi] is None or prev[wi] != values[wi]:
+                    unstable.add(wi)
         for mi in group:
             modules[mi].eval_comb()
             for w, wi in self._scan[mi]:

@@ -402,6 +402,35 @@ class TestDeprecationShims:
         assert "repro.api" in imported
         assert "multiprocessing" not in imported
 
+    def test_a_run_leaves_the_harness_drivers_unloaded(self):
+        # the registry imports repro.harness for its scenarios; the
+        # drivers load only when one is used
+        code = ("import sys; from repro.__main__ import main; "
+                "status = main(['run', 'y86_sum', '--json']); "
+                "print(status, sorted(m for m in sys.modules "
+                "if m.startswith('repro.harness')), file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=_src_env(), capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["scenario"] == "y86_sum"
+        assert proc.stderr.split() == [
+            "0", "['repro.harness',", "'repro.harness.scenarios']"]
+
+    def test_the_harness_exports_load_on_first_use(self):
+        import repro.harness
+        from repro.harness import appendix_a as exported
+        from repro.harness.appendix_a import appendix_a as defined
+
+        # the submodule shares its name with the driver the package
+        # exports; importing it leaves the package attribute the driver
+        assert exported is defined is repro.harness.appendix_a
+        assert set(repro.harness.__all__) <= set(dir(repro.harness))
+        for name in repro.harness.__all__:
+            assert callable(getattr(repro.harness, name)), name
+        with pytest.raises(AttributeError, match="no attribute"):
+            repro.harness.generate_table3
+
 
 # ---------------------------------------------------------------------------
 # routing: every sweep entry point hands its JobSpecs to run_batch

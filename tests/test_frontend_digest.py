@@ -72,3 +72,23 @@ def test_frontend_digest_matches_the_golden():
             f"first at {where}")
     assert fsmplan.cache_stats()["misses"] == misses, \
         "the warm pass planned a process again"
+
+
+def test_frontend_digest_warm_from_disk_matches_the_golden():
+    """A cold pass writes every plan to the disk tier; with the memory
+    tier emptied, the next pass loads them all and must equal the
+    golden too."""
+    tool = tool_module("frontend_digest")
+    want = json.loads(GOLDEN.read_text())
+    tool.digest()
+    planned = fsmplan.cache_stats()["disk_misses"]
+    fsmplan.clear_cache()
+    got = json.loads(json.dumps(tool.digest(), sort_keys=True,
+                                default=repr))
+    where = first_difference(want, got)
+    assert where is None, (
+        f"the front-end digest warm from disk differs from {GOLDEN.name}, "
+        f"first at {where}")
+    stats = fsmplan.cache_stats()
+    assert stats["disk_hits"] == planned > 0
+    assert stats["disk_misses"] == stats["disk_rejected"] == 0

@@ -203,8 +203,9 @@ def test_stats_report_every_compile_cache(client):
     caches = client.stats()["compile_caches"]
     assert sorted(caches) == ["kernel", "plan", "pysim"]
     for name, counters in caches.items():
-        assert sorted(counters) == ["entries", "evictions", "hits",
-                                    "misses"], name
+        assert sorted(counters) == ["disk_hits", "disk_misses",
+                                    "disk_rejected", "entries",
+                                    "evictions", "hits", "misses"], name
     assert caches["plan"]["misses"] >= 1
 
 
