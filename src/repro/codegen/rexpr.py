@@ -10,6 +10,15 @@ simulation backend (:mod:`repro.codegen.pysim`).  Because the
 type checker guarantees that every register a value depends on stays
 unchanged throughout the value's uses, evaluating lazily at use time is
 equivalent to the wire semantics of the generated hardware.
+
+Expressions are DAGs, hash-consed per thread where they are made: the
+graph builder builds every node through one table per thread
+(:meth:`~repro.core.graph_builder.GraphBuilder._rx`), keyed by class,
+parameters and children by identity, so structurally equal logic of a
+thread is one object.  Every consumer shares by identity: pysim's
+per-site CSE, the SystemVerilog emitter's wires and the cost model's
+gate count.  This holds because constructors set ``width`` and
+``bits`` and nothing changes a node after it is interned.
 """
 
 from __future__ import annotations
@@ -422,9 +431,11 @@ class RField(RExpr):
 class RBundle(RExpr):
     __slots__ = ("dtype", "fields", "width", "bits")
 
-    def __init__(self, dtype: Bundle, fields: Dict[str, RExpr]):
+    def __init__(self, dtype: Bundle, fields):
+        """``fields``: a dict, or ``(name, expr)`` pairs, of the fields
+        the bundle sets."""
         self.dtype = dtype
-        self.fields = fields
+        self.fields: Dict[str, RExpr] = dict(fields)
         self.width = self.bits = dtype.width
 
     def children(self):

@@ -137,22 +137,18 @@ class NameMap:
         self.process = process
         self.thread_idx = thread_idx
         self.refcount = {}
-        # id(expr) -> (wire name, width, defining text)
+        # id(expr) -> (wire name, width, defining text), in declaration
+        # order
         self.hoisted = {}
-        # (defining text, width) -> the same triple, one per wire, in
-        # declaration order
-        self.wires = {}
 
     def hoist(self, e: rx.RExpr, text: str) -> str:
-        """Name ``e``'s value ``text`` by a wire of ``e``'s width; equal
-        nodes built apart render the same text and share one wire."""
-        width = max(e.width, 1)
-        wire = self.wires.get((text, width))
-        if wire is None:
-            name = f"t{self.thread_idx}_x{len(self.wires)}_w"
-            wire = self.wires[(text, width)] = (name, width, text)
-        self.hoisted[id(e)] = wire
-        return wire[0]
+        """Name ``e``'s value ``text`` by a wire of ``e``'s width.  Wires
+        are kept by node: the graph builder hash-conses each thread's
+        expressions (see :mod:`repro.codegen.rexpr`), so equal logic is
+        one node and gets one wire."""
+        name = f"t{self.thread_idx}_x{len(self.hoisted)}_w"
+        self.hoisted[id(e)] = (name, max(e.width, 1), text)
+        return name
 
     def reg(self, name: str) -> str:
         return f"{name}_q"
@@ -395,7 +391,7 @@ def emit_process(process: Process, plan: Optional[ProcessPlan] = None
         w("")
 
         # hoisted shared subexpressions (children precede parents)
-        for hname, hwidth, htext in names.wires.values():
+        for hname, hwidth, htext in names.hoisted.values():
             rng = f"[{hwidth - 1}:0] " if hwidth > 1 else ""
             w(f"  logic {rng}{hname};")
             w(f"  assign {hname} = {htext};")

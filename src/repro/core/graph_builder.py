@@ -154,6 +154,7 @@ class GraphBuilder:
         self._iter_tag = ""
         self._pure_cache: Dict[int, bool] = {}
         self._visit_memo: Dict[Tuple[int, int], Tuple[int, Value]] = {}
+        self._rexprs: Dict[tuple, rx.RExpr] = {}
 
     def _is_pure(self, term: T.Term) -> bool:
         """Purely combinational terms (no events, no environment lookups)
@@ -209,8 +210,28 @@ class GraphBuilder:
         self._cond += 1
         return c
 
+    def _rx(self, cls, *args, **label) -> rx.RExpr:
+        """The node ``cls(*args)``, one object per structure in this
+        thread (hash-consing).  The key is the class and ``args``;
+        children come interned, so they are keyed by identity.  Slot
+        numbers are per thread, so the table is too.  ``label`` (an
+        ``RSlot``'s note) is text for humans and stays out of the key.
+        Constructors set ``width`` and ``bits``, and nothing changes a
+        node afterwards, so equal keys are equal logic."""
+        key = (cls, *args)
+        node = self._rexprs.get(key)
+        if node is None:
+            node = self._rexprs[key] = cls(*args, **label)
+        return node
+
+    def _lit(self, value: int, width: int) -> rx.RExpr:
+        """A literal, keyed by the value it holds at ``width``."""
+        width = max(width, 1)
+        return self._rx(rx.RLit, rx.mask(value, width), width)
+
     def _unit(self, at: int) -> Value:
-        return Value(at, EndSet.eternal(), frozenset(), rx.RUnit(), None)
+        return Value(at, EndSet.eternal(), frozenset(), self._rx(rx.RUnit),
+                     None)
 
     def _use(self, value: Value, start: int, end: EndSet, context: str):
         self.result.uses.append(
@@ -243,7 +264,7 @@ class GraphBuilder:
     def _visit_Literal(self, term: T.Literal, at, env):
         width = term.dtype.width if term.dtype else 32
         val = Value(at, EndSet.eternal(), frozenset(),
-                    rx.RLit(term.value, width), term.dtype or Logic(width))
+                    self._lit(term.value, width), term.dtype or Logic(width))
         return at, val
 
     def _visit_Unit(self, term, at, env):
@@ -255,7 +276,7 @@ class GraphBuilder:
             at,
             EndSet.eternal(),
             frozenset([(term.reg, at)]),
-            rx.RReg(term.reg, reg.dtype.width),
+            self._rx(rx.RReg, term.reg, reg.dtype.width),
             reg.dtype,
         )
         return at, val
@@ -284,7 +305,7 @@ class GraphBuilder:
             at,
             EndSet.single(at, Duration.static(1)),
             frozenset(),
-            rx.RReady(term.endpoint, term.message),
+            self._rx(rx.RReady, term.endpoint, term.message),
             Logic(1),
         )
         return at, val
@@ -315,9 +336,9 @@ class GraphBuilder:
         ra, rb = va.rexpr, vb.rexpr
         # literal width adoption
         if isinstance(term.a, T.Literal) and term.a.dtype is None and vb.dtype:
-            ra = rx.RLit(term.a.value, vb.width)
+            ra = self._lit(term.a.value, vb.width)
         if isinstance(term.b, T.Literal) and term.b.dtype is None and va.dtype:
-            rb = rx.RLit(term.b.value, va.width)
+            rb = self._lit(term.b.value, va.width)
         if term.op in ("eq", "ne", "lt", "le", "gt", "ge"):
             dtype: DataType = Logic(1)
         elif term.op == "concat":
@@ -331,7 +352,7 @@ class GraphBuilder:
             completion,
             va.end.union(vb.end),
             va.reg_reads | vb.reg_reads,
-            rx.RBin(term.op, ra, rb, dtype.width),
+            self._rx(rx.RBin, term.op, ra, rb, dtype.width),
             dtype,
         )
         return completion, val
@@ -340,7 +361,7 @@ class GraphBuilder:
         ca, va = self._visit(term.a, at, env)
         width = 1 if term.op.startswith("red") else va.width
         val = Value(ca, va.end, va.reg_reads,
-                    rx.RUn(term.op, va.rexpr, width), Logic(width))
+                    self._rx(rx.RUn, term.op, va.rexpr, width), Logic(width))
         return ca, val
 
     def _visit_Field(self, term: T.Field, at, env):
@@ -350,7 +371,7 @@ class GraphBuilder:
                 f"field access {term.name!r} on non-bundle value"
             )
         val = Value(ca, va.end, va.reg_reads,
-                    rx.RField(va.rexpr, va.dtype, term.name),
+                    self._rx(rx.RField, va.rexpr, va.dtype, term.name),
                     va.dtype.field_type(term.name))
         return ca, val
 
@@ -361,7 +382,7 @@ class GraphBuilder:
                 f"slice [{term.hi}:{term.lo}] exceeds width {va.width}"
             )
         val = Value(ca, va.end, va.reg_reads,
-                    rx.RSlice(va.rexpr, term.hi, term.lo),
+                    self._rx(rx.RSlice, va.rexpr, term.hi, term.lo),
                     Logic(term.hi - term.lo + 1))
         return ca, val
 
@@ -372,9 +393,9 @@ class GraphBuilder:
         completion = self._completion_of(at, [cc, ca, cb])
         ra, rb = va.rexpr, vb.rexpr
         if isinstance(term.a, T.Literal) and term.a.dtype is None and vb.dtype:
-            ra = rx.RLit(term.a.value, vb.width)
+            ra = self._lit(term.a.value, vb.width)
         if isinstance(term.b, T.Literal) and term.b.dtype is None and va.dtype:
-            rb = rx.RLit(term.b.value, va.width)
+            rb = self._lit(term.b.value, va.width)
         width = max(ra.width, rb.width, 1)
         dtype = va.dtype if va.dtype is not None else vb.dtype
         if dtype is None or dtype.width != width:
@@ -383,7 +404,7 @@ class GraphBuilder:
             completion,
             cval.end.union(va.end).union(vb.end),
             cval.reg_reads | va.reg_reads | vb.reg_reads,
-            rx.RMux(cval.rexpr, ra, rb, width),
+            self._rx(rx.RMux, cval.rexpr, ra, rb, width),
             dtype,
         )
         return completion, val
@@ -399,13 +420,14 @@ class GraphBuilder:
             fw = term.dtype.field_type(name).width
             r = v.rexpr
             if isinstance(sub, T.Literal) and sub.dtype is None:
-                r = rx.RLit(sub.value, fw)
+                r = self._lit(sub.value, fw)
             parts[name] = r
             ends = ends.union(v.end)
             regs = regs | v.reg_reads
         completion = self._completion_of(at, completions)
         val = Value(completion, ends, regs,
-                    rx.RBundle(term.dtype, parts), term.dtype)
+                    self._rx(rx.RBundle, term.dtype, tuple(parts.items())),
+                    term.dtype)
         return completion, val
 
     # -- communication ------------------------------------------------------
@@ -430,7 +452,8 @@ class GraphBuilder:
             sync.eid,
             EndSet.single(sync.eid, dur),
             frozenset(),
-            rx.RSlot(slot, msg.dtype.width, f"{term.endpoint}.{term.message}"),
+            self._rx(rx.RSlot, slot, msg.dtype.width,
+                     note=f"{term.endpoint}.{term.message}"),
             msg.dtype,
         )
         return sync.eid, val
@@ -446,7 +469,7 @@ class GraphBuilder:
         pc, pval = self._visit(term.payload, at, env)
         prexpr = pval.rexpr
         if isinstance(term.payload, T.Literal) and term.payload.dtype is None:
-            prexpr = rx.RLit(term.payload.value, msg.dtype.width)
+            prexpr = self._lit(term.payload.value, msg.dtype.width)
         sync = self.graph.add(
             EventKind.SYNC, (pc,),
             endpoint=term.endpoint, message=term.message,
@@ -478,7 +501,7 @@ class GraphBuilder:
         pc, pval = self._visit(term.payload, at, env)
         prexpr = pval.rexpr
         if isinstance(term.payload, T.Literal) and term.payload.dtype is None:
-            prexpr = rx.RLit(term.payload.value, msg.dtype.width)
+            prexpr = self._lit(term.payload.value, msg.dtype.width)
         guard_val = None
         if term.guard is not None:
             gc, guard_val = self._visit(term.guard, at, env)
@@ -512,7 +535,8 @@ class GraphBuilder:
             sync.eid,
             EndSet.single(sync.eid, Duration.static(1)),
             frozenset(),
-            rx.RSlot(flag_slot, 1, f"sent({term.endpoint}.{term.message})"),
+            self._rx(rx.RSlot, flag_slot, 1,
+                     note=f"sent({term.endpoint}.{term.message})"),
             Logic(1),
         )
         return sync.eid, val
@@ -546,12 +570,12 @@ class GraphBuilder:
         sync.latches.append(LatchRecv(data_slot))
         sync.latches.append(LatchFlag(flag_slot))
         dtype = Bundle([("data", msg.dtype), ("valid", Logic(1))])
-        rexpr = rx.RBundle(dtype, {
-            "data": rx.RSlot(data_slot, msg.dtype.width,
-                             f"{term.endpoint}.{term.message}"),
-            "valid": rx.RSlot(flag_slot, 1,
-                              f"got({term.endpoint}.{term.message})"),
-        })
+        rexpr = self._rx(rx.RBundle, dtype, (
+            ("data", self._rx(rx.RSlot, data_slot, msg.dtype.width,
+                              note=f"{term.endpoint}.{term.message}")),
+            ("valid", self._rx(rx.RSlot, flag_slot, 1,
+                               note=f"got({term.endpoint}.{term.message})")),
+        ))
         val = Value(
             sync.eid,
             EndSet.single(sync.eid, Duration.static(1)),
@@ -564,7 +588,8 @@ class GraphBuilder:
     def _visit_Table(self, term: T.Table, at, env):
         ic, ival = self._visit(term.index, at, env)
         val = Value(ic, ival.end, ival.reg_reads,
-                    rx.RTable(ival.rexpr, term.entries, term.width),
+                    self._rx(rx.RTable, ival.rexpr, term.entries,
+                             term.width),
                     Logic(term.width))
         return ic, val
 
@@ -574,7 +599,7 @@ class GraphBuilder:
         vc, vval = self._visit(term.value, at, env)
         rexpr = vval.rexpr
         if isinstance(term.value, T.Literal) and term.value.dtype is None:
-            rexpr = rx.RLit(term.value.value, reg.dtype.width)
+            rexpr = self._lit(term.value.value, reg.dtype.width)
         ctx = f"set {term.reg}"
         self._use(vval, vc, EndSet.single(vc, Duration.static(1)), ctx)
         self.result.mutations.append(
@@ -615,9 +640,10 @@ class GraphBuilder:
                             polarity=True)
         bf = self.graph.add(EventKind.BRANCH, (cc,), cond_id=cond_id,
                             polarity=False)
-        # both arms test the latched slot, which the overlay makes
-        # visible in the latching cycle
-        bt.cond_expr = bf.cond_expr = rx.RSlot(cond_slot, 1, f"c{cond_id}")
+        # both arms and the value's mux test the latched slot, which
+        # the overlay makes visible in the latching cycle
+        cond = self._rx(rx.RSlot, cond_slot, 1, note=f"c{cond_id}")
+        bt.cond_expr = bf.cond_expr = cond
         tc, tval = self._visit(term.then, bt.eid, env)
         if term.els is not None:
             ec, eval2 = self._visit(term.els, bf.eid, env)
@@ -625,8 +651,7 @@ class GraphBuilder:
             ec, eval2 = bf.eid, self._unit(bf.eid)
         join = self.graph.add(EventKind.JOIN_ANY, (tc, ec), cond_id=cond_id)
         width = max(tval.rexpr.width, eval2.rexpr.width, 1)
-        rexpr = rx.RMux(rx.RSlot(cond_slot, 1, "cond"),
-                        tval.rexpr, eval2.rexpr, width)
+        rexpr = self._rx(rx.RMux, cond, tval.rexpr, eval2.rexpr, width)
         end = tval.end.union(eval2.end).union(cval.end)
         dtype = tval.dtype if tval.dtype is not None else eval2.dtype
         val = Value(join.eid, end,

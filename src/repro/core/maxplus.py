@@ -255,10 +255,6 @@ class MinExpr:
     def inf() -> "MinExpr":
         return MinExpr(())
 
-    @staticmethod
-    def of(expr: MaxExpr) -> "MinExpr":
-        return MinExpr([expr])
-
     def le(self, other: "MinExpr") -> bool:
         """Sound check ``min(self) <= min(other)`` for every assignment:
         every alternative of ``other`` must have an alternative of ``self``

@@ -128,9 +128,8 @@ def pass_merge_labels(graph: EventGraph):
                 key = ("delay", s.delay)
             elif s.kind is EventKind.BRANCH:
                 key = ("branch", s.cond_id, s.polarity)
-            elif s.kind is EventKind.SYNC:
-                continue  # sync events have handshake state; never merged
             else:
+                # sync events have handshake state; never merged
                 continue
             groups.setdefault(key, []).append(s)
         for key, members in groups.items():

@@ -74,13 +74,3 @@ class Waveform:
                 body = "".join(f"{v:<{cells}x}" for v in series)
             lines.append(f"{label:<{width}}{body}")
         return "\n".join(lines)
-
-    def changes(self, label: str) -> List[Tuple[int, int]]:
-        """List of (cycle, new_value) change points of a signal."""
-        out = []
-        prev = None
-        for i, v in enumerate(self.samples[label]):
-            if v != prev:
-                out.append((i, v))
-                prev = v
-        return out

@@ -157,20 +157,3 @@ def systolic_array(width: int = 8) -> CostReport:
         _adder(16), _adder(16),
     )
     return estimate_inventory("systolic_array[SV]", flops, gates, 8)
-
-
-def memory(latency: int = 2) -> CostReport:
-    flops = 8 + 8 + 2 + 1
-    gates = _acc({"lut4": 128}, {"and": 8, "inv": 4})
-    return estimate_inventory("memory[SV]", flops, gates, 3)
-
-
-def cached_memory(lines: int = 4) -> CostReport:
-    flops = lines * (8 + 1 + 8) + 8 + 3 + 2
-    gates = _acc(
-        *[_cmp_eq(8) for _ in range(lines)],
-        _mux(8, lines),
-        {"lut4": 128},
-        {"and": 12, "inv": 6, "or": 6},
-    )
-    return estimate_inventory("cached_memory[SV]", flops, gates, 4)

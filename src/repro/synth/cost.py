@@ -112,64 +112,26 @@ def estimate_compiled(plan: ProcessPlan, name: str = "") -> CostReport:
     for reg in plan.process.registers.values():
         flops += reg.dtype.width
 
-    # expressions are DAGs: every memo below is keyed by node identity
-    # (or interned structural key), so each distinct node is visited once
-    skey_memo: Dict[int, int] = {}
-    skey_ids: Dict[tuple, int] = {}
+    # expressions are DAGs, hash-consed per thread where the graph
+    # builder makes them (constructors set width and bits, and nothing
+    # changes a node once interned): equal logic of a thread is one
+    # node, so every memo below is keyed by node identity, each node
+    # is visited once and charged once
     depth_memo: Dict[int, int] = {}
     slots_memo: Dict[int, frozenset] = {}
     max_depth = 0
-
-    def skey(expr: rx.RExpr) -> int:
-        """Structural key: identical logic built twice synthesizes once
-        (common-subexpression elimination).  Keys are interned as ints,
-        so a key is the node's own parameters plus its children's ints
-        and hashing it never descends the expression."""
-        cached = skey_memo.get(id(expr))
-        if cached is not None:
-            return cached
-        params: tuple
-        if isinstance(expr, rx.RLit):
-            params = ("lit", expr.value, expr.width)
-        elif isinstance(expr, rx.RReg):
-            params = ("reg", expr.name)
-        elif isinstance(expr, rx.RSlot):
-            params = ("slot", expr.slot)
-        elif isinstance(expr, rx.RBin):
-            params = ("bin", expr.op, expr.width)
-        elif isinstance(expr, rx.RUn):
-            params = ("un", expr.op, expr.width)
-        elif isinstance(expr, rx.RSlice):
-            params = ("slice", expr.hi, expr.lo)
-        elif isinstance(expr, rx.RField):
-            params = ("field", expr.lo, expr.width)
-        elif isinstance(expr, rx.RMux):
-            params = ("mux", expr.width)
-        elif isinstance(expr, rx.RTable):
-            params = ("table", expr.entries, expr.width)
-        elif isinstance(expr, rx.RBundle):
-            params = ("bundle", expr.width)
-        elif isinstance(expr, rx.RReady):
-            params = ("ready", expr.endpoint, expr.message)
-        else:
-            params = (type(expr).__name__, expr.width)
-        key = skey_ids.setdefault(
-            params + tuple(skey(c) for c in expr.children()), len(skey_ids))
-        skey_memo[id(expr)] = key
-        return key
-
     gathered: set = set()
 
     def gather(expr: rx.RExpr) -> Dict[str, int]:
         """Gate demand of a subtree with two synthesis optimizations:
-        structural CSE (a structurally-identical subtree costs nothing the
-        second time) and operator sharing across mux alternatives (the two
-        arms are mutually exclusive, so their operators merge elementwise).
+        common-subexpression elimination (a node costs nothing the
+        second time) and operator sharing across mux alternatives (the
+        two arms are mutually exclusive, so their operators merge
+        elementwise).
         """
-        key = skey(expr)
-        if key in gathered:
+        if id(expr) in gathered:
             return {}
-        gathered.add(key)
+        gathered.add(id(expr))
         out: Dict[str, int] = dict(expr.gate_count())
         if isinstance(expr, rx.RMux):
             _merge(out, gather(expr.cond))

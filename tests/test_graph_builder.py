@@ -1,10 +1,14 @@
 """Tests for term -> event graph construction and lifetime inference."""
 
+import re
+
 import pytest
 
 from repro import ElaborationError, Logic, Process, Side, Thread, check_process
+from repro.codegen import rexpr as rx
 from repro.codegen.sysverilog import emit_process, structural_check
 from repro.core.events import EventKind, SyncDir
+from repro.core.fsmplan import build_process_plan
 from repro.core.graph_builder import GraphBuilder
 from repro.lang.channels import ChannelDef, LifetimeSpec, MessageDef
 from repro.lang.terms import (
@@ -24,7 +28,12 @@ from repro.lang.terms import (
 )
 from repro.lang.types import Bundle
 
-from helpers import branch_await_process, port_traces, stream_channel
+from helpers import (
+    branch_await_process,
+    port_traces,
+    stream_channel,
+    tool_module,
+)
 
 
 def build(body, kind=Thread.LOOP, iterations=1, setup=None):
@@ -154,6 +163,99 @@ class TestValues:
         use = [u for u in res.uses if u.context.endswith("set r")][0]
         # the mux result inherits the recv'd value's 1-cycle lifetime
         assert not use.value.end.is_eternal
+
+
+#: what defines a node's logic besides its children (an RSlot's note is
+#: a label, and an RBundle's field names are added to its dtype)
+LOGIC = {
+    rx.RUnit: (), rx.RLit: ("value", "width"), rx.RReg: ("name", "width"),
+    rx.RSlot: ("slot", "width"), rx.RBin: ("op", "width"),
+    rx.RUn: ("op", "width"), rx.RSlice: ("hi", "lo"),
+    rx.RField: ("dtype", "name"), rx.RMux: ("width",),
+    rx.RTable: ("entries", "width"), rx.RBundle: ("dtype",),
+    rx.RReady: ("endpoint", "message"),
+}
+
+
+def node_counts(roots):
+    """``(nodes by identity, nodes by structure)`` of the DAG under
+    ``roots``; a node's structure is its class, its ``LOGIC`` and its
+    children's structures."""
+    by_id, by_structure = {}, {}
+
+    def visit(node):
+        known = by_id.get(id(node))
+        if known is None:
+            logic = tuple(getattr(node, a) for a in LOGIC[type(node)])
+            if isinstance(node, rx.RBundle):
+                logic += tuple(node.fields)
+            key = (type(node), logic, tuple(map(visit, node.children())))
+            known = by_id[id(node)] = by_structure.setdefault(
+                key, len(by_structure))
+        return known
+
+    for root in roots:
+        visit(root)
+    return len(by_id), len(by_structure)
+
+
+def thread_exprs(tp):
+    """Every expression an event of thread plan ``tp`` carries."""
+    for ev in tp.events:
+        for spec in ev.latches + ev.commits:
+            if getattr(spec, "source", None) is not None:
+                yield spec.source
+        for expr in (ev.payload, ev.guard, ev.cond_expr):
+            if expr is not None:
+                yield expr
+
+
+class TestHashConsing:
+    """The builder makes structurally equal logic of one thread one
+    node."""
+
+    def test_every_digest_thread_has_one_node_per_structure(self):
+        total = [0, 0]
+        for factory in tool_module("frontend_digest").FACTORIES:
+            for tp in build_process_plan(factory()).threads:
+                by_id, by_structure = node_counts(thread_exprs(tp))
+                assert by_id == by_structure, (factory.__name__, tp.index)
+                total[0] += by_id
+                total[1] += by_structure
+        assert total == [1785, 1785]
+
+    def test_a_term_built_twice_is_one_node_and_one_wire(self):
+        p = Process("twice")
+        p.register("r", Logic(8))
+        p.register("r2", Logic(8))
+        p.loop(set_reg("r", (read("r") + read("r2"))
+                       ^ (read("r") + read("r2"))))
+        plan = build_process_plan(p)
+        (xor,) = [c.source for ev in plan.threads[0].events
+                  for c in ev.commits]
+        assert xor.a is xor.b
+        assert node_counts([xor]) == (4, 4)
+        assert re.findall(r"assign (t0_x\d+_w) = (.*);",
+                          emit_process(p, plan)) \
+            == [("t0_x0_w", "(r_q + r2_q)")]
+
+    def test_x_plus_y_at_two_widths_is_two_nodes(self):
+        p = Process("widths")
+        b = GraphBuilder(p, p.loop(cycle(1)))
+        x, y = b._rx(rx.RReg, "x", 8), b._rx(rx.RReg, "y", 8)
+        wide, narrow = (b._rx(rx.RBin, "add", x, y, w) for w in (9, 8))
+        assert wide is not narrow
+        assert (wide.width, narrow.width) == (9, 8)
+        assert b._rx(rx.RBin, "add", x, y, 8) is narrow
+        assert b._rx(rx.RReg, "x", 8) is x
+
+    def test_a_branch_and_its_value_test_one_slot_node(self):
+        res = build(set_reg("r2", if_(read("r").eq(0), read("r"), lit(1, 8))))
+        branches = [e for e in res.graph.events
+                    if e.kind is EventKind.BRANCH]
+        (mux,) = [c.source for e in res.graph.events for c in e.commits]
+        assert len(branches) == 2
+        assert all(e.cond_expr is mux.cond for e in branches)
 
 
 class TestDirectionChecks:

@@ -154,8 +154,8 @@ class TestSynthCost:
     def test_shared_expressions_are_costed_as_a_dag(self, monkeypatch):
         # the AES round logic shares subexpressions heavily: walking it
         # as a tree made ~1.8 M children() calls over ~1,300 nodes.  As
-        # a DAG, each of four memoized passes (structural key, gates,
-        # depth, slot reads) expands a node at most once
+        # a DAG, each of three memoized passes (gates, depth, slot
+        # reads) expands a node at most once
         from repro.anvil_designs.aes import aes_core
         from repro.codegen import rexpr as rx
         from repro.codegen.simfsm import compile_process
@@ -173,7 +173,30 @@ class TestSynthCost:
                 monkeypatch.setattr(cls, "children", counting)
         estimate_compiled(compiled)
         assert nodes
-        assert calls[0] <= 4 * len(nodes), (calls[0], len(nodes))
+        assert calls[0] <= 3 * len(nodes), (calls[0], len(nodes))
+
+    def test_each_thread_is_charged_for_its_own_logic(self):
+        # slot numbers are per thread, so slot 0 of one thread is not
+        # slot 0 of another: two threads that each square what they
+        # receive need two multipliers
+        from helpers import cache_channel
+        from repro import Process, Side
+        from repro.core.fsmplan import build_process_plan
+        from repro.lang.terms import let, recv, send, var
+        from repro.synth import estimate_compiled
+
+        def squarers(endpoints):
+            p = Process("squarers")
+            for ep in endpoints:
+                p.endpoint(ep, cache_channel(), Side.RIGHT)
+                p.loop(let("x", recv(ep, "req"),
+                           send(ep, "res", var("x") * var("x"))))
+            return p
+
+        one, two = (estimate_compiled(build_process_plan(squarers(eps))).gates
+                    for eps in ("a", "ab"))
+        assert one["xor"] == 128
+        assert two == {gate: 2 * n for gate, n in one.items()}
 
     def test_baseline_inventories_available(self):
         from repro.synth import baselines
@@ -189,3 +212,19 @@ class TestSynthCost:
         r = fifo_buffer()
         assert r.power(100, 1000) > r.power(10, 1000)
         assert r.power(10, 1000) > 0
+
+
+class TestTable1Power:
+    def test_activity_agrees_on_both_engine_backend_pairs(self):
+        # the dynamic power column's port toggles: every row's workload
+        # toggles something, and the fast pair counts what the
+        # reference pair does
+        from repro.harness.table1 import _activity, _spec_rows
+
+        for spec in _spec_rows():
+            reference, fast = (
+                _activity(spec["factory"], spec["stimuli"],
+                          backend=backend, engine=engine)
+                for backend, engine in (("interp", "levelized"),
+                                        ("pycompiled", "kernel")))
+            assert reference == fast > 0, spec["name"]
