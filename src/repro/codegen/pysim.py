@@ -8,9 +8,9 @@ per-cycle interpretation: from the plan it emits straight-line Python
 source for the process's whole cycle step -- one **settle** function
 ``_EVAL(m)`` (every thread's fire body: compute the events firing this
 cycle, drive handshake wires, populate the same-cycle overlay) and one
-**clock-edge** function ``_TICK(m)`` (commit each thread's fire sets,
-register writes and prints) -- with every runtime expression lowered to
-an inline Python expression by
+**clock-edge** function ``_TICK(m)`` (commit each thread's settled
+event states, register writes and prints) -- with every runtime
+expression lowered to an inline Python expression by
 :meth:`~repro.codegen.rexpr.RExpr.to_python`.  The source is
 ``compile()``d and ``exec``'d once per distinct plan and cached, so
 harness sweeps that rebuild the same design row after row never pay
@@ -26,27 +26,33 @@ Gate blocks
 The hardware evaluates every event's fire logic in parallel each
 cycle; the interpreter visits every event of every live activation on
 every settle pass.  A generated fire body skips, instead, what cannot
-change this pass.  An event's *gates* are its proper dominators (events
+change this pass.  It works on ``cur``, the pass's copy of the
+activation's event-state list (see
+:class:`~repro.codegen.simfsm.Activation`), so every test and mark is
+one list index.  An event's *gates* are its proper dominators (events
 on every path from the root to it) that can stay unresolved after their
 predecessors fired, or die: a branch, a delay of at least one cycle, a
 handshaking (not ``conditional``) sync.  Events are still emitted one by
 one in event order, but each run of consecutive events that share a
-gate ``g`` is nested in ``if g in af or g in fn:``, followed by
-``elif g in dn: dn.update(<the run's events>)``.  Inside the block, the
-predecessor tests that an open gate answers are dropped, and a delay's
-base is its latest predecessor's fire cycle (no event fires before its
-activation starts, so the start cycle never wins).
+gate ``g`` is nested in ``if cur[g] > 0:``, followed by ``elif cur[g] <
+0 and not cur[a]:`` and one slice store of a pooled tuple of ``-1`` over
+the run ``a..b`` (a run is consecutive events, so their ids are
+contiguous).  The test of ``a``, the run's first event, skips the
+store for a gate that died in an earlier cycle, whose run is dead
+already.  Inside the block, the predecessor tests that an open gate
+answers are dropped, and a delay's base is its latest predecessor's
+fire cycle (no event fires before its activation starts, so the start
+cycle never wins).
 
 This is exact.  If ``g`` dominates ``e``, every predecessor of ``e`` is
 ``g`` or is dominated by ``g``, so nothing under ``g`` fires or dies
 before ``g`` does: while ``g`` is pending, the skipped events would
 have been pending too, and they never touch ``busy`` or a wire.  When
 ``g`` dies, everything under it dies in that same pass, which is what
-the event-by-event code would have added to ``dn``.  Event order is
-kept, so the insertion order of the fire set and the overlay, which
-snapshot images and ``state_sig`` hash, is unchanged (dead sets are
-imaged sorted).  An event nests in at most :data:`MAX_GATE_DEPTH` gate
-blocks, those of its outermost gates, which keeps the source below
+the event-by-event code would have marked.  Event order is kept, so the
+insertion order of the overlay, which snapshot images and ``state_sig``
+hash, is unchanged.  An event nests in at most :data:`MAX_GATE_DEPTH`
+gate blocks, those of its outermost gates, which keeps the source below
 Python's limit of 100 indentation levels; gates past the cap open no
 block, and the events under them test those predecessors as usual.
 
@@ -55,17 +61,21 @@ Cycle step
 
 :class:`~repro.codegen.simfsm.AnvilProcessModule` binds the two
 functions as the instance's ``eval_comb`` and ``tick``.  ``_EVAL``
-binds the cycle, the register file, the thread lists and the port wires
-its fire bodies use once per call, releases the handshake outputs, then
-per thread walks ``chain(acts, tentative)`` with the thread's gate-nested
-fire body inlined in the loop, so an activation binds only its slots,
-fired and dead sets, start cycle, ``fn``, ``dn`` and overlay.  It stores
-the pass as ``act.cache`` and spawns at the anchor, with the
-interpreter's runaway limits.  ``_TICK`` merges each activation's cached
-pass, runs the thread's commit body inline (each register write masked
-to its register's width by a constant, in a local ``_rw`` dict), marks
-the spawn, retires finished activations (``_dedup`` when more than one
-is live) and applies every write with one ``m.regs.update``.
+binds the cycle, its fire mark ``mark = now + 1``, the register file,
+the thread lists and the port wires its fire bodies use once per call,
+releases the handshake outputs, then per thread walks ``chain(acts,
+tentative)`` with the thread's gate-nested fire body inlined in the
+loop, so an activation binds only its slots, ``cur = act.st[:]``, its
+start cycle and overlay.  It stores the pass as ``act.cache = (now,
+cur, _ov)`` and spawns at the anchor, with the interpreter's runaway
+limits.  ``_TICK`` takes each activation's cached pass; where ``cur``
+differs from ``act.st`` it adopts it (``act.st = cur``), merges the
+overlay into the slots, runs the thread's commit body inline (an event
+fired this cycle holds ``mark``; each register write is masked to its
+register's width by a constant, in a local ``_rw`` dict), marks the
+spawn and retires the activation once no event is pending (``_dedup``
+when more than one is live), and it applies every write with one
+``m.regs.update``.
 
 A cache is stale only when something moved the module's ``cycle``
 between settle and tick -- a fault on that attribute.  ``_TICK`` then
@@ -266,13 +276,21 @@ def _gen_fire(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
     runs: List[List[int]] = []          # the events inside each of them
 
     def close(keep: int):
-        # when a gate died this pass, every event in its block dies too
+        # when a gate died this pass, every event in its block dies too;
+        # a block is a run of consecutive events, so one store marks it
         while len(runs) > keep:
             run = runs.pop()
+            first, last = run[0], run[-1]
+            assert run == list(range(first, last + 1)), run
             em.pop()
-            em.line(f"elif {opened[len(runs)]} in dn:")
+            em.line(f"elif cur[{opened[len(runs)]}] < 0 "
+                    f"and not cur[{first}]:")
             em.push()
-            em.line(f"dn.update({tuple(run)!r})")
+            if first == last:
+                em.line(f"cur[{first}] = -1")
+            else:
+                dead = ctx.const((-1,) * len(run))
+                em.line(f"cur[{first}:{last + 1}] = {dead}")
             em.pop()
             if runs:
                 runs[-1] += run
@@ -283,7 +301,7 @@ def _gen_fire(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
             keep -= 1
         close(keep)
         for g in gates[keep:]:
-            em.line(f"if {g} in af or {g} in fn:")
+            em.line(f"if cur[{g}] > 0:")
             em.push()
             runs.append([])
         opened = gates
@@ -293,87 +311,79 @@ def _gen_fire(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
     close(0)
 
 
+def _gen_fired(em: Emitter, ctx: _ExprCtx, ep):
+    """Mark ``ep`` fired this cycle and latch its slots."""
+    em.line(f"cur[{ep.eid}] = mark")
+    _emit_latches(em, ctx, ep)
+
+
 def _gen_event(em: Emitter, ctx: _ExprCtx, ep, fired):
     """One event's test and effects; its predecessors in ``fired`` (the
     open gates) are known to have fired and are not tested again."""
     eid = ep.eid
     kind = ep.kind
     if kind is EventKind.ROOT:
-        em.line(f"if {eid} not in af and _st == now:")
+        em.line(f"if not cur[{eid}] and _st == now:")
         em.push()
-        em.line(f"fn[{eid}] = now")
-        _emit_latches(em, ctx, ep)
+        _gen_fired(em, ctx, ep)
         em.pop()
         return
     preds = [p for p in ep.preds if p not in fired]
-    em.line(f"if {eid} not in af and {eid} not in ad:")
+    em.line(f"if not cur[{eid}]:")
     em.push()
     if kind is EventKind.JOIN_ANY:
         if len(preds) < len(ep.preds):      # an open gate is a predecessor
-            em.line(f"fn[{eid}] = now")
-            _emit_latches(em, ctx, ep)
+            _gen_fired(em, ctx, ep)
             em.pop()
             return
-        fired_test = " or ".join(
-            f"{p} in af or {p} in fn" for p in preds
-        ) or "False"
-        em.line(f"if {fired_test}:")
+        em.line("if " + (" or ".join(f"cur[{p}] > 0" for p in preds)
+                         or "False") + ":")
         em.push()
-        em.line(f"fn[{eid}] = now")
-        _emit_latches(em, ctx, ep)
+        _gen_fired(em, ctx, ep)
         em.pop()
-        dead = " and ".join(
-            f"({p} in ad or {p} in dn)" for p in preds
-        ) or "True"
-        em.line(f"elif {dead}:")
+        em.line("elif " + (" and ".join(f"cur[{p}] < 0" for p in preds)
+                           or "True") + ":")
         em.push()
-        em.line(f"dn.add({eid})")
+        em.line(f"cur[{eid}] = -1")
         em.pop()
         em.pop()
         return
-    # DELAY / JOIN_ALL / BRANCH / SYNC: need every predecessor
-    pops = 1
+    # DELAY / JOIN_ALL / BRANCH / SYNC: need every predecessor; fired and
+    # dead are exclusive, so the fired test goes first
     if preds:
-        dead = " or ".join(f"{p} in ad or {p} in dn" for p in preds)
-        em.line(f"if {dead}:")
+        em.line("if " + " and ".join(f"cur[{p}] > 0" for p in preds)
+                + ":")
         em.push()
-        em.line(f"dn.add({eid})")
-        em.pop()
-        em.line("elif " + " and ".join(
-            f"({p} in af or {p} in fn)" for p in preds) + ":")
-        em.push()
-        pops += 1
     if kind is EventKind.DELAY:       # only DELAY needs the cycles
         # no event fires before its activation starts, so the base is
-        # the latest predecessor's fire cycle
-        cycles = [f"af[{p}] if {p} in af else fn[{p}]"
-                  for p in ep.preds] or ["_st"]
-        em.line(f"_b = {cycles[0]}")
-        for c in cycles[1:]:
-            em.line(f"_c = {c}")
-            em.line("if _c > _b:")
-            em.push()
-            em.line("_b = _c")
-            em.pop()
-        em.line(f"if _b + {ep.delay} == now:")
+        # the latest predecessor's fire cycle (held plus one)
+        cycles = [f"cur[{p}]" for p in ep.preds] or ["_st + 1"]
+        if len(cycles) == 1:
+            em.line(f"if {cycles[0]} + {ep.delay} == mark:")
+        else:
+            em.line(f"_b = {cycles[0]}")
+            for c in cycles[1:]:
+                em.line(f"_c = {c}")
+                em.line("if _c > _b:")
+                em.push()
+                em.line("_b = _c")
+                em.pop()
+            em.line(f"if _b + {ep.delay} == mark:")
         em.push()
-        em.line(f"fn[{eid}] = now")
-        _emit_latches(em, ctx, ep)
+        _gen_fired(em, ctx, ep)
         em.pop()
     elif kind is EventKind.JOIN_ALL:
-        em.line(f"fn[{eid}] = now")
-        _emit_latches(em, ctx, ep)
+        _gen_fired(em, ctx, ep)
     elif kind is EventKind.BRANCH:
         cond = "0" if ep.cond_expr is None \
             else _emit_bit(em, ctx, ep.cond_expr)
         em.line(f"if {cond}:" if ep.polarity else f"if not {cond}:")
         em.push()
-        em.line(f"fn[{eid}] = now")
-        _emit_latches(em, ctx, ep)
+        _gen_fired(em, ctx, ep)
         em.pop()
         em.line("else:")
         em.push()
-        em.line(f"dn.add({eid})")
+        em.line(f"cur[{eid}] = -1")
         em.pop()
     elif kind is EventKind.SYNC:
         pidx = ep.port
@@ -400,24 +410,28 @@ def _gen_event(em: Emitter, ctx: _ExprCtx, ep, fired):
         if drive_guarded:
             em.pop()
         if ep.conditional:
-            em.line(f"fn[{eid}] = now")
-            _emit_latches(em, ctx, ep)
+            _gen_fired(em, ctx, ep)
         else:
             em.line(f"if {v}.value and {a}.value:")
             em.push()
-            em.line(f"fn[{eid}] = now")
-            _emit_latches(em, ctx, ep)
+            _gen_fired(em, ctx, ep)
             em.pop()
         em.pop()
     else:  # pragma: no cover - exhaustive over EventKind
         raise AssertionError(kind)
-    for _ in range(pops):
+    if preds:
         em.pop()
+        em.line("elif " + " or ".join(f"cur[{p}] < 0" for p in preds)
+                + ":")
+        em.push()
+        em.line(f"cur[{eid}] = -1")
+        em.pop()
+    em.pop()
 
 
 def _gen_commit(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
     """The clock-edge body: the register writes and debug prints of
-    every event in the settled fire set, in event order, each event one
+    every event that fired this cycle, in event order, each event one
     evaluation site.  A write lands in ``_rw`` masked to its register's
     width (a constant, dropped where the value cannot carry a bit past
     it)."""
@@ -425,7 +439,7 @@ def _gen_commit(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
     for ep in tp.events:
         if not ep.commits:
             continue
-        em.line(f"if {ep.eid} in fn:")
+        em.line(f"if cur[{ep.eid}] == mark:")
         em.push()
         values = iter(_emit_exprs(em, ctx, [
             c.source for c in ep.commits if c.source is not None]))
@@ -465,13 +479,13 @@ def _gen_eval_thread(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
     em.push()
     if "_sl." in text:
         em.line("_sl = act.slots")
-    for line in ("af = act.fired", "ad = act.dead", "_st = act.start",
-                 "fn = {}", "dn = set()", "_ov = {}"):
-        em.line(line)
+    em.line("cur = act.st[:]")
+    if "_st" in text:
+        em.line("_st = act.start")
+    em.line("_ov = {}")
     em.lines += fire.lines
-    em.line("act.cache = (now, fn, dn, _ov)")
-    em.line(f"if act.spawned or not ({tp.anchor} in fn "
-            f"or {tp.anchor} in af):")
+    em.line("act.cache = (now, cur, _ov)")
+    em.line(f"if act.spawned or cur[{tp.anchor}] <= 0:")
     em.push()
     em.line("continue")
     em.pop()
@@ -481,16 +495,18 @@ def _gen_eval_thread(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
     em.push()
     em.line(f"m._runaway({ti}, spawns)")
     em.pop()
-    em.line("tentative.append(Activation(now))")
+    em.line(f"tentative.append(Activation(now, {tp.n_events}))")
     em.pop()
 
 
 def _gen_tick_thread(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
-    """One thread's clock edge: merge each activation's cached settle
+    """One thread's clock edge: adopt each activation's cached settle
     pass (re-firing it with the reference interpreter when the cache is
-    stale), commit it, mark the spawn, retire finished activations."""
+    stale) and, where the pass changed an event, merge its overlay,
+    commit it, mark the spawn and retire the activation if it is
+    finished."""
     commit = Emitter()
-    commit.push()       # inside the activation loop's ``if fn:``
+    commit.push()       # inside the activation loop's ``if cur != ...:``
     commit.push()
     _gen_commit(commit, ctx, tp)
     ti = tp.index
@@ -509,7 +525,7 @@ def _gen_tick_thread(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
     em.line("act.cache = None")
     em.line("if _ca is not None and _ca[0] == now:")
     em.push()
-    em.line("_, fn, dn, _ov = _ca")
+    em.line("_, cur, _ov = _ca")
     em.pop()
     em.line("else:   # a fault moved m.cycle since the settle pass")
     em.push()
@@ -517,30 +533,27 @@ def _gen_tick_thread(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
     em.push()
     em.line("busy = set()")
     em.pop()
-    em.line(f"fn, dn, _ov = m._interp_fire(m.plan.threads[{ti}], act, busy)")
+    em.line(f"cur, _ov = m._interp_fire(m.plan.threads[{ti}], act, busy)")
     em.pop()
-    em.line("if dn:")
+    em.line("if cur != act.st:")
     em.push()
-    em.line("act.dead.update(dn)")
-    em.pop()
-    em.line("if fn:")
-    em.push()
-    em.line("act.fired.update(fn)")
+    em.line("act.st = cur")
     if any("_sl." in line for line in commit.lines):
         em.line("_sl = act.slots")
         em.line("_sl.update(_ov)")
-    else:
+    elif any(ep.latches for ep in tp.events):
         em.line("act.slots.update(_ov)")
     em.lines += commit.lines
-    em.line(f"if {tp.anchor} in fn:")
+    em.line(f"if cur[{tp.anchor}] == mark:")
     em.push()
     em.line("act.spawned = True")
     em.pop()
-    em.pop()
-    em.line(f"if len(act.fired) + len(act.dead) != {tp.n_events}:")
+    em.line("if 0 not in cur:")
     em.push()
-    em.line("live.append(act)")
+    em.line("continue   # finished")
     em.pop()
+    em.pop()
+    em.line("live.append(act)")
     em.pop()
     em.line(f"_rt[{ti}] = (m._dedup(m.plan.threads[{ti}], live)"
             " if len(live) > 1 else live)")
@@ -581,7 +594,8 @@ def generate_source(plan: ProcessPlan) -> str:
         "_EVAL",
         ["if not m._started:", "    m._start()",
          "for _w in m._release_wires:", "    _w.value = 0",
-         "now = m.cycle", "_rt = m._threads_rt", "_tt = m._tentative"],
+         "now = m.cycle", "mark = now + 1", "_rt = m._threads_rt",
+         "_tt = m._tentative"],
         ctx, em.lines)
     em = Emitter()
     ctx.used_wires = set()
@@ -592,11 +606,11 @@ def generate_source(plan: ProcessPlan) -> str:
                  for ep in tp.events for c in ep.commits)
     edge = _function(
         "_TICK",
-        ["now = m.cycle", "_rt = m._threads_rt", "_tt = m._tentative"]
-        + (["_rw = {}"] if writes else []),
+        ["now = m.cycle", "mark = now + 1", "_rt = m._threads_rt",
+         "_tt = m._tentative"] + (["_rw = {}"] if writes else []),
         ctx, em.lines,
         (("if _rw:", "    _r.update(_rw)") if writes else ())
-        + ("m.cycle = now + 1",))
+        + ("m.cycle = mark",))
     consts = [f"{name} = {value!r}" for name, value in ctx.const_order]
     return "\n".join(header + consts + [""] + [settle, "", edge]) + "\n"
 

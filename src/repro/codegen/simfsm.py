@@ -11,8 +11,11 @@ split into three layers:
    exact handshake sensitivity sets), the one compiled artifact the
    simulators, the SystemVerilog emitter and the cost model all read;
 2. :class:`AnvilProcessModule` owns the run-time state -- activations,
-   per-activation slots, the register file, handshake ports -- and the
-   **reference interpreter** that walks the plan cycle by cycle;
+   each with one list of event states (the analogue of the paper's
+   per-event ``current`` wire and ``fired_q`` flop; both backends read
+   and write it, see :class:`Activation`) and its slots, the register
+   file, handshake ports -- and the **reference interpreter** that walks
+   the plan cycle by cycle;
 3. ``backend="pycompiled"`` replaces the module's ``eval_comb`` and
    ``tick`` with the process's cycle step, generated, ``compile()``d
    and ``exec``'d from the same plan by :mod:`repro.codegen.pysim` --
@@ -108,19 +111,22 @@ class _SlotView:
 
 
 class Activation:
-    """One in-flight iteration of a thread."""
+    """One in-flight iteration of a thread.
 
-    __slots__ = ("start", "fired", "dead", "slots", "spawned", "cache")
+    ``st`` holds the state of each of the thread's ``n_events`` events,
+    indexed by event id: ``0`` pending, ``-1`` dead, ``c + 1`` fired at
+    cycle ``c``.  An activation is finished when no ``0`` is left."""
 
-    def __init__(self, start: int):
+    __slots__ = ("start", "st", "slots", "spawned", "cache")
+
+    def __init__(self, start: int, n_events: int):
         self.start = start
-        self.fired: Dict[int, int] = {}  # eid -> cycle
-        self.dead: set = set()
+        self.st: List[int] = [0] * n_events
         self.slots: Dict[int, int] = {}
         self.spawned = False
-        # (cycle, fired_now, dead_now, overlay) from the last settled
-        # fire pass; consumed by tick() so the clock edge does not
-        # recompute the fire set the settle phase already produced
+        # (cycle, st after the pass, overlay) from the last settled fire
+        # pass; consumed by tick() so the clock edge does not recompute
+        # the fire set the settle phase already produced
         self.cache: Optional[Tuple] = None
 
 
@@ -266,25 +272,23 @@ class AnvilProcessModule(Module):
             busy: set = set()
             spawns = 0
             for act in chain(acts, tentative):
-                fired_now, dead_now, overlay = self._interp_fire(
-                    tp, act, busy)
-                act.cache = (now, fired_now, dead_now, overlay)
-                if act.spawned or not (anchor in fired_now
-                                       or anchor in act.fired):
+                cur, overlay = self._interp_fire(tp, act, busy)
+                act.cache = (now, cur, overlay)
+                if act.spawned or cur[anchor] <= 0:
                     continue
                 spawns += 1
                 if (spawns > self.MAX_SPAWNS_PER_CYCLE
                         or len(acts) + len(tentative)
                         >= self.MAX_ACTIVATIONS):
                     self._runaway(ti, spawns)
-                tentative.append(Activation(now))
+                tentative.append(Activation(now, tp.n_events))
 
     def _start(self):
         """The first evaluation: every thread starts an activation at
         cycle 0."""
-        for acts in self._threads_rt:
+        for acts, tp in zip(self._threads_rt, self.plan.threads):
             if not acts:
-                acts.append(Activation(0))
+                acts.append(Activation(0, tp.n_events))
         self._started = True
 
     def _runaway(self, ti: int, spawns: int):
@@ -321,31 +325,29 @@ class AnvilProcessModule(Module):
 
     def _interp_fire(self, tp: ThreadPlan, act: Activation, busy: set):
         """Compute events firing *this* cycle for one activation and drive
-        handshake wires for active syncs.  Pure function of settled state;
-        re-run every settle iteration (permanent state only commits at the
-        clock edge).  The generated tick calls it too, for an activation
-        whose settle cache is stale."""
+        handshake wires for active syncs; return a copy of ``act.st``
+        with this pass's fires and deaths marked (see
+        :class:`Activation`), and the pass's slot overlay.  Pure function
+        of settled state; re-run every settle iteration (permanent state
+        only commits at the clock edge).  A fired or dead event is never
+        visited again.  The generated tick calls it too, for an
+        activation whose settle cache is stale."""
         now = self.cycle
-        fired_now: Dict[int, int] = {}
-        dead_now: set = set()
+        mark = now + 1
+        cur = act.st[:]
         overlay: Dict[int, int] = {}
         env = rx.REnv(self.regs, _SlotView(act.slots, overlay), self._ready)
-        af = act.fired
-        ad = act.dead
-        af_get = af.get
-        fn_get = fired_now.get
         pw = self._pw
         start = act.start
 
         for epl in tp.events:
             eid = epl.eid
-            if eid in af or eid in ad or eid in fired_now \
-                    or eid in dead_now:
+            if cur[eid]:
                 continue
             kind = epl.kind
             if kind is EventKind.ROOT:
                 if start == now:
-                    fired_now[eid] = now
+                    cur[eid] = mark
                     if epl.latches:
                         self._apply_latches(epl, overlay, env)
                 continue
@@ -354,51 +356,47 @@ class AnvilProcessModule(Module):
                 ready = False
                 alive = False
                 for p in preds:
-                    c = af_get(p)
-                    if c is None:
-                        c = fn_get(p)
-                    if c is not None:
+                    c = cur[p]
+                    if c > 0:
                         ready = alive = True
                         break
-                    if not (p in ad or p in dead_now):
+                    if not c:
                         alive = True
                 if ready:
-                    fired_now[eid] = now
+                    cur[eid] = mark
                     if epl.latches:
                         self._apply_latches(epl, overlay, env)
                 elif not alive:
-                    dead_now.add(eid)
+                    cur[eid] = -1
                 continue
             # all other kinds require every predecessor
             dead = False
             for p in preds:
-                if p in ad or p in dead_now:
+                if cur[p] < 0:
                     dead = True
                     break
             if dead:
-                dead_now.add(eid)
+                cur[eid] = -1
                 continue
-            base = start
+            base = start + 1        # fire cycles are held plus one
             blocked = False
             for p in preds:
-                c = af_get(p)
-                if c is None:
-                    c = fn_get(p)
-                    if c is None:
-                        blocked = True
-                        break
+                c = cur[p]
+                if not c:
+                    blocked = True
+                    break
                 if c > base:
                     base = c
             if blocked:
                 continue
             if kind is EventKind.DELAY:
-                if base + epl.delay == now:
-                    fired_now[eid] = now
+                if base + epl.delay == mark:
+                    cur[eid] = mark
                     if epl.latches:
                         self._apply_latches(epl, overlay, env)
                 continue
             if kind is EventKind.JOIN_ALL:
-                fired_now[eid] = now
+                cur[eid] = mark
                 if epl.latches:
                     self._apply_latches(epl, overlay, env)
                 continue
@@ -406,11 +404,11 @@ class AnvilProcessModule(Module):
                 expr = epl.cond_expr
                 cond = expr.eval(env) & 1 if expr is not None else 0
                 if bool(cond) == epl.polarity:
-                    fired_now[eid] = now
+                    cur[eid] = mark
                     if epl.latches:
                         self._apply_latches(epl, overlay, env)
                 else:
-                    dead_now.add(eid)
+                    cur[eid] = -1
                 continue
             # SYNC
             port = epl.port
@@ -433,18 +431,22 @@ class AnvilProcessModule(Module):
                     pw[base3 + 2].value = 1
             if epl.conditional or (pw[base3 + 1].value
                                    and pw[base3 + 2].value):
-                fired_now[eid] = now
+                cur[eid] = mark
                 if epl.latches:
                     self._apply_latches(epl, overlay, env)
-        return fired_now, dead_now, overlay
+        return cur, overlay
 
-    def _interp_commit(self, tp: ThreadPlan, act: Activation,
-                       fired_now: Dict[int, int]):
+    def _interp_commit(self, tp: ThreadPlan, act: Activation):
+        """The register writes and prints of the events ``act`` fired
+        this cycle, in event order."""
         env = None
         now = self.cycle
-        events = tp.events
-        for eid in fired_now:
-            for c in events[eid].commits:
+        mark = now + 1
+        st = act.st
+        for ev in tp.events:
+            if not ev.commits or st[ev.eid] != mark:
+                continue
+            for c in ev.commits:
                 if env is None:
                     # tick() has merged the overlay into the slots already
                     env = rx.REnv(self.regs, act.slots, self._ready)
@@ -462,18 +464,19 @@ class AnvilProcessModule(Module):
 
     # -- clock edge ---------------------------------------------------------
     def tick(self):
-        """Commit each activation's settled fire pass: its dead and
-        fired events, its overlay into its slots (every slot a fired
-        event writes is there, at its final value), then its register
-        writes and prints."""
+        """Commit each activation's settled fire pass: adopt its event
+        states, merge its overlay into its slots (every slot a fired
+        event writes is there, at its final value), then run its
+        register writes and prints.  An activation whose pass changed
+        nothing is left as it is."""
         now = self.cycle
+        mark = now + 1
         for ti, tp in enumerate(self.plan.threads):
             acts = self._threads_rt[ti]
             tentative = self._tentative[ti]
             if tentative:
                 acts.extend(tentative)
                 tentative.clear()
-            n_events = tp.n_events
             anchor = tp.anchor
             busy: set = set()
             live = []
@@ -483,20 +486,18 @@ class AnvilProcessModule(Module):
                 if cache is not None and cache[0] == now:
                     # the settle phase already computed this activation's
                     # fire set on the settled wires; reuse it
-                    _cyc, fired_now, dead_now, overlay = cache
+                    _cyc, cur, overlay = cache
                 else:
-                    fired_now, dead_now, overlay = self._interp_fire(
-                        tp, act, busy)
-                if dead_now:
-                    act.dead.update(dead_now)
-                if fired_now:
-                    act.fired.update(fired_now)
+                    cur, overlay = self._interp_fire(tp, act, busy)
+                if cur != act.st:
+                    act.st = cur
                     act.slots.update(overlay)
-                    self._interp_commit(tp, act, fired_now)
-                    if anchor in fired_now:
+                    self._interp_commit(tp, act)
+                    if cur[anchor] == mark:
                         act.spawned = True
-                if len(act.fired) + len(act.dead) != n_events:
-                    live.append(act)
+                    if 0 not in cur:
+                        continue        # finished
+                live.append(act)
             self._threads_rt[ti] = (
                 self._dedup(tp, live) if len(live) > 1 else live
             )
@@ -515,14 +516,18 @@ class AnvilProcessModule(Module):
         the oldest of each equivalence class.  This is what stops
         stalled ``recursive`` iterations from piling up.
 
-        Equal states have equal fired/dead/slot counts and ``spawned``
-        flags, so the full state key is built only for activations that
-        share that cheap signature with an earlier one."""
+        The state is which events fired and which died, the slots, the
+        cycles left until each pending delay is due and ``spawned``;
+        never the absolute cycles events fired at.  Equal states have
+        equal pending, dead and slot counts and ``spawned`` flags, so
+        the full state key is built only for activations that share
+        that cheap signature with an earlier one."""
         first: Dict[Tuple, Activation] = {}
         keys: Dict[Tuple, set] = {}
         kept = []
         for a in live:
-            sig = (len(a.fired), len(a.dead), len(a.slots), a.spawned)
+            st = a.st
+            sig = (st.count(0), st.count(-1), len(a.slots), a.spawned)
             other = first.setdefault(sig, a)
             if other is not a:
                 seen = keys.get(sig)
@@ -536,15 +541,15 @@ class AnvilProcessModule(Module):
         return kept
 
     def _state_key(self, tp: ThreadPlan, a: Activation) -> Tuple:
+        st = a.st
         dues = []
         for eid, preds, delay in tp.delays:
-            if eid not in a.fired and eid not in a.dead and preds \
-                    and all(p in a.fired for p in preds):
-                base = max(a.fired[p] for p in preds)
-                dues.append((eid, base + delay - self.cycle))
+            if not st[eid] and preds and all(st[p] > 0 for p in preds):
+                # the latest predecessor fired at cycle base - 1
+                base = max(st[p] for p in preds)
+                dues.append((eid, base - 1 + delay - self.cycle))
         return (
-            frozenset(a.fired),
-            frozenset(a.dead),
+            tuple(1 if c > 0 else c for c in st),
             tuple(sorted(a.slots.items())),
             tuple(sorted(dues)),
             a.spawned,

@@ -16,9 +16,8 @@ simulator at a clock-cycle boundary:
   latches, stimulus queues/cursors, Anvil activation bookkeeping), each
   as its pickle image: bytes from the C pickler in fast mode at a
   pinned protocol, so equal values give equal bytes (sets in their
-  iteration order, which equal sets need not share, except an
-  activation's dead set, imaged sorted) and ``1``, ``1.0`` and ``True``
-  give different ones.  Plain data is ``None``, ``bool``,
+  iteration order, which equal sets need not share) and ``1``, ``1.0``
+  and ``True`` give different ones.  Plain data is ``None``, ``bool``,
   ``int``, ``float``, ``str``, ``bytes``, ``bytearray``, ``list``,
   ``tuple``, ``dict``, ``set`` and ``frozenset`` of exactly those types
   (a subclass, such as an ``IntEnum``, is not), nested freely, plus the
@@ -67,8 +66,9 @@ from ..errors import SimulationError
 #: 3: module attributes are pickle images;
 #: 4: an activation's dead events are imaged in sorted order;
 #: 5: ``sig`` also covers each module's declared comb inputs and
-#: outputs)
-SNAPSHOT_VERSION = 5
+#: outputs; 6: an activation holds one list of event states in place of
+#: its fired dict and dead set)
+SNAPSHOT_VERSION = 6
 
 
 # ---------------------------------------------------------------------------
@@ -84,14 +84,13 @@ class _Structural(Exception):
     plans): the whole attribute is structural and is skipped."""
 
 
-def _activation(start, fired, dead, slots, spawned, cache):
+def _activation(start, st, slots, spawned, cache):
     """Rebuild an Anvil :class:`~repro.codegen.simfsm.Activation` from
     its image."""
     from ..codegen.simfsm import Activation
 
-    act = Activation(start)
-    act.fired, act.dead, act.slots = fired, set(dead), slots
-    act.spawned, act.cache = spawned, cache
+    act = Activation(start, 0)
+    act.st, act.slots, act.spawned, act.cache = st, slots, spawned, cache
     return act
 
 
@@ -108,9 +107,9 @@ class _Images(pickle.Pickler):
     about any other object: activations and slot views pickle by value
     through the two reconstructors above, anything else is structural.
     Fast mode keeps no memo, so equal values give equal bytes, up to the
-    iteration order of sets; an activation's dead set, the one set in
-    module state, is imaged sorted, so a restore that rebuilds it with
-    another iteration order still images it the same."""
+    iteration order of sets; no registry scenario keeps a set in module
+    state (an activation's event states are one list), so a restore
+    images every state as its capture did."""
 
     def __init__(self):
         # imported here so rtl stays importable without codegen loaded
@@ -125,8 +124,8 @@ class _Images(pickle.Pickler):
     def reducer_override(self, obj):
         t = type(obj)
         if t is self._activation_type:
-            return _activation, (obj.start, obj.fired, sorted(obj.dead),
-                                 obj.slots, obj.spawned, obj.cache)
+            return _activation, (obj.start, obj.st, obj.slots,
+                                 obj.spawned, obj.cache)
         if t is self._slot_view_type:
             return _slot_view, (obj.base, obj.overlay)
         if obj is _activation or obj is _slot_view:

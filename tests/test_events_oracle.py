@@ -326,6 +326,24 @@ class TestOracleMemo:
         assert o.ts(s2.eid, ((0, True),)).evaluate({}) == 3
         assert o.ts(s2.eid, ((0, False),)).evaluate({}) == 1
 
+    def test_a_case_that_leaves_condition_0_out_takes_both_arms(self):
+        """Condition 0 is relevant to both delays; a case without it must
+        not read either of its arms."""
+        g = EventGraph()
+        r = g.root()
+        bt = g.add(EventKind.BRANCH, (r.eid,), cond_id=0, polarity=True)
+        bf = g.add(EventKind.BRANCH, (r.eid,), cond_id=0, polarity=False)
+        g.add(EventKind.BRANCH, (r.eid,), cond_id=1, polarity=True)
+        dt = g.add(EventKind.DELAY, (bt.eid,), delay=3)
+        df = g.add(EventKind.DELAY, (bf.eid,), delay=2)
+        o = TimingOracle(g)
+        for case in ((), ((1, True),)):
+            assert o.ts(dt.eid, case).evaluate({}) == 3, case
+            assert o.ts(df.eid, case).evaluate({}) == 2, case
+        # unreached: no finite time
+        assert o.ts(dt.eid, ((0, False),)).evaluate({}) is None
+        assert o.ts(df.eid, ((0, True),)).evaluate({}) is None
+
 
 # ----------------------------------------------------------------------
 # timing relevance of branch conditions

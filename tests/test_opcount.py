@@ -1,6 +1,7 @@
 """``tools/opcount.py``: executed bytecodes per cycle, split by layer."""
 
 import sys
+from collections import Counter
 
 import pytest
 
@@ -51,3 +52,29 @@ def test_main_prints_one_row_per_layer(capsys):
     assert names[:3] == [opcount.SETTLE, opcount.EDGE, opcount.KERNEL]
     assert names[-2:] == [opcount.OTHER, opcount.TOTAL]
     assert len(names) <= 3 + opcount.TOP + 2
+
+
+def test_the_busiest_lines_fit_in_the_generated_rows(capsys):
+    assert opcount.main(["anvil_streams", "--cycles", "5",
+                         "--lines", "6"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    rows = {line.split("%  ")[1]: float(line.split()[0])
+            for line in out[1:] if "%  " in line}
+    heading = out.index("  the 6 busiest generated lines (digits as N):")
+    listed = [(line.split("%  ")[1], float(line.split()[0]))
+              for line in out[heading + 1:]]
+    assert len(listed) == 6
+    assert [n for _shape, n in listed] \
+        == sorted((n for _shape, n in listed), reverse=True)
+    assert not any(ch.isdigit() for shape, _n in listed for ch in shape)
+    assert sum(n for _shape, n in listed) \
+        <= rows[opcount.SETTLE] + rows[opcount.EDGE]
+
+
+def test_hot_lines_fold_digits_and_sum_shapes():
+    code = object()
+    sources = {code: ["if not cur[3]:", "    if not cur[12]:", "x = 1"]}
+    lines = Counter({(code, 1): 6, (code, 2): 4, (code, 3): 2,
+                     (code, None): 2})
+    assert opcount.hot_lines(lines, sources, 2, 2) == [
+        ("if not cur[N]:", 5.0), (opcount.NO_LINE, 1.0)]

@@ -38,6 +38,18 @@ class TestMergeLabels:
         _, _, removed = pass_merge_labels(g)
         assert removed == 0
 
+    def test_never_merges_a_successor_with_two_predecessors(self):
+        """Both delays are #1 successors of the root, but the second also
+        waits for a sync: merging it into the first would stop the wait."""
+        g = EventGraph()
+        r = g.root()
+        s = g.add(EventKind.SYNC, (r.eid,), endpoint="e", message="m",
+                  direction=SyncDir.RECV)
+        g.add(EventKind.DELAY, (r.eid,), delay=1)
+        g.add(EventKind.DELAY, (r.eid, s.eid), delay=1)
+        _, _, removed = pass_merge_labels(g)
+        assert removed == 0
+
     def test_never_merges_syncs(self):
         g = EventGraph()
         r = g.root()
@@ -130,6 +142,27 @@ class TestUnbalancedJoins:
         assert removed == 0
 
 
+    def test_keeps_an_any_join_of_two_ordered_predecessors(self):
+        """The root must precede the delay, but an any-join of the two
+        fires with the root, a cycle before the delay."""
+        g = EventGraph()
+        r = g.root()
+        d = g.add(EventKind.DELAY, (r.eid,), delay=1)
+        g.add(EventKind.JOIN_ANY, (r.eid, d.eid))
+        assert g.must_precede(r.eid, d.eid)
+        _, _, removed = pass_unbalanced_joins(g)
+        assert removed == 0
+
+    def test_merges_an_any_join_left_with_one_predecessor(self):
+        g = EventGraph()
+        r = g.root()
+        d = g.add(EventKind.DELAY, (r.eid,), delay=1)
+        j = g.add(EventKind.JOIN_ANY, (d.eid,))
+        _, mapping, removed = pass_unbalanced_joins(g)
+        assert removed == 1
+        assert mapping[j.eid] == mapping[d.eid]
+
+
 class TestOptimizedRunsLikeUnoptimized:
     """Programs whose joins read values bound through one arm of an
     ``if``: the optimized and unoptimized plans transfer the same values
@@ -205,6 +238,23 @@ class TestBranchJoins:
         assert removed == 1
         # one fewer event: two delays became one
         assert len(new) == len(g) - 1
+
+
+    def test_never_shifts_a_delay_with_two_parents(self):
+        """The true arm's delay also waits for a sync; a join of the two
+        arms' first parents would drop that wait."""
+        g = EventGraph()
+        r = g.root()
+        s = g.add(EventKind.SYNC, (r.eid,), endpoint="e", message="m",
+                  direction=SyncDir.RECV)
+        bt = g.add(EventKind.BRANCH, (r.eid,), cond_id=0, polarity=True)
+        bf = g.add(EventKind.BRANCH, (r.eid,), cond_id=0, polarity=False)
+        dt = g.add(EventKind.DELAY, (bt.eid, s.eid), delay=2)
+        df = g.add(EventKind.DELAY, (bf.eid,), delay=2)
+        g.add(EventKind.JOIN_ANY, (dt.eid, df.eid))
+        new, _, removed = pass_shift_branch_joins(g)
+        assert removed == 0
+        assert new is g
 
 
 class TestOptimizePipeline:

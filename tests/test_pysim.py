@@ -5,6 +5,7 @@ identical diagnostics -- plus the plan extraction, expression lowering
 and compile-cache machinery underneath it."""
 
 import random
+import re
 
 import pytest
 
@@ -505,7 +506,7 @@ def _can_wait_or_die(ep):
 
 
 def _activations(ss, name):
-    return [(a.start, dict(a.fired), sorted(a.dead), dict(a.slots))
+    return [(a.start, list(a.st), dict(a.slots))
             for acts in ss.module(name)._threads_rt for a in acts]
 
 
@@ -537,8 +538,9 @@ class TestGateBlocks:
 
     def test_a_dead_gate_kills_its_block_in_the_same_pass(self):
         # one arm of the branch dies in every iteration, and with it the
-        # delay and the send under it: every activation's fired and dead
-        # events must be the interpreter's at every cycle
+        # delay and the send under it, in one slice store: every
+        # activation's event states must be the interpreter's at every
+        # cycle
         p = Process("gated")
         p.endpoint("out", _out_channel(), Side.LEFT)
         p.register("cnt", Logic(8))
@@ -546,7 +548,8 @@ class TestGateBlocks:
                    cycle(2) >> send("out", "m", read("cnt")),
                    cycle(1) >> send("out", "m", read("cnt") + 100))
                >> set_reg("cnt", read("cnt") + 1))
-        assert "dn.update(" in pysim.generate_source(build_process_plan(p))
+        assert re.search(r"\n +cur\[\d+:\d+\] = _K\d+\n",
+                         pysim.generate_source(build_process_plan(p)))
         sims, ends = {}, {}
         for backend in BACKENDS:
             system = System()
@@ -562,6 +565,59 @@ class TestGateBlocks:
                 == _activations(sims["interp"], "gated"), cyc
         assert {value >= 100 for _c, value in ends["interp"].received["m"]} \
             == {False, True}
+
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_dead_branch_stays_dead_when_its_condition_flips(
+            self, backend):
+        # a branch tests its latched condition slot; flipping the slot
+        # after the branch died must not revive it: a settle pass never
+        # visits a fired or dead event again
+        p = Process("flip")
+        p.endpoint("out", _out_channel(), Side.LEFT)
+        p.register("cnt", Logic(8))
+        p.loop(if_(read("cnt").bit(0),
+                   cycle(3) >> send("out", "m", read("cnt")),
+                   cycle(3) >> send("out", "m", read("cnt") + 100))
+               >> set_reg("cnt", read("cnt") + 1))
+        system = System()
+        inst = system.add(p)
+        system.expose(inst, "out")
+        ss = build_simulation(system, backend=backend)
+        module = ss.module("flip")
+        tp = module.plan.threads[0]
+        branches = [ep for ep in tp.events if ep.kind is EventKind.BRANCH]
+        ss.sim.run(2)
+        (act,) = module._threads_rt[0]
+        (dead,) = [ep for ep in branches if act.st[ep.eid] == -1]
+        act.slots[dead.cond_expr.slot] ^= 1
+        module.eval_comb()
+        assert act.cache[1][dead.eid] == -1
+
+
+def _stalled_recursion():
+    p = Process("stall")
+    p.endpoint("out", _out_channel(), Side.LEFT)
+    p.register("cnt", Logic(8))
+    p.recursive(cycle(1) >> recurse() >> send("out", "m", read("cnt")))
+    return p
+
+
+class TestDedup:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_stalled_iterations_merge_whatever_cycle_they_fired_at(
+            self, backend):
+        # nothing receives, so every iteration stalls on its send; those
+        # whose delay has fired hold one FSM state although they fired
+        # at different cycles, and only the oldest is kept
+        system = System()
+        system.expose(system.add(_stalled_recursion()), "out")
+        ss = build_simulation(system, backend=backend)
+        acts = ss.module("stall")._threads_rt
+        for cyc in range(200):
+            ss.sim.run(1)
+            assert len(acts[0]) <= 2, cyc
+        assert [a.start for a in acts[0]] == [0, 199]
 
 
 # ---------------------------------------------------------------------------

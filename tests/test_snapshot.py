@@ -263,9 +263,9 @@ def reference_encode(v):
     if t is bytearray:
         return ("b", bytes(v))
     if t is Activation:
-        return ("a", v.start, reference_encode(v.fired),
-                reference_encode(v.dead), reference_encode(v.slots),
-                v.spawned, reference_encode(v.cache))
+        return ("a", v.start, reference_encode(v.st),
+                reference_encode(v.slots), v.spawned,
+                reference_encode(v.cache))
     if t is _SlotView:
         return ("v", reference_encode(v.base), reference_encode(v.overlay))
     raise _ReferenceStructural(type(v).__name__)
@@ -288,12 +288,11 @@ def reference_decode(v):
     if tag == "b":
         return bytearray(v[1])
     if tag == "a":
-        act = Activation(v[1])
-        act.fired = reference_decode(v[2])
-        act.dead = reference_decode(v[3])
-        act.slots = reference_decode(v[4])
-        act.spawned = v[5]
-        act.cache = reference_decode(v[6])
+        act = Activation(v[1], 0)
+        act.st = reference_decode(v[2])
+        act.slots = reference_decode(v[3])
+        act.spawned = v[4]
+        act.cache = reference_decode(v[5])
         return act
     assert tag == "v", tag
     return _SlotView(reference_decode(v[1]), reference_decode(v[2]))
@@ -342,8 +341,8 @@ class TestPlainDataRule:
                         (where, attr)
 
     def test_every_plain_type_round_trips(self):
-        act = Activation(3)
-        act.fired, act.dead, act.slots = {1: 2}, {4}, {5: 6}
+        act = Activation(3, 4)
+        act.st, act.slots = [-1, 3, 0, 5], {5: 6}
         act.spawned = True
         act.cache = (7, _SlotView({1: 1}, {2: 2}), frozenset({8}))
         value = [None, True, 1, 1.5, "s", b"b", bytearray(b"a"), (1,),
@@ -751,10 +750,9 @@ class TestSnapshotErrors:
         with pytest.raises(SimulationError, match="structure"):
             other.restore(donor.snapshot())
 
-    # SNAPSHOT_VERSION - 1 is the layout whose sig left out the
-    # declared comb inputs and outputs: its images still unpickle, and
-    # the version check refuses it before the signature check could
-    # blame the structure
+    # SNAPSHOT_VERSION - 1 is the layout that imaged an activation's
+    # fired dict and dead set, which today's reconstructor cannot
+    # rebuild: the version check must refuse it before anything else
     @pytest.mark.parametrize("delta", [1, -1])
     def test_restore_rejects_unknown_versions(self, delta):
         sim = _build("streams", cycles=50, stim=200)

@@ -2,8 +2,8 @@
 
 ``test_scenario_digests.py`` hashes only wire activity and waveform
 samples, so it cannot see the state the shared ``AnvilProcessModule``
-bookkeeping keeps between cycles: an activation's fired and dead events
-and its slots, the register file, the endpoint queues.  This file pins
+bookkeeping keeps between cycles: an activation's event states and its
+slots, the register file, the endpoint queues.  This file pins
 :func:`repro.rtl.snapshot.state_sig` of every registry scenario at two
 cycle boundaries, as recorded on the reference pair (``brute`` engine,
 ``interp`` backend), and replays it on the other two pairs the suites

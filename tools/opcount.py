@@ -1,6 +1,7 @@
 """Executed bytecodes per simulated cycle, split by layer.
 
 Run: PYTHONPATH=src python tools/opcount.py SCENARIO [--cycles N]
+[--lines N]
 
 Builds a registry scenario on the kernel engine and the pycompiled
 backend (seed 0), runs ``WARMUP`` cycles untraced so that kernel and
@@ -16,19 +17,30 @@ generated pysim settle passes (``_EVAL``), the generated pysim clock
 edges (``_TICK``), the cycle kernel, the ``TOP`` Python functions that
 execute most of the rest (by qualified name), everything else, and the
 total; the rows above the total sum to it.
+
+``--lines N`` then lists the ``N`` generated-code lines that execute the
+most bytecodes per cycle, settle and clock edge together, with every
+run of digits folded to ``N`` so that one line shape (``if not
+cur[N]:``) adds up across events, processes and threads; a shape
+longer than ``WIDTH`` characters is cut short.
 """
 
 import argparse
+import re
 import sys
 from collections import Counter
 
 from repro.api import SimConfig, get_registry
+from repro.codegen import pysim
+from repro.codegen.simfsm import AnvilProcessModule
 
 SETTLE = "generated settle"
 EDGE = "generated clock edge"
 KERNEL = "cycle kernel"
 OTHER = "other"
 TOTAL = "total"
+NO_LINE = "(no line)"
+WIDTH = 100     # longest line shape printed whole
 WARMUP = 20
 TOP = 8
 
@@ -43,9 +55,11 @@ def layer_of(code) -> str:
     return code.co_qualname
 
 
-def count_opcodes(sim, cycles: int) -> Counter:
+def count_opcodes(sim, cycles: int, lines: Counter | None = None
+                  ) -> Counter:
     """Bytecodes executed per code object while ``sim`` runs ``cycles``
-    cycles."""
+    cycles; given ``lines``, also those of generated code per
+    ``(code, line number)`` into it."""
     counts = Counter()
 
     def trace(frame, event, arg):
@@ -58,6 +72,14 @@ def count_opcodes(sim, cycles: int) -> Counter:
                 counts[code] += 1
             return local
 
+        def local_lines(frame, event, arg):
+            if event == "opcode":
+                counts[code] += 1
+                lines[code, frame.f_lineno] += 1
+            return local_lines
+
+        if lines is not None and layer_of(code) in (SETTLE, EDGE):
+            return local_lines
         return local
 
     previous = sys.gettrace()
@@ -83,15 +105,44 @@ def per_cycle(counts: Counter, cycles: int, top: int = TOP) -> list:
     return [(name, n / cycles) for name, n in rows]
 
 
+def generated_sources(sim) -> dict:
+    """The source lines of each generated step function in ``sim``, by
+    its code object."""
+    sources = {}
+    for m in sim.modules:
+        if isinstance(m, AnvilProcessModule):
+            backend = pysim.backend_for(m.plan)
+            text = backend.source.splitlines()
+            sources[backend.eval.__code__] = text
+            sources[backend.tick.__code__] = text
+    return sources
+
+
+def hot_lines(lines: Counter, sources: dict, cycles: int, n: int) -> list:
+    """``(line shape, bytecodes per cycle)`` pairs of the ``n`` busiest
+    generated-code line shapes: each line stripped, its digits folded
+    to ``N``; bytecodes the compiler gave no line (loop and function
+    exits) count under ``NO_LINE``."""
+    shapes = Counter()
+    for (code, lineno), k in lines.items():
+        text = NO_LINE if lineno is None else sources[code][lineno - 1]
+        shapes[re.sub(r"\d+", "N", text.strip())] += k
+    rows = sorted(shapes.items(), key=lambda row: (-row[1], row[0]))[:n]
+    return [(shape, k / cycles) for shape, k in rows]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("scenario")
     ap.add_argument("--cycles", type=int, default=200)
+    ap.add_argument("--lines", type=int, default=0, metavar="N",
+                    help="also list the N busiest generated-code lines")
     args = ap.parse_args(argv)
     config = SimConfig(engine="kernel", backend="pycompiled", seed=0)
     sim = get_registry().build(args.scenario, config)
     sim.run(WARMUP)
-    rows = per_cycle(count_opcodes(sim, args.cycles), args.cycles)
+    lines = Counter() if args.lines > 0 else None
+    rows = per_cycle(count_opcodes(sim, args.cycles, lines), args.cycles)
     print(
         f"{args.scenario}: bytecodes per cycle over {args.cycles} cycles "
         f"(kernel/pycompiled, seed 0, after {WARMUP} warm-up cycles)"
@@ -99,6 +150,13 @@ def main(argv=None) -> int:
     total = rows[-1][1] or 1.0
     for name, n in rows:
         print(f"  {n:12.1f}  {100 * n / total:5.1f}%  {name}")
+    if lines is not None:
+        print(f"  the {args.lines} busiest generated lines (digits as N):")
+        for shape, n in hot_lines(lines, generated_sources(sim),
+                                  args.cycles, args.lines):
+            if len(shape) > WIDTH:
+                shape = shape[:WIDTH - 3] + "..."
+            print(f"  {n:12.1f}  {100 * n / total:5.1f}%  {shape}")
     return 0
 
 
