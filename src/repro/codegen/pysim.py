@@ -7,9 +7,9 @@ iteration of every cycle -- generic dispatch on event kinds, recursive
 per-cycle interpretation: from the plan it emits straight-line Python
 source for the process's whole cycle step -- one **settle** function
 ``_EVAL(m)`` (every thread's fire body: compute the events firing this
-cycle, drive handshake wires, populate the same-cycle overlay) and one
-**clock-edge** function ``_TICK(m)`` (commit each thread's settled
-event states, register writes and prints) -- with every runtime
+cycle, drive handshake wires, latch slots) and one **clock-edge**
+function ``_TICK(m)`` (commit each thread's settled event states and
+slots, register writes and prints) -- with every runtime
 expression lowered to an inline Python expression by
 :meth:`~repro.codegen.rexpr.RExpr.to_python`.  The source is
 ``compile()``d and ``exec``'d once per distinct plan and cached, so
@@ -26,35 +26,34 @@ Gate blocks
 The hardware evaluates every event's fire logic in parallel each
 cycle; the interpreter visits every event of every live activation on
 every settle pass.  A generated fire body skips, instead, what cannot
-change this pass.  It works on ``cur``, the pass's copy of the
-activation's event-state list (see
-:class:`~repro.codegen.simfsm.Activation`), so every test and mark is
-one list index.  An event's *gates* are its proper dominators (events
-on every path from the root to it) that can stay unresolved after their
-predecessors fired, or die: a branch, a delay of at least one cycle, a
-handshaking (not ``conditional``) sync.  Events are still emitted one by
-one in event order, but each run of consecutive events that share a
-gate ``g`` is nested in ``if cur[g] > 0:``, followed by ``elif cur[g] <
-0 and not cur[a]:`` and one slice store of a pooled tuple of ``-1`` over
-the run ``a..b`` (a run is consecutive events, so their ids are
-contiguous).  The test of ``a``, the run's first event, skips the
-store for a gate that died in an earlier cycle, whose run is dead
-already.  Inside the block, the predecessor tests that an open gate
-answers are dropped, and a delay's base is its latest predecessor's
-fire cycle (no event fires before its activation starts, so the start
-cycle never wins).
+change this pass.  It works on ``cur`` and ``_sl``, the pass's copies
+of the activation's event-state and slot lists (see
+:class:`~repro.codegen.simfsm.Activation`), so every test, mark, latch
+and slot read is one list index.  An event's *gates* are its proper
+dominators (events on every path from the root to it) that can stay
+unresolved after their predecessors fired, or die: a branch, a delay of
+at least one cycle, a handshaking (not ``conditional``) sync.  Events
+are still emitted one by one in event order, but each run of
+consecutive events that share a gate ``g`` is nested in ``if cur[g] >
+0:``, followed by ``elif cur[g] < 0 and not cur[a]:`` and one slice
+store of a pooled tuple of ``-1`` over the run ``a..b`` (a run is
+consecutive events, so their ids are contiguous).  The test of ``a``,
+the run's first event, skips the store for a gate that died in an
+earlier cycle, whose run is dead already.  Inside the block, the
+predecessor tests that an open gate answers are dropped, and a delay's
+base is its latest predecessor's fire cycle (no event fires before its
+activation starts, so the start cycle never wins).
 
 This is exact.  If ``g`` dominates ``e``, every predecessor of ``e`` is
 ``g`` or is dominated by ``g``, so nothing under ``g`` fires or dies
 before ``g`` does: while ``g`` is pending, the skipped events would
 have been pending too, and they never touch ``busy`` or a wire.  When
 ``g`` dies, everything under it dies in that same pass, which is what
-the event-by-event code would have marked.  Event order is kept, so the
-insertion order of the overlay, which snapshot images and ``state_sig``
-hash, is unchanged.  An event nests in at most :data:`MAX_GATE_DEPTH`
-gate blocks, those of its outermost gates, which keeps the source below
-Python's limit of 100 indentation levels; gates past the cap open no
-block, and the events under them test those predecessors as usual.
+the event-by-event code would have marked.  An event nests in at most
+:data:`MAX_GATE_DEPTH` gate blocks, those of its outermost gates, which
+keeps the source below Python's limit of 100 indentation levels; gates
+past the cap open no block, and the events under them test those
+predecessors as usual.
 
 Cycle step
 ----------
@@ -65,17 +64,17 @@ binds the cycle, its fire mark ``mark = now + 1``, the register file,
 the thread lists and the port wires its fire bodies use once per call,
 releases the handshake outputs, then per thread walks ``chain(acts,
 tentative)`` with the thread's gate-nested fire body inlined in the
-loop, so an activation binds only its slots, ``cur = act.st[:]``, its
-start cycle and overlay.  It stores the pass as ``act.cache = (now,
-cur, _ov)`` and spawns at the anchor, with the interpreter's runaway
-limits.  ``_TICK`` takes each activation's cached pass; where ``cur``
-differs from ``act.st`` it adopts it (``act.st = cur``), merges the
-overlay into the slots, runs the thread's commit body inline (an event
-fired this cycle holds ``mark``; each register write is masked to its
-register's width by a constant, in a local ``_rw`` dict), marks the
-spawn and retires the activation once no event is pending (``_dedup``
-when more than one is live), and it applies every write with one
-``m.regs.update``.
+loop, so an activation binds only the pass's copies ``cur =
+act.st[:]`` and ``_sl = act.slots[:]`` and its start cycle.  It stores
+the pass as ``act.cache = (now, cur, _sl)`` and spawns at the anchor,
+with the interpreter's runaway limits.  ``_TICK`` takes each
+activation's cached pass; where ``cur`` differs from ``act.st`` it
+adopts both copies (``act.st = cur``, ``act.slots = _sl``), runs the
+thread's commit body inline (an event fired this cycle holds ``mark``;
+each register write is masked to its register's width by a constant,
+in a local ``_rw`` dict), marks the spawn and retires the activation
+once no event is pending (``_dedup`` when more than one is live), and
+it applies every write with one ``m.regs.update``.
 
 A cache is stale only when something moved the module's ``cycle``
 between settle and tick -- a fault on that attribute.  ``_TICK`` then
@@ -215,16 +214,16 @@ def _emit_bit(em: Emitter, ctx: _ExprCtx, expr) -> str:
 def _emit_latches(em: Emitter, ctx: _ExprCtx, ep):
     for latch in ep.latches:     # a recv or flag latches ep's handshake
         if type(latch) is LatchRecv:
-            em.line(f"_ov[{latch.slot}] = "
+            em.line(f"_sl[{latch.slot}] = "
                     f"{ctx.wire(ep.port, 'data')}.value")
         elif type(latch) is LatchFlag:
             v = ctx.wire(ep.port, "valid")
             a = ctx.wire(ep.port, "ack")
-            em.line(f"_ov[{latch.slot}] = "
+            em.line(f"_sl[{latch.slot}] = "
                     f"1 if ({v}.value and {a}.value) else 0")
         else:   # LatchExpr
             rendered = _emit_exprs(em, ctx, [latch.source])[0]
-            em.line(f"_ov[{latch.slot}] = {rendered}")
+            em.line(f"_sl[{latch.slot}] = {rendered}")
 
 
 def _is_gate(ep) -> bool:
@@ -477,14 +476,12 @@ def _gen_eval_thread(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
     em.line("spawns = 0")
     em.line("for act in chain(acts, tentative):")
     em.push()
-    if "_sl." in text:
-        em.line("_sl = act.slots")
     em.line("cur = act.st[:]")
+    em.line("_sl = act.slots[:]")
     if "_st" in text:
         em.line("_st = act.start")
-    em.line("_ov = {}")
     em.lines += fire.lines
-    em.line("act.cache = (now, cur, _ov)")
+    em.line("act.cache = (now, cur, _sl)")
     em.line(f"if act.spawned or cur[{tp.anchor}] <= 0:")
     em.push()
     em.line("continue")
@@ -495,16 +492,16 @@ def _gen_eval_thread(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
     em.push()
     em.line(f"m._runaway({ti}, spawns)")
     em.pop()
-    em.line(f"tentative.append(Activation(now, {tp.n_events}))")
+    em.line(f"tentative.append(Activation(now, {tp.n_events}, "
+            f"{tp.n_slots}))")
     em.pop()
 
 
 def _gen_tick_thread(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
     """One thread's clock edge: adopt each activation's cached settle
     pass (re-firing it with the reference interpreter when the cache is
-    stale) and, where the pass changed an event, merge its overlay,
-    commit it, mark the spawn and retire the activation if it is
-    finished."""
+    stale) and, where the pass changed an event, adopt its slots, commit
+    it, mark the spawn and retire the activation if it is finished."""
     commit = Emitter()
     commit.push()       # inside the activation loop's ``if cur != ...:``
     commit.push()
@@ -525,7 +522,7 @@ def _gen_tick_thread(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
     em.line("act.cache = None")
     em.line("if _ca is not None and _ca[0] == now:")
     em.push()
-    em.line("_, cur, _ov = _ca")
+    em.line("_, cur, _sl = _ca")
     em.pop()
     em.line("else:   # a fault moved m.cycle since the settle pass")
     em.push()
@@ -533,16 +530,12 @@ def _gen_tick_thread(em: Emitter, ctx: _ExprCtx, tp: ThreadPlan):
     em.push()
     em.line("busy = set()")
     em.pop()
-    em.line(f"cur, _ov = m._interp_fire(m.plan.threads[{ti}], act, busy)")
+    em.line(f"cur, _sl = m._interp_fire(m.plan.threads[{ti}], act, busy)")
     em.pop()
     em.line("if cur != act.st:")
     em.push()
     em.line("act.st = cur")
-    if any("_sl." in line for line in commit.lines):
-        em.line("_sl = act.slots")
-        em.line("_sl.update(_ov)")
-    elif any(ep.latches for ep in tp.events):
-        em.line("act.slots.update(_ov)")
+    em.line("act.slots = _sl")
     em.lines += commit.lines
     em.line(f"if cur[{tp.anchor}] == mark:")
     em.push()

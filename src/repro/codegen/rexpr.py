@@ -68,13 +68,13 @@ class RExpr:
     def to_python(self, ctx) -> str:  # pragma: no cover - interface
         """Emit a Python expression computing exactly what :meth:`eval`
         returns.  The expression may reference the names the generated
-        backend binds locally -- ``_r`` (register file), ``_sl``
-        (committed slots), ``_ov`` (same-cycle overlay) -- plus whatever
-        ``ctx`` hands out: ``ctx.ready(ep, msg)`` for handshake
-        observations, ``ctx.const(value)`` for pooled constants and
-        ``ctx.temp()`` for fresh local names.  The text is atomic or
-        parenthesized.  Register and slot reads keep their masks (a
-        fault can set bits above a register's width)."""
+        backend binds locally -- ``_r`` (register file) and ``_sl`` (the
+        activation's slot list) -- plus whatever ``ctx`` hands out:
+        ``ctx.ready(ep, msg)`` for handshake observations,
+        ``ctx.const(value)`` for pooled constants and ``ctx.temp()`` for
+        fresh local names.  The text is atomic or parenthesized.
+        Register and slot reads keep their masks (a fault can set bits
+        above a register's width)."""
         raise NotImplementedError
 
     def gate_count(self) -> Dict[str, int]:
@@ -152,12 +152,10 @@ class RSlot(RExpr):
         self.note = note
 
     def eval(self, env):
-        return mask(env.slots.get(self.slot, 0), self.width)
+        return mask(env.slots[self.slot], self.width)
 
     def to_python(self, ctx):
-        s = self.slot
-        return (f"((_ov[{s}] if {s} in _ov else _sl.get({s}, 0))"
-                f" & {(1 << self.width) - 1})")
+        return f"(_sl[{self.slot}] & {(1 << self.width) - 1})"
 
     def __repr__(self):
         return f"slot{self.slot}" + (f"({self.note})" if self.note else "")

@@ -13,9 +13,9 @@ split into three layers:
 2. :class:`AnvilProcessModule` owns the run-time state -- activations,
    each with one list of event states (the analogue of the paper's
    per-event ``current`` wire and ``fired_q`` flop; both backends read
-   and write it, see :class:`Activation`) and its slots, the register
-   file, handshake ports -- and the **reference interpreter** that walks
-   the plan cycle by cycle;
+   and write it, see :class:`Activation`) and one list of its slot
+   values, the register file, handshake ports -- and the **reference
+   interpreter** that walks the plan cycle by cycle;
 3. ``backend="pycompiled"`` replaces the module's ``eval_comb`` and
    ``tick`` with the process's cycle step, generated, ``compile()``d
    and ``exec``'d from the same plan by :mod:`repro.codegen.pysim` --
@@ -94,39 +94,28 @@ class MessagePort:
         )
 
 
-class _SlotView:
-    """Committed slots with a same-cycle overlay (the hardware's bypass
-    path: data latched this cycle is combinationally visible)."""
-
-    __slots__ = ("base", "overlay")
-
-    def __init__(self, base: Dict[int, int], overlay: Dict[int, int]):
-        self.base = base
-        self.overlay = overlay
-
-    def get(self, key, default=0):
-        if key in self.overlay:
-            return self.overlay[key]
-        return self.base.get(key, default)
-
-
 class Activation:
     """One in-flight iteration of a thread.
 
     ``st`` holds the state of each of the thread's ``n_events`` events,
     indexed by event id: ``0`` pending, ``-1`` dead, ``c + 1`` fired at
-    cycle ``c``.  An activation is finished when no ``0`` is left."""
+    cycle ``c``.  An activation is finished when no ``0`` is left.
+    ``slots`` holds its ``n_slots`` slot values (latched receive data,
+    ``let`` values, branch conditions), ``0`` until latched.  A settle
+    pass marks and latches into copies of both lists, so what it latches
+    is visible to the events after it in that cycle (the hardware's
+    bypass) and committed only when the clock edge adopts the copies."""
 
     __slots__ = ("start", "st", "slots", "spawned", "cache")
 
-    def __init__(self, start: int, n_events: int):
+    def __init__(self, start: int, n_events: int, n_slots: int):
         self.start = start
         self.st: List[int] = [0] * n_events
-        self.slots: Dict[int, int] = {}
+        self.slots: List[int] = [0] * n_slots
         self.spawned = False
-        # (cycle, st after the pass, overlay) from the last settled fire
-        # pass; consumed by tick() so the clock edge does not recompute
-        # the fire set the settle phase already produced
+        # (cycle, st after the pass, slots after the pass) from the last
+        # settled fire pass; consumed by tick() so the clock edge does
+        # not recompute the fire set the settle phase already produced
         self.cache: Optional[Tuple] = None
 
 
@@ -272,8 +261,8 @@ class AnvilProcessModule(Module):
             busy: set = set()
             spawns = 0
             for act in chain(acts, tentative):
-                cur, overlay = self._interp_fire(tp, act, busy)
-                act.cache = (now, cur, overlay)
+                cur, slots = self._interp_fire(tp, act, busy)
+                act.cache = (now, cur, slots)
                 if act.spawned or cur[anchor] <= 0:
                     continue
                 spawns += 1
@@ -281,14 +270,14 @@ class AnvilProcessModule(Module):
                         or len(acts) + len(tentative)
                         >= self.MAX_ACTIVATIONS):
                     self._runaway(ti, spawns)
-                tentative.append(Activation(now, tp.n_events))
+                tentative.append(Activation(now, tp.n_events, tp.n_slots))
 
     def _start(self):
         """The first evaluation: every thread starts an activation at
         cycle 0."""
         for acts, tp in zip(self._threads_rt, self.plan.threads):
             if not acts:
-                acts.append(Activation(0, tp.n_events))
+                acts.append(Activation(0, tp.n_events, tp.n_slots))
         self._started = True
 
     def _runaway(self, ti: int, spawns: int):
@@ -309,34 +298,34 @@ class AnvilProcessModule(Module):
         )
 
     # -- the reference interpreter ----------------------------------------
-    def _apply_latches(self, ev, overlay, env):
+    def _apply_latches(self, ev, slots, env):
         pw = self._pw
         base = 3 * ev.port      # a recv or flag latches its own handshake
         for latch in ev.latches:
             t = type(latch)
             if t is LatchRecv:
-                overlay[latch.slot] = pw[base].value
+                slots[latch.slot] = pw[base].value
             elif t is LatchFlag:
-                overlay[latch.slot] = (
+                slots[latch.slot] = (
                     1 if (pw[base + 1].value and pw[base + 2].value) else 0
                 )
             else:   # LatchExpr
-                overlay[latch.slot] = latch.source.eval(env)
+                slots[latch.slot] = latch.source.eval(env)
 
     def _interp_fire(self, tp: ThreadPlan, act: Activation, busy: set):
         """Compute events firing *this* cycle for one activation and drive
-        handshake wires for active syncs; return a copy of ``act.st``
-        with this pass's fires and deaths marked (see
-        :class:`Activation`), and the pass's slot overlay.  Pure function
-        of settled state; re-run every settle iteration (permanent state
+        handshake wires for active syncs; return copies of ``act.st``
+        and ``act.slots`` with this pass's fires and deaths marked and
+        its latches written (see :class:`Activation`).  Pure function of
+        settled state; re-run every settle iteration (permanent state
         only commits at the clock edge).  A fired or dead event is never
         visited again.  The generated tick calls it too, for an
         activation whose settle cache is stale."""
         now = self.cycle
         mark = now + 1
         cur = act.st[:]
-        overlay: Dict[int, int] = {}
-        env = rx.REnv(self.regs, _SlotView(act.slots, overlay), self._ready)
+        slots = act.slots[:]
+        env = rx.REnv(self.regs, slots, self._ready)
         pw = self._pw
         start = act.start
 
@@ -349,7 +338,7 @@ class AnvilProcessModule(Module):
                 if start == now:
                     cur[eid] = mark
                     if epl.latches:
-                        self._apply_latches(epl, overlay, env)
+                        self._apply_latches(epl, slots, env)
                 continue
             preds = epl.preds
             if kind is EventKind.JOIN_ANY:
@@ -365,7 +354,7 @@ class AnvilProcessModule(Module):
                 if ready:
                     cur[eid] = mark
                     if epl.latches:
-                        self._apply_latches(epl, overlay, env)
+                        self._apply_latches(epl, slots, env)
                 elif not alive:
                     cur[eid] = -1
                 continue
@@ -393,12 +382,12 @@ class AnvilProcessModule(Module):
                 if base + epl.delay == mark:
                     cur[eid] = mark
                     if epl.latches:
-                        self._apply_latches(epl, overlay, env)
+                        self._apply_latches(epl, slots, env)
                 continue
             if kind is EventKind.JOIN_ALL:
                 cur[eid] = mark
                 if epl.latches:
-                    self._apply_latches(epl, overlay, env)
+                    self._apply_latches(epl, slots, env)
                 continue
             if kind is EventKind.BRANCH:
                 expr = epl.cond_expr
@@ -406,7 +395,7 @@ class AnvilProcessModule(Module):
                 if bool(cond) == epl.polarity:
                     cur[eid] = mark
                     if epl.latches:
-                        self._apply_latches(epl, overlay, env)
+                        self._apply_latches(epl, slots, env)
                 else:
                     cur[eid] = -1
                 continue
@@ -433,8 +422,8 @@ class AnvilProcessModule(Module):
                                    and pw[base3 + 2].value):
                 cur[eid] = mark
                 if epl.latches:
-                    self._apply_latches(epl, overlay, env)
-        return cur, overlay
+                    self._apply_latches(epl, slots, env)
+        return cur, slots
 
     def _interp_commit(self, tp: ThreadPlan, act: Activation):
         """The register writes and prints of the events ``act`` fired
@@ -448,7 +437,6 @@ class AnvilProcessModule(Module):
                 continue
             for c in ev.commits:
                 if env is None:
-                    # tick() has merged the overlay into the slots already
                     env = rx.REnv(self.regs, act.slots, self._ready)
                 if type(c) is CommitReg:
                     self._reg_writes.append((c.reg, c.source.eval(env)))
@@ -465,10 +453,9 @@ class AnvilProcessModule(Module):
     # -- clock edge ---------------------------------------------------------
     def tick(self):
         """Commit each activation's settled fire pass: adopt its event
-        states, merge its overlay into its slots (every slot a fired
-        event writes is there, at its final value), then run its
-        register writes and prints.  An activation whose pass changed
-        nothing is left as it is."""
+        states and slots, then run its register writes and prints.  An
+        activation whose pass changed nothing is left as it is (a pass
+        latches only where an event fires)."""
         now = self.cycle
         mark = now + 1
         for ti, tp in enumerate(self.plan.threads):
@@ -486,12 +473,12 @@ class AnvilProcessModule(Module):
                 if cache is not None and cache[0] == now:
                     # the settle phase already computed this activation's
                     # fire set on the settled wires; reuse it
-                    _cyc, cur, overlay = cache
+                    _cyc, cur, slots = cache
                 else:
-                    cur, overlay = self._interp_fire(tp, act, busy)
+                    cur, slots = self._interp_fire(tp, act, busy)
                 if cur != act.st:
                     act.st = cur
-                    act.slots.update(overlay)
+                    act.slots = slots
                     self._interp_commit(tp, act)
                     if cur[anchor] == mark:
                         act.spawned = True
@@ -519,15 +506,15 @@ class AnvilProcessModule(Module):
         The state is which events fired and which died, the slots, the
         cycles left until each pending delay is due and ``spawned``;
         never the absolute cycles events fired at.  Equal states have
-        equal pending, dead and slot counts and ``spawned`` flags, so
-        the full state key is built only for activations that share
-        that cheap signature with an earlier one."""
+        equal pending and dead counts and ``spawned`` flags, so the full
+        state key is built only for activations that share that cheap
+        signature with an earlier one."""
         first: Dict[Tuple, Activation] = {}
         keys: Dict[Tuple, set] = {}
         kept = []
         for a in live:
             st = a.st
-            sig = (st.count(0), st.count(-1), len(a.slots), a.spawned)
+            sig = (st.count(0), st.count(-1), a.spawned)
             other = first.setdefault(sig, a)
             if other is not a:
                 seen = keys.get(sig)
@@ -550,7 +537,7 @@ class AnvilProcessModule(Module):
                 dues.append((eid, base - 1 + delay - self.cycle))
         return (
             tuple(1 if c > 0 else c for c in st),
-            tuple(sorted(a.slots.items())),
+            tuple(a.slots),
             tuple(sorted(dues)),
             a.spawned,
         )

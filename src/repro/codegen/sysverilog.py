@@ -155,7 +155,7 @@ class NameMap:
 
     def slot(self, slot: int) -> str:
         # references go through the bypass wire so same-cycle latches are
-        # combinationally visible (mirrors the simulator's slot overlay)
+        # combinationally visible (as a simulator pass reads its slot copy)
         return f"t{self.thread_idx}_slot{slot}_w"
 
     def slot_q(self, slot: int) -> str:

@@ -18,7 +18,7 @@ JOIN_ALL  the latest predecessor (label ``#0``)
 ========= ===========================================================
 
 Each event additionally carries its *effects*, as in the paper's compiler
-(Section 6): **latches** (the overlay writes of received data, sync
+(Section 6): **latches** (the slot writes of received data, sync
 success flags and branch conditions), **commits** (register writes and
 debug prints, made at the clock edge), a sync's ``payload`` and
 ``guard``, and a branch's ``cond_expr``.  The graph builder records them,
@@ -52,23 +52,23 @@ class SyncDir(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# latches: overlay writes made when an event fires (combinationally visible
-# in the firing cycle, committed into the activation's slots at the edge)
+# latches: slot writes made when an event fires (combinationally visible
+# in the firing cycle, committed with the activation's slots at the edge)
 # ---------------------------------------------------------------------------
 class LatchRecv(NamedTuple):
-    """overlay[slot] = data of the event's own handshake (a receive's
+    """slots[slot] = data of the event's own handshake (a receive's
     bypass path)."""
     slot: int
 
 
 class LatchFlag(NamedTuple):
-    """overlay[slot] = 1 iff the event's own handshake transferred this
+    """slots[slot] = 1 iff the event's own handshake transferred this
     cycle (the success bit of a try_send/try_recv)."""
     slot: int
 
 
 class LatchExpr(NamedTuple):
-    """overlay[slot] = eval(source) (a branch condition)."""
+    """slots[slot] = eval(source) (a branch condition)."""
     slot: int
     source: RExpr
 
@@ -139,7 +139,7 @@ class Event:
         self.cond_id = cond_id
         self.polarity = polarity
         self.note = note
-        #: LatchRecv / LatchFlag / LatchExpr records, in overlay order
+        #: LatchRecv / LatchFlag / LatchExpr records, applied in order
         self.latches: List[tuple] = []
         #: CommitReg / CommitPrint records, in commit order
         self.commits: List[tuple] = []

@@ -86,15 +86,18 @@ class ThreadPlan:
     """One thread's executable plan."""
 
     __slots__ = ("index", "kind", "anchor", "events", "n_events",
-                 "graph", "delays")
+                 "n_slots", "graph", "delays")
 
     def __init__(self, index: int, kind: str, anchor: int,
-                 graph: EventGraph):
+                 graph: EventGraph, n_slots: int):
         self.index = index
         self.kind = kind
         self.anchor = anchor
         self.events = tuple(graph.events)
         self.n_events = len(self.events)
+        #: slots the builder numbered, from 0: the length of each
+        #: activation's slot list
+        self.n_slots = n_slots
         #: the optimized event graph: the cost model reads its concrete
         #: fire times
         self.graph = graph
@@ -192,7 +195,7 @@ def build_thread_plan(plan: ProcessPlan, thread, index: int,
             _register_ready_reads(plan, getattr(spec, "source", None), seen)
         for expr in (ev.payload, ev.guard, ev.cond_expr):
             _register_ready_reads(plan, expr, seen)
-    return ThreadPlan(index, thread.kind, anchor, graph)
+    return ThreadPlan(index, thread.kind, anchor, graph, result.slot_count)
 
 
 def plan_key(process, do_optimize: bool) -> Optional[str]:

@@ -136,7 +136,6 @@ class BuildResult:
         self.mutations: List[MutationRecord] = []
         self.sends: List[SendRecord] = []
         self.slot_count = 0
-        self.cond_count = 0
 
 
 class GraphBuilder:
@@ -196,7 +195,6 @@ class GraphBuilder:
             else:
                 current = completion
         result.slot_count = self._slot
-        result.cond_count = self._cond
         return result
 
     # ------------------------------------------------------------------
@@ -641,7 +639,7 @@ class GraphBuilder:
         bf = self.graph.add(EventKind.BRANCH, (cc,), cond_id=cond_id,
                             polarity=False)
         # both arms and the value's mux test the latched slot, which
-        # the overlay makes visible in the latching cycle
+        # they read in the latching cycle
         cond = self._rx(rx.RSlot, cond_slot, 1, note=f"c{cond_id}")
         bt.cond_expr = bf.cond_expr = cond
         tc, tval = self._visit(term.then, bt.eid, env)

@@ -21,10 +21,10 @@ simulator at a clock-cycle boundary:
   ``int``, ``float``, ``str``, ``bytes``, ``bytearray``, ``list``,
   ``tuple``, ``dict``, ``set`` and ``frozenset`` of exactly those types
   (a subclass, such as an ``IntEnum``, is not), nested freely, plus the
-  Anvil runtime's activations and slot views, pickled by value.  An
-  attribute holding anything else (wires, ports, modules, callables,
-  plans) is structural: never mutated mid-run by construction, so it is
-  skipped at capture and left untouched at restore.  :func:`restore`
+  Anvil runtime's activations, pickled by value.  An attribute holding
+  anything else (wires, ports, modules, callables, plans) is
+  structural: never mutated mid-run by construction, so it is skipped
+  at capture and left untouched at restore.  :func:`restore`
   unpickles the images, :func:`matches` compares them byte for byte and
   :func:`state_sig` hashes them;
 * the waveform series recorded so far and the monitor-visible cycle
@@ -67,8 +67,9 @@ from ..errors import SimulationError
 #: 4: an activation's dead events are imaged in sorted order;
 #: 5: ``sig`` also covers each module's declared comb inputs and
 #: outputs; 6: an activation holds one list of event states in place of
-#: its fired dict and dead set)
-SNAPSHOT_VERSION = 6
+#: its fired dict and dead set; 7: an activation holds one list of slot
+#: values in place of its slot dict)
+SNAPSHOT_VERSION = 7
 
 
 # ---------------------------------------------------------------------------
@@ -89,46 +90,36 @@ def _activation(start, st, slots, spawned, cache):
     its image."""
     from ..codegen.simfsm import Activation
 
-    act = Activation(start, 0)
+    act = Activation(start, 0, 0)
     act.st, act.slots, act.spawned, act.cache = st, slots, spawned, cache
     return act
-
-
-def _slot_view(base, overlay):
-    """Rebuild an Anvil slot view from its image."""
-    from ..codegen.simfsm import _SlotView
-
-    return _SlotView(base, overlay)
 
 
 class _Images(pickle.Pickler):
     """Pickle images of plain data.  The C pickler writes the builtin
     scalars and containers itself and asks :meth:`reducer_override`
-    about any other object: activations and slot views pickle by value
-    through the two reconstructors above, anything else is structural.
-    Fast mode keeps no memo, so equal values give equal bytes, up to the
-    iteration order of sets; no registry scenario keeps a set in module
-    state (an activation's event states are one list), so a restore
+    about any other object: activations pickle by value through the
+    reconstructor above, anything else is structural.  Fast mode keeps
+    no memo, so equal values give equal bytes, up to the iteration order
+    of sets; no registry scenario keeps a set in module state (an
+    activation's event states and slots are two lists), so a restore
     images every state as its capture did."""
 
     def __init__(self):
         # imported here so rtl stays importable without codegen loaded
-        from ..codegen.simfsm import Activation, _SlotView
+        from ..codegen.simfsm import Activation
 
         self._out = io.BytesIO()
         super().__init__(self._out, protocol=_PROTOCOL)
         self.fast = True
         self._activation_type = Activation
-        self._slot_view_type = _SlotView
 
     def reducer_override(self, obj):
         t = type(obj)
         if t is self._activation_type:
             return _activation, (obj.start, obj.st, obj.slots,
                                  obj.spawned, obj.cache)
-        if t is self._slot_view_type:
-            return _slot_view, (obj.base, obj.overlay)
-        if obj is _activation or obj is _slot_view:
+        if obj is _activation:
             return NotImplemented           # pickled by name
         raise _Structural(t.__name__)
 

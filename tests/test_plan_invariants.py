@@ -2,8 +2,9 @@
 
 Recv and flag latches carry no port: every backend reads the port of the
 latch's own event, so such a latch must sit on a sync.  Every branch
-tests a condition, only syncs drive a payload or gate on a guard, and a
-thread plan runs on its optimized graph's own events.  Checked on the
+tests a condition, only syncs drive a payload or gate on a guard, every
+slot a thread latches or reads indexes its activations' slot lists, and
+a thread plan runs on its optimized graph's own events.  Checked on the
 plans of the front-end digest's processes, the Table 2 studies and every
 registry scenario, optimized and unoptimized.
 """
@@ -12,6 +13,7 @@ import pytest
 
 from helpers import tool_module
 from repro.api import SimConfig, get_registry
+from repro.codegen import rexpr as rx
 from repro.codegen import simfsm
 from repro.core.events import EventKind, LatchFlag, LatchRecv
 from repro.core.fsmplan import build_process_plan
@@ -86,6 +88,36 @@ def test_only_syncs_carry_a_payload_or_a_guard(events):
     assert any(ev.guard is not None for _where, ev in carriers)
     for where, ev in carriers:
         assert ev.kind is EventKind.SYNC, (where, ev)
+
+
+def _slot_reads(exprs):
+    """The slots that the ``RSlot`` nodes under ``exprs`` read."""
+    seen, slots = set(), set()
+    stack = [e for e in exprs if e is not None]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if type(node) is rx.RSlot:
+            slots.add(node.slot)
+        stack.extend(node.children())
+    return slots
+
+
+def test_every_slot_indexes_the_slot_list(events):
+    threads = {id(tp): (where, tp) for where, _plan, tp, _ev in events}
+    n = 0
+    for where, tp in threads.values():
+        latched = {latch.slot for ev in tp.events for latch in ev.latches}
+        read = _slot_reads(
+            [getattr(spec, "source", None)
+             for ev in tp.events for spec in ev.latches + ev.commits]
+            + [e for ev in tp.events
+               for e in (ev.payload, ev.guard, ev.cond_expr)])
+        n += len(read)
+        assert latched | read <= set(range(tp.n_slots)), (where, tp)
+    assert n > 0
 
 
 def test_thread_plans_run_on_their_graphs_events(events):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codegen import rexpr as rx
+from repro.codegen.simfsm import Activation
 from repro.lang.types import Bundle, Logic
 
 
@@ -19,8 +20,12 @@ class TestEval:
     def test_reg_read(self):
         assert rx.RReg("a", 8).eval(env({"a": 0x12})) == 0x12
 
-    def test_slot_default_zero(self):
-        assert rx.RSlot(3, 8).eval(env()) == 0
+    def test_a_fresh_activations_slots_read_zero(self):
+        # the interpreter evaluates, the generated backend runs to_python
+        slots = Activation(0, 1, 4).slots
+        expr = rx.RSlot(3, 8)
+        assert expr.eval(env(slots=slots)) == 0
+        assert eval(expr.to_python(None), {"_sl": slots}) == 0
 
     @pytest.mark.parametrize("op,a,b,expected", [
         ("add", 200, 100, 44),          # 8-bit wrap

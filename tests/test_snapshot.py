@@ -20,7 +20,7 @@ import pytest
 from repro import Module, Session, SimConfig, Simulator, get_registry
 from repro.__main__ import main as cli_main
 from repro.api import run_scenario
-from repro.codegen.simfsm import Activation, _SlotView
+from repro.codegen.simfsm import Activation
 from repro.errors import SimulationError
 from repro.rtl import kernel
 from repro.rtl import snapshot as snap_mod
@@ -266,8 +266,6 @@ def reference_encode(v):
         return ("a", v.start, reference_encode(v.st),
                 reference_encode(v.slots), v.spawned,
                 reference_encode(v.cache))
-    if t is _SlotView:
-        return ("v", reference_encode(v.base), reference_encode(v.overlay))
     raise _ReferenceStructural(type(v).__name__)
 
 
@@ -287,23 +285,21 @@ def reference_decode(v):
         return frozenset(reference_decode(x) for x in v[1])
     if tag == "b":
         return bytearray(v[1])
-    if tag == "a":
-        act = Activation(v[1], 0)
-        act.st = reference_decode(v[2])
-        act.slots = reference_decode(v[3])
-        act.spawned = v[4]
-        act.cache = reference_decode(v[5])
-        return act
-    assert tag == "v", tag
-    return _SlotView(reference_decode(v[1]), reference_decode(v[2]))
+    assert tag == "a", tag
+    act = Activation(v[1], 0, 0)
+    act.st = reference_decode(v[2])
+    act.slots = reference_decode(v[3])
+    act.spawned = v[4]
+    act.cache = reference_decode(v[5])
+    return act
 
 
 def _identical(a, b) -> bool:
-    """Equal, with identical types at every level (activations and slot
-    views slot by slot, dicts in order)."""
+    """Equal, with identical types at every level (activations slot by
+    slot, dicts in order)."""
     if type(a) is not type(b):
         return False
-    if type(a) in (Activation, _SlotView):
+    if type(a) is Activation:
         return all(_identical(getattr(a, slot), getattr(b, slot))
                    for slot in type(a).__slots__)
     if type(a) in (list, tuple):
@@ -341,12 +337,12 @@ class TestPlainDataRule:
                         (where, attr)
 
     def test_every_plain_type_round_trips(self):
-        act = Activation(3, 4)
-        act.st, act.slots = [-1, 3, 0, 5], {5: 6}
+        act = Activation(3, 4, 2)
+        act.st, act.slots = [-1, 3, 0, 5], [0, 6]
         act.spawned = True
-        act.cache = (7, _SlotView({1: 1}, {2: 2}), frozenset({8}))
+        act.cache = (7, [-1, 3, 8, 5], [9, 6])
         value = [None, True, 1, 1.5, "s", b"b", bytearray(b"a"), (1,),
-                 {"k": [2]}, {3}, frozenset({4}), act, _SlotView({}, {9: 9})]
+                 {"k": [2]}, {3}, frozenset({4}), act]
         sim = _build("y86_sum")
         _y86_cpu(sim).extra = value
         fresh = _build("y86_sum")
@@ -751,8 +747,8 @@ class TestSnapshotErrors:
             other.restore(donor.snapshot())
 
     # SNAPSHOT_VERSION - 1 is the layout that imaged an activation's
-    # fired dict and dead set, which today's reconstructor cannot
-    # rebuild: the version check must refuse it before anything else
+    # slots as a dict of the latched ones, which a slot read by index
+    # cannot use: the version check must refuse it before anything else
     @pytest.mark.parametrize("delta", [1, -1])
     def test_restore_rejects_unknown_versions(self, delta):
         sim = _build("streams", cycles=50, stim=200)
